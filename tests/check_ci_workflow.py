@@ -114,7 +114,8 @@ def main():
     # trace-replay: the out-of-core determinism lane — the replay test
     # suites (stream equality, crash recovery, chaos-seed replay) plus the
     # cross-process gate: Table I captured through the in-RAM path and the
-    # mmap'd MappedLog path must diff to zero changed cost leaves. Failures
+    # mmap'd MappedLog path must diff to zero changed cost leaves, and both
+    # must diff to zero against the checked-in cycle-sim baseline. Failures
     # must keep the divergent logs as artifacts.
     tr = steps_text(jobs["trace-replay"])
     for needle in (
@@ -122,6 +123,7 @@ def main():
         "-L test_serialize",
         "--trace=mapped",
         "report_diff --max-changed=0",
+        "bench/baselines/table1_sim_quick.json",
         "tlm_racecheck --warn-only",
         "actions/upload-artifact",
         "failure()",
