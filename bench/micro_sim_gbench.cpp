@@ -13,17 +13,35 @@
 namespace tlm::sim {
 namespace {
 
+// The DES's own event shape: a MemReq plus a pointer, the size of the
+// largest handler the components schedule (a Crossbar delivery). Each hop
+// reschedules a copy of itself 1-16 ps later, so kChains events stay
+// pending and the queue sees ties and reorderings, as in a replay.
+constexpr std::uint64_t kChains = 64;
+constexpr std::uint64_t kHops = 2000;  // per chain
+
+struct Hop {
+  Simulator* sim;
+  MemReq req;
+  void operator()() {
+    if (++req.tag == kHops) return;
+    req.addr = req.addr * 6364136223846793005ULL + 1442695040888963407ULL;
+    sim->schedule(1 + (req.addr >> 60), *this);
+  }
+};
+static_assert(sizeof(Hop) == Handler::kCapacity);
+
 void BM_EventQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
-    std::uint64_t fired = 0;
-    std::function<void()> tick = [&] {
-      if (++fired < 10000) sim.schedule(1, tick);
-    };
-    sim.schedule(0, tick);
+    for (std::uint64_t c = 0; c < kChains; ++c) {
+      Hop h{&sim, MemReq{}};
+      h.req.addr = c;
+      sim.schedule(c, h);
+    }
     benchmark::DoNotOptimize(sim.run());
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(state.iterations() * kChains * kHops);
 }
 BENCHMARK(BM_EventQueueThroughput);
 

@@ -3,6 +3,7 @@
 // to report request-latency distributions (mean alone hides queueing).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>

@@ -11,7 +11,11 @@ Cache::Cache(Simulator& sim, CacheConfig cfg, MemPort* downstream)
   sets_ = cfg_.size_bytes / (static_cast<std::uint64_t>(cfg_.line_bytes) *
                              cfg_.ways);
   TLM_REQUIRE(sets_ >= 1, "cache smaller than one set");
-  ways_.assign(sets_, std::vector<Way>(cfg_.ways));
+  TLM_REQUIRE(is_pow2(cfg_.line_bytes) && is_pow2(sets_),
+              "cache line size and set count must be powers of two");
+  line_shift_ = ilog2(cfg_.line_bytes);
+  set_shift_ = ilog2(sets_);
+  ways_.assign(sets_ * cfg_.ways, Way{});
 }
 
 void Cache::request(const MemReq& req) {
@@ -19,22 +23,22 @@ void Cache::request(const MemReq& req) {
 }
 
 Cache::Way* Cache::find(std::uint64_t addr) {
-  auto& set = ways_[set_index(addr)];
+  Way* set = set_of(addr);
   const std::uint64_t tag = tag_of(addr);
-  for (auto& w : set)
-    if (w.valid && w.tag == tag) return &w;
+  for (Way* w = set; w != set + cfg_.ways; ++w)
+    if (w->valid && w->tag == tag) return w;
   return nullptr;
 }
 
 Cache::Way& Cache::install(std::uint64_t addr) {
-  auto& set = ways_[set_index(addr)];
-  Way* victim = &set[0];
-  for (auto& w : set) {
-    if (!w.valid) {
-      victim = &w;
+  Way* set = set_of(addr);
+  Way* victim = set;
+  for (Way* w = set; w != set + cfg_.ways; ++w) {
+    if (!w->valid) {
+      victim = w;
       break;
     }
-    if (w.lru < victim->lru) victim = &w;
+    if (w->lru < victim->lru) victim = w;
   }
   if (victim->valid && victim->dirty) {
     ++stats_.writebacks;
@@ -79,9 +83,14 @@ void Cache::lookup(const MemReq& req) {
     return;
   }
   // Read miss: merge into an existing MSHR entry or start a fill.
+  const std::uint32_t w = waiters_.acquire(Waiter{req, kNil});
   const std::uint64_t line = line_addr(req.addr);
-  auto [it, fresh] = mshr_.try_emplace(line);
-  it->second.push_back(req);
+  auto [list, fresh] = mshr_.try_emplace(line);
+  if (fresh)
+    list->head = w;
+  else
+    waiters_[list->tail].next = w;
+  list->tail = w;
   if (fresh) {
     ++stats_.fills;
     MemReq fill;
@@ -96,13 +105,19 @@ void Cache::lookup(const MemReq& req) {
 
 void Cache::on_response(const MemReq& req) {
   const std::uint64_t line = line_addr(req.addr);
-  auto it = mshr_.find(line);
-  TLM_CHECK(it != mshr_.end(), "fill response without an MSHR entry");
+  const WaitList* list = mshr_.find(line);
+  TLM_CHECK(list != nullptr, "fill response without an MSHR entry");
+  std::uint32_t w = list->head;
   install(line);
-  std::vector<MemReq> waiters = std::move(it->second);
-  mshr_.erase(it);
-  for (const MemReq& w : waiters)
-    if (w.origin) w.origin->on_response(w);
+  mshr_.erase(line);
+  while (w != kNil) {
+    // Recycle the node before answering: the response may start new misses.
+    const MemReq waiter = waiters_[w].req;
+    const std::uint32_t next = waiters_[w].next;
+    waiters_.release(w);
+    if (waiter.origin) waiter.origin->on_response(waiter);
+    w = next;
+  }
 }
 
 }  // namespace tlm::sim

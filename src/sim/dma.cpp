@@ -12,7 +12,7 @@ DmaEngine::DmaEngine(Simulator& sim, DmaConfig cfg, MemPort* port)
 }
 
 void DmaEngine::copy(std::uint64_t src_addr, std::uint64_t dst_addr,
-                     std::uint64_t bytes, std::function<void()> on_done) {
+                     std::uint64_t bytes, Handler on_done) {
   TLM_REQUIRE(bytes > 0, "empty DMA copy");
   TLM_REQUIRE(src_addr % cfg_.line_bytes == 0 &&
                   dst_addr % cfg_.line_bytes == 0,
@@ -82,7 +82,7 @@ void DmaEngine::on_response(const MemReq& req) {
 
   d.completed += cfg_.line_bytes;
   if (d.completed >= d.bytes) {
-    auto done = std::move(d.on_done);
+    Handler done = std::move(d.on_done);
     queue_.pop_front();
     if (done) sim_.schedule(0, std::move(done));
   }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/faults.hpp"
 #include "sim/simulator.hpp"
@@ -46,7 +45,7 @@ class DmaEngine final : public Requester {
   // Queues a copy of `bytes` from src_addr to dst_addr (both line-aligned
   // virtual addresses). `on_done` fires at completion time.
   void copy(std::uint64_t src_addr, std::uint64_t dst_addr,
-            std::uint64_t bytes, std::function<void()> on_done = {});
+            std::uint64_t bytes, Handler on_done = {});
 
   void on_response(const MemReq& req) override;
 
@@ -60,7 +59,7 @@ class DmaEngine final : public Requester {
     std::uint64_t bytes = 0;
     std::uint64_t issued = 0;     // bytes whose read has been issued
     std::uint64_t completed = 0;  // bytes whose write has been injected
-    std::function<void()> on_done;
+    Handler on_done;
   };
 
   void pump();

@@ -70,9 +70,7 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
   MemReq fwd = req;
   if (!req.posted && !req.is_write) {
     // Read: responses return through the crossbar, so interpose.
-    const std::uint64_t id = next_txn_++;
-    txns_.emplace(id, Txn{req, src_ep, route->ep});
-    fwd.tag = id;
+    fwd.tag = txns_.acquire(Txn{req, src_ep, route->ep, true});
     fwd.origin = this;
   } else if (!req.posted && req.is_write) {
     // Demand store: acknowledge without waiting for the memory side (the
@@ -89,10 +87,12 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
 }
 
 void Crossbar::on_response(const MemReq& req) {
-  auto it = txns_.find(req.tag);
-  TLM_CHECK(it != txns_.end(), "NoC response for unknown transaction");
-  const Txn txn = it->second;
-  txns_.erase(it);
+  const auto id = static_cast<std::uint32_t>(req.tag);
+  TLM_CHECK(req.tag < txns_.capacity() && txns_[id].live,
+            "NoC response for unknown transaction");
+  const Txn txn = txns_[id];
+  txns_[id].live = false;
+  txns_.release(id);
   // Read data flows back dst -> src.
   const SimTime deliver =
       transfer(txn.dst_ep, txn.src_ep, cfg_.header_bytes + txn.original.bytes);

@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_storage.hpp"
 #include "sim/simulator.hpp"
 
 namespace tlm::sim {
@@ -73,7 +73,8 @@ class Crossbar final : public Requester {
   };
   struct Txn {
     MemReq original;
-    std::size_t src_ep, dst_ep;
+    std::size_t src_ep = 0, dst_ep = 0;
+    bool live = false;
   };
 
   class InjectPort final : public MemPort {
@@ -94,8 +95,7 @@ class Crossbar final : public Requester {
   NocConfig cfg_;
   std::vector<Endpoint> endpoints_;
   std::vector<Route> routes_;
-  std::unordered_map<std::uint64_t, Txn> txns_;
-  std::uint64_t next_txn_ = 1;
+  IndexPool<Txn> txns_;  // in-flight reads, by the tag forwarded for them
   NocStats stats_;
 };
 
