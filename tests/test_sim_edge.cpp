@@ -59,6 +59,23 @@ TEST(SimEdge, UnalignedBurstsCoverWholeLines) {
   EXPECT_EQ(r.core_loads, 2u);
 }
 
+TEST(SimEdge, EveryAccessRecordsOneLatencySample) {
+  trace::TraceBuffer tr(4);
+  // Two non-contiguous bursts that share line 1 ([8,108) and [120,184)):
+  // both requests for that line are in flight at once, and each must still
+  // be timed from its own issue.
+  tr.on_read(0, trace::kFarBase + 8, 100);
+  tr.on_read(0, trace::kFarBase + 120, 64);
+  tr.on_write(1, trace::kNearBase + 8, 100);
+  tr.on_write(1, trace::kNearBase + 120, 64);
+  System sys(small_node(), tr);
+  const SimReport r = sys.run();
+  EXPECT_EQ(r.core_loads, 4u);
+  EXPECT_EQ(r.core_stores, 4u);
+  EXPECT_EQ(r.latency_hist.count(), r.core_loads + r.core_stores);
+  EXPECT_EQ(r.access_latency.count(), r.core_loads + r.core_stores);
+}
+
 TEST(SimEdge, ZeroByteBurstIsANoOp) {
   trace::TraceBuffer tr(4);
   tr.on_read(0, trace::kFarBase, 0);
