@@ -66,7 +66,7 @@ int run(const bench::Flags& flags) {
   const bool all_verified =
       base.verified && ram.counting.verified && mapped.counting.verified;
 
-  const trace::TraceSummary& rs = ram.trace.summary();
+  const trace::TraceSummary rs = ram.trace.summary();
   const trace::MappedLogStats& ml = mapped.log;
   const double bytes_per_op = ml.bytes_per_op();
   const double slowdown_ram =

@@ -49,7 +49,21 @@ bool try_coalesce(TraceOp& tail, const TraceOp& op) {
   return false;
 }
 
-TraceBuffer::TraceBuffer(std::size_t threads) : streams_(threads) {
+TraceSummary& TraceSummary::operator+=(const TraceSummary& o) {
+  reads += o.reads;
+  writes += o.writes;
+  computes += o.computes;
+  barriers += o.barriers;
+  dmas += o.dmas;
+  read_bytes += o.read_bytes;
+  write_bytes += o.write_bytes;
+  dma_bytes += o.dma_bytes;
+  compute_ops += o.compute_ops;
+  return *this;
+}
+
+TraceBuffer::TraceBuffer(std::size_t threads)
+    : streams_(threads), summaries_(threads) {
   TLM_REQUIRE(threads >= 1, "trace needs at least one thread stream");
 }
 
@@ -60,7 +74,7 @@ void TraceBuffer::append(std::size_t thread, TraceOp op) {
   // summary is kept in lockstep so it never needs a re-scan.
   const bool coalesced = !s.empty() && try_coalesce(s.back(), op);
   if (!coalesced) s.push_back(op);
-  summary_.note(op, coalesced);
+  summaries_[thread].s.note(op, coalesced);
 }
 
 void TraceBuffer::on_read(std::size_t thread, std::uint64_t vaddr,
@@ -86,14 +100,20 @@ void TraceBuffer::on_dma(std::size_t thread, std::uint64_t dst_vaddr,
   append(thread, TraceOp{OpKind::DmaCopy, dst_vaddr, bytes, 0, src_vaddr});
 }
 
+TraceSummary TraceBuffer::summary() const {
+  TraceSummary out;
+  for (const StreamSummary& t : summaries_) out += t.s;
+  return out;
+}
+
 void TraceBuffer::clear() {
   for (auto& s : streams_) s.clear();
-  summary_ = TraceSummary{};
+  for (auto& t : summaries_) t.s = TraceSummary{};
 }
 
 std::string TraceBuffer::describe() const {
   std::ostringstream os;
-  const TraceSummary& t = summary();
+  const TraceSummary t = summary();
   os << "trace: " << streams_.size() << " threads, " << t.reads << " reads ("
      << t.read_bytes << " B), " << t.writes << " writes (" << t.write_bytes
      << " B), " << t.computes << " compute segments (" << t.compute_ops

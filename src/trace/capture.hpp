@@ -26,6 +26,7 @@ struct TraceSummary {
     return reads + writes + computes + barriers + dmas;
   }
   void note(const TraceOp& op, bool coalesced);
+  TraceSummary& operator+=(const TraceSummary& o);
 };
 
 // Attempts to fold `op` into `tail` (the thread's most recent record):
@@ -65,9 +66,10 @@ class TraceBuffer final : public TraceSink, public TraceSource {
   }
   const std::vector<std::vector<TraceOp>>& streams() const { return streams_; }
 
-  // O(1): maintained incrementally as ops arrive (a billion-op capture must
-  // not be re-scanned to answer "how many ops").
-  const TraceSummary& summary() const { return summary_; }
+  // O(threads): each stream's summary is maintained incrementally as ops
+  // arrive (a billion-op capture must not be re-scanned to answer "how many
+  // ops"), and the streams' summaries are added up here.
+  TraceSummary summary() const;
 
   // Resets the buffer for reuse: drops every stream AND the incremental
   // summary/coalescing state, so a subsequent op can neither merge into a
@@ -81,7 +83,12 @@ class TraceBuffer final : public TraceSink, public TraceSource {
   void append(std::size_t thread, TraceOp op);
 
   std::vector<std::vector<TraceOp>> streams_;
-  TraceSummary summary_;
+  // One summary per stream, each on its own cache line: threads append to
+  // their streams concurrently, so a shared summary would be a data race.
+  struct alignas(64) StreamSummary {
+    TraceSummary s;
+  };
+  std::vector<StreamSummary> summaries_;
 };
 
 }  // namespace tlm::trace

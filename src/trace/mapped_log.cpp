@@ -193,18 +193,7 @@ void MappedLog::close() {
 TraceSummary MappedLog::summary() const {
   MutexLock lock(lifecycle_mu_);
   TraceSummary out;
-  for (const auto& pt : per_thread_) {
-    const TraceSummary& s = pt->summary;
-    out.reads += s.reads;
-    out.writes += s.writes;
-    out.computes += s.computes;
-    out.barriers += s.barriers;
-    out.dmas += s.dmas;
-    out.read_bytes += s.read_bytes;
-    out.write_bytes += s.write_bytes;
-    out.dma_bytes += s.dma_bytes;
-    out.compute_ops += s.compute_ops;
-  }
+  for (const auto& pt : per_thread_) out += pt->summary;
   return out;
 }
 

@@ -150,7 +150,7 @@ TEST(TraceBuffer, ClearResetsSummaryAndCoalescingState) {
   EXPECT_EQ(tb.stream(0)[0].addr, 0x1080u);
   EXPECT_EQ(tb.stream(0)[0].bytes, 64u);
 
-  const TraceSummary& s = tb.summary();
+  const TraceSummary s = tb.summary();
   EXPECT_EQ(s.reads, 1u);
   EXPECT_EQ(s.read_bytes, 64u);
   EXPECT_EQ(s.barriers, 0u);
