@@ -60,11 +60,11 @@ int run(const bench::Flags& flags) {
     have_prev = true;
     t.row({Table::num(rho, 0), "mergesort",
            Table::count(ms.counting.total.near_bytes()),
-           Table::count(ms.counting.total.far_blocks),
+           Table::count(ms.counting.total.far_blocks()),
            Table::num(ms.modeled_seconds, 6), "1.000"});
     t.row({Table::num(rho, 0), "quicksort",
            Table::count(qs.counting.total.near_bytes()),
-           Table::count(qs.counting.total.far_blocks),
+           Table::count(qs.counting.total.far_blocks()),
            Table::num(qs.modeled_seconds, 6), Table::num(slowdown, 3)});
   }
   std::cout << t;

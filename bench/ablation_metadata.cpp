@@ -42,14 +42,14 @@ int run(const bench::Flags& flags) {
     if (!meta.verified || !naive.verified) return 1;
 
     fewer_bursts &=
-        meta.counting.total.far_bursts * 4 < naive.counting.total.far_bursts;
+        meta.counting.total.far_bursts() * 4 < naive.counting.total.far_bursts();
     faster &= meta.modeled_seconds < naive.modeled_seconds;
 
     for (const auto* r : {&meta, &naive}) {
       t.row({Table::num(rho, 0),
              r == &meta ? "BucketPos metadata" : "eager scatter",
-             Table::count(r->counting.total.far_bursts),
-             Table::count(r->counting.total.far_blocks),
+             Table::count(r->counting.total.far_bursts()),
+             Table::count(r->counting.total.far_blocks()),
              Table::count(r->counting.total.far_bytes()),
              Table::num(r->modeled_seconds, 6)});
     }

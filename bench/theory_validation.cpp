@@ -42,10 +42,10 @@ int run(const bench::Flags& flags) {
           model::scratchpad_sort_bound(m, static_cast<double>(n));
 
       const double far_ratio =
-          static_cast<double>(r.counting.total.far_blocks) /
+          static_cast<double>(r.counting.total.far_blocks()) /
           bound.dram_transfers;
       const double near_ratio =
-          static_cast<double>(r.counting.total.near_blocks) /
+          static_cast<double>(r.counting.total.near_blocks()) /
           bound.scratch_transfers;
       // Constant-factor band: the bound has all constants set to 1; the
       // implementation pays small constants (read+write per pass, metadata).
@@ -53,10 +53,10 @@ int run(const bench::Flags& flags) {
       in_band &= near_ratio > 0.1 && near_ratio < 16.0;
 
       t.row({std::to_string(n), Table::num(rho, 0),
-             Table::count(r.counting.total.far_blocks),
+             Table::count(r.counting.total.far_blocks()),
              Table::count(static_cast<std::uint64_t>(bound.dram_transfers)),
              Table::num(far_ratio, 2),
-             Table::count(r.counting.total.near_blocks),
+             Table::count(r.counting.total.near_blocks()),
              Table::count(
                  static_cast<std::uint64_t>(bound.scratch_transfers)),
              Table::num(near_ratio, 2)});
@@ -76,7 +76,7 @@ int run(const bench::Flags& flags) {
     for (std::uint64_t n : {1ULL << 17, 1ULL << 21}) {
       const analysis::SortRun r =
           analysis::run_sort_counting(cfg, Algorithm::NMsort, n, seed);
-      const double ratio = static_cast<double>(r.counting.total.far_blocks) /
+      const double ratio = static_cast<double>(r.counting.total.far_blocks()) /
                            model::scratchpad_sort_bound(
                                m, static_cast<double>(n))
                                .dram_transfers;

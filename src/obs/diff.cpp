@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "scratchpad/counters.hpp"
+
 namespace tlm::obs {
 
 namespace {
@@ -67,25 +69,18 @@ bool is_fault_leaf(std::string_view path) {
 // side that lacks them carries no information of its own: the combined
 // counters they split still compare leaf-for-leaf. So absence on either
 // side skips the leaf entirely rather than reading it as zero.
-// Deliberately an exact-name list, not a *_bytes suffix rule: the byte
-// splits (far_read_bytes & co.) predate ω, exist in every old baseline,
-// and must keep hard missing-key semantics.
+// Deliberately the twins of the combined counters only, not a *_bytes
+// suffix rule: the byte splits (far_read_bytes & co.) predate ω, exist in
+// every old baseline, and must keep hard missing-key semantics.
 bool is_split_leaf(std::string_view path) {
   const std::string_view leaf = last_segment(path);
-  static constexpr std::string_view kSplit[] = {
-      "far_read_blocks",      "far_write_blocks",
-      "near_read_blocks",     "near_write_blocks",
-      "far_read_bursts",      "far_write_bursts",
-      "near_read_bursts",     "near_write_bursts",
-      "dma_far_read_bytes",   "dma_far_write_bytes",
-      "dma_near_read_bytes",  "dma_near_write_bytes",
-      "dma_far_read_bursts",  "dma_far_write_bursts",
-      "dma_near_read_bursts", "dma_near_write_bursts",
-      "far_reads",            "far_writes",
-      "near_reads",           "near_writes"};
-  for (const std::string_view k : kSplit)
-    if (leaf == k) return true;
-  return false;
+#define TLM_X(combined, read, write) \
+  if (leaf == #read || leaf == #write) return true;
+  TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
+  // The directional line counts of the MetricsRegistry export.
+  return leaf == "far_reads" || leaf == "far_writes" ||
+         leaf == "near_reads" || leaf == "near_writes";
 }
 
 void flatten(const Json& j, const std::string& prefix,

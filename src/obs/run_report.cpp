@@ -1,110 +1,60 @@
 #include "obs/run_report.hpp"
 
+#include <optional>
 #include <stdexcept>
-
-// tlm-lint: allow-file(counters-mutation): this is the JSON (de)serialization
-// boundary for PhaseStats — it reconstructs counters from reports, it does
-// not account traffic.
-// tlm-lint: allow-file(split-counters-mutation): same boundary; the split
-// twins round-trip from JSON here, they are not charged here.
 
 namespace tlm::obs {
 
 namespace {
 
+void read_leaf(const Json& j, const char* key, std::uint64_t& v) {
+  v = j.get_u64(key, 0);
+}
+void read_leaf(const Json& j, const char* key, double& v) {
+  v = j.get_f64(key, 0);
+}
+
+void export_leaf(MetricsRegistry& reg, const char* key, std::uint64_t v) {
+  reg.counter(key).add(v);
+}
+void export_leaf(MetricsRegistry& reg, const char* key, double v) {
+  reg.set_gauge(key, v);
+}
+
+// Every stored field, plus the derived combined counters under their own
+// names so reports keep the leaves older baselines diff against.
 Json phase_to_json(const PhaseStats& p, bool with_name) {
   Json j = Json::object();
   if (with_name) j["name"] = p.name;
-  j["far_read_bytes"] = p.far_read_bytes;
-  j["far_write_bytes"] = p.far_write_bytes;
-  j["near_read_bytes"] = p.near_read_bytes;
-  j["near_write_bytes"] = p.near_write_bytes;
-  j["far_blocks"] = p.far_blocks;
-  j["near_blocks"] = p.near_blocks;
-  j["far_bursts"] = p.far_bursts;
-  j["near_bursts"] = p.near_bursts;
-  j["dma_far_bytes"] = p.dma_far_bytes;
-  j["dma_near_bytes"] = p.dma_near_bytes;
-  j["dma_far_bursts"] = p.dma_far_bursts;
-  j["dma_near_bursts"] = p.dma_near_bursts;
-  // Read/write split counters (ω model). Emitted unconditionally: report
-  // diffs never count keys *added* relative to a baseline, and the diff
-  // layer tolerates their absence in pre-split baselines (is_split_leaf).
-  j["far_read_blocks"] = p.far_read_blocks;
-  j["far_write_blocks"] = p.far_write_blocks;
-  j["near_read_blocks"] = p.near_read_blocks;
-  j["near_write_blocks"] = p.near_write_blocks;
-  j["far_read_bursts"] = p.far_read_bursts;
-  j["far_write_bursts"] = p.far_write_bursts;
-  j["near_read_bursts"] = p.near_read_bursts;
-  j["near_write_bursts"] = p.near_write_bursts;
-  j["dma_far_read_bytes"] = p.dma_far_read_bytes;
-  j["dma_far_write_bytes"] = p.dma_far_write_bytes;
-  j["dma_near_read_bytes"] = p.dma_near_read_bytes;
-  j["dma_near_write_bytes"] = p.dma_near_write_bytes;
-  j["dma_far_read_bursts"] = p.dma_far_read_bursts;
-  j["dma_far_write_bursts"] = p.dma_far_write_bursts;
-  j["dma_near_read_bursts"] = p.dma_near_read_bursts;
-  j["dma_near_write_bursts"] = p.dma_near_write_bursts;
-  j["partition_splits"] = p.partition_splits;
-  j["partition_imbalance_max"] = p.partition_imbalance_max;
-  j["compute_ops_total"] = p.compute_ops_total;
-  j["compute_ops_max"] = p.compute_ops_max;
-  j["far_s"] = p.far_s;
-  j["near_s"] = p.near_s;
-  j["compute_s"] = p.compute_s;
-  j["dma_s"] = p.dma_s;
+#define TLM_X(kind, field, fold) j[#field] = p.field;
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
+#define TLM_X(combined, read, write) j[#combined] = p.combined();
+  TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
   // Injected-fault stall time: only ever nonzero under fault injection, so
   // it is emitted conditionally — clean reports stay byte-identical to
   // baselines that predate the fault model.
-  if (p.stall_s != 0) j["stall_s"] = p.stall_s;
-  j["seconds"] = p.seconds;
-  j["host_seconds"] = p.host_seconds;
+  if (p.stall_s == 0) j.obj().erase("stall_s");
   return j;
 }
 
+// A combined counter is derived from its read/write twins on load, so a
+// phase that has one without both twins (a report from before the split)
+// would silently load as zero; refuse it instead.
 PhaseStats phase_from_json(const Json& j) {
+#define TLM_X(combined, read, write)                                       \
+  if (j.contains(#combined) && !(j.contains(#read) && j.contains(#write))) \
+    throw std::runtime_error("run report counting section has '" #combined \
+                             "' but not '" #read "' and '" #write          \
+                             "': it predates the read/write split");
+  TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
   PhaseStats p;
   p.name = j.get_str("name", "");
-  p.far_read_bytes = j.get_u64("far_read_bytes", 0);
-  p.far_write_bytes = j.get_u64("far_write_bytes", 0);
-  p.near_read_bytes = j.get_u64("near_read_bytes", 0);
-  p.near_write_bytes = j.get_u64("near_write_bytes", 0);
-  p.far_blocks = j.get_u64("far_blocks", 0);
-  p.near_blocks = j.get_u64("near_blocks", 0);
-  p.far_bursts = j.get_u64("far_bursts", 0);
-  p.near_bursts = j.get_u64("near_bursts", 0);
-  p.dma_far_bytes = j.get_u64("dma_far_bytes", 0);
-  p.dma_near_bytes = j.get_u64("dma_near_bytes", 0);
-  p.dma_far_bursts = j.get_u64("dma_far_bursts", 0);
-  p.dma_near_bursts = j.get_u64("dma_near_bursts", 0);
-  p.far_read_blocks = j.get_u64("far_read_blocks", 0);
-  p.far_write_blocks = j.get_u64("far_write_blocks", 0);
-  p.near_read_blocks = j.get_u64("near_read_blocks", 0);
-  p.near_write_blocks = j.get_u64("near_write_blocks", 0);
-  p.far_read_bursts = j.get_u64("far_read_bursts", 0);
-  p.far_write_bursts = j.get_u64("far_write_bursts", 0);
-  p.near_read_bursts = j.get_u64("near_read_bursts", 0);
-  p.near_write_bursts = j.get_u64("near_write_bursts", 0);
-  p.dma_far_read_bytes = j.get_u64("dma_far_read_bytes", 0);
-  p.dma_far_write_bytes = j.get_u64("dma_far_write_bytes", 0);
-  p.dma_near_read_bytes = j.get_u64("dma_near_read_bytes", 0);
-  p.dma_near_write_bytes = j.get_u64("dma_near_write_bytes", 0);
-  p.dma_far_read_bursts = j.get_u64("dma_far_read_bursts", 0);
-  p.dma_far_write_bursts = j.get_u64("dma_far_write_bursts", 0);
-  p.dma_near_read_bursts = j.get_u64("dma_near_read_bursts", 0);
-  p.dma_near_write_bursts = j.get_u64("dma_near_write_bursts", 0);
-  p.partition_splits = j.get_u64("partition_splits", 0);
-  p.partition_imbalance_max = j.get_f64("partition_imbalance_max", 0);
-  p.compute_ops_total = j.get_f64("compute_ops_total", 0);
-  p.compute_ops_max = j.get_f64("compute_ops_max", 0);
-  p.far_s = j.get_f64("far_s", 0);
-  p.near_s = j.get_f64("near_s", 0);
-  p.compute_s = j.get_f64("compute_s", 0);
-  p.dma_s = j.get_f64("dma_s", 0);
-  p.stall_s = j.get_f64("stall_s", 0);
-  p.seconds = j.get_f64("seconds", 0);
-  p.host_seconds = j.get_f64("host_seconds", 0);
+#define TLM_X(kind, field, fold) read_leaf(j, #field, p.field);
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
   return p;
 }
 
@@ -147,40 +97,11 @@ Json sim_to_json(const SimCounters& s) {
   Json j = Json::object();
   j["seconds"] = s.seconds;
   j["events"] = s.events;
-  Json& far = j["far"];
-  far["reads"] = s.far_reads;
-  far["writes"] = s.far_writes;
-  far["bytes"] = s.far_bytes;
-  far["row_hits"] = s.far_row_hits;
-  far["row_misses"] = s.far_row_misses;
-  Json& near = j["near"];
-  near["reads"] = s.near_reads;
-  near["writes"] = s.near_writes;
-  near["bytes"] = s.near_bytes;
-  Json& l1 = j["l1"];
-  l1["accesses"] = s.l1_accesses;
-  l1["hits"] = s.l1_hits;
-  l1["fills"] = s.l1_fills;
-  l1["writebacks"] = s.l1_writebacks;
-  Json& l2 = j["l2"];
-  l2["accesses"] = s.l2_accesses;
-  l2["hits"] = s.l2_hits;
-  l2["fills"] = s.l2_fills;
-  l2["writebacks"] = s.l2_writebacks;
-  Json& noc = j["noc"];
-  noc["messages"] = s.noc_messages;
-  noc["bytes"] = s.noc_bytes;
-  Json& cores = j["cores"];
-  cores["loads"] = s.core_loads;
-  cores["stores"] = s.core_stores;
-  cores["compute_ops"] = s.compute_ops;
-  cores["barrier_epochs"] = s.barrier_epochs;
-  if (s.dma_descriptors || s.dma_lines || s.dma_bytes) {
-    Json& dma = j["dma"];
-    dma["descriptors"] = s.dma_descriptors;
-    dma["lines"] = s.dma_lines;
-    dma["bytes"] = s.dma_bytes;
-  }
+#define TLM_X(kind, section, key, field, source) j[#section][#key] = s.field;
+  TLM_SIM_COUNTERS(TLM_X)
+#undef TLM_X
+  // The DMA section appears only when an engine saw traffic.
+  if (!s.dma_descriptors && !s.dma_lines && !s.dma_bytes) j.obj().erase("dma");
   return j;
 }
 
@@ -188,48 +109,10 @@ SimCounters sim_from_json(const Json& j) {
   SimCounters s;
   s.seconds = j.get_f64("seconds", 0);
   s.events = j.get_u64("events", 0);
-  auto sect = [&](const char* key) -> const Json* {
-    return j.contains(key) ? &j.at(key) : nullptr;
-  };
-  if (const Json* far = sect("far")) {
-    s.far_reads = far->get_u64("reads", 0);
-    s.far_writes = far->get_u64("writes", 0);
-    s.far_bytes = far->get_u64("bytes", 0);
-    s.far_row_hits = far->get_u64("row_hits", 0);
-    s.far_row_misses = far->get_u64("row_misses", 0);
-  }
-  if (const Json* near = sect("near")) {
-    s.near_reads = near->get_u64("reads", 0);
-    s.near_writes = near->get_u64("writes", 0);
-    s.near_bytes = near->get_u64("bytes", 0);
-  }
-  if (const Json* l1 = sect("l1")) {
-    s.l1_accesses = l1->get_u64("accesses", 0);
-    s.l1_hits = l1->get_u64("hits", 0);
-    s.l1_fills = l1->get_u64("fills", 0);
-    s.l1_writebacks = l1->get_u64("writebacks", 0);
-  }
-  if (const Json* l2 = sect("l2")) {
-    s.l2_accesses = l2->get_u64("accesses", 0);
-    s.l2_hits = l2->get_u64("hits", 0);
-    s.l2_fills = l2->get_u64("fills", 0);
-    s.l2_writebacks = l2->get_u64("writebacks", 0);
-  }
-  if (const Json* noc = sect("noc")) {
-    s.noc_messages = noc->get_u64("messages", 0);
-    s.noc_bytes = noc->get_u64("bytes", 0);
-  }
-  if (const Json* cores = sect("cores")) {
-    s.core_loads = cores->get_u64("loads", 0);
-    s.core_stores = cores->get_u64("stores", 0);
-    s.compute_ops = cores->get_f64("compute_ops", 0);
-    s.barrier_epochs = cores->get_u64("barrier_epochs", 0);
-  }
-  if (const Json* dma = sect("dma")) {
-    s.dma_descriptors = dma->get_u64("descriptors", 0);
-    s.dma_lines = dma->get_u64("lines", 0);
-    s.dma_bytes = dma->get_u64("bytes", 0);
-  }
+#define TLM_X(kind, section, key, field, source) \
+  if (j.contains(#section)) read_leaf(j.at(#section), #key, s.field);
+  TLM_SIM_COUNTERS(TLM_X)
+#undef TLM_X
   return s;
 }
 
@@ -239,31 +122,9 @@ SimCounters SimCounters::from(const sim::SimReport& r) {
   SimCounters s;
   s.seconds = r.seconds;
   s.events = r.events;
-  s.far_reads = r.far.reads;
-  s.far_writes = r.far.writes;
-  s.far_bytes = r.far.bytes;
-  s.far_row_hits = r.far.row_hits;
-  s.far_row_misses = r.far.row_misses;
-  s.near_reads = r.near.reads;
-  s.near_writes = r.near.writes;
-  s.near_bytes = r.near.bytes;
-  s.l1_accesses = r.l1.accesses();
-  s.l1_hits = r.l1.hits();
-  s.l1_fills = r.l1.fills;
-  s.l1_writebacks = r.l1.writebacks;
-  s.l2_accesses = r.l2.accesses();
-  s.l2_hits = r.l2.hits();
-  s.l2_fills = r.l2.fills;
-  s.l2_writebacks = r.l2.writebacks;
-  s.noc_messages = r.noc.messages;
-  s.noc_bytes = r.noc.bytes;
-  s.core_loads = r.core_loads;
-  s.core_stores = r.core_stores;
-  s.compute_ops = r.compute_ops;
-  s.barrier_epochs = r.barrier_epochs;
-  s.dma_descriptors = r.dma.descriptors;
-  s.dma_lines = r.dma.lines;
-  s.dma_bytes = r.dma.bytes;
+#define TLM_X(kind, section, key, field, source) s.field = source;
+  TLM_SIM_COUNTERS(TLM_X)
+#undef TLM_X
   return s;
 }
 
@@ -425,6 +286,23 @@ std::vector<std::string> validate_report(const Json& j) {
   auto is_num = [](const Json& v) { return v.is_number(); };
   auto is_arr = [](const Json& v) { return v.is_array(); };
   auto is_obj = [](const Json& v) { return v.is_object(); };
+  // A combined counter is the sum of its read/write twins; where a report
+  // carries all three and they disagree, it was edited or corrupted.
+  auto leaf = [](const Json& o, const char* key) {
+    return o.contains(key) && o.at(key).is_number()
+               ? std::optional<std::uint64_t>(o.at(key).u64())
+               : std::nullopt;
+  };
+  auto conserved = [&](const Json& o, const std::string& where) {
+#define TLM_X(combined, read, write)                                    \
+  if (const auto c = leaf(o, #combined), r = leaf(o, #read),            \
+      w = leaf(o, #write);                                              \
+      c && r && w && *r + *w != *c)                                     \
+    out.push_back(where + ": '" #combined "' is not the sum of '" #read \
+                  "' and '" #write "'");
+    TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
+  };
 
   if (!j.is_object()) {
     out.push_back("top level: not a JSON object");
@@ -471,6 +349,7 @@ std::vector<std::string> validate_report(const Json& j) {
                {"far_read_bytes", "far_write_bytes", "near_read_bytes",
                 "near_write_bytes", "far_bursts", "near_bursts", "seconds"})
             need(*tot, key, (cw + ".total").c_str(), is_num, "a number");
+          conserved(*tot, cw + ".total");
         }
         if (c.contains("phases")) {
           if (!c.at("phases").is_array()) {
@@ -486,6 +365,7 @@ std::vector<std::string> validate_report(const Json& j) {
               }
               need(p, "name", pw.c_str(), is_str, "a string");
               need(p, "seconds", pw.c_str(), is_num, "a number");
+              conserved(p, pw);
             }
           }
         }
@@ -515,10 +395,10 @@ void export_stats(const MachineStats& st, std::uint64_t line_bytes,
   reg.counter("machine.far_write_bytes").add(t.far_write_bytes);
   reg.counter("machine.near_read_bytes").add(t.near_read_bytes);
   reg.counter("machine.near_write_bytes").add(t.near_write_bytes);
-  reg.counter("machine.far_blocks").add(t.far_blocks);
-  reg.counter("machine.near_blocks").add(t.near_blocks);
-  reg.counter("machine.far_bursts").add(t.far_bursts);
-  reg.counter("machine.near_bursts").add(t.near_bursts);
+  reg.counter("machine.far_blocks").add(t.far_blocks());
+  reg.counter("machine.near_blocks").add(t.near_blocks());
+  reg.counter("machine.far_bursts").add(t.far_bursts());
+  reg.counter("machine.near_bursts").add(t.near_bursts());
   reg.counter("machine.far_accesses").add(st.far_accesses(line_bytes));
   reg.counter("machine.near_accesses").add(st.near_accesses(line_bytes));
   // Directional access counts and the split block/burst counters — what the
@@ -536,10 +416,10 @@ void export_stats(const MachineStats& st, std::uint64_t line_bytes,
   reg.counter("machine.far_write_bursts").add(t.far_write_bursts);
   reg.counter("machine.near_read_bursts").add(t.near_read_bursts);
   reg.counter("machine.near_write_bursts").add(t.near_write_bursts);
-  reg.counter("machine.dma_far_bytes").add(t.dma_far_bytes);
-  reg.counter("machine.dma_near_bytes").add(t.dma_near_bytes);
+  reg.counter("machine.dma_far_bytes").add(t.dma_far_bytes());
+  reg.counter("machine.dma_near_bytes").add(t.dma_near_bytes());
   reg.counter("machine.dma_bursts")
-      .add(t.dma_far_bursts + t.dma_near_bursts);
+      .add(t.dma_far_bursts() + t.dma_near_bursts());
   reg.counter("machine.partition_splits").add(t.partition_splits);
   reg.set_gauge("machine.partition_imbalance_max", t.partition_imbalance_max);
   reg.set_gauge("machine.compute_ops_total", t.compute_ops_total);
@@ -549,25 +429,15 @@ void export_stats(const MachineStats& st, std::uint64_t line_bytes,
 }
 
 void export_stats(const StagerStats& st, MetricsRegistry& reg) {
-  reg.counter("stager.batches").add(st.batches);
-  reg.counter("stager.sync_bytes").add(st.sync_bytes);
-  reg.counter("stager.prefetch_batches").add(st.prefetch_batches);
-  reg.counter("stager.prefetch_bytes").add(st.prefetch_bytes);
-  reg.counter("stager.fallback_direct").add(st.fallback_direct);
-  reg.counter("stager.restarts").add(st.restarts);
-  reg.counter("degrade.to_single_buffer").add(st.degrade_to_single);
-  reg.counter("degrade.to_direct_far").add(st.degrade_to_direct);
+#define TLM_X(kind, field, metric) export_leaf(reg, metric, st.field);
+  TLM_STAGER_STATS(TLM_X)
+#undef TLM_X
 }
 
 void export_stats(const FaultStats& st, MetricsRegistry& reg) {
-  reg.counter("faults.near_alloc_injected").add(st.near_alloc_injected);
-  reg.counter("faults.near_alloc_exhausted").add(st.near_alloc_exhausted);
-  reg.counter("faults.near_far_fallbacks").add(st.near_far_fallbacks);
-  reg.counter("faults.dma_injected").add(st.dma_injected);
-  reg.counter("faults.far_stalls").add(st.far_stalls);
-  reg.counter("retries.dma").add(st.dma_retries);
-  reg.set_gauge("retries.backoff_seconds", st.backoff_s);
-  reg.set_gauge("faults.stall_seconds", st.stall_s);
+#define TLM_X(kind, field, metric) export_leaf(reg, metric, st.field);
+  TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
 }
 
 void export_stats(const trace::MappedLogStats& st, MetricsRegistry& reg) {

@@ -29,23 +29,45 @@
 
 namespace tlm::obs {
 
+// The simulator's counters as report leaves, one row per counter:
+// X(kind, section, key, field, source) is the JSON leaf
+// `sim.<section>.<key>`, the SimCounters member `field`, and `source`, its
+// value read from a sim::SimReport `r`.
+#define TLM_SIM_COUNTERS(X)                                       \
+  X(u64, far, reads, far_reads, r.far.reads)                      \
+  X(u64, far, writes, far_writes, r.far.writes)                   \
+  X(u64, far, bytes, far_bytes, r.far.bytes)                      \
+  X(u64, far, row_hits, far_row_hits, r.far.row_hits)             \
+  X(u64, far, row_misses, far_row_misses, r.far.row_misses)       \
+  X(u64, near, reads, near_reads, r.near.reads)                   \
+  X(u64, near, writes, near_writes, r.near.writes)                \
+  X(u64, near, bytes, near_bytes, r.near.bytes)                   \
+  X(u64, l1, accesses, l1_accesses, r.l1.accesses())              \
+  X(u64, l1, hits, l1_hits, r.l1.hits())                          \
+  X(u64, l1, fills, l1_fills, r.l1.fills)                         \
+  X(u64, l1, writebacks, l1_writebacks, r.l1.writebacks)          \
+  X(u64, l2, accesses, l2_accesses, r.l2.accesses())              \
+  X(u64, l2, hits, l2_hits, r.l2.hits())                          \
+  X(u64, l2, fills, l2_fills, r.l2.fills)                         \
+  X(u64, l2, writebacks, l2_writebacks, r.l2.writebacks)          \
+  X(u64, noc, messages, noc_messages, r.noc.messages)             \
+  X(u64, noc, bytes, noc_bytes, r.noc.bytes)                      \
+  X(u64, cores, loads, core_loads, r.core_loads)                  \
+  X(u64, cores, stores, core_stores, r.core_stores)               \
+  X(f64, cores, compute_ops, compute_ops, r.compute_ops)          \
+  X(u64, cores, barrier_epochs, barrier_epochs, r.barrier_epochs) \
+  X(u64, dma, descriptors, dma_descriptors, r.dma.descriptors)    \
+  X(u64, dma, lines, dma_lines, r.dma.lines)                      \
+  X(u64, dma, bytes, dma_bytes, r.dma.bytes)
+
 // Flat, serializable view of sim::SimReport (plus optional DMA-engine
 // counters, which live outside System).
 struct SimCounters {
   double seconds = 0;
   std::uint64_t events = 0;
-  std::uint64_t far_reads = 0, far_writes = 0, far_bytes = 0;
-  std::uint64_t far_row_hits = 0, far_row_misses = 0;
-  std::uint64_t near_reads = 0, near_writes = 0, near_bytes = 0;
-  std::uint64_t l1_accesses = 0, l1_hits = 0, l1_fills = 0,
-                l1_writebacks = 0;
-  std::uint64_t l2_accesses = 0, l2_hits = 0, l2_fills = 0,
-                l2_writebacks = 0;
-  std::uint64_t noc_messages = 0, noc_bytes = 0;
-  std::uint64_t core_loads = 0, core_stores = 0;
-  double compute_ops = 0;
-  std::uint64_t barrier_epochs = 0;
-  std::uint64_t dma_descriptors = 0, dma_lines = 0, dma_bytes = 0;
+#define TLM_X(kind, section, key, field, source) counters::kind field = 0;
+  TLM_SIM_COUNTERS(TLM_X)
+#undef TLM_X
 
   static SimCounters from(const sim::SimReport& r);
 };

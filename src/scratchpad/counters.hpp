@@ -9,135 +9,135 @@
 
 namespace tlm {
 
-// One phase of an algorithm (e.g. "phase1.sort_chunks"). Byte counts are
-// aggregated over all threads; `compute_ops_max` is the per-thread maximum
-// (the parallel span), `compute_ops_total` the aggregate work.
+// Every counter below is declared once, in a table; the struct members,
+// operator+=, the *_delta snapshots, Machine::fold_open_phase, the run-report
+// JSON, the Stager/fault MetricsRegistry export and the job server's
+// attribution check are all expanded from these tables, so a field cannot
+// be missing from any of them. A row is X(kind, field, fold) or, for the
+// Stager and fault tables, X(kind, field, metric):
+//   kind    u64 (a count) or f64 (a time or a ratio);
+//   fold    Sum: += adds and *_delta subtracts; Max: += keeps the larger
+//           and *_delta takes the later snapshot, since a maximum has no
+//           meaningful difference;
+//   metric  the MetricsRegistry key export_stats writes (every row sums).
+namespace counters {
+using u64 = std::uint64_t;
+using f64 = double;
+struct Sum {
+  template <typename T>
+  static void add(T& a, T b) { a += b; }
+  template <typename T>
+  static T delta(T after, T before) { return after - before; }
+};
+struct Max {
+  template <typename T>
+  static void add(T& a, T b) { a = a > b ? a : b; }
+  template <typename T>
+  static T delta(T after, T /*before*/) { return after; }
+};
+}  // namespace counters
+
+// The directional traffic counters: {bytes, blocks, bursts, DMA bytes, DMA
+// bursts} x {far, near} x {read, write}, aggregated over all threads.
+//   blocks  §II block transfers: far blocks of B bytes, near blocks of ρB
+//           bytes, charged per stream/copy call (partial blocks round up);
+//   bursts  copy/stream calls. Each burst pays the memory's access latency
+//           once, which makes many small transfers slower than few large
+//           ones at equal byte volume (§IV-D's motivation for the bucket
+//           metadata);
+//   dma_*   the slice of the traffic issued as DMA descriptors
+//           (Machine::dma_copy) rather than core loads/stores. Under
+//           `overlap_dma` only this slice runs in the background engine and
+//           overlaps with core work (§VI-B).
+// Only directions are stored: the asymmetric-ω model weighs far reads and
+// writes apart, and every combined count is derived (TLM_PHASE_COMBINED).
+// Row order is the Machine's charge layout: each quantity's four rows run
+// far read, far write, near read, near write.
+#define TLM_PHASE_TRAFFIC(X)        \
+  X(u64, far_read_bytes, Sum)       \
+  X(u64, far_write_bytes, Sum)      \
+  X(u64, near_read_bytes, Sum)      \
+  X(u64, near_write_bytes, Sum)     \
+  X(u64, far_read_blocks, Sum)      \
+  X(u64, far_write_blocks, Sum)     \
+  X(u64, near_read_blocks, Sum)     \
+  X(u64, near_write_blocks, Sum)    \
+  X(u64, far_read_bursts, Sum)      \
+  X(u64, far_write_bursts, Sum)     \
+  X(u64, near_read_bursts, Sum)     \
+  X(u64, near_write_bursts, Sum)    \
+  X(u64, dma_far_read_bytes, Sum)   \
+  X(u64, dma_far_write_bytes, Sum)  \
+  X(u64, dma_near_read_bytes, Sum)  \
+  X(u64, dma_near_write_bytes, Sum) \
+  X(u64, dma_far_read_bursts, Sum)  \
+  X(u64, dma_far_write_bursts, Sum) \
+  X(u64, dma_near_read_bursts, Sum) \
+  X(u64, dma_near_write_bursts, Sum)
+
+// Every number a PhaseStats holds: the traffic above, then
+//   partition_*        merge-partition balance: how many k-way partitions
+//                      were computed, and the worst (max slice / ideal
+//                      slice) ratio; 1.0 is an exactly even share;
+//   compute_ops_*      aggregate work, and the per-thread maximum (the
+//                      parallel span);
+//   far_s .. dma_s     time attributed by the analytic model; dma_s is the
+//                      background DMA engine's busy time (overlap model);
+//   stall_s            injected-fault stall and retry-backoff time, the
+//                      per-thread maximum: stalls serialize the thread that
+//                      hits them, so the phase pays the worst-stalled
+//                      thread's span. Zero in clean runs;
+//   host_seconds       real wall-clock between begin_phase and end_phase on
+//                      the host, orthogonal to the modeled `seconds`.
+#define TLM_PHASE_STATS(X)             \
+  TLM_PHASE_TRAFFIC(X)                 \
+  X(u64, partition_splits, Sum)        \
+  X(f64, partition_imbalance_max, Max) \
+  X(f64, compute_ops_total, Sum)       \
+  X(f64, compute_ops_max, Sum)         \
+  X(f64, far_s, Sum)                   \
+  X(f64, near_s, Sum)                  \
+  X(f64, compute_s, Sum)               \
+  X(f64, dma_s, Sum)                   \
+  X(f64, stall_s, Sum)                 \
+  X(f64, seconds, Sum)                 \
+  X(f64, host_seconds, Sum)
+
+// Combined counters, each the exact uint64 sum of its read and write twins:
+// X(combined, read, write). PhaseStats derives them as accessors; reports
+// still carry them as leaves.
+#define TLM_PHASE_COMBINED(X)                                  \
+  X(far_blocks, far_read_blocks, far_write_blocks)             \
+  X(near_blocks, near_read_blocks, near_write_blocks)          \
+  X(far_bursts, far_read_bursts, far_write_bursts)             \
+  X(near_bursts, near_read_bursts, near_write_bursts)          \
+  X(dma_far_bytes, dma_far_read_bytes, dma_far_write_bytes)    \
+  X(dma_near_bytes, dma_near_read_bytes, dma_near_write_bytes) \
+  X(dma_far_bursts, dma_far_read_bursts, dma_far_write_bursts) \
+  X(dma_near_bursts, dma_near_read_bursts, dma_near_write_bursts)
+
+// One phase of an algorithm (e.g. "phase1.sort_chunks").
 struct PhaseStats {
   std::string name;
 
-  std::uint64_t far_read_bytes = 0;
-  std::uint64_t far_write_bytes = 0;
-  std::uint64_t near_read_bytes = 0;
-  std::uint64_t near_write_bytes = 0;
+#define TLM_X(kind, field, fold) counters::kind field = 0;
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
 
-  // Block transfers in the §II model: far blocks of B bytes, near blocks of
-  // ρB bytes, each charged per stream/copy call (partial blocks round up).
-  std::uint64_t far_blocks = 0;
-  std::uint64_t near_blocks = 0;
-
-  // Discrete transfer bursts (copy/stream calls). Each burst pays the
-  // memory's access latency once — this is what makes many small transfers
-  // slower than few large ones at equal byte volume (§IV-D's motivation for
-  // the bucket metadata).
-  std::uint64_t far_bursts = 0;
-  std::uint64_t near_bursts = 0;
-
-  // The slice of the traffic above that was issued as DMA descriptors
-  // (Machine::dma_copy) rather than core loads/stores. Under `overlap_dma`
-  // only this slice runs in the background engine and overlaps with core
-  // work (§VI-B); the split is what makes the overlap model honest.
-  std::uint64_t dma_far_bytes = 0;
-  std::uint64_t dma_near_bytes = 0;
-  std::uint64_t dma_far_bursts = 0;
-  std::uint64_t dma_near_bursts = 0;
-
-  // Read/write split of the block, burst, and DMA counters above, for the
-  // asymmetric-ω cost model (bytes were already split as *_read_bytes /
-  // *_write_bytes). The combined counters stay and are maintained
-  // independently at the charge sites, so conservation —
-  // split_read + split_write == combined, for every pair — is a falsifiable
-  // invariant checked by the test suite and the model sanitizer rather than
-  // true by construction.
-  std::uint64_t far_read_blocks = 0;
-  std::uint64_t far_write_blocks = 0;
-  std::uint64_t near_read_blocks = 0;
-  std::uint64_t near_write_blocks = 0;
-  std::uint64_t far_read_bursts = 0;
-  std::uint64_t far_write_bursts = 0;
-  std::uint64_t near_read_bursts = 0;
-  std::uint64_t near_write_bursts = 0;
-  std::uint64_t dma_far_read_bytes = 0;
-  std::uint64_t dma_far_write_bytes = 0;
-  std::uint64_t dma_near_read_bytes = 0;
-  std::uint64_t dma_near_write_bytes = 0;
-  std::uint64_t dma_far_read_bursts = 0;
-  std::uint64_t dma_far_write_bursts = 0;
-  std::uint64_t dma_near_read_bursts = 0;
-  std::uint64_t dma_near_write_bursts = 0;
-
-  // Merge-partition balance: how many k-way partitions were computed in
-  // this phase, and the worst observed (max slice / ideal slice) ratio —
-  // 1.0 means every thread got an exactly even share of the merge.
-  std::uint64_t partition_splits = 0;
-  double partition_imbalance_max = 0;
-
-  double compute_ops_total = 0;
-  double compute_ops_max = 0;
-
-  // Time attributed to this phase by the analytic model.
-  double far_s = 0;
-  double near_s = 0;
-  double compute_s = 0;
-  double dma_s = 0;  // background DMA engine busy time (overlap model)
-  // Injected-fault stall and retry-backoff time charged to this phase (the
-  // per-thread maximum — stalls serialize the thread that hits them, so the
-  // phase pays the worst-stalled thread's span). Zero in clean runs.
-  double stall_s = 0;
-  double seconds = 0;
-
-  // Real wall-clock spent between begin_phase and end_phase on the host —
-  // the observability layer's timing, orthogonal to the modeled `seconds`.
-  double host_seconds = 0;
-
+#define TLM_X(combined, read, write) \
+  std::uint64_t combined() const { return read + write; }
+  TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
   std::uint64_t far_bytes() const { return far_read_bytes + far_write_bytes; }
   std::uint64_t near_bytes() const {
     return near_read_bytes + near_write_bytes;
   }
-  std::uint64_t dma_bytes() const { return dma_far_bytes + dma_near_bytes; }
+  std::uint64_t dma_bytes() const { return dma_far_bytes() + dma_near_bytes(); }
 
   PhaseStats& operator+=(const PhaseStats& o) {
-    far_read_bytes += o.far_read_bytes;
-    far_write_bytes += o.far_write_bytes;
-    near_read_bytes += o.near_read_bytes;
-    near_write_bytes += o.near_write_bytes;
-    far_blocks += o.far_blocks;
-    near_blocks += o.near_blocks;
-    far_bursts += o.far_bursts;
-    near_bursts += o.near_bursts;
-    dma_far_bytes += o.dma_far_bytes;
-    dma_near_bytes += o.dma_near_bytes;
-    dma_far_bursts += o.dma_far_bursts;
-    dma_near_bursts += o.dma_near_bursts;
-    far_read_blocks += o.far_read_blocks;
-    far_write_blocks += o.far_write_blocks;
-    near_read_blocks += o.near_read_blocks;
-    near_write_blocks += o.near_write_blocks;
-    far_read_bursts += o.far_read_bursts;
-    far_write_bursts += o.far_write_bursts;
-    near_read_bursts += o.near_read_bursts;
-    near_write_bursts += o.near_write_bursts;
-    dma_far_read_bytes += o.dma_far_read_bytes;
-    dma_far_write_bytes += o.dma_far_write_bytes;
-    dma_near_read_bytes += o.dma_near_read_bytes;
-    dma_near_write_bytes += o.dma_near_write_bytes;
-    dma_far_read_bursts += o.dma_far_read_bursts;
-    dma_far_write_bursts += o.dma_far_write_bursts;
-    dma_near_read_bursts += o.dma_near_read_bursts;
-    dma_near_write_bursts += o.dma_near_write_bursts;
-    partition_splits += o.partition_splits;
-    partition_imbalance_max =
-        partition_imbalance_max > o.partition_imbalance_max
-            ? partition_imbalance_max
-            : o.partition_imbalance_max;
-    compute_ops_total += o.compute_ops_total;
-    compute_ops_max += o.compute_ops_max;
-    far_s += o.far_s;
-    near_s += o.near_s;
-    compute_s += o.compute_s;
-    dma_s += o.dma_s;
-    stall_s += o.stall_s;
-    seconds += o.seconds;
-    host_seconds += o.host_seconds;
+#define TLM_X(kind, field, fold) counters::fold::add(field, o.field);
+    TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
     return *this;
   }
 };
@@ -145,151 +145,97 @@ struct PhaseStats {
 // Counter-wise difference of two cumulative PhaseStats snapshots, for
 // attributing machine-lifetime totals to a window of work (the job server
 // brackets each scheduled tenant phase with Machine::totals() snapshots and
-// charges the delta to that tenant). All summed counters subtract; the
-// max-tracked fields (partition_imbalance_max) take the `after` value since
-// a maximum has no meaningful difference. Callers must pass snapshots of the
+// charges the delta to that tenant). Callers must pass snapshots of the
 // same monotone series (`after` taken later than `before`).
 inline PhaseStats phase_delta(const PhaseStats& after,
                               const PhaseStats& before) {
   PhaseStats d;
   d.name = after.name;
-  d.far_read_bytes = after.far_read_bytes - before.far_read_bytes;
-  d.far_write_bytes = after.far_write_bytes - before.far_write_bytes;
-  d.near_read_bytes = after.near_read_bytes - before.near_read_bytes;
-  d.near_write_bytes = after.near_write_bytes - before.near_write_bytes;
-  d.far_blocks = after.far_blocks - before.far_blocks;
-  d.near_blocks = after.near_blocks - before.near_blocks;
-  d.far_bursts = after.far_bursts - before.far_bursts;
-  d.near_bursts = after.near_bursts - before.near_bursts;
-  d.dma_far_bytes = after.dma_far_bytes - before.dma_far_bytes;
-  d.dma_near_bytes = after.dma_near_bytes - before.dma_near_bytes;
-  d.dma_far_bursts = after.dma_far_bursts - before.dma_far_bursts;
-  d.dma_near_bursts = after.dma_near_bursts - before.dma_near_bursts;
-  d.far_read_blocks = after.far_read_blocks - before.far_read_blocks;
-  d.far_write_blocks = after.far_write_blocks - before.far_write_blocks;
-  d.near_read_blocks = after.near_read_blocks - before.near_read_blocks;
-  d.near_write_blocks = after.near_write_blocks - before.near_write_blocks;
-  d.far_read_bursts = after.far_read_bursts - before.far_read_bursts;
-  d.far_write_bursts = after.far_write_bursts - before.far_write_bursts;
-  d.near_read_bursts = after.near_read_bursts - before.near_read_bursts;
-  d.near_write_bursts = after.near_write_bursts - before.near_write_bursts;
-  d.dma_far_read_bytes = after.dma_far_read_bytes - before.dma_far_read_bytes;
-  d.dma_far_write_bytes =
-      after.dma_far_write_bytes - before.dma_far_write_bytes;
-  d.dma_near_read_bytes =
-      after.dma_near_read_bytes - before.dma_near_read_bytes;
-  d.dma_near_write_bytes =
-      after.dma_near_write_bytes - before.dma_near_write_bytes;
-  d.dma_far_read_bursts =
-      after.dma_far_read_bursts - before.dma_far_read_bursts;
-  d.dma_far_write_bursts =
-      after.dma_far_write_bursts - before.dma_far_write_bursts;
-  d.dma_near_read_bursts =
-      after.dma_near_read_bursts - before.dma_near_read_bursts;
-  d.dma_near_write_bursts =
-      after.dma_near_write_bursts - before.dma_near_write_bursts;
-  d.partition_splits = after.partition_splits - before.partition_splits;
-  d.partition_imbalance_max = after.partition_imbalance_max;
-  d.compute_ops_total = after.compute_ops_total - before.compute_ops_total;
-  d.compute_ops_max = after.compute_ops_max - before.compute_ops_max;
-  d.far_s = after.far_s - before.far_s;
-  d.near_s = after.near_s - before.near_s;
-  d.compute_s = after.compute_s - before.compute_s;
-  d.dma_s = after.dma_s - before.dma_s;
-  d.stall_s = after.stall_s - before.stall_s;
-  d.seconds = after.seconds - before.seconds;
-  d.host_seconds = after.host_seconds - before.host_seconds;
+#define TLM_X(kind, field, fold) \
+  d.field = counters::fold::delta(after.field, before.field);
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
   return d;
 }
 
 // Observables of the staged-streaming primitive (scratchpad/stager.hpp):
-// how many batches flowed through staging buffers, how the gather traffic
-// split between synchronous core copies and DMA-engine prefetches, and how
-// often the oversized-item escape hatch fired. One StagerStats per Stager;
-// Machine::note_stager folds them into a machine-lifetime aggregate that
-// the observability layer exports alongside PhaseStats.
-struct StagerStats {
-  std::uint64_t batches = 0;          // items processed out of a buffer
-  std::uint64_t sync_bytes = 0;       // gathered synchronously by cores
-  std::uint64_t prefetch_batches = 0;
-  std::uint64_t prefetch_bytes = 0;   // gathered by the DMA engine
-  std::uint64_t fallback_direct = 0;  // oversized items processed from far
-  std::uint64_t restarts = 0;         // pipeline restarts after a fallback
+//   batches            items processed out of a buffer;
+//   sync_bytes         gathered synchronously by cores;
+//   prefetch_*         gathered by the DMA engine;
+//   fallback_direct    oversized items processed from far;
+//   restarts           pipeline restarts after a fallback;
+//   degrade_to_*       degradation-ladder transitions (double-buffered ->
+//                      single-buffered -> direct-from-far) taken under
+//                      near-memory pressure instead of aborting.
+// One StagerStats per Stager; Machine::note_stager folds them into a
+// machine-lifetime aggregate that the observability layer exports.
+#define TLM_STAGER_STATS(X)                             \
+  X(u64, batches, "stager.batches")                     \
+  X(u64, sync_bytes, "stager.sync_bytes")               \
+  X(u64, prefetch_batches, "stager.prefetch_batches")   \
+  X(u64, prefetch_bytes, "stager.prefetch_bytes")       \
+  X(u64, fallback_direct, "stager.fallback_direct")     \
+  X(u64, restarts, "stager.restarts")                   \
+  X(u64, degrade_to_single, "degrade.to_single_buffer") \
+  X(u64, degrade_to_direct, "degrade.to_direct_far")
 
-  // Degradation-ladder transitions (double-buffered -> single-buffered ->
-  // direct-from-far) taken under near-memory pressure instead of aborting.
-  std::uint64_t degrade_to_single = 0;
-  std::uint64_t degrade_to_direct = 0;
+// Machine-lifetime fault/retry accounting: how often the fallible paths
+// were denied (injected, or genuinely exhausted), how callers recovered
+// (far fallbacks: near_or_far allocations that went far), and what the
+// recovery cost the time model (retry backoff and injected stall time).
+#define TLM_FAULT_STATS(X)                                    \
+  X(u64, near_alloc_injected, "faults.near_alloc_injected")   \
+  X(u64, near_alloc_exhausted, "faults.near_alloc_exhausted") \
+  X(u64, near_far_fallbacks, "faults.near_far_fallbacks")     \
+  X(u64, dma_injected, "faults.dma_injected")                 \
+  X(u64, dma_retries, "retries.dma")                          \
+  X(u64, far_stalls, "faults.far_stalls")                     \
+  X(f64, backoff_s, "retries.backoff_seconds")                \
+  X(f64, stall_s, "faults.stall_seconds")
+
+struct StagerStats {
+#define TLM_X(kind, field, metric) counters::kind field = 0;
+  TLM_STAGER_STATS(TLM_X)
+#undef TLM_X
 
   StagerStats& operator+=(const StagerStats& o) {
-    batches += o.batches;
-    sync_bytes += o.sync_bytes;
-    prefetch_batches += o.prefetch_batches;
-    prefetch_bytes += o.prefetch_bytes;
-    fallback_direct += o.fallback_direct;
-    restarts += o.restarts;
-    degrade_to_single += o.degrade_to_single;
-    degrade_to_direct += o.degrade_to_direct;
+#define TLM_X(kind, field, metric) field += o.field;
+    TLM_STAGER_STATS(TLM_X)
+#undef TLM_X
     return *this;
   }
 };
 
-// Machine-lifetime fault/retry accounting: how often the fallible paths
-// were denied (injected or genuinely exhausted), how callers recovered
-// (far fallbacks), and what the recovery cost the time model. Exported as
-// faults.* / retries.* by the observability layer.
 struct FaultStats {
-  std::uint64_t near_alloc_injected = 0;   // try_alloc_near denials injected
-  std::uint64_t near_alloc_exhausted = 0;  // genuine capacity misses
-  std::uint64_t near_far_fallbacks = 0;    // near_or_far allocs that went far
-  std::uint64_t dma_injected = 0;          // transient DMA failures observed
-  std::uint64_t dma_retries = 0;           // re-issues after a DMA failure
-  std::uint64_t far_stalls = 0;            // injected far-memory stalls
-  double backoff_s = 0;                    // modeled retry backoff charged
-  double stall_s = 0;                      // modeled injected stall charged
+#define TLM_X(kind, field, metric) counters::kind field = 0;
+  TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
 
   FaultStats& operator+=(const FaultStats& o) {
-    near_alloc_injected += o.near_alloc_injected;
-    near_alloc_exhausted += o.near_alloc_exhausted;
-    near_far_fallbacks += o.near_far_fallbacks;
-    dma_injected += o.dma_injected;
-    dma_retries += o.dma_retries;
-    far_stalls += o.far_stalls;
-    backoff_s += o.backoff_s;
-    stall_s += o.stall_s;
+#define TLM_X(kind, field, metric) field += o.field;
+    TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
     return *this;
   }
 };
 
 // Snapshot deltas for the stager/fault aggregates, same contract as
-// phase_delta: every field is a monotone sum.
+// phase_delta.
 inline StagerStats stager_delta(const StagerStats& after,
                                 const StagerStats& before) {
   StagerStats d;
-  d.batches = after.batches - before.batches;
-  d.sync_bytes = after.sync_bytes - before.sync_bytes;
-  d.prefetch_batches = after.prefetch_batches - before.prefetch_batches;
-  d.prefetch_bytes = after.prefetch_bytes - before.prefetch_bytes;
-  d.fallback_direct = after.fallback_direct - before.fallback_direct;
-  d.restarts = after.restarts - before.restarts;
-  d.degrade_to_single = after.degrade_to_single - before.degrade_to_single;
-  d.degrade_to_direct = after.degrade_to_direct - before.degrade_to_direct;
+#define TLM_X(kind, field, metric) d.field = after.field - before.field;
+  TLM_STAGER_STATS(TLM_X)
+#undef TLM_X
   return d;
 }
 
 inline FaultStats fault_delta(const FaultStats& after,
                               const FaultStats& before) {
   FaultStats d;
-  d.near_alloc_injected =
-      after.near_alloc_injected - before.near_alloc_injected;
-  d.near_alloc_exhausted =
-      after.near_alloc_exhausted - before.near_alloc_exhausted;
-  d.near_far_fallbacks = after.near_far_fallbacks - before.near_far_fallbacks;
-  d.dma_injected = after.dma_injected - before.dma_injected;
-  d.dma_retries = after.dma_retries - before.dma_retries;
-  d.far_stalls = after.far_stalls - before.far_stalls;
-  d.backoff_s = after.backoff_s - before.backoff_s;
-  d.stall_s = after.stall_s - before.stall_s;
+#define TLM_X(kind, field, metric) d.field = after.field - before.field;
+  TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
   return d;
 }
 

@@ -213,81 +213,50 @@ std::uint64_t Machine::vaddr_of(const void* p) const {
   return it->second.vbase + static_cast<std::uint64_t>(b - it->first);
 }
 
-void Machine::charge_read(std::size_t thread, const void* p,
-                          std::uint64_t bytes,
-                          const std::source_location& loc, bool via_dma) {
+void Machine::charge(std::size_t thread, const void* p, std::uint64_t bytes,
+                     bool is_write, const std::source_location& loc,
+                     bool via_dma) {
   TLM_CHECK(thread < acc_.size(), "thread id out of range");
 #if TLM_MODEL_CHECKS_ENABLED
-  check_charge(p, bytes, /*is_write=*/false, loc);
+  check_charge(p, bytes, loc);
 #else
   (void)loc;
 #endif
-  auto& a = acc_[thread];
-  if (space_of(p) == Space::Near) {
-    a.near_read += bytes;
-    a.near_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_bursts += 1;
-    a.near_read_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_read_bursts += 1;
-    if (via_dma) {
-      a.dma_near += bytes;
-      a.dma_near_bursts += 1;
-      a.dma_near_read += bytes;
-      a.dma_near_read_bursts += 1;
-    }
-  } else {
-    a.far_read += bytes;
-    a.far_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_bursts += 1;
-    a.far_read_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_read_bursts += 1;
-    if (via_dma) {
-      a.dma_far += bytes;
-      a.dma_far_bursts += 1;
-      a.dma_far_read += bytes;
-      a.dma_far_read_bursts += 1;
-    }
-    if (fi_) consult_far_stall(thread);
+  // Each quantity's four slots run far read, far write, near read, near
+  // write, so one lane offset picks the right counter in all five.
+  constexpr auto lanes = [](std::size_t fr, std::size_t fw, std::size_t nr,
+                            std::size_t nw) {
+    return fw == fr + 1 && nr == fr + 2 && nw == fr + 3;
+  };
+  static_assert(lanes(Slot::far_read_bytes, Slot::far_write_bytes,
+                      Slot::near_read_bytes, Slot::near_write_bytes));
+  static_assert(lanes(Slot::far_read_blocks, Slot::far_write_blocks,
+                      Slot::near_read_blocks, Slot::near_write_blocks));
+  static_assert(lanes(Slot::far_read_bursts, Slot::far_write_bursts,
+                      Slot::near_read_bursts, Slot::near_write_bursts));
+  static_assert(lanes(Slot::dma_far_read_bytes, Slot::dma_far_write_bytes,
+                      Slot::dma_near_read_bytes, Slot::dma_near_write_bytes));
+  static_assert(lanes(Slot::dma_far_read_bursts, Slot::dma_far_write_bursts,
+                      Slot::dma_near_read_bursts,
+                      Slot::dma_near_write_bursts));
+  const bool near = space_of(p) == Space::Near;
+  const std::size_t lane = (near ? 2 : 0) + (is_write ? 1 : 0);
+  auto& t = acc_[thread].traffic;
+  t[Slot::far_read_bytes + lane] += bytes;
+  t[Slot::far_read_blocks + lane] +=
+      ceil_div(bytes, near ? cfg_.near_block_bytes() : cfg_.block_bytes);
+  t[Slot::far_read_bursts + lane] += 1;
+  if (via_dma) {
+    t[Slot::dma_far_read_bytes + lane] += bytes;
+    t[Slot::dma_far_read_bursts + lane] += 1;
   }
-  if (sink_ && !via_dma) sink_->on_read(thread, vaddr_of(p), bytes);
-}
-
-void Machine::charge_write(std::size_t thread, void* p, std::uint64_t bytes,
-                           const std::source_location& loc, bool via_dma) {
-  TLM_CHECK(thread < acc_.size(), "thread id out of range");
-#if TLM_MODEL_CHECKS_ENABLED
-  check_charge(p, bytes, /*is_write=*/true, loc);
-#else
-  (void)loc;
-#endif
-  auto& a = acc_[thread];
-  if (space_of(p) == Space::Near) {
-    a.near_write += bytes;
-    a.near_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_bursts += 1;
-    a.near_write_blocks += ceil_div(bytes, cfg_.near_block_bytes());
-    a.near_write_bursts += 1;
-    if (via_dma) {
-      a.dma_near += bytes;
-      a.dma_near_bursts += 1;
-      a.dma_near_write += bytes;
-      a.dma_near_write_bursts += 1;
-    }
-  } else {
-    a.far_write += bytes;
-    a.far_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_bursts += 1;
-    a.far_write_blocks += ceil_div(bytes, cfg_.block_bytes);
-    a.far_write_bursts += 1;
-    if (via_dma) {
-      a.dma_far += bytes;
-      a.dma_far_bursts += 1;
-      a.dma_far_write += bytes;
-      a.dma_far_write_bursts += 1;
-    }
-    if (fi_) consult_far_stall(thread);
+  if (!near && fi_) consult_far_stall(thread);
+  if (sink_ && !via_dma) {
+    if (is_write)
+      sink_->on_write(thread, vaddr_of(p), bytes);
+    else
+      sink_->on_read(thread, vaddr_of(p), bytes);
   }
-  if (sink_ && !via_dma) sink_->on_write(thread, vaddr_of(p), bytes);
 }
 
 void Machine::consult_far_stall(std::size_t thread) {
@@ -343,8 +312,8 @@ void Machine::copy(std::size_t thread, void* dst, const void* src,
   check_dma_granularity(dst, src, bytes, loc);
 #endif
   std::memmove(dst, src, bytes);
-  charge_read(thread, src, bytes, loc);
-  charge_write(thread, dst, bytes, loc);
+  charge(thread, src, bytes, /*is_write=*/false, loc);
+  charge(thread, dst, bytes, /*is_write=*/true, loc);
 }
 
 void Machine::dma_copy(std::size_t thread, void* dst, const void* src,
@@ -359,8 +328,8 @@ void Machine::dma_copy(std::size_t thread, void* dst, const void* src,
   // dma_* accumulators and the trace carries one descriptor instead of a
   // core read+write burst pair.
   std::memmove(dst, src, bytes);
-  charge_read(thread, src, bytes, loc, /*via_dma=*/true);
-  charge_write(thread, dst, bytes, loc, /*via_dma=*/true);
+  charge(thread, src, bytes, /*is_write=*/false, loc, /*via_dma=*/true);
+  charge(thread, dst, bytes, /*is_write=*/true, loc, /*via_dma=*/true);
   if (sink_) sink_->on_dma(thread, vaddr_of(dst), vaddr_of(src), bytes);
 }
 
@@ -378,12 +347,12 @@ void Machine::note_partition(std::size_t thread, std::size_t parts,
 
 void Machine::stream_read(std::size_t thread, const void* p,
                           std::uint64_t bytes, std::source_location loc) {
-  if (bytes) charge_read(thread, p, bytes, loc);
+  if (bytes) charge(thread, p, bytes, /*is_write=*/false, loc);
 }
 
 void Machine::stream_write(std::size_t thread, void* p, std::uint64_t bytes,
                            std::source_location loc) {
-  if (bytes) charge_write(thread, p, bytes, loc);
+  if (bytes) charge(thread, p, bytes, /*is_write=*/true, loc);
 }
 
 void Machine::compute(std::size_t thread, double ops) {
@@ -473,7 +442,7 @@ void Machine::end_phase() {
     stats_.total += phase;
     stats_.phases.push_back(std::move(phase));
   }
-  reset_accumulators();
+  std::fill(acc_.begin(), acc_.end(), ThreadAcc{});
   // Fall back to the implicit phase so traffic charged after an explicit
   // end_phase() still lands in stats() instead of being dropped silently.
   open_phase_ = "(run)";
@@ -497,19 +466,8 @@ void Machine::check_capacity(std::uint64_t bytes,
       loc);
 }
 
-void Machine::check_charge(const void* p, std::uint64_t bytes, bool is_write,
+void Machine::check_charge(const void* p, std::uint64_t bytes,
                            const std::source_location& loc) const {
-  // Directional shadow bookkeeping for rw-conservation: every charge is
-  // recorded here, before (and independently of) the ThreadAcc bumps, so a
-  // charge site that mutates the legacy counters without the split twins
-  // diverges from the shadow by phase end.
-  if (arena_.contains(p)) {
-    (is_write ? shadow_near_write_bytes_ : shadow_near_read_bytes_)
-        .fetch_add(bytes, std::memory_order_relaxed);
-  } else {
-    (is_write ? shadow_far_write_bytes_ : shadow_far_read_bytes_)
-        .fetch_add(bytes, std::memory_order_relaxed);
-  }
   // Line-rounded probes (galloping merge lookahead, sweep reads) may run a
   // ragged tail past the end of a region; the model charges whole blocks
   // for those anyway, so tolerate up to one far line of overshoot.
@@ -595,74 +553,7 @@ void Machine::check_dma_granularity(const void* dst, const void* src,
       loc);
 }
 
-// Conservation of the read/write split at phase end: for every combined
-// counter the split pair must sum back to it, and the byte totals must match
-// the directional shadow recorded at the charge entry points. Runs for
-// implicit phases too — the invariant has no phase-structure exemption.
-void Machine::check_rw_conservation() const {
-  PhaseStats f;
-  fold_open_phase(f);
-  const auto bad = [&](const char* what, std::uint64_t split_sum,
-                       std::uint64_t combined) {
-    model_check_fail(model_rule::kRwConservation, open_phase_name(),
-                     std::string(what) + ": charged reads + writes = " +
-                         std::to_string(split_sum) +
-                         " but the combined counter holds " +
-                         std::to_string(combined) +
-                         " — a charge site bypassed the split bookkeeping",
-                     std::source_location::current());
-  };
-  if (f.far_read_blocks + f.far_write_blocks != f.far_blocks)
-    bad("far_blocks", f.far_read_blocks + f.far_write_blocks, f.far_blocks);
-  if (f.near_read_blocks + f.near_write_blocks != f.near_blocks)
-    bad("near_blocks", f.near_read_blocks + f.near_write_blocks,
-        f.near_blocks);
-  if (f.far_read_bursts + f.far_write_bursts != f.far_bursts)
-    bad("far_bursts", f.far_read_bursts + f.far_write_bursts, f.far_bursts);
-  if (f.near_read_bursts + f.near_write_bursts != f.near_bursts)
-    bad("near_bursts", f.near_read_bursts + f.near_write_bursts,
-        f.near_bursts);
-  if (f.dma_far_read_bytes + f.dma_far_write_bytes != f.dma_far_bytes)
-    bad("dma_far_bytes", f.dma_far_read_bytes + f.dma_far_write_bytes,
-        f.dma_far_bytes);
-  if (f.dma_near_read_bytes + f.dma_near_write_bytes != f.dma_near_bytes)
-    bad("dma_near_bytes", f.dma_near_read_bytes + f.dma_near_write_bytes,
-        f.dma_near_bytes);
-  if (f.dma_far_read_bursts + f.dma_far_write_bursts != f.dma_far_bursts)
-    bad("dma_far_bursts", f.dma_far_read_bursts + f.dma_far_write_bursts,
-        f.dma_far_bursts);
-  if (f.dma_near_read_bursts + f.dma_near_write_bursts != f.dma_near_bursts)
-    bad("dma_near_bursts", f.dma_near_read_bursts + f.dma_near_write_bursts,
-        f.dma_near_bursts);
-  const auto shadow_bad = [&](const char* what, std::uint64_t shadow,
-                              std::uint64_t counter) {
-    model_check_fail(
-        model_rule::kRwConservation, open_phase_name(),
-        std::string(what) + ": the charge entry points saw " +
-            std::to_string(shadow) + " bytes but the counter holds " +
-            std::to_string(counter) + " — a counter was mutated directly",
-        std::source_location::current());
-  };
-  const std::uint64_t sfr =
-      shadow_far_read_bytes_.load(std::memory_order_relaxed);
-  const std::uint64_t sfw =
-      shadow_far_write_bytes_.load(std::memory_order_relaxed);
-  const std::uint64_t snr =
-      shadow_near_read_bytes_.load(std::memory_order_relaxed);
-  const std::uint64_t snw =
-      shadow_near_write_bytes_.load(std::memory_order_relaxed);
-  if (sfr != f.far_read_bytes)
-    shadow_bad("far_read_bytes", sfr, f.far_read_bytes);
-  if (sfw != f.far_write_bytes)
-    shadow_bad("far_write_bytes", sfw, f.far_write_bytes);
-  if (snr != f.near_read_bytes)
-    shadow_bad("near_read_bytes", snr, f.near_read_bytes);
-  if (snw != f.near_write_bytes)
-    shadow_bad("near_write_bytes", snw, f.near_write_bytes);
-}
-
 void Machine::check_phase_end() const {
-  check_rw_conservation();
   MutexLock lock(alloc_mu_);
   if (!phase_is_explicit_) return;  // implicit "(run)" phases are exempt
   for (const auto& [off, a] : shadow_near_) {
@@ -689,34 +580,9 @@ void Machine::advance_phase_epoch(bool next_is_explicit) {
 
 void Machine::fold_open_phase(PhaseStats& out) const {
   for (const auto& a : acc_) {
-    out.far_read_bytes += a.far_read;
-    out.far_write_bytes += a.far_write;
-    out.near_read_bytes += a.near_read;
-    out.near_write_bytes += a.near_write;
-    out.far_blocks += a.far_blocks;
-    out.near_blocks += a.near_blocks;
-    out.far_bursts += a.far_bursts;
-    out.near_bursts += a.near_bursts;
-    out.dma_far_bytes += a.dma_far;
-    out.dma_near_bytes += a.dma_near;
-    out.dma_far_bursts += a.dma_far_bursts;
-    out.dma_near_bursts += a.dma_near_bursts;
-    out.far_read_blocks += a.far_read_blocks;
-    out.far_write_blocks += a.far_write_blocks;
-    out.near_read_blocks += a.near_read_blocks;
-    out.near_write_blocks += a.near_write_blocks;
-    out.far_read_bursts += a.far_read_bursts;
-    out.far_write_bursts += a.far_write_bursts;
-    out.near_read_bursts += a.near_read_bursts;
-    out.near_write_bursts += a.near_write_bursts;
-    out.dma_far_read_bytes += a.dma_far_read;
-    out.dma_far_write_bytes += a.dma_far_write;
-    out.dma_near_read_bytes += a.dma_near_read;
-    out.dma_near_write_bytes += a.dma_near_write;
-    out.dma_far_read_bursts += a.dma_far_read_bursts;
-    out.dma_far_write_bursts += a.dma_far_write_bursts;
-    out.dma_near_read_bursts += a.dma_near_read_bursts;
-    out.dma_near_write_bursts += a.dma_near_write_bursts;
+#define TLM_X(kind, field, fold) out.field += a.traffic[Slot::field];
+    TLM_PHASE_TRAFFIC(TLM_X)
+#undef TLM_X
     out.partition_splits += a.partition_splits;
     out.partition_imbalance_max =
         std::max(out.partition_imbalance_max, a.partition_imbalance);
@@ -726,28 +592,25 @@ void Machine::fold_open_phase(PhaseStats& out) const {
   }
   // Per-burst access latencies amortize across the p cores issuing them.
   const double p = static_cast<double>(cfg_.threads);
+  // Asymmetric ω model (Blelloch et al.): a far write costs ω× a far read
+  // in both bandwidth occupancy and per-burst latency. Near memory stays
+  // symmetric. At ω = 1 this is the symmetric model bit for bit: counts
+  // below 2^53 convert to double exactly, and so does their sum.
   const double omega = cfg_.far_write_cost;
-  if (omega == 1.0) {
-    // Symmetric model: keep the exact legacy arithmetic (uint64 sum of both
-    // directions, one cast) so ω=1 reproduces pre-split baselines bit for
-    // bit — the weighted path below sums two separately-cast doubles, which
-    // can round differently in the last bit.
-    out.far_s = static_cast<double>(out.far_bytes()) / cfg_.far_bw +
-                static_cast<double>(out.far_bursts) * cfg_.far_latency / p;
-  } else {
-    // Asymmetric ω model (Blelloch et al.): a far write costs ω× a far read
-    // in both bandwidth occupancy and per-burst latency. Near memory stays
-    // symmetric.
-    out.far_s =
-        (static_cast<double>(out.far_read_bytes) +
-         omega * static_cast<double>(out.far_write_bytes)) /
-            cfg_.far_bw +
-        (static_cast<double>(out.far_read_bursts) +
-         omega * static_cast<double>(out.far_write_bursts)) *
-            cfg_.far_latency / p;
-  }
+  const auto far_time = [&](std::uint64_t read_bytes, std::uint64_t write_bytes,
+                            std::uint64_t read_bursts,
+                            std::uint64_t write_bursts) {
+    return (static_cast<double>(read_bytes) +
+            omega * static_cast<double>(write_bytes)) /
+               cfg_.far_bw +
+           (static_cast<double>(read_bursts) +
+            omega * static_cast<double>(write_bursts)) *
+               cfg_.far_latency / p;
+  };
+  out.far_s = far_time(out.far_read_bytes, out.far_write_bytes,
+                       out.far_read_bursts, out.far_write_bursts);
   out.near_s = static_cast<double>(out.near_bytes()) / cfg_.near_bw() +
-               static_cast<double>(out.near_bursts) * cfg_.near_latency / p;
+               static_cast<double>(out.near_bursts()) * cfg_.near_latency / p;
   out.compute_s = out.compute_ops_max / cfg_.core_rate;
   // Overlap model (§VI-B): only traffic posted through dma_copy() runs on
   // the background engine. The engine pipelines its far reads into near
@@ -755,22 +618,14 @@ void Machine::fold_open_phase(PhaseStats& out) const {
   // serial time covers everything they still drive themselves. Without
   // overlap_dma the engine waits like the paper's prototype ("simply waits
   // for the transfer to complete") and everything serializes. The far side
-  // of the engine is ω-weighted with the same read/write asymmetry as the
-  // core-driven far traffic, so the overlap subtraction below stays
-  // consistent at any ω.
+  // of the engine is ω-weighted like the core-driven far traffic, so the
+  // overlap subtraction below stays consistent at any ω.
   const double dma_far_s =
-      omega == 1.0
-          ? static_cast<double>(out.dma_far_bytes) / cfg_.far_bw +
-                static_cast<double>(out.dma_far_bursts) * cfg_.far_latency / p
-          : (static_cast<double>(out.dma_far_read_bytes) +
-             omega * static_cast<double>(out.dma_far_write_bytes)) /
-                    cfg_.far_bw +
-                (static_cast<double>(out.dma_far_read_bursts) +
-                 omega * static_cast<double>(out.dma_far_write_bursts)) *
-                    cfg_.far_latency / p;
+      far_time(out.dma_far_read_bytes, out.dma_far_write_bytes,
+               out.dma_far_read_bursts, out.dma_far_write_bursts);
   const double dma_near_s =
-      static_cast<double>(out.dma_near_bytes) / cfg_.near_bw() +
-      static_cast<double>(out.dma_near_bursts) * cfg_.near_latency / p;
+      static_cast<double>(out.dma_near_bytes()) / cfg_.near_bw() +
+      static_cast<double>(out.dma_near_bursts()) * cfg_.near_latency / p;
   out.dma_s = std::max(dma_far_s, dma_near_s);
   // Injected stalls and retry backoff serialize the core that hits them, so
   // they extend the cores' serial time by the worst-stalled thread's span
@@ -782,16 +637,6 @@ void Machine::fold_open_phase(PhaseStats& out) const {
   } else {
     out.seconds = out.far_s + out.near_s + out.compute_s + out.stall_s;
   }
-}
-
-void Machine::reset_accumulators() {
-  std::fill(acc_.begin(), acc_.end(), ThreadAcc{});
-#if TLM_MODEL_CHECKS_ENABLED
-  shadow_far_read_bytes_.store(0, std::memory_order_relaxed);
-  shadow_far_write_bytes_.store(0, std::memory_order_relaxed);
-  shadow_near_read_bytes_.store(0, std::memory_order_relaxed);
-  shadow_near_write_bytes_.store(0, std::memory_order_relaxed);
-#endif
 }
 
 MachineStats Machine::stats() const {

@@ -17,6 +17,7 @@
 // correctness testing, analytic counting, and trace-driven simulation.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -183,19 +184,6 @@ class Machine {
   // A no-op outside TLM_CHECK_MODEL builds.
   void retain_across_phases(const void* p);
 
-#if TLM_MODEL_CHECKS_ENABLED
-  // Test-only back door: bumps the legacy combined far-write counters
-  // without their read/write split twins, simulating a charge site that
-  // bypassed the split bookkeeping. The next end_phase() must abort with
-  // model.rw_conservation — death tests use this to prove the rule fires.
-  // Compiled only with the sanitizer; never call it outside tests.
-  void debug_bypass_far_write_for_test(std::uint64_t bytes) {
-    acc_[0].far_write += bytes;
-    acc_[0].far_blocks += ceil_div(bytes, cfg_.block_bytes);
-    acc_[0].far_bursts += 1;
-  }
-#endif
-
   // Registers an externally-owned far buffer (e.g. the caller's input array)
   // so traces can address it. Idempotent per base pointer.
   void adopt_far(const void* p, std::uint64_t bytes);
@@ -274,41 +262,33 @@ class Machine {
   std::uint64_t vaddr_of(const void* p) const;
 
  private:
+  // Index of each directional counter in ThreadAcc::traffic, in
+  // TLM_PHASE_TRAFFIC row order.
+  struct Slot {
+    enum : std::size_t {
+#define TLM_X(kind, field, fold) field,
+      TLM_PHASE_TRAFFIC(TLM_X)
+#undef TLM_X
+      kCount
+    };
+  };
   struct alignas(64) ThreadAcc {
-    std::uint64_t far_read = 0, far_write = 0;
-    std::uint64_t near_read = 0, near_write = 0;
-    std::uint64_t far_blocks = 0, near_blocks = 0;
-    std::uint64_t far_bursts = 0, near_bursts = 0;
-    std::uint64_t dma_far = 0, dma_near = 0;
-    std::uint64_t dma_far_bursts = 0, dma_near_bursts = 0;
-    // Read/write split of the combined block/burst/DMA counters above, for
-    // the asymmetric-ω model. Both views are bumped independently at the
-    // charge sites so split_read + split_write == combined is a checkable
-    // invariant, not a tautology.
-    std::uint64_t far_read_blocks = 0, far_write_blocks = 0;
-    std::uint64_t near_read_blocks = 0, near_write_blocks = 0;
-    std::uint64_t far_read_bursts = 0, far_write_bursts = 0;
-    std::uint64_t near_read_bursts = 0, near_write_bursts = 0;
-    std::uint64_t dma_far_read = 0, dma_far_write = 0;
-    std::uint64_t dma_near_read = 0, dma_near_write = 0;
-    std::uint64_t dma_far_read_bursts = 0, dma_far_write_bursts = 0;
-    std::uint64_t dma_near_read_bursts = 0, dma_near_write_bursts = 0;
+    std::array<std::uint64_t, Slot::kCount> traffic{};
     std::uint64_t partition_splits = 0;
     double partition_imbalance = 0;
     double ops = 0;
     double stall = 0;  // injected stalls + retry backoff charged to this core
   };
 
-  void charge_read(std::size_t thread, const void* p, std::uint64_t bytes,
-                   const std::source_location& loc, bool via_dma = false);
-  void charge_write(std::size_t thread, void* p, std::uint64_t bytes,
-                    const std::source_location& loc, bool via_dma = false);
+  // The one charge path behind copy, dma_copy and the stream calls.
+  void charge(std::size_t thread, const void* p, std::uint64_t bytes,
+              bool is_write, const std::source_location& loc,
+              bool via_dma = false);
   void consult_far_stall(std::size_t thread);
   void dma_retry_gate(std::size_t thread, std::uint64_t bytes,
                       const std::source_location& loc);
   void count_far_fallback();
   void fold_open_phase(PhaseStats& out) const;
-  void reset_accumulators();
 
   TwoLevelConfig cfg_;
   ThreadPool pool_;
@@ -361,21 +341,10 @@ class Machine {
   std::uint64_t phase_epoch_ TLM_GUARDED_BY(alloc_mu_) = 0;
   bool phase_is_explicit_ TLM_GUARDED_BY(alloc_mu_) = false;
 
-  // Directional shadow byte totals, bumped at the check_charge entry point
-  // (independently of the ThreadAcc bookkeeping) so check_phase_end can
-  // verify rw-conservation: shadow == folded split bytes, and split + split
-  // == combined for every block/burst/DMA counter pair. Atomics because the
-  // charge path is lock-free.
-  mutable std::atomic<std::uint64_t> shadow_far_read_bytes_{0};
-  mutable std::atomic<std::uint64_t> shadow_far_write_bytes_{0};
-  mutable std::atomic<std::uint64_t> shadow_near_read_bytes_{0};
-  mutable std::atomic<std::uint64_t> shadow_near_write_bytes_{0};
-
   void check_capacity(std::uint64_t bytes, const std::source_location& loc)
       const TLM_REQUIRES(alloc_mu_);
-  void check_charge(const void* p, std::uint64_t bytes, bool is_write,
+  void check_charge(const void* p, std::uint64_t bytes,
                     const std::source_location& loc) const;
-  void check_rw_conservation() const;
   void check_dma_granularity(const void* dst, const void* src,
                              std::uint64_t bytes,
                              const std::source_location& loc) const;

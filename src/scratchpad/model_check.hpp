@@ -16,9 +16,10 @@
 //   model.space_attribution traffic lands on the space it claims: near
 //                           charges hit one live scratchpad allocation,
 //                           far charges never overlap the scratchpad
-//   model.rw_conservation   the read/write split counters conserve the
-//                           legacy combined totals (reads + writes == all
-//                           accesses, per space, at every phase end)
+//   model.tenant_leak       a job releases every quota-charged near byte
+//   model.tenant_attribution  every traffic counter the machine counted
+//                           is attributed to exactly one tenant or the
+//                           untenanted residue (checked at server drain)
 //
 // A violation prints the rule, the open phase, and the charging call site,
 // then aborts — the tests pin these down as gtest death tests.
@@ -45,11 +46,6 @@ inline constexpr const char* kCapacity = "model.capacity";
 inline constexpr const char* kPhaseLeak = "model.phase_leak";
 inline constexpr const char* kLineGranularity = "model.line_granularity";
 inline constexpr const char* kSpaceAttribution = "model.space_attribution";
-// Read/write-split conservation: for each space, the shadow byte totals of
-// charged reads plus charged writes must equal the legacy combined counters
-// at every phase end — a bypassed split counter (e.g. a write charged on
-// the combined field only) trips this.
-inline constexpr const char* kRwConservation = "model.rw_conservation";
 // Multi-tenant rules (src/server): a tenant's quota-charged near bytes must
 // all be released by the time its job completes...
 inline constexpr const char* kTenantLeak = "model.tenant_leak";

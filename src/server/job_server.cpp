@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <thread>
+#include <type_traits>
 
 #include "common/assert.hpp"
 
@@ -526,42 +527,29 @@ void JobServer::request_cancel(const std::shared_ptr<JobHandle::State>& st) {
 
 void JobServer::check_attribution_locked() {
 #if TLM_MODEL_CHECKS_ENABLED
-  // Conservation: every byte the machine counted since the server started
-  // must be attributed to exactly one tenant or the untenanted bucket.
-  // The tail delta covers traffic after the last bracketed phase.
+  // Conservation: every count the machine made since the server started
+  // (each u64 PhaseStats field) must be attributed to exactly one tenant or
+  // the untenanted bucket. The tail delta covers traffic after the last
+  // bracketed phase.
   const PhaseStats grand = machine_.totals();
   PhaseStats sum = untenanted_;
   for (const auto& t : tenants_) sum += t->attributed;
   sum += phase_delta(grand, last_snapshot_);
-  const auto bad = [](const char* what, std::uint64_t attributed,
-                      std::uint64_t total) {
-    model_check_fail(model_rule::kTenantAttribution, "(drain)",
-                     std::string(what) + ": tenant attribution sums to " +
-                         std::to_string(attributed) +
-                         " but the machine counted " + std::to_string(total) +
-                         " — a scheduled phase escaped its snapshots",
-                     std::source_location::current());
+  const auto check = [](const char* what, auto attributed, auto total) {
+    if constexpr (std::is_integral_v<decltype(total)>) {
+      if (attributed == total) return;
+      model_check_fail(model_rule::kTenantAttribution, "(drain)",
+                       std::string(what) + ": tenant attribution sums to " +
+                           std::to_string(attributed) +
+                           " but the machine counted " +
+                           std::to_string(total) +
+                           " — a scheduled phase escaped its snapshots",
+                       std::source_location::current());
+    }
   };
-  if (sum.far_read_bytes != grand.far_read_bytes)
-    bad("far_read_bytes", sum.far_read_bytes, grand.far_read_bytes);
-  if (sum.far_write_bytes != grand.far_write_bytes)
-    bad("far_write_bytes", sum.far_write_bytes, grand.far_write_bytes);
-  if (sum.near_read_bytes != grand.near_read_bytes)
-    bad("near_read_bytes", sum.near_read_bytes, grand.near_read_bytes);
-  if (sum.near_write_bytes != grand.near_write_bytes)
-    bad("near_write_bytes", sum.near_write_bytes, grand.near_write_bytes);
-  if (sum.far_blocks != grand.far_blocks)
-    bad("far_blocks", sum.far_blocks, grand.far_blocks);
-  if (sum.near_blocks != grand.near_blocks)
-    bad("near_blocks", sum.near_blocks, grand.near_blocks);
-  if (sum.far_bursts != grand.far_bursts)
-    bad("far_bursts", sum.far_bursts, grand.far_bursts);
-  if (sum.near_bursts != grand.near_bursts)
-    bad("near_bursts", sum.near_bursts, grand.near_bursts);
-  if (sum.dma_far_bytes != grand.dma_far_bytes)
-    bad("dma_far_bytes", sum.dma_far_bytes, grand.dma_far_bytes);
-  if (sum.dma_near_bytes != grand.dma_near_bytes)
-    bad("dma_near_bytes", sum.dma_near_bytes, grand.dma_near_bytes);
+#define TLM_X(kind, field, fold) check(#field, sum.field, grand.field);
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
 #endif
 }
 

@@ -262,25 +262,6 @@ TEST(ChaosMultiTenant, ConcurrentTenantsBitIdenticalToSoloUnderMixedFaults) {
   }
 }
 
-#if TLM_MODEL_CHECKS_ENABLED
-TEST(ChaosDeathTest, BypassedFarWriteCounterTripsRwConservation) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // A charge site that bumps the legacy combined counters without the
-  // directional twins (or the shadow entry points) must die at phase end
-  // with the conservation rule, not silently skew the omega model.
-  EXPECT_DEATH(
-      {
-        Machine m(chaos_config());
-        auto far = m.alloc_array<std::uint64_t>(Space::Far, 64);
-        m.begin_phase("p");
-        m.stream_write(0, far.data(), 64);
-        m.debug_bypass_far_write_for_test(64);
-        m.end_phase();
-      },
-      "model\\.rw_conservation");
-}
-#endif
-
 TEST(ChaosDeathTest, DmaRetryBudgetExhaustionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // A permanent (not transient) DMA failure must exhaust the bounded retry

@@ -2,8 +2,11 @@
 // schema, regression diffing, and the counters-layer fixes it rides on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -123,10 +126,10 @@ TEST(PhaseStats, PlusEqualsAggregatesEveryField) {
   a.far_write_bytes = 10;
   a.near_read_bytes = 20;
   a.near_write_bytes = 2;
-  a.far_blocks = 3;
-  a.near_blocks = 4;
-  a.far_bursts = 5;
-  a.near_bursts = 6;
+  a.far_read_blocks = 3;
+  a.near_read_blocks = 4;
+  a.far_read_bursts = 5;
+  a.near_read_bursts = 6;
   a.compute_ops_total = 7.0;
   a.compute_ops_max = 1.5;
   a.far_s = 0.1;
@@ -140,10 +143,10 @@ TEST(PhaseStats, PlusEqualsAggregatesEveryField) {
   EXPECT_EQ(b.far_write_bytes, 20u);
   EXPECT_EQ(b.near_read_bytes, 40u);
   EXPECT_EQ(b.near_write_bytes, 4u);
-  EXPECT_EQ(b.far_blocks, 6u);
-  EXPECT_EQ(b.near_blocks, 8u);
-  EXPECT_EQ(b.far_bursts, 10u);
-  EXPECT_EQ(b.near_bursts, 12u);
+  EXPECT_EQ(b.far_blocks(), 6u);
+  EXPECT_EQ(b.near_blocks(), 8u);
+  EXPECT_EQ(b.far_bursts(), 10u);
+  EXPECT_EQ(b.near_bursts(), 12u);
   EXPECT_DOUBLE_EQ(b.compute_ops_total, 14.0);
   EXPECT_DOUBLE_EQ(b.compute_ops_max, 3.0);
   EXPECT_DOUBLE_EQ(b.far_s, 0.2);
@@ -153,6 +156,145 @@ TEST(PhaseStats, PlusEqualsAggregatesEveryField) {
   EXPECT_DOUBLE_EQ(b.host_seconds, 1.0);
   EXPECT_EQ(b.far_bytes(), 220u);
   EXPECT_EQ(b.near_bytes(), 44u);
+}
+
+// ------------------------------------------------------ counter tables
+
+template <typename T>
+void expect_folded(const char* field, T got, T a, T b, counters::Sum) {
+  EXPECT_EQ(got, a + b) << field;
+}
+template <typename T>
+void expect_folded(const char* field, T got, T a, T b, counters::Max) {
+  EXPECT_EQ(got, std::max(a, b)) << field;
+}
+template <typename T>
+void expect_delta(const char* field, T got, T a, T /*after*/,
+                  counters::Sum) {
+  EXPECT_EQ(got, a) << field;
+}
+template <typename T>
+void expect_delta(const char* field, T got, T, T after, counters::Max) {
+  EXPECT_EQ(got, after) << field;
+}
+
+double exported(const obs::MetricsRegistry& reg, const std::string& key) {
+  const auto counters = reg.counters();
+  if (const auto it = counters.find(key); it != counters.end())
+    return static_cast<double>(it->second);
+  return reg.gauges().at(key);
+}
+
+// Every row of the three counter tables gets a distinct value and is checked
+// by name through each operation expanded from the tables: JSON out and
+// back, +=, the *_delta snapshots and the MetricsRegistry export.
+TEST(CounterTable, EveryFieldRoundTrips) {
+  double v = 1;
+  PhaseStats a, b;
+  a.name = "phase";
+#define TLM_X(kind, field, fold)                        \
+  a.field = static_cast<counters::kind>(v + 0.5);       \
+  b.field = static_cast<counters::kind>(100 + v + 0.5); \
+  v += 1;
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
+  PhaseStats sum = a;
+  sum += b;
+  const PhaseStats d = phase_delta(sum, b);
+
+  MachineStats st;
+  st.total = a;
+  st.phases = {a};
+  obs::RunReport report("counter_table");
+  report.add_run("r").set_counting(st, 64);
+  const Json j = report.to_json();
+  const Json& jt = j.at("runs").arr()[0].at("counting").at("total");
+  const PhaseStats back =
+      obs::RunReport::from_json(j).runs[0].counting.phases.at(0);
+  EXPECT_EQ(back.name, "phase");
+#define TLM_X(kind, field, fold)                                          \
+  EXPECT_EQ(jt.at(#field).f64(), static_cast<double>(a.field)) << #field; \
+  EXPECT_EQ(back.field, a.field) << #field;                               \
+  expect_folded(#field, sum.field, a.field, b.field, counters::fold{});   \
+  expect_delta(#field, d.field, a.field, sum.field, counters::fold{});
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
+  // The one Max row: += keeps the larger value, the delta the later one.
+  EXPECT_EQ(sum.partition_imbalance_max, b.partition_imbalance_max);
+  EXPECT_EQ(d.partition_imbalance_max, sum.partition_imbalance_max);
+  // A combined counter's twins are its name with read_/write_ inserted
+  // before the last word: far_blocks = far_read_blocks + far_write_blocks.
+  const auto twin = [](std::string name, const std::string& dir) {
+    return name.insert(name.rfind('_') + 1, dir + "_");
+  };
+#define TLM_X(combined, read, write)           \
+  EXPECT_EQ(twin(#combined, "read"), #read);   \
+  EXPECT_EQ(twin(#combined, "write"), #write); \
+  EXPECT_EQ(jt.at(#combined).u64(), a.read + a.write) << #combined;
+  TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
+
+  StagerStats sa, sb;
+  FaultStats fa, fb;
+#define TLM_X(kind, field, metric)                       \
+  sa.field = static_cast<counters::kind>(v + 0.5);       \
+  sb.field = static_cast<counters::kind>(100 + v + 0.5); \
+  v += 1;
+  TLM_STAGER_STATS(TLM_X)
+#undef TLM_X
+#define TLM_X(kind, field, metric)                       \
+  fa.field = static_cast<counters::kind>(v + 0.5);       \
+  fb.field = static_cast<counters::kind>(100 + v + 0.5); \
+  v += 1;
+  TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
+  StagerStats ssum = sa;
+  ssum += sb;
+  FaultStats fsum = fa;
+  fsum += fb;
+  const StagerStats sd = stager_delta(ssum, sb);
+  const FaultStats fd = fault_delta(fsum, fb);
+  obs::MetricsRegistry reg;
+  obs::export_stats(sa, reg);
+  obs::export_stats(fa, reg);
+#define TLM_X(kind, field, metric)                      \
+  EXPECT_EQ(ssum.field, sa.field + sb.field) << #field; \
+  EXPECT_EQ(sd.field, sa.field) << #field;              \
+  EXPECT_EQ(exported(reg, metric), static_cast<double>(sa.field)) << metric;
+  TLM_STAGER_STATS(TLM_X)
+#undef TLM_X
+#define TLM_X(kind, field, metric)                      \
+  EXPECT_EQ(fsum.field, fa.field + fb.field) << #field; \
+  EXPECT_EQ(fd.field, fa.field) << #field;              \
+  EXPECT_EQ(exported(reg, metric), static_cast<double>(fa.field)) << metric;
+  TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
+}
+
+TEST(CounterTable, SimCountersRoundTrip) {
+  obs::RunReport report("sim_table");
+  obs::SimCounters& s = report.add_run("r").sim;
+  report.runs[0].has_sim = true;
+  double v = 1;
+#define TLM_X(kind, section, key, field, source)  \
+  s.field = static_cast<counters::kind>(v + 0.5); \
+  v += 1;
+  TLM_SIM_COUNTERS(TLM_X)
+#undef TLM_X
+  const Json j = report.to_json();
+  const Json& js = j.at("runs").arr()[0].at("sim");
+  const obs::SimCounters back = obs::RunReport::from_json(j).runs[0].sim;
+#define TLM_X(kind, section, key, field, source)                          \
+  EXPECT_EQ(js.at(#section).at(#key).f64(), static_cast<double>(s.field)) \
+      << #field;                                                          \
+  EXPECT_EQ(back.field, s.field) << #field;
+  TLM_SIM_COUNTERS(TLM_X)
+#undef TLM_X
+
+  // The DMA section is written only when an engine saw traffic.
+  s.dma_descriptors = s.dma_lines = s.dma_bytes = 0;
+  EXPECT_FALSE(
+      report.to_json().at("runs").arr()[0].at("sim").contains("dma"));
 }
 
 TEST(MachineStats, AccessCountsRoundPartialLinesUp) {
@@ -244,6 +386,33 @@ TEST(RunReport, ValidateRejectsBrokenDocuments) {
   Json j2 = tiny_report().to_json();
   j2["runs"].arr()[0].obj().erase("name");
   EXPECT_FALSE(obs::validate_report(j2).empty());
+}
+
+TEST(RunReport, CombinedCountersMustMatchTheirTwins) {
+  Json j = tiny_report().to_json();
+  ASSERT_TRUE(obs::validate_report(j).empty());
+  Json& total = j["runs"].arr()[0]["counting"]["total"];
+  total["far_read_blocks"] = total.at("far_read_blocks").u64() + 1;
+  const auto problems = obs::validate_report(j);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("'far_blocks'"), std::string::npos)
+      << problems[0];
+  EXPECT_THROW(obs::RunReport::from_json(j), std::runtime_error);
+}
+
+TEST(RunReport, PreSplitCountersRefuseToLoad) {
+  // table1_quick.json predates the read/write split: it has far_blocks & co.
+  // but not their twins. It stays a valid report for report_diff, but
+  // loading it would derive every combined counter as zero.
+  const std::string path =
+      std::string(TLM_BASELINE_DIR) + "/table1_quick.json";
+  EXPECT_TRUE(obs::validate_report(Json::load_file(path)).empty());
+  EXPECT_THROW(obs::RunReport::load(path), std::runtime_error);
+
+  Json j = tiny_report().to_json();
+  j["runs"].arr()[0]["counting"]["phases"].arr()[0].obj().erase(
+      "dma_near_write_bursts");
+  EXPECT_THROW(obs::RunReport::from_json(j), std::runtime_error);
 }
 
 TEST(RunReport, SimCountersFlattenFromSimReport) {

@@ -102,11 +102,11 @@ TEST(Machine, CopyMovesBytesAndCharges) {
   const PhaseStats& ph = st.phases[0];
   EXPECT_EQ(ph.far_read_bytes, 8192u);
   EXPECT_EQ(ph.near_write_bytes, 8192u);
-  EXPECT_EQ(ph.far_blocks, 8192u / 64);
+  EXPECT_EQ(ph.far_blocks(), 8192u / 64);
   // Near blocks are ρB = 256 bytes.
-  EXPECT_EQ(ph.near_blocks, 8192u / 256);
-  EXPECT_EQ(ph.far_bursts, 1u);
-  EXPECT_EQ(ph.near_bursts, 1u);
+  EXPECT_EQ(ph.near_blocks(), 8192u / 256);
+  EXPECT_EQ(ph.far_bursts(), 1u);
+  EXPECT_EQ(ph.near_bursts(), 1u);
 }
 
 TEST(Machine, TimeModelSerializedVsOverlap) {
@@ -264,7 +264,7 @@ TEST(Machine, ConcurrentChargesConserveTotals) {
   const PhaseStats ph = m.stats().phases.at(0);
   EXPECT_EQ(ph.far_read_bytes, 8ull * kIters * 64);
   EXPECT_EQ(ph.far_write_bytes, 8ull * kIters * 32);
-  EXPECT_EQ(ph.far_bursts, 8ull * kIters * 2);
+  EXPECT_EQ(ph.far_bursts(), 8ull * kIters * 2);
   EXPECT_DOUBLE_EQ(ph.compute_ops_total, 8.0 * kIters * 1.5);
   EXPECT_DOUBLE_EQ(ph.compute_ops_max, kIters * 1.5);
 }
@@ -425,25 +425,6 @@ TEST(Faults, NthAndRearmSemantics) {
 
 // --- asymmetric read/write split (omega) ------------------------------------
 
-// The conservation law the split counters must obey in every phase: each
-// combined counter equals the sum of its directional twins. The split is
-// double-booked at the charge sites (not derived), so these are falsifiable.
-void expect_conserved(const PhaseStats& ph) {
-  EXPECT_EQ(ph.far_read_bytes + ph.far_write_bytes, ph.far_bytes());
-  EXPECT_EQ(ph.near_read_bytes + ph.near_write_bytes, ph.near_bytes());
-  EXPECT_EQ(ph.far_read_blocks + ph.far_write_blocks, ph.far_blocks);
-  EXPECT_EQ(ph.near_read_blocks + ph.near_write_blocks, ph.near_blocks);
-  EXPECT_EQ(ph.far_read_bursts + ph.far_write_bursts, ph.far_bursts);
-  EXPECT_EQ(ph.near_read_bursts + ph.near_write_bursts, ph.near_bursts);
-  EXPECT_EQ(ph.dma_far_read_bytes + ph.dma_far_write_bytes, ph.dma_far_bytes);
-  EXPECT_EQ(ph.dma_near_read_bytes + ph.dma_near_write_bytes,
-            ph.dma_near_bytes);
-  EXPECT_EQ(ph.dma_far_read_bursts + ph.dma_far_write_bursts,
-            ph.dma_far_bursts);
-  EXPECT_EQ(ph.dma_near_read_bursts + ph.dma_near_write_bursts,
-            ph.dma_near_bursts);
-}
-
 TEST(OmegaSplit, EveryOpKindConserves) {
   Machine m(cfg1());
   auto near = m.alloc_array<std::uint64_t>(Space::Near, 1024);
@@ -470,27 +451,24 @@ TEST(OmegaSplit, EveryOpKindConserves) {
 
   const MachineStats st = m.stats();
   ASSERT_EQ(st.phases.size(), 5u);
-  for (const PhaseStats& ph : st.phases) expect_conserved(ph);
-  expect_conserved(st.total);
-
   // Directional attribution: a far->near copy is all far *reads* and near
   // *writes*; the reverse copy flips both.
   const PhaseStats& f2n = st.phases[0];
   EXPECT_EQ(f2n.far_read_bytes, 8192u);
   EXPECT_EQ(f2n.far_write_blocks, 0u);
-  EXPECT_EQ(f2n.far_read_blocks, f2n.far_blocks);
-  EXPECT_EQ(f2n.near_write_blocks, f2n.near_blocks);
+  EXPECT_EQ(f2n.far_read_blocks, f2n.far_blocks());
+  EXPECT_EQ(f2n.near_write_blocks, f2n.near_blocks());
   EXPECT_EQ(f2n.near_read_bursts, 0u);
   const PhaseStats& n2f = st.phases[1];
-  EXPECT_EQ(n2f.far_write_blocks, n2f.far_blocks);
+  EXPECT_EQ(n2f.far_write_blocks, n2f.far_blocks());
   EXPECT_EQ(n2f.far_read_bursts, 0u);
-  EXPECT_EQ(n2f.near_read_blocks, n2f.near_blocks);
+  EXPECT_EQ(n2f.near_read_blocks, n2f.near_blocks());
   // DMA traffic lands in the dma splits as well as the combined ones.
   const PhaseStats& dma = st.phases[2];
   EXPECT_EQ(dma.dma_far_read_bytes, 8192u);
   EXPECT_EQ(dma.dma_far_write_bytes, 0u);
   EXPECT_EQ(dma.dma_near_write_bytes, 8192u);
-  EXPECT_EQ(dma.dma_far_read_bursts, dma.dma_far_bursts);
+  EXPECT_EQ(dma.dma_far_read_bursts, dma.dma_far_bursts());
 }
 
 TEST(OmegaSplit, ConcurrentChargesConserve) {
@@ -513,7 +491,6 @@ TEST(OmegaSplit, ConcurrentChargesConserve) {
   });
   m.end_phase();
   const PhaseStats ph = m.stats().phases.at(0);
-  expect_conserved(ph);
   EXPECT_EQ(ph.far_read_bytes, 8ull * kIters * (64 + 128));
   EXPECT_EQ(ph.far_write_bytes, 8ull * kIters * (32 + 256));
   EXPECT_EQ(ph.near_read_bytes, 8ull * kIters * 256);
@@ -544,12 +521,12 @@ TEST(OmegaTime, FarWritesWeightedByOmega) {
   EXPECT_EQ(ph.far_s, want);  // exact: same arithmetic, same order
   EXPECT_GT(ph.far_s,
             static_cast<double>(ph.far_bytes()) / c.far_bw +
-                static_cast<double>(ph.far_bursts) * c.far_latency / p);
+                static_cast<double>(ph.far_bursts()) * c.far_latency / p);
 }
 
 TEST(OmegaTime, OmegaOneIsBitExactLegacy) {
-  // The omega == 1 branch must keep the legacy arithmetic (sum the uint64s,
-  // cast once): bit-exact equality, not approximate.
+  // At ω = 1 the weighted formula must reproduce the symmetric arithmetic
+  // (sum the uint64s, cast once) bit for bit, not approximately.
   Machine m(cfg1());
   auto far = m.alloc_array<std::uint64_t>(Space::Far, 4096);
   m.begin_phase("w");
@@ -560,7 +537,7 @@ TEST(OmegaTime, OmegaOneIsBitExactLegacy) {
   const double p = static_cast<double>(m.config().threads);
   const double legacy =
       static_cast<double>(ph.far_bytes()) / m.config().far_bw +
-      static_cast<double>(ph.far_bursts) * m.config().far_latency / p;
+      static_cast<double>(ph.far_bursts()) * m.config().far_latency / p;
   EXPECT_EQ(ph.far_s, legacy);
 }
 
@@ -585,7 +562,6 @@ TEST(OmegaTime, DmaFarSideWeighted) {
     m.dma_copy(0, far.data(), near.data(), near.size_bytes());  // far writes
     m.end_phase();
     const PhaseStats ph = m.stats().phases.at(0);
-    expect_conserved(ph);
     EXPECT_GT(ph.dma_s, prev) << "omega=" << omega;
     prev = ph.dma_s;
   }

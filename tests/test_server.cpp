@@ -413,8 +413,8 @@ TEST(JobServerTest, AttributionConservesMachineTotals) {
             grand.near_read_bytes);
   EXPECT_EQ(sa.attributed.near_write_bytes + sb.attributed.near_write_bytes,
             grand.near_write_bytes);
-  EXPECT_EQ(sa.attributed.far_bursts + sb.attributed.far_bursts,
-            grand.far_bursts);
+  EXPECT_EQ(sa.attributed.far_bursts() + sb.attributed.far_bursts(),
+            grand.far_bursts());
   EXPECT_EQ(sa.phases_run + sb.phases_run, 18u);
   // Both tenants did comparable work under round-robin scheduling.
   EXPECT_GT(sa.attributed.far_bytes(), 0u);

@@ -161,8 +161,8 @@ TEST(Stager, PipelinedRunPrefetchesViaWorkerHook) {
   EXPECT_EQ(s.restarts, 0u);
   // The prefetched gathers are the machine's only DMA traffic (counted on
   // both the far-read and near-write side).
-  EXPECT_EQ(m.stats().total.dma_far_bytes, s.prefetch_bytes);
-  EXPECT_EQ(m.stats().total.dma_near_bytes, s.prefetch_bytes);
+  EXPECT_EQ(m.stats().total.dma_far_bytes(), s.prefetch_bytes);
+  EXPECT_EQ(m.stats().total.dma_near_bytes(), s.prefetch_bytes);
   // Double buffering: consecutive batches alternate between two buffers.
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_NE(seen[0], seen[1]);
@@ -194,7 +194,7 @@ TEST(Stager, OrchestratorModePostsPrefetchesItself) {
                              kChunk * 8));
   });
   EXPECT_EQ(st.stats().prefetch_batches, 2u);
-  EXPECT_EQ(m.stats().total.dma_far_bytes, st.stats().prefetch_bytes);
+  EXPECT_EQ(m.stats().total.dma_far_bytes(), st.stats().prefetch_bytes);
 }
 
 TEST(Stager, DegradesToSingleBufferWithoutOverlap) {
@@ -429,7 +429,7 @@ TEST(Stager, SequentialGatherDrivesCopiesFromTheOrchestrator) {
     EXPECT_EQ(0, std::memcmp(data, src.data(), 300 * 8));
   });
   // One burst for the whole gather (no SPMD split).
-  EXPECT_EQ(m.stats().total.far_bursts, 1u);
+  EXPECT_EQ(m.stats().total.far_bursts(), 1u);
 }
 
 }  // namespace

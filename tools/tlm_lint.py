@@ -15,16 +15,13 @@ textually over src/:
   unaccounted-buffer No element-count-sized std::vector data buffers in
                      src/sort kernels (metadata-sized vectors are fine);
                      an O(n) vector bypasses both spaces' accounting.
-  counters-mutation  No direct writes to PhaseStats traffic/compute fields
+  counters-mutation  No direct writes to the stored PhaseStats
+                     traffic/compute fields (the directional counters of
+                     TLM_PHASE_TRAFFIC, compute_ops_*, host_seconds)
                      outside src/scratchpad — counters are owned by the
-                     Machine's charge paths.
-  split-counters-mutation  No direct writes to the directional read/write
-                     split counters (far_read_blocks, dma_far_write_bytes,
-                     ...) outside src/scratchpad. The asymmetric-omega time
-                     model and the model.rw_conservation check both assume
-                     split_read + split_write == combined at every charge
-                     site; a stray mutation silently skews omega-weighted
-                     time while the legacy counters still look right.
+                     Machine's charge paths. The combined counters
+                     (far_blocks, dma_far_bytes, ...) are derived accessors,
+                     so writing one does not compile.
   banned-function    rand/srand (seeded runs must be reproducible via
                      common/rng.hpp), sprintf/strcpy/strcat/strtok/gets.
   include-hygiene    #pragma once in headers, no "../" includes, no
@@ -88,24 +85,18 @@ CXX_EXTENSIONS = (".hpp", ".cpp", ".h", ".cc")
 ALLOW_LINE = re.compile(r"//\s*tlm-lint:\s*allow\(([a-z-]+)\)")
 ALLOW_FILE = re.compile(r"//\s*tlm-lint:\s*allow-file\(([a-z-]+)\)")
 
-# PhaseStats fields the Machine's charge/fold paths own.
+# PhaseStats fields the Machine's charge/fold paths own: the directional
+# traffic counters (src/scratchpad/counters.hpp, TLM_PHASE_TRAFFIC) and the
+# compute/host-time fields.
 COUNTER_FIELDS = (
     "far_read_bytes|far_write_bytes|near_read_bytes|near_write_bytes|"
-    "far_blocks|near_blocks|far_bursts|near_bursts|"
-    "compute_ops_total|compute_ops_max|host_seconds"
-)
-
-# Directional split twins of the combined counters, added with the
-# asymmetric read/write (omega) cost model. Same owner, separate rule: the
-# conservation invariant split_read + split_write == combined has its own
-# named guard so a finding points straight at the skew risk.
-SPLIT_COUNTER_FIELDS = (
     "far_read_blocks|far_write_blocks|near_read_blocks|near_write_blocks|"
     "far_read_bursts|far_write_bursts|near_read_bursts|near_write_bursts|"
     "dma_far_read_bytes|dma_far_write_bytes|"
     "dma_near_read_bytes|dma_near_write_bytes|"
     "dma_far_read_bursts|dma_far_write_bursts|"
-    "dma_near_read_bursts|dma_near_write_bursts"
+    "dma_near_read_bursts|dma_near_write_bursts|"
+    "compute_ops_total|compute_ops_max|host_seconds"
 )
 
 RE_RAW_THREAD = re.compile(r"\bstd::(thread|jthread|async)\b|\bpthread_create\b")
@@ -121,9 +112,6 @@ RE_VECTOR_SIZE_CALL = re.compile(r"\.(resize|reserve|assign)\s*\(([^;]*)\)")
 RE_BARE_N = re.compile(r"(?<![\w.])n(?![\w(])")
 RE_COUNTER_WRITE = re.compile(
     r"[.>](" + COUNTER_FIELDS + r")\s*(=(?!=)|\+=|-=|\*=|/=|\+\+|--)"
-)
-RE_SPLIT_COUNTER_WRITE = re.compile(
-    r"[.>](" + SPLIT_COUNTER_FIELDS + r")\s*(=(?!=)|\+=|-=|\*=|/=|\+\+|--)"
 )
 RE_BANNED = re.compile(
     r"(?<![\w:.])(rand|srand|sprintf|vsprintf|strcpy|strcat|strtok|gets)\s*\("
@@ -513,15 +501,6 @@ class Linter:
                             "counters are owned by src/scratchpad",
                             lines, file_allows)
 
-            if not in_scratchpad and RE_SPLIT_COUNTER_WRITE.search(line):
-                self.report(path, i, "split-counters-mutation",
-                            "direct write to a directional split counter — "
-                            "split_read + split_write == combined is an "
-                            "invariant of the src/scratchpad charge paths "
-                            "(model.rw_conservation); mutating one side "
-                            "skews the omega-weighted time model",
-                            lines, file_allows)
-
             if RE_BANNED.search(line):
                 name = RE_BANNED.search(line).group(1)
                 self.report(path, i, "banned-function",
@@ -597,7 +576,7 @@ class Linter:
 
 RULES = [
     "raw-thread", "raw-alloc", "unaccounted-buffer", "counters-mutation",
-    "split-counters-mutation", "banned-function", "include-hygiene",
+    "banned-function", "include-hygiene",
     "hand-rolled-staging", "unchecked-try-alloc", "dma-fence-discipline",
     "server-near-alloc", "phase-loop-checkpoint",
 ]
@@ -802,45 +781,14 @@ void consume(Machine& m, const std::byte* src, std::uint64_t n) {
 """,
     ),
     (
-        "split-counter-mutation-fires",
+        # A directional counter is stored, so a stray write still compiles;
+        # the rule is what catches it.
+        "directional-counter-mutation-fires",
         "src/foo/skew.cpp",
-        "split-counters-mutation",
+        "counters-mutation",
         """\
 void patch_up(PhaseStats& p, std::uint64_t blocks) {
   p.far_write_blocks += blocks;
-}
-""",
-    ),
-    (
-        # Reads of split counters (tests, reports) are fine; only mutation
-        # threatens the conservation invariant.
-        "split-counter-read-is-clean",
-        "src/foo/readsplit.cpp",
-        None,
-        """\
-std::uint64_t far_writes(const PhaseStats& p) {
-  return p.far_write_blocks + p.dma_far_write_bytes / 64;
-}
-""",
-    ),
-    (
-        "split-counter-inside-scratchpad-is-exempt",
-        "src/scratchpad/charge.cpp",
-        None,
-        """\
-void Machine::charge_far_write(std::uint64_t blocks) {
-  acc_.far_write_blocks += blocks;
-}
-""",
-    ),
-    (
-        "split-counter-allow-escape-hatch",
-        "src/foo/split_allowed.cpp",
-        None,
-        """\
-void rebuild(PhaseStats& p, std::uint64_t v) {
-  // tlm-lint: allow(split-counters-mutation): fixture exercising the escape
-  p.dma_far_write_bursts = v;
 }
 """,
     ),
