@@ -77,6 +77,7 @@ inline constexpr const char* kSimDmaStall = "sim.dma.stall";
 inline constexpr const char* kSimFarStall = "sim.far.stall";
 inline constexpr const char* kServerSlowPhase = "server.slow_phase";
 inline constexpr const char* kServerStuckDma = "server.stuck_dma";
+inline constexpr const char* kTenantQuota = "server.tenant_quota";
 }  // namespace fault_site
 
 // Unrecoverable fault outcomes (analogous to model_rule for the sanitizer).

@@ -38,20 +38,8 @@ std::byte* Machine::alloc(Space s, std::uint64_t bytes, std::uint64_t align,
                           std::source_location loc) {
   TLM_REQUIRE(bytes > 0, "zero-byte allocation");
   MutexLock lock(alloc_mu_);
-  if (s == Space::Near) {
-#if TLM_MODEL_CHECKS_ENABLED
-    check_capacity(bytes, loc);
-    std::byte* p = arena_.allocate(bytes, align);
-    shadow_near_.insert_or_assign(
-        arena_.offset_of(p),
-        ShadowNearAlloc{bytes, phase_epoch_, phase_is_explicit_,
-                        /*retained=*/false, open_phase_name(), loc});
-    return p;
-#else
-    (void)loc;
-    return arena_.allocate(bytes, align);
-#endif
-  }
+  if (s == Space::Near)
+    return alloc_near_locked(bytes, align, loc, /*fallible=*/false);
   TLM_REQUIRE(align <= kFarAllocAlign, "far allocations are 64-byte aligned");
   auto* p = static_cast<std::byte*>(
       ::operator new(bytes, std::align_val_t{kFarAllocAlign}));
@@ -73,20 +61,34 @@ std::byte* Machine::try_alloc_near(std::uint64_t bytes, std::uint64_t align,
     ++fault_stats_.near_alloc_injected;
     return nullptr;
   }
-  // Tenant quota gate: a rejection looks exactly like arena exhaustion to
-  // the caller (nullptr), so the PR 5 degradation ladder handles both —
+  return alloc_near_locked(bytes, align, loc, /*fallible=*/true);
+}
+
+std::byte* Machine::alloc_near_locked(std::uint64_t bytes, std::uint64_t align,
+                                      const std::source_location& loc,
+                                      bool fallible) {
+  // Tenant quota gate: on the fallible path a rejection looks exactly like
+  // arena exhaustion (nullptr), so the degradation ladder handles both —
   // an over-quota tenant steps its own Stagers toward direct-from-far
-  // without ever touching the shared arena.
-  if (gate_ && !gate_->admit(bytes, loc)) return nullptr;
+  // without ever touching the shared arena. The gate runs before
+  // check_capacity so both builds raise the same typed error.
+  if (gate_ && !gate_->admit(bytes, loc)) {
+    if (fallible) return nullptr;
+    throw ScratchpadError(fault_site::kTenantQuota, bytes,
+                          gate_->available());
+  }
+#if TLM_MODEL_CHECKS_ENABLED
+  // Genuine exhaustion is a recoverable outcome of the fallible API, not a
+  // model violation: the model.capacity abort is the infallible path's.
+  if (!fallible) check_capacity(bytes, loc);
+#endif
   std::byte* p = nullptr;
   try {
-    // No check_capacity here: genuine exhaustion is a recoverable outcome
-    // of the fallible API, not a model violation — the sanitizer's
-    // model.capacity abort stays reserved for the infallible alloc().
     p = arena_.allocate(bytes, align);
   } catch (const std::bad_alloc&) {
-    ++fault_stats_.near_alloc_exhausted;
     if (gate_) gate_->refund(bytes);
+    if (!fallible) throw;
+    ++fault_stats_.near_alloc_exhausted;
     return nullptr;
   }
   if (gate_) gate_->granted(p, bytes);

@@ -43,20 +43,22 @@
 
 namespace tlm {
 
-// Per-tenant admission hook for the fallible near-allocation path. The job
-// server (src/server) installs one around each scheduled tenant phase so
-// every try_alloc_near is charged against that tenant's quota before it
-// reaches the arena. All four callbacks run under the Machine's alloc_mu_ —
-// implementations need no locking of their own for state touched only here,
-// but must not call back into the installing Machine.
+// Per-tenant admission hook for every near allocation. The job server
+// (src/server) installs one around each scheduled tenant phase so each
+// near byte — fallible or not — is charged against that tenant's quota
+// before it reaches the arena. All callbacks run under the Machine's
+// alloc_mu_ — implementations need no locking of their own for state
+// touched only here, but must not call back into the installing Machine.
 //
-// Protocol per allocation: admit() may reject (the caller sees nullptr,
-// exactly like arena exhaustion, and degrades); if admit() accepted but the
-// arena itself is full, refund() returns the charge; on success granted()
-// records ownership of the base pointer. freed() fires for every near
-// deallocation while the gate is installed — including pointers the gate
-// never granted (another tenant's, or pre-server allocations) — so
-// implementations must track ownership and ignore foreign frees.
+// Protocol per allocation: admit() may reject (try_alloc_near returns
+// nullptr, exactly like arena exhaustion, and the caller degrades; the
+// infallible alloc throws ScratchpadError at site server.tenant_quota
+// carrying available()); if admit() accepted but the arena itself is full,
+// refund() returns the charge; on success granted() records ownership of
+// the base pointer. freed() fires for every near deallocation while the
+// gate is installed — including pointers the gate never granted (another
+// tenant's, or pre-server allocations) — so implementations must track
+// ownership and ignore foreign frees.
 class NearQuotaGate {
  public:
   virtual ~NearQuotaGate() = default;
@@ -64,6 +66,8 @@ class NearQuotaGate {
   virtual void granted(const void* p, std::uint64_t bytes) = 0;
   virtual void refund(std::uint64_t bytes) = 0;
   virtual void freed(const void* p, std::uint64_t bytes) = 0;
+  // Bytes admit() would still accept; reported by a denied alloc.
+  virtual std::uint64_t available() const = 0;
 };
 
 class Machine {
@@ -80,7 +84,8 @@ class Machine {
 
   // ---- memory management -------------------------------------------------
   // The trailing source_location defaults capture the algorithm call site,
-  // which the model sanitizer echoes in its diagnostics.
+  // which the model sanitizer echoes in its diagnostics. Near allocations
+  // are quota-gated like try_alloc_near's but never fault-injected.
   std::byte* alloc(Space s, std::uint64_t bytes, std::uint64_t align = 64,
                    std::source_location loc = std::source_location::current());
   void dealloc(Space s, std::byte* p);
@@ -98,11 +103,11 @@ class Machine {
   }
 
   // ---- fallible near allocation (the degradation entry points) -----------
-  // Like alloc(Space::Near, ...) but returns nullptr instead of dying when
-  // the arena cannot satisfy the request — or when an attached FaultInjector
-  // denies it (site machine.near_alloc). Callers MUST check the result and
-  // degrade (fall back to far memory, shrink, or step a Stager's ladder);
-  // tlm-lint's unchecked-try-alloc rule enforces the check.
+  // Like alloc(Space::Near, ...) but returns nullptr instead of throwing when
+  // the quota gate or the arena cannot satisfy the request — or when an
+  // attached FaultInjector denies it (site machine.near_alloc). Callers MUST
+  // check the result and degrade (fall back to far memory, shrink, or step a
+  // Stager's ladder); tlm-lint's unchecked-try-alloc rule enforces the check.
   std::byte* try_alloc_near(
       std::uint64_t bytes, std::uint64_t align = 64,
       std::source_location loc = std::source_location::current());
@@ -145,10 +150,8 @@ class Machine {
   FaultInjector* fault_injector() const { return fi_; }
 
   // Installs (or clears, with nullptr) the tenant quota gate consulted by
-  // try_alloc_near and credited by the near dealloc path. Not owned; the
-  // caller keeps it alive while installed. Infallible alloc(Space::Near)
-  // bypasses the gate by design — quotas ride the fallible path only, so a
-  // denial is always recoverable (documented blind spot in DESIGN.md §14).
+  // every near allocation (alloc and try_alloc_near) and credited by the
+  // near dealloc path. Not owned; the caller keeps it alive while installed.
   void set_near_gate(NearQuotaGate* g);
   NearQuotaGate* near_gate() const;
   // Machine-lifetime fault/retry/fallback accounting.
@@ -288,6 +291,13 @@ class Machine {
   void dma_retry_gate(std::size_t thread, std::uint64_t bytes,
                       const std::source_location& loc);
   void count_far_fallback();
+  // The one near-allocation body behind alloc(Space::Near) and
+  // try_alloc_near: gate admit, arena, granted/refund, sanitizer shadow.
+  // Fallible callers get nullptr on a gate denial or a full arena; the
+  // infallible ones get the typed ScratchpadError instead.
+  std::byte* alloc_near_locked(std::uint64_t bytes, std::uint64_t align,
+                               const std::source_location& loc,
+                               bool fallible) TLM_REQUIRES(alloc_mu_);
   void fold_open_phase(PhaseStats& out) const;
 
   TwoLevelConfig cfg_;
@@ -320,9 +330,9 @@ class Machine {
   // installs it (the phase orchestrator), so a plain pointer suffices.
   CancelToken* cancel_ = nullptr;
 
-  // Tenant quota gate: consulted in try_alloc_near and credited in the near
-  // dealloc path, both of which already hold alloc_mu_, so gate swaps and
-  // gate callbacks are mutually serialized.
+  // Tenant quota gate: consulted in alloc_near_locked and credited in the
+  // near dealloc path, both of which already hold alloc_mu_, so gate swaps
+  // and gate callbacks are mutually serialized.
   NearQuotaGate* gate_ TLM_GUARDED_BY(alloc_mu_) = nullptr;
 
 #if TLM_MODEL_CHECKS_ENABLED

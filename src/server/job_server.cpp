@@ -266,7 +266,7 @@ void JobServer::execute(Work& w) {
   machine_.set_cancel_token(&w.job->token);
   machine_.begin_phase("tenant/" + t.name + "/" + w.job->spec.name + "/" +
                        w.phase->name);
-  JobContext ctx{machine_, t.arena};
+  JobContext ctx{machine_};
   const auto t0 = std::chrono::steady_clock::now();
   try {
     // Server-owned fault sites, consulted once per phase. slow_phase

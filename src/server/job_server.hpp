@@ -52,14 +52,12 @@
 
 namespace tlm::server {
 
-// Everything a phase body may touch. Near memory goes through `arena`
-// (quota-checked); the machine reference is for instrumented operations,
-// parallel_for/run_spmd, and far allocation. Library code called from a
-// phase (sort::*, kmeans::*) allocates through the Machine as always — the
-// installed gate charges those allocations to the tenant transparently.
+// Everything a phase body may touch. Phase bodies and the library code
+// they call (sort::*, kmeans::*) allocate through the Machine as always —
+// the installed gate charges every near allocation to the tenant
+// transparently.
 struct JobContext {
   Machine& machine;
-  TenantArena& arena;
 };
 
 struct JobPhase {

@@ -1,6 +1,6 @@
 #include "server/tenant_arena.hpp"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -17,44 +17,6 @@ TenantArena::~TenantArena() { uninstall(); }
 
 void TenantArena::uninstall() {
   if (m_.near_gate() == this) m_.set_near_gate(nullptr);
-}
-
-std::byte* TenantArena::try_alloc(std::uint64_t bytes, std::uint64_t align,
-                                  std::source_location loc) {
-  // Inside a scheduled phase the scheduler has already installed this gate,
-  // so worker threads take the fast path with no gate swapping. The swap
-  // path serves standalone use (tests, setup code) and is orchestrator-
-  // thread-only by contract — concurrent standalone callers would race on
-  // the restore.
-  if (m_.near_gate() == this) return m_.try_alloc_near(bytes, align, loc);
-  NearQuotaGate* prev = m_.near_gate();
-  m_.set_near_gate(this);
-  // tlm-lint: allow(unchecked-try-alloc): fallible pass-through to caller
-  std::byte* p = m_.try_alloc_near(bytes, align, loc);
-  m_.set_near_gate(prev);
-  return p;
-}
-
-std::byte* TenantArena::alloc_or_throw(std::uint64_t bytes,
-                                       std::uint64_t align,
-                                       std::source_location loc) {
-  std::byte* p = try_alloc(bytes, align, loc);
-  if (p) return p;
-  const std::uint64_t u = used_bytes();
-  throw ScratchpadError(kQuotaSite, bytes, quota_ > u ? quota_ - u : 0);
-}
-
-void TenantArena::dealloc(std::byte* p) {
-  // Near frees route through the Machine with this gate installed so the
-  // freed() credit fires even outside a scheduled phase.
-  if (m_.space_of(p) != Space::Near || m_.near_gate() == this) {
-    m_.dealloc(p);
-    return;
-  }
-  NearQuotaGate* prev = m_.near_gate();
-  m_.set_near_gate(this);
-  m_.dealloc(p);
-  m_.set_near_gate(prev);
 }
 
 bool TenantArena::admit(std::uint64_t bytes, const std::source_location&) {
@@ -79,6 +41,11 @@ void TenantArena::refund(std::uint64_t bytes) {
   used_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
+std::uint64_t TenantArena::available() const {
+  const std::uint64_t u = used_bytes();
+  return quota_ > u ? quota_ - u : 0;
+}
+
 void TenantArena::freed(const void* p, std::uint64_t /*block_bytes*/) {
   // Credit what was charged at admit time, not the arena's (possibly
   // padded) block length — the two must cancel exactly for the quota to
@@ -88,7 +55,7 @@ void TenantArena::freed(const void* p, std::uint64_t /*block_bytes*/) {
     // Not ours: another tenant's pointer, a pre-server allocation, or a
     // double-free of something already credited. Counted rather than
     // silently dropped — a nonzero foreign_free is the observable symptom
-    // of frees routed through the wrong facade.
+    // of a free made under the wrong tenant's gate.
     foreign_frees_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -98,26 +65,27 @@ void TenantArena::freed(const void* p, std::uint64_t /*block_bytes*/) {
 }
 
 std::uint64_t TenantArena::reclaim() {
-  // Snapshot first: dealloc() re-enters freed(), which erases from owned_.
-  // The quiescence contract makes the unlocked reads race-free, exactly as
-  // in the standalone try_alloc path.
+  // Snapshot first: with this gate installed, dealloc() re-enters freed(),
+  // which erases from owned_. With no gate installed (settlement between
+  // phases) nothing credits the free, so the charge is dropped here. The
+  // quiescence contract makes the unlocked reads race-free.
   std::vector<std::byte*> live;
   live.reserve(owned_.size());
   for (const auto& [p, bytes] : owned_)
     live.push_back(static_cast<std::byte*>(const_cast<void*>(p)));
   const std::uint64_t before = used_bytes();
+  const NearArena& arena = m_.near_arena();
   for (std::byte* p : live) {
-    if (m_.space_of(p) == Space::Near &&
-        !m_.near_arena().live_block_of(m_.near_arena().offset_of(p))) {
-      // The block vanished behind our back — a cross-tenant free that the
-      // other facade counted as foreign. Drop the stale charge so the
-      // quota stays honest instead of double-freeing the arena block.
-      auto it = owned_.find(p);
-      used_.fetch_sub(it->second, std::memory_order_relaxed);
-      owned_.erase(it);
-      continue;
-    }
-    dealloc(p);
+    // A block that vanished behind our back was a cross-tenant free that
+    // the other gate counted as foreign: drop the stale charge instead of
+    // double-freeing the arena block.
+    const bool vanished = !arena.live_block_of(arena.offset_of(p));
+    if (!vanished) m_.dealloc(Space::Near, p);
+    auto it = owned_.find(p);
+    if (it == owned_.end()) continue;  // freed() credited it
+    used_.fetch_sub(it->second, std::memory_order_relaxed);
+    if (!vanished) releases_.fetch_add(1, std::memory_order_relaxed);
+    owned_.erase(it);
   }
   const std::uint64_t refunded = before - used_bytes();
   reclaimed_.fetch_add(refunded, std::memory_order_relaxed);

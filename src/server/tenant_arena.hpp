@@ -3,83 +3,35 @@
 // The job server partitions the Machine's near memory between tenants by
 // budget, not by address range: every tenant allocates from the same
 // NearArena, but a TenantArena installed as the Machine's NearQuotaGate
-// charges each fallible near allocation against that tenant's quota first.
-// A tenant over budget sees try_alloc fail exactly as if the arena were
-// full, so the PR 5 degradation ladder (double → single buffering →
-// direct-from-far) becomes the per-tenant QoS mechanism for free: the
-// thrashing tenant's Stagers step down while its neighbors' allocations
-// keep succeeding against untouched arena space.
-//
-// Code under src/server must allocate near memory through this facade —
-// never through the Machine directly (tlm_lint's server-near-alloc rule).
+// charges each near allocation against that tenant's quota first. A tenant
+// over budget sees try_alloc_near fail exactly as if the arena were full,
+// so the degradation ladder (double → single buffering → direct-from-far)
+// becomes the per-tenant QoS mechanism for free: the thrashing tenant's
+// Stagers step down while its neighbors' allocations keep succeeding
+// against untouched arena space. Allocation itself always goes through
+// the Machine; this class only keeps the books.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <source_location>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "common/faults.hpp"
 #include "scratchpad/machine.hpp"
 
 namespace tlm::server {
 
-// Site name reported by the throwing allocation path on quota exhaustion.
-inline constexpr const char* kQuotaSite = "server.tenant_quota";
-
 class TenantArena final : public NearQuotaGate {
  public:
   // `quota_bytes` is the tenant's near-memory budget. Zero is legal and
-  // means "far memory only": every quota-checked allocation is denied and
-  // the tenant runs fully degraded.
+  // means "far memory only": every near allocation is denied and the
+  // tenant runs fully degraded.
   TenantArena(Machine& m, std::string tenant, std::uint64_t quota_bytes);
   ~TenantArena() override;
 
   TenantArena(const TenantArena&) = delete;
   TenantArena& operator=(const TenantArena&) = delete;
-
-  // ---- quota-checked allocation (the only near path for server code) -----
-  // Fallible: nullptr when the quota, the arena, or an armed fault injector
-  // denies the request. Callers degrade, same contract as
-  // Machine::try_alloc_near.
-  std::byte* try_alloc(
-      std::uint64_t bytes, std::uint64_t align = 64,
-      std::source_location loc = std::source_location::current());
-
-  template <typename T>
-  std::span<T> try_alloc_array(
-      std::size_t n,
-      std::source_location loc = std::source_location::current()) {
-    auto* p =
-        try_alloc(n * sizeof(T), alignof(T) < 64 ? 64 : alignof(T), loc);
-    return p ? std::span<T>{reinterpret_cast<T*>(p), n} : std::span<T>{};
-  }
-
-  // Throwing variant for callers that treat quota exhaustion as an error:
-  // raises the typed ScratchpadError (site server.tenant_quota) carrying the
-  // requested size and the tenant's remaining budget.
-  std::byte* alloc_or_throw(
-      std::uint64_t bytes, std::uint64_t align = 64,
-      std::source_location loc = std::source_location::current());
-
-  // Infallible two-level allocation: near within quota, far otherwise.
-  template <typename T>
-  std::span<T> alloc_array_or_far(
-      std::size_t n,
-      std::source_location loc = std::source_location::current()) {
-    if (std::span<T> a = try_alloc_array<T>(n, loc); !a.empty()) return a;
-    return m_.alloc_array<T>(Space::Far, n, loc);
-  }
-
-  // Space-inferred free; near frees credit the quota via the gate protocol.
-  void dealloc(std::byte* p);
-  template <typename T>
-  void free_array(std::span<T> a) {
-    dealloc(reinterpret_cast<std::byte*>(a.data()));
-  }
 
   // Frees every still-charged allocation this tenant owns and returns the
   // bytes refunded. The scheduler calls it when a job settles off the
@@ -87,12 +39,12 @@ class TenantArena final : public NearQuotaGate {
   // retry), so settlement is leak-free by construction: the quota returns
   // to zero and the arena space is handed back even though the unwound
   // phase body never reached its own frees. Orchestrator-only and
-  // quiescent, like the standalone try_alloc path — it must not race live
-  // phase allocations.
+  // quiescent — it must not race live phase allocations — and called with
+  // this gate installed or with none.
   std::uint64_t reclaim();
 
   // ---- gate lifecycle (the scheduler brackets each tenant phase) ---------
-  // While installed, every Machine::try_alloc_near — including ones made
+  // While installed, every Machine near allocation — including ones made
   // deep inside sort/kmeans/Stager code that has never heard of tenants —
   // is charged against this tenant's budget.
   void install() { m_.set_near_gate(this); }
@@ -118,9 +70,9 @@ class TenantArena final : public NearQuotaGate {
     return releases_.load(std::memory_order_relaxed);
   }
   // Near frees observed while installed for pointers this tenant never
-  // charged. Nonzero usually means a cross-tenant free or a double-free
-  // routed through the wrong facade — counted, never credited, and exported
-  // as tenant.<name>.foreign_free.
+  // charged. Nonzero means a cross-tenant free, a double-free, or a free of
+  // memory allocated with no gate installed — counted, never credited, and
+  // exported as tenant.<name>.foreign_free.
   std::uint64_t foreign_frees() const {
     return foreign_frees_.load(std::memory_order_relaxed);
   }
@@ -134,6 +86,7 @@ class TenantArena final : public NearQuotaGate {
   void granted(const void* p, std::uint64_t bytes) override;
   void refund(std::uint64_t bytes) override;
   void freed(const void* p, std::uint64_t bytes) override;
+  std::uint64_t available() const override;
 
   // Model-sanitizer hook, run by the scheduler when a tenant's job
   // completes: quota-charged bytes still live at job end are a tenant leak
@@ -146,9 +99,9 @@ class TenantArena final : public NearQuotaGate {
   std::uint64_t quota_;
 
   // Charged bytes and counters. Every mutation happens under the Machine's
-  // alloc_mu_ (the gate callbacks run there; the standalone try_alloc path
-  // reaches them through Machine::try_alloc_near), so plain load/store pairs
-  // are race-free; atomics let the metrics exporter read without the lock.
+  // alloc_mu_ (the gate callbacks run there) or in the quiescent reclaim(),
+  // so plain load/store pairs are race-free; atomics let the metrics
+  // exporter read without the lock.
   std::atomic<std::uint64_t> used_{0};
   std::atomic<std::uint64_t> high_water_{0};
   std::atomic<std::uint64_t> denials_{0};

@@ -197,10 +197,12 @@ void multiway_merge_sort(Machine& m, std::span<T> data,
     return;
   }
 
-  // Ping-pong parity: land the final run back in `data`.
+  // Ping-pong parity: land the final run back in `data`. The buffer for
+  // near-resident data degrades to far under quota or arena pressure.
   const bool form_into_temp = (L.passes % 2 == 1);
-  const Space space = m.space_of(data.data());
-  std::span<T> temp = m.alloc_array<T>(space, n);
+  std::span<T> temp = m.space_of(data.data()) == Space::Near
+                          ? m.alloc_array_near_or_far<T>(n)
+                          : m.alloc_array<T>(Space::Far, n);
 
   T* const base = form_into_temp ? temp.data() : data.data();
   detail::form_runs(m, data.data(), base, n, L, opt, cmp);
@@ -217,7 +219,7 @@ void multiway_merge_sort(Machine& m, std::span<T> data,
   }
   TLM_CHECK(src == data.data(), "ping-pong parity failed to land in data");
 
-  m.free_array(space, temp);
+  m.free_array(temp);
 }
 
 }  // namespace tlm::sort

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/faults.hpp"
 #include "common/thread_pool.hpp"
 #include "kmeans/kmeans.hpp"
 #include "obs/metrics.hpp"
@@ -43,8 +44,9 @@ TwoLevelConfig server_config(std::size_t threads = 4) {
 TEST(TenantArenaQuota, ZeroByteQuotaDeniesEverything) {
   Machine m(server_config(2));
   TenantArena a(m, "broke", 0);
-  EXPECT_EQ(a.try_alloc(64), nullptr);
-  EXPECT_EQ(a.try_alloc(1), nullptr);
+  a.install();
+  EXPECT_EQ(m.try_alloc_near(64), nullptr);
+  EXPECT_EQ(m.try_alloc_near(1), nullptr);
   EXPECT_EQ(a.quota_denials(), 2u);
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.grants(), 0u);
@@ -57,13 +59,14 @@ TEST(TenantArenaQuota, ZeroByteQuotaDeniesEverything) {
 TEST(TenantArenaQuota, ExactFitAtQuotaBoundary) {
   Machine m(server_config(2));
   TenantArena a(m, "exact", 4096);
-  std::byte* p = a.try_alloc(4096);  // == quota: allowed (<=, not <)
+  a.install();
+  std::byte* p = m.try_alloc_near(4096);  // == quota: allowed (<=, not <)
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(a.used_bytes(), 4096u);
   EXPECT_EQ(a.high_water_bytes(), 4096u);
-  EXPECT_EQ(a.try_alloc(1), nullptr);  // one byte over: denied
+  EXPECT_EQ(m.try_alloc_near(1), nullptr);  // one byte over: denied
   EXPECT_EQ(a.quota_denials(), 1u);
-  a.dealloc(p);
+  m.dealloc(p);
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.releases(), 1u);
 }
@@ -71,17 +74,18 @@ TEST(TenantArenaQuota, ExactFitAtQuotaBoundary) {
 TEST(TenantArenaQuota, ReleaseThenReallocAccounting) {
   Machine m(server_config(2));
   TenantArena a(m, "cycle", 8192);
-  std::byte* p = a.try_alloc(8192);
+  a.install();
+  std::byte* p = m.try_alloc_near(8192);
   ASSERT_NE(p, nullptr);
-  EXPECT_EQ(a.try_alloc(64), nullptr);  // budget fully committed
-  a.dealloc(p);
-  std::byte* q = a.try_alloc(8192);  // freed budget is reusable in full
+  EXPECT_EQ(m.try_alloc_near(64), nullptr);  // budget fully committed
+  m.dealloc(p);
+  std::byte* q = m.try_alloc_near(8192);  // freed budget is reusable in full
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(a.used_bytes(), 8192u);
   EXPECT_EQ(a.grants(), 2u);
   EXPECT_EQ(a.releases(), 1u);
   EXPECT_EQ(a.quota_denials(), 1u);
-  a.dealloc(q);
+  m.dealloc(q);
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.high_water_bytes(), 8192u);
 }
@@ -89,17 +93,40 @@ TEST(TenantArenaQuota, ReleaseThenReallocAccounting) {
 TEST(TenantArenaQuota, ThrowingPathCarriesTypedError) {
   Machine m(server_config(2));
   TenantArena a(m, "typed", 1024);
-  std::byte* p = a.alloc_or_throw(512);
+  a.install();
+  std::byte* p = m.alloc(Space::Near, 512);
   ASSERT_NE(p, nullptr);
   try {
-    a.alloc_or_throw(1024);
+    m.alloc(Space::Near, 1024);
     FAIL() << "expected ScratchpadError";
   } catch (const ScratchpadError& e) {
-    EXPECT_EQ(e.site(), server::kQuotaSite);
+    EXPECT_EQ(e.site(), fault_site::kTenantQuota);
     EXPECT_EQ(e.requested_bytes(), 1024u);
     EXPECT_EQ(e.available_bytes(), 512u);  // quota minus committed
   }
-  a.dealloc(p);
+  m.dealloc(p);
+}
+
+TEST(TenantArenaQuota, InfallibleAllocIsGatedButNeverInjected) {
+  Machine m(server_config(2));
+  FaultInjector fi(/*seed=*/1);
+  fi.arm(fault_site::kNearAlloc, FaultSchedule::every());
+  m.set_fault_injector(&fi);
+  TenantArena a(m, "gated", 8192);
+  a.install();
+  // The fallible path is injected; the infallible one is not…
+  EXPECT_EQ(m.try_alloc_near(1024), nullptr);
+  std::byte* p = m.alloc(Space::Near, 4096);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(m.space_of(p), Space::Near);
+  EXPECT_EQ(m.fault_stats().near_alloc_injected, 1u);
+  // …but it is charged to the installed gate all the same.
+  EXPECT_EQ(a.used_bytes(), 4096u);
+  EXPECT_EQ(a.grants(), 1u);
+  m.dealloc(p);
+  EXPECT_EQ(a.used_bytes(), 0u);
+  EXPECT_EQ(a.releases(), 1u);
+  m.set_fault_injector(nullptr);
 }
 
 TEST(TenantArenaQuota, QuotaAboveCapacityIsRejected) {
@@ -110,40 +137,31 @@ TEST(TenantArenaQuota, QuotaAboveCapacityIsRejected) {
 
 TEST(TenantArenaQuota, ForeignFreesAreNotCredited) {
   Machine m(server_config(2));
-  TenantArena a(m, "a", 8192);
   TenantArena b(m, "b", 8192);
-  std::byte* pa = a.try_alloc(4096);
-  ASSERT_NE(pa, nullptr);
-  b.install();
-  // Freeing through a's facade credits a even while b's gate is installed —
-  // the facade routes the free through its own gate.
-  a.dealloc(pa);
-  EXPECT_EQ(a.used_bytes(), 0u);
-  EXPECT_EQ(b.used_bytes(), 0u);
-  EXPECT_EQ(b.releases(), 0u);
-  b.uninstall();
   // A near pointer b's gate never granted is ignored by b's freed() hook —
   // and counted, so misrouted frees are observable instead of silent.
-  std::byte* pb = b.try_alloc(1024);
+  b.install();
+  std::byte* pb = m.try_alloc_near(1024);
   ASSERT_NE(pb, nullptr);
+  b.uninstall();
   std::byte* raw = m.alloc(Space::Near, 512);
   EXPECT_EQ(b.foreign_frees(), 0u);
   b.install();
   m.dealloc(Space::Near, raw);  // foreign: allocated gate-free
   EXPECT_EQ(b.used_bytes(), 1024u);
   EXPECT_EQ(b.foreign_frees(), 1u);
-  b.uninstall();
-  b.dealloc(pb);
+  m.dealloc(pb);
   EXPECT_EQ(b.used_bytes(), 0u);
   EXPECT_EQ(b.foreign_frees(), 1u);
-  EXPECT_EQ(a.foreign_frees(), 0u);
+  b.uninstall();
 }
 
 TEST(TenantArenaQuota, CrossTenantFreeCountsForeignAndReclaimStaysHonest) {
   Machine m(server_config(2));
   TenantArena a(m, "victim", 8192);
   TenantArena b(m, "bully", 8192);
-  std::byte* pa = a.try_alloc(4096);
+  a.install();
+  std::byte* pa = m.try_alloc_near(4096);
   ASSERT_NE(pa, nullptr);
   // The double-free pathology: a's pointer freed while b's gate is
   // installed. b counts a foreign free (never credits), a's charge goes
@@ -164,9 +182,10 @@ TEST(TenantArenaQuota, CrossTenantFreeCountsForeignAndReclaimStaysHonest) {
 TEST(TenantArenaQuota, ReclaimFreesEveryChargedAllocation) {
   Machine m(server_config(2));
   TenantArena a(m, "leaky", 16 * 1024);
-  ASSERT_NE(a.try_alloc(4096), nullptr);
-  ASSERT_NE(a.try_alloc(2048), nullptr);
-  ASSERT_NE(a.try_alloc(1024), nullptr);
+  a.install();
+  ASSERT_NE(m.try_alloc_near(4096), nullptr);
+  ASSERT_NE(m.try_alloc_near(2048), nullptr);
+  ASSERT_NE(m.try_alloc_near(1024), nullptr);
   EXPECT_EQ(a.used_bytes(), 7168u);
   const std::uint64_t arena_used = m.near_arena().used();
   EXPECT_GE(arena_used, 7168u);
@@ -176,6 +195,20 @@ TEST(TenantArenaQuota, ReclaimFreesEveryChargedAllocation) {
   EXPECT_EQ(m.near_arena().used(), 0u);
   // Idempotent: nothing left to hand back.
   EXPECT_EQ(a.reclaim(), 0u);
+}
+
+TEST(TenantArenaQuota, ReclaimWithNoGateInstalledCreditsItself) {
+  Machine m(server_config(2));
+  TenantArena a(m, "settled", 16 * 1024);
+  a.install();
+  ASSERT_NE(m.try_alloc_near(4096), nullptr);
+  ASSERT_NE(m.alloc(Space::Near, 2048), nullptr);
+  a.uninstall();  // settlement runs between phases, with no gate installed
+  EXPECT_EQ(a.reclaim(), 6144u);
+  EXPECT_EQ(a.used_bytes(), 0u);
+  EXPECT_EQ(a.releases(), 2u);
+  EXPECT_EQ(a.foreign_frees(), 0u);
+  EXPECT_EQ(m.near_arena().used(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +254,89 @@ TEST(NearQuotaGate, ArenaExhaustionAfterAdmitRefundsTheCharge) {
   // Quota equals capacity, so admit() passes but the arena itself can deny.
   TenantArena a(m, "refund", 64 * 1024);
   std::byte* big = m.alloc(Space::Near, 48 * 1024);
-  std::byte* p = a.try_alloc(32 * 1024);  // within quota, arena too full
+  a.install();
+  std::byte* p = m.try_alloc_near(32 * 1024);  // within quota, arena too full
   EXPECT_EQ(p, nullptr);
   EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 1u);
   EXPECT_EQ(a.used_bytes(), 0u) << "failed grant must refund the quota";
+  a.uninstall();
   m.dealloc(Space::Near, big);
+}
+
+// ---------------------------------------------------------------------------
+// One gated near path: a sole tenant's books match the arena's
+
+// Runs `spec` as the only tenant of a fresh server over `m` and returns its
+// stats once the job settles.
+server::TenantStats run_sole_tenant(Machine& m, std::uint64_t quota,
+                                    JobSpec spec) {
+  JobServer srv(m);
+  srv.add_tenant(spec.tenant, quota);
+  server::JobHandle h = srv.submit(std::move(spec));
+  h.wait();
+  EXPECT_TRUE(h.done()) << h.error();
+  return srv.tenant_stats("solo");
+}
+
+TEST(SoleTenantHighWater, EverySortBackendMatchesTheArena) {
+  for (SortBackend b : server::kSortBackends) {
+    Machine m(server_config());
+    auto res = std::make_shared<server::SortJobResult>();
+    const server::TenantStats ts = run_sole_tenant(
+        m, m.near_arena().capacity(),
+        server::make_sort_job("solo", "sort", b, 60000, 4242, res));
+    ASSERT_TRUE(res->verified) << server::to_string(b);
+    if (b != SortBackend::kGnu) {  // the single-level baseline stays far
+      EXPECT_GT(m.near_arena().high_water(), 0u) << server::to_string(b);
+    }
+    EXPECT_EQ(ts.high_water_bytes, m.near_arena().high_water())
+        << server::to_string(b) << ": tenant books miss arena bytes";
+    EXPECT_EQ(ts.foreign_frees, 0u) << server::to_string(b);
+  }
+}
+
+TEST(SoleTenantHighWater, StagedKMeansMatchesTheArena) {
+  Machine m(server_config());
+  auto res = std::make_shared<server::KMeansJobResult>();
+  const server::TenantStats ts = run_sole_tenant(
+      m, m.near_arena().capacity(),
+      server::make_kmeans_job("solo", "blobs", 16000, 4, 8, 99, res));
+  EXPECT_GT(m.near_arena().high_water(), 0u);
+  EXPECT_EQ(ts.high_water_bytes, m.near_arena().high_water());
+  EXPECT_EQ(ts.foreign_frees, 0u);
+}
+
+TEST(SoleTenantHighWater, ScratchpadSortDegradesUnderTightQuota) {
+  constexpr std::size_t kN = 60000;
+  std::vector<std::uint64_t> solo;
+  {
+    Machine m(server_config());
+    auto res = std::make_shared<server::SortJobResult>();
+    run_sole_tenant(m, m.near_arena().capacity(),
+                    server::make_sort_job("solo", "sort",
+                                          SortBackend::kScratchpadSeq, kN, 7,
+                                          res));
+    ASSERT_TRUE(res->verified);
+    solo = res->output;
+  }
+  // scratchpad_sort's base case stages fit = (M − M/16) / 2 bytes; its
+  // inner mergesort wants as much again. A quota of 1.5× fit admits the
+  // operand but not the ping-pong buffer, which must fall back to far.
+  Machine m(server_config());
+  const std::uint64_t cap = m.near_arena().capacity();
+  const std::uint64_t base_case_bytes = (cap - cap / 16) / 2;
+  const std::uint64_t quota = base_case_bytes * 3 / 2;
+  ASSERT_LT(quota, cap);
+  auto res = std::make_shared<server::SortJobResult>();
+  const server::TenantStats ts = run_sole_tenant(
+      m, quota,
+      server::make_sort_job("solo", "sort", SortBackend::kScratchpadSeq, kN,
+                            7, res));
+  ASSERT_TRUE(res->verified);
+  EXPECT_EQ(res->output, solo) << "degraded output diverged from solo";
+  EXPECT_GT(ts.faults.near_far_fallbacks, 0u);
+  EXPECT_LE(m.near_arena().high_water(), quota);
+  EXPECT_EQ(ts.high_water_bytes, m.near_arena().high_water());
 }
 
 // ---------------------------------------------------------------------------
@@ -527,12 +638,12 @@ TEST(TenantModelCheckDeath, LeakPastBudgetAbortsAtJobEnd) {
         spec.tenant = "leaky";
         spec.name = "leak";
         spec.phases.push_back({"grab", [](server::JobContext& ctx) {
-                                 std::byte* p = ctx.arena.try_alloc(4096);
-                                 ASSERT_NE(p, nullptr);
-                                 // Survives the machine's phase-leak check…
-                                 ctx.machine.retain_across_phases(p);
-                                 // …but is never freed: a tenant leak.
-                               }});
+          std::byte* p = ctx.machine.try_alloc_near(4096);
+          ASSERT_NE(p, nullptr);
+          // Survives the machine's phase-leak check…
+          ctx.machine.retain_across_phases(p);
+          // …but is never freed: a tenant leak.
+        }});
         srv.submit(std::move(spec));
         srv.drain();
       },

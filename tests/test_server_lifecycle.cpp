@@ -12,6 +12,8 @@
 #include <memory>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -272,7 +274,7 @@ TEST(JobLifecycle, RepeatFaultTripsQuarantine) {
   spec.name = "overdraft";
   spec.max_retries = 10;  // retries lose to quarantine containment
   spec.phases.push_back({"grab", [](server::JobContext& ctx) {
-    ctx.arena.alloc_or_throw(64 * 1024);  // far over quota: typed fault
+    ctx.machine.alloc(Space::Near, 64 * 1024);  // far over quota: typed fault
   }});
   server::JobHandle h = srv.submit(std::move(spec));
   h.wait();
@@ -323,7 +325,7 @@ TEST(JobLifecycle, QuarantinedThrasherNeverPerturbsNeighborOutputs) {
   thrash.name = "overdraft";
   thrash.max_retries = 8;
   thrash.phases.push_back({"grab", [](server::JobContext& ctx) {
-    ctx.arena.alloc_or_throw(128 * 1024);
+    ctx.machine.alloc(Space::Near, 128 * 1024);
   }});
   server::JobHandle ht = srv.submit(std::move(thrash));
   std::array<std::shared_ptr<server::SortJobResult>, kGood> mixed;
@@ -341,6 +343,71 @@ TEST(JobLifecycle, QuarantinedThrasherNeverPerturbsNeighborOutputs) {
     ASSERT_TRUE(mixed[g]->verified);
     EXPECT_EQ(mixed[g]->output, solo[g]) << "tenant g" << g
                                          << " output diverged from solo";
+  }
+}
+
+// The settlement gate: sweep each job's modeled deadline across its solo
+// modeled seconds so expiry lands on successive checkpoints, and check that
+// every settlement hands back every arena byte — not just the tenant's
+// charge. Every near allocation is gated, so reclaim() sees all of them.
+TEST(JobLifecycle, DeadlineSweepSettlesWithAnEmptyArena) {
+  struct Workload {
+    const char* name;
+    std::function<JobSpec()> make;
+  };
+  const std::vector<Workload> workloads = {
+      {"nmsort",
+       [] {
+         return server::make_sort_job(
+             "t", "nmsort", SortBackend::kNMsort, 40000, 11,
+             std::make_shared<server::SortJobResult>());
+       }},
+      {"write_eff",
+       [] {
+         return server::make_sort_job(
+             "t", "write_eff", SortBackend::kWriteEff, 40000, 12,
+             std::make_shared<server::SortJobResult>());
+       }},
+      {"kmeans",
+       [] {
+         return server::make_kmeans_job(
+             "t", "kmeans", 32000, 4, 8, 13,
+             std::make_shared<server::KMeansJobResult>());
+       }},
+  };
+  constexpr int kSteps = 16;
+  for (const Workload& w : workloads) {
+    double solo_s = 0;
+    {
+      Machine m(lifecycle_config(2));
+      JobServer srv(m);
+      srv.add_tenant("t", m.near_arena().capacity());
+      server::JobHandle h = srv.submit(w.make());
+      h.wait();
+      ASSERT_TRUE(h.done()) << w.name;
+      for (double s : srv.tenant_stats("t").phase_model_seconds) solo_s += s;
+    }
+    ASSERT_GT(solo_s, 0) << w.name;
+    std::set<double> expiries;  // modeled seconds consumed at each expiry
+    for (int i = 1; i < kSteps; ++i) {
+      Machine m(lifecycle_config(2));
+      JobServer srv(m);
+      server::TenantArena& arena =
+          srv.add_tenant("t", m.near_arena().capacity());
+      JobSpec spec = w.make();
+      spec.deadline_model_s = solo_s * i / kSteps;
+      server::JobHandle h = srv.submit(std::move(spec));
+      h.wait();
+      EXPECT_TRUE(h.deadline_exceeded()) << w.name << " step " << i;
+      EXPECT_EQ(m.near_arena().used(), 0u) << w.name << " step " << i;
+      EXPECT_EQ(arena.used_bytes(), 0u) << w.name << " step " << i;
+      double consumed = 0;
+      for (double s : srv.tenant_stats("t").phase_model_seconds)
+        consumed += s;
+      expiries.insert(consumed);
+    }
+    EXPECT_GE(expiries.size(), 3u)
+        << w.name << ": the sweep never moved expiry across checkpoints";
   }
 }
 

@@ -50,14 +50,6 @@ textually over src/:
                      (program order covers it). This is the static twin of
                      the dynamic UnfencedDmaRead detector in
                      src/analyze/racecheck.hpp.
-  server-near-alloc  Code under src/server/ must not call the Machine's
-                     near-allocation entry points (try_alloc_near,
-                     try_alloc_array_near, alloc_array_near_or_far, or
-                     alloc/alloc_array with Space::Near) directly — every
-                     server-side near allocation goes through TenantArena
-                     so it is charged against the owning tenant's quota.
-                     src/server/tenant_arena.* is exempt: the facade is
-                     the one place that legitimately talks to the Machine.
   phase-loop-checkpoint  A function under src/server/ that opens a phase
                      (begin_phase) must also poll the cooperative
                      cancellation token (poll_cancel) somewhere in the same
@@ -119,12 +111,6 @@ RE_BANNED = re.compile(
 RE_INCLUDE = re.compile(r'^\s*#\s*include\s+(["<])([^">]+)[">]')
 RE_NEAR_ALLOC = re.compile(
     r"\b(?:alloc_array\s*<[^;({]*>|alloc)\s*\(\s*Space::Near\b")
-# Machine entry points that hand out near memory without a tenant quota
-# check; combined with RE_NEAR_ALLOC for the server-near-alloc rule.
-# TenantArena's own methods (try_alloc / try_alloc_array /
-# alloc_array_or_far) are named so they cannot match.
-RE_MACHINE_NEAR_ENTRY = re.compile(
-    r"\btry_alloc(?:_array)?_near\b|\balloc_array_near_or_far\b")
 RE_DMA_CALL = re.compile(r"\bdma_copy\s*\(")
 # Member-call posts only (`m.dma_copy(` / `machine->dma_copy(`): the
 # Machine::dma_copy definition itself must not count as a post.
@@ -438,10 +424,6 @@ class Linter:
         in_scratchpad = rp.startswith("src/scratchpad/")
         in_sort = rp.startswith("src/sort/")
         in_kernels = in_sort or rp.startswith("src/kmeans/")
-        # The quota facade itself is the one server file allowed to talk to
-        # the Machine's near-allocation entry points.
-        in_server_gated = (rp.startswith("src/server/") and
-                           not rp.startswith("src/server/tenant_arena."))
 
         if path.endswith((".hpp", ".h")) and "#pragma once" not in raw:
             self.report(path, 1, "include-hygiene",
@@ -505,14 +487,6 @@ class Linter:
                 name = RE_BANNED.search(line).group(1)
                 self.report(path, i, "banned-function",
                             f"banned function {name}()", lines, file_allows)
-
-            if in_server_gated and (RE_MACHINE_NEAR_ENTRY.search(line) or
-                                    RE_NEAR_ALLOC.search(line)):
-                self.report(path, i, "server-near-alloc",
-                            "direct Machine near allocation in server code "
-                            "— allocate through TenantArena so the bytes "
-                            "are charged to the owning tenant's quota",
-                            lines, file_allows)
 
             if not in_scratchpad and RE_TRY_ALLOC.search(line):
                 call = RE_TRY_ALLOC.search(line)
@@ -578,7 +552,7 @@ RULES = [
     "raw-thread", "raw-alloc", "unaccounted-buffer", "counters-mutation",
     "banned-function", "include-hygiene",
     "hand-rolled-staging", "unchecked-try-alloc", "dma-fence-discipline",
-    "server-near-alloc", "phase-loop-checkpoint",
+    "phase-loop-checkpoint",
 ]
 
 
@@ -867,66 +841,6 @@ std::span<T> pick(Machine& m, std::size_t n) {
         """\
 std::byte* Stager::grab(std::uint64_t n) {
   std::byte* p = m_.try_alloc_near(n);
-  return p;
-}
-""",
-    ),
-    (
-        "server-code-calling-machine-near-alloc-fires",
-        "src/server/scheduler_ext.cpp",
-        "server-near-alloc",
-        """\
-void Scheduler::stage(Machine& m, std::uint64_t bytes) {
-  std::byte* p = m.try_alloc_near(bytes);
-  if (p) use(p);
-}
-""",
-    ),
-    (
-        "server-code-space-near-alloc-fires",
-        "src/server/spill.cpp",
-        "server-near-alloc",
-        """\
-void Spill::grow(Machine& m) {
-  auto a = m.alloc_array<std::uint64_t>(Space::Near, 64);
-  use(a);
-}
-""",
-    ),
-    (
-        "server-code-through-tenant-arena-is-silent",
-        "src/server/phase_buf.cpp",
-        None,
-        """\
-void PhaseBuf::grab(TenantArena& arena, std::uint64_t bytes) {
-  std::byte* p = arena.try_alloc(bytes);
-  if (!p) p = nullptr;
-  auto spill = arena.alloc_array_or_far<std::uint64_t>(64);
-  use(p, spill);
-}
-""",
-    ),
-    (
-        "tenant-arena-facade-is-exempt",
-        "src/server/tenant_arena.cpp",
-        None,
-        """\
-std::byte* TenantArena::try_alloc(std::uint64_t bytes) {
-  std::byte* p = m_.try_alloc_near(bytes);
-  if (!p) return nullptr;
-  return p;
-}
-""",
-    ),
-    (
-        "server-near-alloc-allow-escape-honored",
-        "src/server/warmup.cpp",
-        None,
-        """\
-std::byte* Warmup::preheat(Machine& m) {
-  // tlm-lint: allow(server-near-alloc): fixture exercising the escape
-  std::byte* p = m.try_alloc_near(64);
-  if (p == nullptr) return far_fallback_;
   return p;
 }
 """,
