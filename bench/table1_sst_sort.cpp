@@ -167,6 +167,11 @@ int run(const bench::Flags& flags) {
             << Table::num(gnu / sim_s[2], 3) << " / "
             << Table::num(gnu / sim_s[3], 3)
             << "  (paper: 1.19 / 1.29 / 1.40)\n";
+  const bool speedup_rises = sim_s[1] < gnu && sim_s[2] < sim_s[1] &&
+                             sim_s[3] < sim_s[2];
+  std::cout << "shape: NMsort beats GNU sort at every bandwidth and the "
+               "speedup rises with rho: "
+            << (speedup_rises ? "yes" : "NO") << "\n";
   std::cout << "shape: NMsort(8X) wall-clock advantage: "
             << Table::pct(1.0 - sim_s[3] / gnu)
             << "  (paper: >25%)\n";
@@ -178,7 +183,7 @@ int run(const bench::Flags& flags) {
   std::cout << "shape: GNU sort scratchpad accesses: " << near_acc[0]
             << " (paper: 0)\n";
   bench::write_report_if_requested(flags, report, wall);
-  return all_verified ? 0 : 1;
+  return all_verified && speedup_rises ? 0 : 1;
 }
 
 }  // namespace

@@ -188,7 +188,9 @@ class Machine {
   void retain_across_phases(const void* p);
 
   // Registers an externally-owned far buffer (e.g. the caller's input array)
-  // so traces can address it. Idempotent per base pointer.
+  // so traces can address it. Idempotent per base pointer. Earlier
+  // adoptions that start inside the buffer are dropped as stale: the caller
+  // owns that memory now, so whatever was adopted there has been freed.
   void adopt_far(const void* p, std::uint64_t bytes);
 
   Space space_of(const void* p) const;
@@ -299,6 +301,11 @@ class Machine {
                                const std::source_location& loc,
                                bool fallible) TLM_REQUIRES(alloc_mu_);
   void fold_open_phase(PhaseStats& out) const;
+  // Drops the adopted regions that start inside live far memory
+  // [base, base + bytes); left in place they would misattribute charges and
+  // trace addresses in that memory.
+  void drop_stale_adoptions(const std::byte* base, std::uint64_t bytes)
+      TLM_REQUIRES(alloc_mu_);
 
   TwoLevelConfig cfg_;
   ThreadPool pool_;

@@ -54,28 +54,6 @@ const T* charged_lower_bound(Machine& m, std::size_t thread, const T* first,
   return first;
 }
 
-// Companion to charged_lower_bound: first element greater than `value`.
-// The merge-path partitioner needs both bounds to count an element's rank
-// range (how many elements compare less / not greater) across runs.
-template <typename T, typename Cmp>
-const T* charged_upper_bound(Machine& m, std::size_t thread, const T* first,
-                             const T* last, const T& value, Cmp cmp) {
-  const std::uint64_t line = m.config().block_bytes;
-  std::uint64_t len = static_cast<std::uint64_t>(last - first);
-  while (len > 0) {
-    const std::uint64_t half = len / 2;
-    const T* mid = first + half;
-    m.stream_read(thread, mid, std::min<std::uint64_t>(line, sizeof(T)));
-    if (!cmp(value, *mid)) {
-      first = mid + 1;
-      len -= half + 1;
-    } else {
-      len = half;
-    }
-  }
-  return first;
-}
-
 // Galloping variant for monotone query sequences: when consecutive pivots
 // are nondecreasing, searching forward from the previous hit costs
 // O(lg gap) probes instead of O(lg n) — this is what keeps NMsort's
@@ -105,15 +83,11 @@ const T* charged_gallop_lower_bound(Machine& m, std::size_t thread,
 // yields correct independent merges; sampling only affects load balance,
 // which is excellent for the random keys the paper sorts. Matches the
 // splitting role of MCSTL's multiseq selection at a fraction of the code.
-// `sort_span_div` spreads the sample-sort compute charge: pass the worker
-// count when the caller's real implementation would sort the sample in
-// parallel (as MCSTL does), 1 when the call happens inside per-worker code.
 template <typename T, typename Cmp>
 std::vector<T> sample_splitters(Machine& m, std::size_t thread,
                                 const std::vector<Run<T>>& runs,
                                 std::size_t parts, Cmp cmp,
-                                std::size_t oversample = 16,
-                                double sort_span_div = 1.0) {
+                                std::size_t oversample = 16) {
   TLM_REQUIRE(parts >= 1, "need at least one part");
   std::vector<T> sample;
   if (parts == 1) return sample;
@@ -134,8 +108,7 @@ std::vector<T> sample_splitters(Machine& m, std::size_t thread,
   }
   std::sort(sample.begin(), sample.end(), cmp);
   m.compute(thread, static_cast<double>(sample.size()) *
-                        std::log2(static_cast<double>(sample.size()) + 2) /
-                        std::max(1.0, sort_span_div));
+                        std::log2(static_cast<double>(sample.size()) + 2));
   std::vector<T> splitters;
   splitters.reserve(parts - 1);
   if (sample.empty()) return splitters;

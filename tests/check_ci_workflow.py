@@ -70,6 +70,19 @@ def main():
         if needle not in text:
             fail(f"build-test steps must mention '{needle}'")
 
+    # The paper_shapes ctest needs Release speed: the Release matrix lanes
+    # must run it in a step of their own, so it cannot be dropped silently,
+    # and the Debug-speed full runs exclude it by label.
+    shape_steps = [
+        st for st in bt.get("steps", [])
+        if "-L paper_shapes" in str(st.get("run", ""))
+    ]
+    if not any("Release" in str(st.get("if", "")) for st in shape_steps):
+        fail("build-test must run '-L paper_shapes' in a Release-only step")
+    for job_name in ("build-test", "sanitizers", "model-check"):
+        if "-LE paper_shapes" not in steps_text(jobs[job_name]):
+            fail(f"{job_name} full ctest runs must exclude '-LE paper_shapes'")
+
     # Every job that compiles the tree must launch compilers through ccache
     # and persist the cache across runs via actions/cache — a cold matrix
     # rebuild dominates CI wall-clock otherwise.

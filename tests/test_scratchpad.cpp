@@ -213,6 +213,18 @@ TEST(Machine, AdoptedRegionGetsStableVaddr) {
   EXPECT_EQ(m.vaddr_of(ext.data()), v);
 }
 
+TEST(Machine, AdoptionRetiresStaleRegionsInsideIt) {
+  // One Machine outlives many jobs' buffers, so the heap can hand a freed,
+  // once-adopted range back inside a new buffer. The new adoption must own
+  // every address it covers; the stale entry would end mid-buffer.
+  Machine m(cfg1());
+  std::vector<std::uint64_t> ext(64);
+  m.adopt_far(ext.data() + 8, 16 * 8);  // the earlier job's buffer
+  m.adopt_far(ext.data(), ext.size() * 8);
+  EXPECT_EQ(m.vaddr_of(ext.data() + 40), m.vaddr_of(ext.data()) + 40 * 8);
+  EXPECT_EQ(m.vaddr_of(ext.data() + 8), m.vaddr_of(ext.data()) + 8 * 8);
+}
+
 TEST(Machine, UnknownFarPointerThrowsOnVaddr) {
   Machine m(cfg1());
   int x = 0;
