@@ -1,15 +1,15 @@
-// report_diff — the CI perf-regression gate over run-report JSON artifacts.
+// report_diff — the regression and determinism gate over run-report JSON.
 //
 // Usage:
 //   report_diff --validate report.json
 //       Schema-check a tlm.run_report document. Exit 0 when valid, 1 when
 //       invalid, 2 on parse/usage errors.
-//   report_diff baseline.json current.json [--threshold=0.05] [--warn-only]
-//               [--include-wall] [--verbose] [--max-changed=<n>]
-//       Compare two reports (any JSON with numeric leaves works, including
-//       google-benchmark output). Exit 0 when no cost leaf regressed beyond
-//       the threshold, 1 on regression (suppressed to 0 by --warn-only),
-//       2 on parse/usage errors.
+//   report_diff baseline.json current.json [--threshold=0.05] [--verbose]
+//               [--max-changed=<n>]
+//       Compare two reports (any JSON with numeric leaves works). Host
+//       wall-clock leaves are never compared. Exit 0 when no cost leaf
+//       regressed beyond the threshold, 1 on regression, 2 on parse/usage
+//       errors.
 //
 //       --max-changed=<n> adds a determinism gate on top of the regression
 //       check: fail when more than n cost leaves changed or vanished, in
@@ -17,7 +17,6 @@
 //       with --max-changed=0 — mapped-log replay must reproduce the in-RAM
 //       report bit for bit (new trace.* leaves in the current report are
 //       additions, not changes, and are listed but never counted).
-//       --warn-only does not suppress this gate.
 #include <cstdint>
 #include <exception>
 #include <iostream>
@@ -36,12 +35,9 @@ int usage() {
       << "options:\n"
       << "  --threshold=<frac>  relative cost increase flagged as regression"
          " (default 0.05)\n"
-      << "  --warn-only         report regressions but exit 0\n"
-      << "  --include-wall      also compare host wall-clock leaves\n"
       << "  --verbose           list every compared leaf, not just changes\n"
       << "  --max-changed=<n>   determinism gate: fail when more than n cost\n"
-         "                      leaves changed or vanished (not softened by\n"
-         "                      --warn-only)\n";
+         "                      leaves changed or vanished\n";
   return 2;
 }
 
@@ -63,17 +59,13 @@ int validate(const std::string& path) {
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
   tlm::obs::DiffOptions opt;
-  bool warn_only = false, verbose = false, do_validate = false;
+  bool verbose = false, do_validate = false;
   bool have_max_changed = false;
   std::uint64_t max_changed = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--validate") {
       do_validate = true;
-    } else if (a == "--warn-only") {
-      warn_only = true;
-    } else if (a == "--include-wall") {
-      opt.include_wall = true;
     } else if (a == "--verbose") {
       verbose = true;
     } else if (a.rfind("--threshold=", 0) == 0) {
@@ -126,10 +118,10 @@ int main(int argc, char** argv) {
                 << " --max-changed=" << max_changed << "\n";
     }
     if (d.has_regression()) {
-      std::cout << (warn_only ? "WARN" : "FAIL") << ": " << d.regressions()
+      std::cout << "FAIL: " << d.regressions()
                 << " cost leaf(s) regressed beyond "
                 << opt.threshold * 100.0 << "%\n";
-      return warn_only ? 0 : 1;
+      return 1;
     }
     std::cout << "OK: no regression beyond " << opt.threshold * 100.0
               << "% across " << d.leaves_compared << " cost leaves\n";

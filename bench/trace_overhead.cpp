@@ -9,10 +9,10 @@
 // disk. The sinks must also agree on the coalesced op stream (summary
 // equality), or the "mapped capture is the in-RAM capture" contract broke.
 //
-// CI runs this in bench-smoke with --json and diffs the deterministic
-// counters (ops, encoded/spill bytes, chunk growths) against a checked-in
-// baseline; the wall-clock slowdowns are emitted as gauges for the job log
-// but are too noisy to gate on shared runners.
+// The baseline_gate ctest runs this with --json and diffs the deterministic
+// counters (ops, encoded/spill bytes, chunk growths) at --max-changed=0
+// against a checked-in baseline; the wall-clock slowdowns are emitted as
+// gauges but are too noisy to gate on shared runners.
 #include <algorithm>
 #include <iostream>
 

@@ -285,8 +285,8 @@ KMeansResult kmeans_staged(Machine& m, std::span<const double> points,
     // Under near pressure (genuine or injected) the resident prefix simply
     // stays in far memory and is reread from there every sweep — slower,
     // but the tile-ordered reduction keeps the result bit-identical.
-    resident = m.try_alloc_array_near<double>(r_pts * d);
-    if (!resident.empty()) {
+    if (auto buf = m.try_alloc_near<double>(r_pts * d)) {
+      resident = *buf;
       m.run_spmd([&](std::size_t w) {
         auto [lo, hi] = ThreadPool::chunk(r_pts * d, w, m.threads());
         if (lo < hi)

@@ -35,8 +35,7 @@ LeafKind classify(std::string_view path) {
       "seconds",  "bytes",   "blocks",     "bursts",  "accesses",
       "events",   "reads",   "writes",     "fills",   "writebacks",
       "messages", "misses",  "row_misses", "lines",   "descriptors",
-      "loads",    "stores",  "far_s",      "near_s",  "compute_s",
-      "real_time", "cpu_time"};  // the last two: google-benchmark JSON
+      "loads",    "stores",  "far_s",      "near_s",  "compute_s"};
   for (const std::string_view k : kExact)
     if (leaf == k) return LeafKind::Cost;
   if (ends_with(leaf, "_bytes") || ends_with(leaf, "_blocks") ||
@@ -122,6 +121,7 @@ DiffReport diff_reports(const Json& baseline, const Json& current,
   DiffReport out;
   for (const auto& [path, bval] : base) {
     const LeafKind kind = classify(path);
+    if (kind == LeafKind::Wall) continue;
     const auto it = cur.find(path);
     if (it == cur.end() && is_split_leaf(path)) continue;
     if (it == cur.end() && !is_fault_leaf(path)) {
@@ -129,7 +129,6 @@ DiffReport diff_reports(const Json& baseline, const Json& current,
       continue;
     }
     const double cval = it == cur.end() ? 0.0 : it->second;
-    if (kind == LeafKind::Wall && !opt.include_wall) continue;
     if (kind == LeafKind::Context) {
       if (std::abs(cval - bval) > opt.abs_epsilon)
         out.context_mismatches.push_back(path + ": " + std::to_string(bval) +

@@ -1,6 +1,6 @@
 // report_diff core: compares two run-report JSON documents and flags
-// counter/time regressions beyond a threshold — the gate CI runs against
-// the checked-in baselines.
+// counter/time regressions beyond a threshold — the gate baseline_gate runs
+// against the checked-in baselines.
 //
 // The comparison is schema-tolerant: both documents are flattened to
 // dotted-path numeric leaves (array elements keyed by their "name" field
@@ -8,9 +8,10 @@
 // cost-like leaves — seconds, bytes, blocks, bursts, accesses, events,
 // reads/writes, misses, fills, writebacks, messages — participate in the
 // regression verdict. Host wall-clock ("wall_seconds"/"host_seconds") is
-// noisy across machines and is excluded unless opted in. Config/params
-// leaves never regress; differing values are reported as context
-// mismatches, which usually mean the two reports are not comparable runs.
+// noisy across machines and is never compared; host time is the perf
+// ledger's (perfledger/). Config/params leaves never regress; differing
+// values are reported as context mismatches, which usually mean the two
+// reports are not comparable runs.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@ namespace tlm::obs {
 struct DiffOptions {
   double threshold = 0.05;    // relative increase flagged as regression
   double abs_epsilon = 1e-12; // |a-b| below this is "equal" (fp noise)
-  bool include_wall = false;  // compare host wall-clock leaves too
 };
 
 struct DiffEntry {

@@ -26,7 +26,7 @@ class NearArena {
   // ScratchpadError (a std::bad_alloc) when no free block fits — the caller
   // either sized its working set to M (then this is an algorithmic bug) or
   // opted into degradation via Machine::try_alloc_near, which converts the
-  // throw into a nullptr.
+  // throw into a nullopt.
   std::byte* allocate(std::uint64_t bytes, std::uint64_t align = 64);
 
   // Frees a pointer previously returned by allocate(); coalesces neighbours.

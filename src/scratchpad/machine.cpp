@@ -60,8 +60,9 @@ void Machine::drop_stale_adoptions(const std::byte* base,
     it = it->second.owned ? std::next(it) : far_regions_.erase(it);
 }
 
-std::byte* Machine::try_alloc_near(std::uint64_t bytes, std::uint64_t align,
-                                   std::source_location loc) {
+std::byte* Machine::try_alloc_near_bytes(std::uint64_t bytes,
+                                         std::uint64_t align,
+                                         const std::source_location& loc) {
   TLM_REQUIRE(bytes > 0, "zero-byte allocation");
   MutexLock lock(alloc_mu_);
   if (fi_ && fi_->should_fail(fault_site::kNearAlloc)) {

@@ -51,7 +51,7 @@ namespace tlm {
 // touched only here, but must not call back into the installing Machine.
 //
 // Protocol per allocation: admit() may reject (try_alloc_near returns
-// nullptr, exactly like arena exhaustion, and the caller degrades; the
+// nullopt, exactly like arena exhaustion, and the caller degrades; the
 // infallible alloc throws ScratchpadError at site server.tenant_quota
 // carrying available()); if admit() accepted but the arena itself is full,
 // refund() returns the charge; on success granted() records ownership of
@@ -102,24 +102,22 @@ class Machine {
     dealloc(s, reinterpret_cast<std::byte*>(a.data()));
   }
 
-  // ---- fallible near allocation (the degradation entry points) -----------
-  // Like alloc(Space::Near, ...) but returns nullptr instead of throwing when
-  // the quota gate or the arena cannot satisfy the request — or when an
-  // attached FaultInjector denies it (site machine.near_alloc). Callers MUST
-  // check the result and degrade (fall back to far memory, shrink, or step a
-  // Stager's ladder); tlm-lint's unchecked-try-alloc rule enforces the check.
-  std::byte* try_alloc_near(
-      std::uint64_t bytes, std::uint64_t align = 64,
-      std::source_location loc = std::source_location::current());
-
-  // Array form: an empty span on denial.
-  template <typename T>
-  std::span<T> try_alloc_array_near(
+  // ---- fallible near allocation (the degradation entry point) ------------
+  // Like alloc_array(Space::Near, ...) but returns nullopt instead of
+  // throwing when the quota gate or the arena cannot satisfy the request —
+  // or when an attached FaultInjector denies it (site machine.near_alloc).
+  // The optional makes the caller test for denial before touching the span,
+  // and [[nodiscard]] (an error under -Werror=unused-result) rejects a call
+  // that drops it: degrade by falling back to far memory, shrinking, or
+  // stepping a Stager's ladder.
+  template <typename T = std::byte>
+  [[nodiscard]] std::optional<std::span<T>> try_alloc_near(
       std::size_t n,
       std::source_location loc = std::source_location::current()) {
-    auto* p = try_alloc_near(n * sizeof(T),
-                             alignof(T) < 64 ? 64 : alignof(T), loc);
-    return p ? std::span<T>{reinterpret_cast<T*>(p), n} : std::span<T>{};
+    std::byte* p = try_alloc_near_bytes(
+        n * sizeof(T), alignof(T) < 64 ? 64 : alignof(T), loc);
+    if (p == nullptr) return std::nullopt;
+    return std::span<T>{reinterpret_cast<T*>(p), n};
   }
 
   // Infallible two-level allocation: near when it fits (and injection
@@ -130,8 +128,7 @@ class Machine {
   std::span<T> alloc_array_near_or_far(
       std::size_t n,
       std::source_location loc = std::source_location::current()) {
-    if (std::span<T> a = try_alloc_array_near<T>(n, loc); !a.empty())
-      return a;
+    if (auto a = try_alloc_near<T>(n, loc)) return *a;
     count_far_fallback();
     return alloc_array<T>(Space::Far, n, loc);
   }
@@ -293,6 +290,10 @@ class Machine {
   void dma_retry_gate(std::size_t thread, std::uint64_t bytes,
                       const std::source_location& loc);
   void count_far_fallback();
+  // try_alloc_near's untyped body: the machine.near_alloc injector check,
+  // then alloc_near_locked. nullptr on any denial.
+  std::byte* try_alloc_near_bytes(std::uint64_t bytes, std::uint64_t align,
+                                  const std::source_location& loc);
   // The one near-allocation body behind alloc(Space::Near) and
   // try_alloc_near: gate admit, arena, granted/refund, sanitizer shadow.
   // Fallible callers get nullptr on a gate denial or a full arena; the

@@ -32,11 +32,10 @@ void Stager::release() {
 
 std::byte* Stager::buffer(std::size_t i) {
   if (bufs_[i].empty()) {
-    std::byte* p = m_.try_alloc_near(opt_.buffer_bytes, 64, loc_);
-    if (p == nullptr) return nullptr;  // caller steps the ladder
-    bufs_[i] = std::span<std::byte>(
-        p, static_cast<std::size_t>(opt_.buffer_bytes));
-    if (opt_.retain) m_.retain_across_phases(p);
+    const auto buf = m_.try_alloc_near(opt_.buffer_bytes, loc_);
+    if (!buf) return nullptr;  // caller steps the ladder
+    bufs_[i] = *buf;
+    if (opt_.retain) m_.retain_across_phases(bufs_[i].data());
   }
   return bufs_[i].data();
 }

@@ -44,15 +44,15 @@ void psp_rec(Machine& m, std::span<T> seg,
     // Base case: parallel ingest, parallel in-scratchpad sort (Theorem 8's
     // role), parallel write-back. Under near pressure the segment is
     // sorted in place in far memory instead.
-    std::span<T> buf = m.try_alloc_array_near<T>(n);
-    if (buf.empty()) {
+    const auto buf = m.try_alloc_near<T>(n);
+    if (!buf) {
       multiway_merge_sort(m, seg, o.inner, cmp);
       return;
     }
-    parallel_copy(m, buf.data(), seg.data(), n);
-    multiway_merge_sort(m, buf, o.inner, cmp);
-    parallel_copy(m, seg.data(), buf.data(), n);
-    m.free_array(Space::Near, buf);
+    parallel_copy(m, buf->data(), seg.data(), n);
+    multiway_merge_sort(m, *buf, o.inner, cmp);
+    parallel_copy(m, seg.data(), buf->data(), n);
+    m.free_array(Space::Near, *buf);
     return;
   }
   if (depth >= o.max_depth) {

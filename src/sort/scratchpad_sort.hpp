@@ -85,15 +85,15 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
     // Base case: stage into the scratchpad, sort, write back. Under near
     // pressure (genuine or injected) sort the segment in place in far
     // memory instead — same comparisons, same output, no staging copies.
-    std::span<T> buf = m.try_alloc_array_near<T>(n);
-    if (buf.empty()) {
+    const auto buf = m.try_alloc_near<T>(n);
+    if (!buf) {
       inner_sort(m, seg, o, cmp);
       return;
     }
-    m.copy(0, buf.data(), seg.data(), seg.size_bytes());
-    inner_sort(m, buf, o, cmp);
-    m.copy(0, seg.data(), buf.data(), seg.size_bytes());
-    m.free_array(Space::Near, buf);
+    m.copy(0, buf->data(), seg.data(), seg.size_bytes());
+    inner_sort(m, *buf, o, cmp);
+    m.copy(0, seg.data(), buf->data(), seg.size_bytes());
+    m.free_array(Space::Near, *buf);
     return;
   }
   if (depth >= o.max_depth) {

@@ -1,10 +1,13 @@
 # The checked-in baseline gate, run as a ctest via `cmake -P` (see
 # bench/CMakeLists.txt for the registration). Every report under
-# bench/baselines/ is regenerated with the bench command its CI step uses
-# (.github/workflows/ci.yml) and must diff against the checked-in file with
-# zero changed or vanished cost leaves (report_diff --max-changed=0). Leaves
-# only the new report has, such as the read/write split counters against a
-# baseline that predates them, are listed but not counted.
+# bench/baselines/ is regenerated with the bench command line below; the
+# bench must exit 0 (its own shape gates, such as the sweep_omega crossover
+# and the server_mixed isolation verdicts, ride on that exit code), the new
+# report must pass report_diff --validate, and it must diff against the
+# checked-in file with zero changed or vanished cost leaves
+# (report_diff --max-changed=0). Leaves only the new report has, such as the
+# read/write split counters against a baseline that predates them, are
+# listed but not counted.
 # Expects -DBENCH_DIR=<bench binaries> -DBASELINES=<dir> -DWORK_DIR=<dir>.
 cmake_minimum_required(VERSION 3.16)
 
@@ -17,32 +20,31 @@ endforeach()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# gate(<baseline name> <bench> <args...>)
-function(gate baseline bench)
-  set(report "${WORK_DIR}/${baseline}.json")
-  execute_process(
-    COMMAND "${BENCH_DIR}/${bench}" ${ARGN} --json "${report}"
+# must_pass(<what failed> <command...>): fails the gate with the command's
+# output when it exits non-zero.
+function(must_pass what)
+  execute_process(COMMAND ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "baseline_gate: ${bench} failed (exit ${rc})\n"
+    message(FATAL_ERROR "baseline_gate: ${what} (exit ${rc})\n"
       "stdout:\n${out}\nstderr:\n${err}")
   endif()
-  execute_process(
-    COMMAND "${BENCH_DIR}/report_diff" --max-changed=0
-            "${BASELINES}/${baseline}.json" "${report}"
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "baseline_gate: ${bench} no longer reproduces ${baseline}.json "
-      "(exit ${rc})\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  message(STATUS "baseline_gate: ${baseline} reproduces")
+endfunction()
+
+# gate(<baseline name> <bench> <args...>)
+function(gate baseline bench)
+  set(report "${WORK_DIR}/${baseline}.json")
+  must_pass("${bench} failed"
+    "${BENCH_DIR}/${bench}" ${ARGN} --json "${report}")
+  must_pass("${bench} wrote an invalid ${baseline} report"
+    "${BENCH_DIR}/report_diff" --validate "${report}")
+  must_pass("${bench} no longer reproduces ${baseline}.json"
+    "${BENCH_DIR}/report_diff" --max-changed=0
+    "${BASELINES}/${baseline}.json" "${report}")
+  message(STATUS "baseline_gate: ${baseline} validates and reproduces")
 endfunction()
 
 gate(table1_quick table1_sst_sort --quick --cores=2 --n=20000 --near-mb=1)

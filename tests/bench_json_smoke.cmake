@@ -4,8 +4,7 @@
 #   2. report_diff --validate must accept it,
 #   3. a second run with identical parameters must diff clean (exit 0) —
 #      the counting backend is deterministic and wall-clock is excluded,
-#   4. a run with doubled --n must be flagged as a regression (exit 1),
-#      and --warn-only must suppress the failure (exit 0).
+#   4. a run with doubled --n must be flagged as a regression (exit 1).
 # Expects -DTABLE1=<bin> -DREPORT_DIFF=<bin> -DWORK_DIR=<dir>.
 cmake_minimum_required(VERSION 3.16)
 
@@ -62,8 +61,5 @@ run_or_die("bench run with doubled n" 0
   --json "${WORK_DIR}/regressed.json")
 run_or_die("regression is flagged" 1
   "${REPORT_DIFF}" "${WORK_DIR}/baseline.json" "${WORK_DIR}/regressed.json")
-run_or_die("--warn-only suppresses the failure" 0
-  "${REPORT_DIFF}" --warn-only
-  "${WORK_DIR}/baseline.json" "${WORK_DIR}/regressed.json")
 
 message(STATUS "bench_json_smoke: all stages passed")

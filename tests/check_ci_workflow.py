@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lints .github/workflows/ci.yml: parses it and asserts the job structure
-the repo depends on is present (gcc/clang x Debug/Release matrix, sanitizer
-job, bench-smoke job running the --json + report_diff pipeline).
+the repo depends on is present (gcc/clang x Debug/Release matrix whose
+ctest run includes baseline_gate, sanitizer job, the gate lanes).
 
 Run as a ctest; exits 77 (ctest SKIP_RETURN_CODE) when PyYAML is missing.
 """
@@ -20,10 +20,10 @@ def fail(msg):
 
 
 def steps_text(job):
-    # Include each step's `if:` guard so conditions like the on-failure
-    # artifact uploads (`if: failure()`) are assertable.
+    # Include each step's `if:` guard and `with:` inputs so the on-failure
+    # artifact uploads (`if: failure()` and their paths) are assertable.
     return "\n".join(
-        " ".join(str(s.get(k, "")) for k in ("run", "uses", "if"))
+        " ".join(str(s.get(k, "")) for k in ("run", "uses", "if", "with"))
         for s in job.get("steps", [])
     )
 
@@ -45,7 +45,6 @@ def main():
     for required in (
         "build-test",
         "sanitizers",
-        "bench-smoke",
         "lint",
         "clang-tidy",
         "model-check",
@@ -69,6 +68,17 @@ def main():
     for needle in ("ccache", "actions/cache", "cmake -B build", "ctest"):
         if needle not in text:
             fail(f"build-test steps must mention '{needle}'")
+    # The full ctest run includes baseline_gate, which regenerates every
+    # checked-in baseline report; a failing lane must keep those reports.
+    for needle in ("build/bench/baseline_gate/", "actions/upload-artifact",
+                   "failure()"):
+        if needle not in text:
+            fail(f"build-test steps must mention '{needle}'")
+
+    # google-benchmark is not a dependency: no job installs it.
+    for job_name, job in jobs.items():
+        if "libbenchmark-dev" in steps_text(job):
+            fail(f"{job_name} must not install libbenchmark-dev")
 
     # The paper_shapes ctest needs Release speed: the Release matrix lanes
     # must run it in a step of their own, so it cannot be dropped silently,
@@ -87,7 +97,7 @@ def main():
     # and persist the cache across runs via actions/cache — a cold matrix
     # rebuild dominates CI wall-clock otherwise.
     for job_name in ("build-test", "sanitizers", "flake-detect",
-                     "model-check", "bench-smoke", "chaos", "trace-replay",
+                     "model-check", "chaos", "trace-replay",
                      "racecheck", "server-stress"):
         jtext = steps_text(jobs[job_name])
         for needle in ("ccache", "actions/cache"):
@@ -201,31 +211,6 @@ def main():
     ):
         if needle not in ss:
             fail(f"server-stress steps must mention '{needle}'")
-
-    # bench-smoke: --json artifacts, schema validation, baseline diff,
-    # artifact upload.
-    smoke = steps_text(jobs["bench-smoke"])
-    for needle in (
-        "--json",
-        "report_diff --validate",
-        "bench/baselines/table1_quick.json",
-        "kmeans_scratchpad",
-        "bench/baselines/kmeans_quick.json",
-        "trace_overhead",
-        "bench/baselines/trace_overhead_quick.json",
-        "racecheck_overhead",
-        "bench/baselines/racecheck_quick.json",
-        "sweep_omega",
-        "bench/baselines/sweep_omega_quick.json",
-        "server_mixed",
-        "bench/baselines/server_quick.json",
-        "--max-changed=0",
-        "bench/baselines/table1_quick.json",
-        "--warn-only",
-        "actions/upload-artifact",
-    ):
-        if needle not in smoke:
-            fail(f"bench-smoke steps must mention '{needle}'")
 
     print(f"OK: {path} parses and has the expected job structure")
     return 0

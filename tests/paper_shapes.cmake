@@ -3,6 +3,7 @@
 # default flags and exits non-zero when one of its `shape:` verdicts prints
 # NO, so a change that breaks one of the paper's claims fails tier-1:
 #   theory_validation  S4/S5: counts track Theorem 6, Theorem 10 scaling
+#   validate_backends  S4b: counting model and cycle sim agree on traffic
 #   sweep_skew         S6: merge-path balance exact on every distribution
 #   sweep_cores        S2: compute- to memory-bound flip and NMsort crossover
 #   table1_sst_sort    T1: NMsort beats GNU sort, speedup rising with rho
@@ -19,7 +20,8 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(failed "")
-foreach(bench theory_validation sweep_skew sweep_cores table1_sst_sort)
+foreach(bench theory_validation validate_backends sweep_skew sweep_cores
+              table1_sst_sort)
   execute_process(
     COMMAND "${BENCH_DIR}/${bench}"
     WORKING_DIRECTORY "${WORK_DIR}"

@@ -546,13 +546,19 @@ TEST(Diff, SmallJitterUnderThresholdPasses) {
 }
 
 TEST(Diff, WallClockExcludedUnlessOptedIn) {
+  // Host wall-clock leaves are never compared, at any threshold, whether
+  // they grow or vanish.
   const Json base = tiny_report().to_json();
   Json cur = base;
   cur["wall_seconds"] = base.at("wall_seconds").f64() * 100.0;
-  EXPECT_FALSE(obs::diff_reports(base, cur).has_regression());
-  obs::DiffOptions opt;
-  opt.include_wall = true;
-  EXPECT_TRUE(obs::diff_reports(base, cur, opt).has_regression());
+  obs::DiffOptions strict;
+  strict.threshold = 0.0;
+  const obs::DiffReport d = obs::diff_reports(base, cur, strict);
+  EXPECT_FALSE(d.has_regression());
+  EXPECT_TRUE(d.entries.empty());
+  EXPECT_EQ(d.leaves_compared, obs::diff_reports(base, base).leaves_compared);
+  cur.obj().erase("wall_seconds");
+  EXPECT_TRUE(obs::diff_reports(base, cur).missing_in_current.empty());
 }
 
 TEST(Diff, ConfigChangesAreContextMismatchesNotRegressions) {
@@ -738,14 +744,15 @@ TEST(Diff, RegressedTenantCounterGatesOnceBaselined) {
 }
 
 TEST(Diff, GoogleBenchmarkShapedJsonWorks) {
-  // The diff is schema-tolerant: gbench output has numeric cost leaves
-  // (real_time/cpu_time) inside a "benchmarks" array keyed by "name".
+  // The diff is schema-tolerant: any document whose numeric cost leaves
+  // (here `seconds`) sit inside an array of records keyed by "name" diffs
+  // record by record, whatever the array's order.
   const char* base = R"({"benchmarks": [
-    {"name": "BM_X/4", "real_time": 100.0, "cpu_time": 90.0},
-    {"name": "BM_Y/8", "real_time": 50.0, "cpu_time": 45.0}]})";
+    {"name": "BM_X/4", "seconds": 100.0, "iterations": 7},
+    {"name": "BM_Y/8", "seconds": 50.0, "iterations": 9}]})";
   const char* worse = R"({"benchmarks": [
-    {"name": "BM_X/4", "real_time": 200.0, "cpu_time": 180.0},
-    {"name": "BM_Y/8", "real_time": 50.0, "cpu_time": 45.0}]})";
+    {"name": "BM_Y/8", "seconds": 50.0, "iterations": 9},
+    {"name": "BM_X/4", "seconds": 200.0, "iterations": 7}]})";
   const obs::DiffReport d =
       obs::diff_reports(Json::parse(base), Json::parse(worse));
   EXPECT_TRUE(d.has_regression());

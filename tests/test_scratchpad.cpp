@@ -312,13 +312,13 @@ TEST(Faults, ScratchpadErrorCarriesSiteAndSizes) {
 
 TEST(Faults, TryAllocNearExhaustionReturnsNullAndCounts) {
   Machine m(cfg1());  // 1 MiB near
-  std::byte* ok = m.try_alloc_near(512 * KiB);
-  ASSERT_NE(ok, nullptr);
-  std::byte* denied = m.try_alloc_near(768 * KiB);
-  EXPECT_EQ(denied, nullptr);
+  const auto ok = m.try_alloc_near(512 * KiB);
+  ASSERT_TRUE(ok);
+  const auto denied = m.try_alloc_near(768 * KiB);
+  EXPECT_FALSE(denied);
   EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 1u);
   EXPECT_EQ(m.fault_stats().near_alloc_injected, 0u);
-  m.dealloc(ok);  // space-inferred free
+  m.dealloc(ok->data());  // space-inferred free
   EXPECT_EQ(m.near_arena().used(), 0u);
 }
 
@@ -327,16 +327,16 @@ TEST(Faults, InjectedNearDenialConsumesNoSpace) {
   FaultInjector fi(99);
   fi.arm(fault_site::kNearAlloc, FaultSchedule::every());
   m.set_fault_injector(&fi);
-  std::byte* p = m.try_alloc_near(1024);
-  EXPECT_EQ(p, nullptr);
+  const auto p = m.try_alloc_near(1024);
+  EXPECT_FALSE(p);
   EXPECT_EQ(m.near_arena().used(), 0u);  // a denial never consumes arena
   EXPECT_EQ(m.fault_stats().near_alloc_injected, 1u);
   EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 0u);
   // Detaching the injector restores the clean fallible path.
   m.set_fault_injector(nullptr);
-  std::byte* q = m.try_alloc_near(1024);
-  ASSERT_NE(q, nullptr);
-  m.dealloc(q);
+  const auto q = m.try_alloc_near(1024);
+  ASSERT_TRUE(q);
+  m.dealloc(q->data());
 }
 
 TEST(Faults, AllocNearOrFarFallsBackAndCounts) {
@@ -391,8 +391,9 @@ TEST(Faults, FarStallChargesStallTime) {
   EXPECT_EQ(fs.far_stalls, 1u);
   EXPECT_NEAR(fs.stall_s, 2e-6, 1e-15);
   EXPECT_NEAR(m.stats().phases.at(0).stall_s, 2e-6, 1e-15);
-  // The stall extends the phase's modeled time.
-  const PhaseStats& ph = m.stats().phases.at(0);
+  // The stall extends the phase's modeled time. stats() returns by value,
+  // so keep a copy: a reference into the temporary would dangle.
+  const PhaseStats ph = m.stats().phases.at(0);
   EXPECT_GE(ph.seconds, ph.far_s + ph.stall_s - 1e-18);
 }
 

@@ -45,8 +45,8 @@ TEST(TenantArenaQuota, ZeroByteQuotaDeniesEverything) {
   Machine m(server_config(2));
   TenantArena a(m, "broke", 0);
   a.install();
-  EXPECT_EQ(m.try_alloc_near(64), nullptr);
-  EXPECT_EQ(m.try_alloc_near(1), nullptr);
+  EXPECT_FALSE(m.try_alloc_near(64));
+  EXPECT_FALSE(m.try_alloc_near(1));
   EXPECT_EQ(a.quota_denials(), 2u);
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.grants(), 0u);
@@ -60,13 +60,13 @@ TEST(TenantArenaQuota, ExactFitAtQuotaBoundary) {
   Machine m(server_config(2));
   TenantArena a(m, "exact", 4096);
   a.install();
-  std::byte* p = m.try_alloc_near(4096);  // == quota: allowed (<=, not <)
-  ASSERT_NE(p, nullptr);
+  const auto p = m.try_alloc_near(4096);  // == quota: allowed (<=, not <)
+  ASSERT_TRUE(p);
   EXPECT_EQ(a.used_bytes(), 4096u);
   EXPECT_EQ(a.high_water_bytes(), 4096u);
-  EXPECT_EQ(m.try_alloc_near(1), nullptr);  // one byte over: denied
+  EXPECT_FALSE(m.try_alloc_near(1));  // one byte over: denied
   EXPECT_EQ(a.quota_denials(), 1u);
-  m.dealloc(p);
+  m.dealloc(p->data());
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.releases(), 1u);
 }
@@ -75,17 +75,17 @@ TEST(TenantArenaQuota, ReleaseThenReallocAccounting) {
   Machine m(server_config(2));
   TenantArena a(m, "cycle", 8192);
   a.install();
-  std::byte* p = m.try_alloc_near(8192);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(m.try_alloc_near(64), nullptr);  // budget fully committed
-  m.dealloc(p);
-  std::byte* q = m.try_alloc_near(8192);  // freed budget is reusable in full
-  ASSERT_NE(q, nullptr);
+  const auto p = m.try_alloc_near(8192);
+  ASSERT_TRUE(p);
+  EXPECT_FALSE(m.try_alloc_near(64));  // budget fully committed
+  m.dealloc(p->data());
+  const auto q = m.try_alloc_near(8192);  // freed budget is reusable in full
+  ASSERT_TRUE(q);
   EXPECT_EQ(a.used_bytes(), 8192u);
   EXPECT_EQ(a.grants(), 2u);
   EXPECT_EQ(a.releases(), 1u);
   EXPECT_EQ(a.quota_denials(), 1u);
-  m.dealloc(q);
+  m.dealloc(q->data());
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.high_water_bytes(), 8192u);
 }
@@ -115,7 +115,7 @@ TEST(TenantArenaQuota, InfallibleAllocIsGatedButNeverInjected) {
   TenantArena a(m, "gated", 8192);
   a.install();
   // The fallible path is injected; the infallible one is not…
-  EXPECT_EQ(m.try_alloc_near(1024), nullptr);
+  EXPECT_FALSE(m.try_alloc_near(1024));
   std::byte* p = m.alloc(Space::Near, 4096);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(m.space_of(p), Space::Near);
@@ -141,8 +141,8 @@ TEST(TenantArenaQuota, ForeignFreesAreNotCredited) {
   // A near pointer b's gate never granted is ignored by b's freed() hook —
   // and counted, so misrouted frees are observable instead of silent.
   b.install();
-  std::byte* pb = m.try_alloc_near(1024);
-  ASSERT_NE(pb, nullptr);
+  const auto pb = m.try_alloc_near(1024);
+  ASSERT_TRUE(pb);
   b.uninstall();
   std::byte* raw = m.alloc(Space::Near, 512);
   EXPECT_EQ(b.foreign_frees(), 0u);
@@ -150,7 +150,7 @@ TEST(TenantArenaQuota, ForeignFreesAreNotCredited) {
   m.dealloc(Space::Near, raw);  // foreign: allocated gate-free
   EXPECT_EQ(b.used_bytes(), 1024u);
   EXPECT_EQ(b.foreign_frees(), 1u);
-  m.dealloc(pb);
+  m.dealloc(pb->data());
   EXPECT_EQ(b.used_bytes(), 0u);
   EXPECT_EQ(b.foreign_frees(), 1u);
   b.uninstall();
@@ -161,13 +161,13 @@ TEST(TenantArenaQuota, CrossTenantFreeCountsForeignAndReclaimStaysHonest) {
   TenantArena a(m, "victim", 8192);
   TenantArena b(m, "bully", 8192);
   a.install();
-  std::byte* pa = m.try_alloc_near(4096);
-  ASSERT_NE(pa, nullptr);
+  const auto pa = m.try_alloc_near(4096);
+  ASSERT_TRUE(pa);
   // The double-free pathology: a's pointer freed while b's gate is
   // installed. b counts a foreign free (never credits), a's charge goes
   // stale — exactly what tenant.foreign_free is there to surface.
   b.install();
-  m.dealloc(Space::Near, pa);
+  m.dealloc(Space::Near, pa->data());
   b.uninstall();
   EXPECT_EQ(b.foreign_frees(), 1u);
   EXPECT_EQ(b.used_bytes(), 0u);
@@ -183,9 +183,9 @@ TEST(TenantArenaQuota, ReclaimFreesEveryChargedAllocation) {
   Machine m(server_config(2));
   TenantArena a(m, "leaky", 16 * 1024);
   a.install();
-  ASSERT_NE(m.try_alloc_near(4096), nullptr);
-  ASSERT_NE(m.try_alloc_near(2048), nullptr);
-  ASSERT_NE(m.try_alloc_near(1024), nullptr);
+  ASSERT_TRUE(m.try_alloc_near(4096));
+  ASSERT_TRUE(m.try_alloc_near(2048));
+  ASSERT_TRUE(m.try_alloc_near(1024));
   EXPECT_EQ(a.used_bytes(), 7168u);
   const std::uint64_t arena_used = m.near_arena().used();
   EXPECT_GE(arena_used, 7168u);
@@ -201,7 +201,7 @@ TEST(TenantArenaQuota, ReclaimWithNoGateInstalledCreditsItself) {
   Machine m(server_config(2));
   TenantArena a(m, "settled", 16 * 1024);
   a.install();
-  ASSERT_NE(m.try_alloc_near(4096), nullptr);
+  ASSERT_TRUE(m.try_alloc_near(4096));
   ASSERT_NE(m.alloc(Space::Near, 2048), nullptr);
   a.uninstall();  // settlement runs between phases, with no gate installed
   EXPECT_EQ(a.reclaim(), 6144u);
@@ -220,16 +220,16 @@ TEST(NearQuotaGate, ChargesAllocationsMadeDeepInLibraryCode) {
   a.install();
   // Library code that has never heard of tenants allocates via the Machine;
   // the installed gate charges it anyway.
-  std::byte* p = m.try_alloc_near(8 * 1024);
-  ASSERT_NE(p, nullptr);
+  const auto p = m.try_alloc_near(8 * 1024);
+  ASSERT_TRUE(p);
   EXPECT_EQ(a.used_bytes(), 8u * 1024);
   // Over-quota while the arena still has plenty of space: the denial is the
   // quota's, and it is not miscounted as arena exhaustion.
-  EXPECT_EQ(m.try_alloc_near(16 * 1024), nullptr);
+  EXPECT_FALSE(m.try_alloc_near(16 * 1024));
   EXPECT_GT(m.near_arena().free_bytes(), 16u * 1024);
   EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 0u);
   EXPECT_EQ(a.quota_denials(), 1u);
-  m.dealloc(Space::Near, p);  // gate installed: credited back
+  m.dealloc(Space::Near, p->data());  // gate installed: credited back
   EXPECT_EQ(a.used_bytes(), 0u);
   a.uninstall();
   EXPECT_EQ(m.near_gate(), nullptr);
@@ -255,8 +255,8 @@ TEST(NearQuotaGate, ArenaExhaustionAfterAdmitRefundsTheCharge) {
   TenantArena a(m, "refund", 64 * 1024);
   std::byte* big = m.alloc(Space::Near, 48 * 1024);
   a.install();
-  std::byte* p = m.try_alloc_near(32 * 1024);  // within quota, arena too full
-  EXPECT_EQ(p, nullptr);
+  const auto p = m.try_alloc_near(32 * 1024);  // within quota, arena too full
+  EXPECT_FALSE(p);
   EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 1u);
   EXPECT_EQ(a.used_bytes(), 0u) << "failed grant must refund the quota";
   a.uninstall();
@@ -638,10 +638,10 @@ TEST(TenantModelCheckDeath, LeakPastBudgetAbortsAtJobEnd) {
         spec.tenant = "leaky";
         spec.name = "leak";
         spec.phases.push_back({"grab", [](server::JobContext& ctx) {
-          std::byte* p = ctx.machine.try_alloc_near(4096);
-          ASSERT_NE(p, nullptr);
+          const auto p = ctx.machine.try_alloc_near(4096);
+          ASSERT_TRUE(p);
           // Survives the machine's phase-leak check…
-          ctx.machine.retain_across_phases(p);
+          ctx.machine.retain_across_phases(p->data());
           // …but is never freed: a tenant leak.
         }});
         srv.submit(std::move(spec));

@@ -33,13 +33,6 @@ textually over src/:
                      pipeline; use the Stager primitive
                      (scratchpad/stager.hpp), which owns buffer parity,
                      the completion fence, and the counters.
-  unchecked-try-alloc  A call to the fallible Machine::try_alloc_near /
-                     try_alloc_array_near whose result is never tested (or
-                     whose failure branch is empty) outside src/scratchpad/.
-                     The fallible API exists so callers degrade gracefully
-                     under near pressure; ignoring the nullptr/empty result
-                     turns an injected denial into memory corruption. Use
-                     alloc_array_near_or_far for transparent fallback.
   dma-fence-discipline  Within one function region, a dma_copy destination
                      must not be read again before a fence token (a sync /
                      wait / fence / barrier / run_spmd / parallel_for
@@ -121,11 +114,6 @@ RE_DMA_POST = re.compile(r"[.>]\s*dma_copy\s*\(")
 RE_FENCE_TOKEN = re.compile(
     r"\b\w*(?:sync|wait|fence|barrier|run_spmd|parallel_for)\w*\s*\(")
 RE_IDENT = re.compile(r"\b([A-Za-z_]\w*)\s*(\[[^\]]*\])?")
-RE_TRY_ALLOC = re.compile(r"\btry_alloc(?:_array)?_near\b")
-RE_TRY_ASSIGN = re.compile(
-    r"([A-Za-z_]\w*)\s*=[^=<>][^;]*\btry_alloc(?:_array)?_near\b")
-# How far (in lines) after the call the result must be tested.
-TRY_ALLOC_CHECK_WINDOW = 8
 RE_BLOCK_KEYWORD = re.compile(r"\b(namespace|struct|class|enum|union)\b")
 
 # Matches string/char literals and comments so content rules don't fire on
@@ -359,42 +347,6 @@ def fence_discipline_violations(scrubbed):
     return out
 
 
-def try_alloc_result_state(scrubbed, start_idx, var):
-    """Classifies how the variable holding a try_alloc result is handled.
-
-    Scans the assignment line and the next TRY_ALLOC_CHECK_WINDOW lines for
-    a test of `var` (negation, nullptr comparison, .empty(), an if/while
-    condition naming it, or a ternary). Returns "checked", "empty-branch"
-    (a test whose failure arm is `{}` or a bare `;`), or "unchecked".
-    """
-    v = re.escape(var)
-    test_re = re.compile(
-        r"!\s*" + v + r"\b"
-        r"|\b" + v + r"\s*(?:==|!=)\s*nullptr"
-        r"|\b" + v + r"\s*\.\s*empty\s*\(\)"
-        r"|\b(?:if|while)\s*\([^;)]*\b" + v + r"\b"
-        r"|\b" + v + r"\s*\?")
-    for j in range(start_idx, min(len(scrubbed), start_idx +
-                                  TRY_ALLOC_CHECK_WINDOW)):
-        line = scrubbed[j]
-        m = test_re.search(line)
-        if not m:
-            continue
-        tail = line[m.end():]
-        # `if (!p);` or `if (!p) {}` — the failure branch does nothing, so
-        # the denial is silently swallowed.
-        if re.search(r"^[^{;]*\)\s*(?:;|\{\s*\})\s*$", tail):
-            return "empty-branch"
-        if re.search(r"\)\s*\{\s*$", tail) or tail.rstrip().endswith("{"):
-            k = j + 1
-            while k < len(scrubbed) and not scrubbed[k].strip():
-                k += 1
-            if k < len(scrubbed) and scrubbed[k].strip() == "}":
-                return "empty-branch"
-        return "checked"
-    return "unchecked"
-
-
 class Linter:
     def __init__(self, root):
         self.root = root
@@ -488,33 +440,6 @@ class Linter:
                 self.report(path, i, "banned-function",
                             f"banned function {name}()", lines, file_allows)
 
-            if not in_scratchpad and RE_TRY_ALLOC.search(line):
-                call = RE_TRY_ALLOC.search(line)
-                assign = RE_TRY_ASSIGN.search(line)
-                if assign:
-                    state = try_alloc_result_state(scrubbed, i - 1,
-                                                   assign.group(1))
-                    if state == "unchecked":
-                        self.report(
-                            path, i, "unchecked-try-alloc",
-                            f"result `{assign.group(1)}` of fallible "
-                            f"{call.group(0)}() is never tested — an "
-                            "injected denial would be dereferenced",
-                            lines, file_allows)
-                    elif state == "empty-branch":
-                        self.report(
-                            path, i, "unchecked-try-alloc",
-                            f"failure branch for `{assign.group(1)}` is "
-                            "empty — handle the denial (fall back to far "
-                            "or propagate)", lines, file_allows)
-                elif not re.search(r"\b(?:if|while|return)\b",
-                                   line[:call.start()]):
-                    self.report(
-                        path, i, "unchecked-try-alloc",
-                        f"discarded result of fallible {call.group(0)}() — "
-                        "test for denial or use alloc_array_near_or_far",
-                        lines, file_allows)
-
         if rp.startswith("src/server/"):
             for lineno in phase_checkpoint_violations(scrubbed):
                 self.report(
@@ -551,7 +476,7 @@ class Linter:
 RULES = [
     "raw-thread", "raw-alloc", "unaccounted-buffer", "counters-mutation",
     "banned-function", "include-hygiene",
-    "hand-rolled-staging", "unchecked-try-alloc", "dma-fence-discipline",
+    "hand-rolled-staging", "dma-fence-discipline",
     "phase-loop-checkpoint",
 ]
 
@@ -772,77 +697,6 @@ void patch_up(PhaseStats& p, std::uint64_t blocks) {
         "raw-thread",
         """\
 void spawn() { std::thread t([] {}); t.join(); }
-""",
-    ),
-    (
-        "try-alloc-unchecked-fires",
-        "src/foo/unchecked.cpp",
-        "unchecked-try-alloc",
-        """\
-void stage(Machine& m, std::uint64_t n) {
-  std::byte* p = m.try_alloc_near(n);
-  m.copy(0, p, src, n);
-  m.dealloc(p);
-}
-""",
-    ),
-    (
-        "try-alloc-checked-is-clean",
-        "src/foo/checked.cpp",
-        None,
-        """\
-void stage(Machine& m, std::uint64_t n) {
-  std::byte* p = m.try_alloc_near(n);
-  if (p == nullptr) {
-    process_from_far(src, n);
-    return;
-  }
-  m.copy(0, p, src, n);
-}
-""",
-    ),
-    (
-        "try-alloc-empty-failure-branch-fires",
-        "src/foo/emptybranch.cpp",
-        "unchecked-try-alloc",
-        """\
-void stage(Machine& m, std::uint64_t n) {
-  std::span<std::uint64_t> buf = m.try_alloc_array_near<std::uint64_t>(n);
-  if (buf.empty()) {}
-  sort_in_place(buf);
-}
-""",
-    ),
-    (
-        "try-alloc-discarded-call-fires",
-        "src/foo/discard.cpp",
-        "unchecked-try-alloc",
-        """\
-void warm(Machine& m, std::uint64_t n) {
-  m.try_alloc_near(n);
-}
-""",
-    ),
-    (
-        "try-alloc-if-init-is-clean",
-        "src/foo/ifinit.cpp",
-        None,
-        """\
-std::span<T> pick(Machine& m, std::size_t n) {
-  if (std::span<T> a = m.try_alloc_array_near<T>(n); !a.empty()) return a;
-  return m.alloc_array<T>(Space::Far, n);
-}
-""",
-    ),
-    (
-        "try-alloc-inside-scratchpad-is-exempt",
-        "src/scratchpad/stager_buf.cpp",
-        None,
-        """\
-std::byte* Stager::grab(std::uint64_t n) {
-  std::byte* p = m_.try_alloc_near(n);
-  return p;
-}
 """,
     ),
     (
