@@ -67,7 +67,7 @@ TraceBuffer::TraceBuffer(std::size_t threads)
   TLM_REQUIRE(threads >= 1, "trace needs at least one thread stream");
 }
 
-void TraceBuffer::append(std::size_t thread, TraceOp op) {
+void TraceBuffer::record(std::size_t thread, const TraceOp& op) {
   TLM_REQUIRE(thread < streams_.size(), "thread id outside trace");
   auto& s = streams_[thread];
   // Coalescing typically shrinks traces by an order of magnitude; the
@@ -75,29 +75,6 @@ void TraceBuffer::append(std::size_t thread, TraceOp op) {
   const bool coalesced = !s.empty() && try_coalesce(s.back(), op);
   if (!coalesced) s.push_back(op);
   summaries_[thread].s.note(op, coalesced);
-}
-
-void TraceBuffer::on_read(std::size_t thread, std::uint64_t vaddr,
-                          std::uint64_t bytes) {
-  append(thread, TraceOp{OpKind::Read, vaddr, bytes, 0});
-}
-
-void TraceBuffer::on_write(std::size_t thread, std::uint64_t vaddr,
-                           std::uint64_t bytes) {
-  append(thread, TraceOp{OpKind::Write, vaddr, bytes, 0});
-}
-
-void TraceBuffer::on_compute(std::size_t thread, double ops) {
-  append(thread, TraceOp{OpKind::Compute, 0, 0, ops});
-}
-
-void TraceBuffer::on_barrier(std::size_t thread, std::uint64_t barrier_id) {
-  append(thread, TraceOp{OpKind::Barrier, barrier_id, 0, 0});
-}
-
-void TraceBuffer::on_dma(std::size_t thread, std::uint64_t dst_vaddr,
-                         std::uint64_t src_vaddr, std::uint64_t bytes) {
-  append(thread, TraceOp{OpKind::DmaCopy, dst_vaddr, bytes, 0, src_vaddr});
 }
 
 TraceSummary TraceBuffer::summary() const {

@@ -51,14 +51,9 @@ class TraceBuffer final : public TraceSink, public TraceSource {
  public:
   explicit TraceBuffer(std::size_t threads);
 
-  void on_read(std::size_t thread, std::uint64_t vaddr,
-               std::uint64_t bytes) override;
-  void on_write(std::size_t thread, std::uint64_t vaddr,
-                std::uint64_t bytes) override;
-  void on_compute(std::size_t thread, double ops) override;
-  void on_barrier(std::size_t thread, std::uint64_t barrier_id) override;
-  void on_dma(std::size_t thread, std::uint64_t dst_vaddr,
-              std::uint64_t src_vaddr, std::uint64_t bytes) override;
+  // Appends `op` to its thread's stream, folding it into the stream's tail
+  // when try_coalesce allows.
+  void record(std::size_t thread, const TraceOp& op) override;
 
   std::size_t threads() const override { return streams_.size(); }
   const std::vector<TraceOp>& stream(std::size_t thread) const override {
@@ -80,8 +75,6 @@ class TraceBuffer final : public TraceSink, public TraceSource {
   std::string describe() const;
 
  private:
-  void append(std::size_t thread, TraceOp op);
-
   std::vector<std::vector<TraceOp>> streams_;
   // One summary per stream, each on its own cache line: threads append to
   // their streams concurrently, so a shared summary would be a data race.

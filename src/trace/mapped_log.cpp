@@ -126,7 +126,7 @@ void MappedLog::encode_pending(PerThread& pt) {
   pt.write_off += pt.scratch.size();
 }
 
-void MappedLog::append(std::size_t thread, const TraceOp& op) {
+void MappedLog::record(std::size_t thread, const TraceOp& op) {
   TLM_REQUIRE(thread < per_thread_.size(), "thread id outside trace");
   TLM_CHECK(!closed_.load(std::memory_order_acquire),
             "append to a closed MappedLog");
@@ -139,29 +139,6 @@ void MappedLog::append(std::size_t thread, const TraceOp& op) {
   pt.pending = op;
   pt.has_pending = true;
   ++pt.ops;
-}
-
-void MappedLog::on_read(std::size_t thread, std::uint64_t vaddr,
-                        std::uint64_t bytes) {
-  append(thread, TraceOp{OpKind::Read, vaddr, bytes, 0});
-}
-
-void MappedLog::on_write(std::size_t thread, std::uint64_t vaddr,
-                         std::uint64_t bytes) {
-  append(thread, TraceOp{OpKind::Write, vaddr, bytes, 0});
-}
-
-void MappedLog::on_compute(std::size_t thread, double ops) {
-  append(thread, TraceOp{OpKind::Compute, 0, 0, ops});
-}
-
-void MappedLog::on_barrier(std::size_t thread, std::uint64_t barrier_id) {
-  append(thread, TraceOp{OpKind::Barrier, barrier_id, 0, 0});
-}
-
-void MappedLog::on_dma(std::size_t thread, std::uint64_t dst_vaddr,
-                       std::uint64_t src_vaddr, std::uint64_t bytes) {
-  append(thread, TraceOp{OpKind::DmaCopy, dst_vaddr, bytes, 0, src_vaddr});
 }
 
 void MappedLog::close() {

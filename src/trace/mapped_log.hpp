@@ -18,12 +18,12 @@
 // so the record streams — and therefore any replay — are bit-identical to
 // the in-RAM capture path.
 //
-// Threading: on_*(thread, ...) calls touch only that thread's cache-line-
+// Threading: record(thread, op) calls touch only that thread's cache-line-
 // separated state, matching the TraceSink contract (concurrent calls must
 // use distinct thread ids). summary()/stats()/close() are capture-quiescent
 // operations: call them only after the traced run has joined its threads.
 // They serialize against each other under lifecycle_mu_ (so a concurrent
-// close()+stats() pair cannot observe a half-finalized log), and append()
+// close()+stats() pair cannot observe a half-finalized log), and record()
 // checks the closed flag through an atomic — a late appender racing close()
 // is a caller bug, but it fails the TLM_CHECK deterministically instead of
 // tearing a plain bool.
@@ -82,14 +82,7 @@ class MappedLog final : public TraceSink {
   MappedLog(const MappedLog&) = delete;
   MappedLog& operator=(const MappedLog&) = delete;
 
-  void on_read(std::size_t thread, std::uint64_t vaddr,
-               std::uint64_t bytes) override;
-  void on_write(std::size_t thread, std::uint64_t vaddr,
-                std::uint64_t bytes) override;
-  void on_compute(std::size_t thread, double ops) override;
-  void on_barrier(std::size_t thread, std::uint64_t barrier_id) override;
-  void on_dma(std::size_t thread, std::uint64_t dst_vaddr,
-              std::uint64_t src_vaddr, std::uint64_t bytes) override;
+  void record(std::size_t thread, const TraceOp& op) override;
 
   // Flushes pending ops, finalizes every header (committed_bytes/ops), trims
   // chunk slack, msyncs, and unmaps. Idempotent; called by the destructor.
@@ -106,7 +99,6 @@ class MappedLog final : public TraceSink {
  private:
   struct PerThread;
 
-  void append(std::size_t thread, const TraceOp& op);
   void encode_pending(PerThread& pt);
 
   std::string dir_;
@@ -120,7 +112,7 @@ class MappedLog final : public TraceSink {
   // double-close idempotent even when racing.
   mutable Mutex lifecycle_mu_;
   bool finalized_ TLM_GUARDED_BY(lifecycle_mu_) = false;
-  // Fast-path flag append() checks without taking the lifecycle lock.
+  // Fast-path flag record() checks without taking the lifecycle lock.
   std::atomic<bool> closed_{false};
 };
 

@@ -65,9 +65,10 @@ DecodedThread decode_thread_log(const std::string& dir, std::size_t thread,
     const std::uint8_t* end;
     const bool finalized = h.committed_bytes != kUnfinalized;
     if (finalized) {
-      TLM_REQUIRE(sizeof(MappedLogFileHeader) + h.committed_bytes <=
-                      file_bytes,
-                  "mapped log shorter than its committed length: " + path);
+      // The file is known to hold a header, so this cannot wrap.
+      TLM_REQUIRE(
+          h.committed_bytes <= file_bytes - sizeof(MappedLogFileHeader),
+          "mapped log shorter than its committed length: " + path);
       end = p + h.committed_bytes;
     } else {
       // Crash-cut capture: the writer never finalized the header. Recover
@@ -95,7 +96,12 @@ DecodedThread decode_thread_log(const std::string& dir, std::size_t thread,
 }  // namespace
 
 ShardedReplay::ShardedReplay(const std::string& dir, ThreadPool& pool) {
-  load(dir, &pool);
+  load(dir, pool);
+}
+
+ShardedReplay::ShardedReplay(const std::string& dir) {
+  ThreadPool inline_pool(1);
+  load(dir, inline_pool);
 }
 
 void ShardedReplay::note_shard_done(std::exception_ptr error) {
@@ -104,9 +110,7 @@ void ShardedReplay::note_shard_done(std::exception_ptr error) {
   if (error && !first_shard_error_) first_shard_error_ = error;
 }
 
-ShardedReplay::ShardedReplay(const std::string& dir) { load(dir, nullptr); }
-
-void ShardedReplay::load(const std::string& dir, ThreadPool* pool) {
+void ShardedReplay::load(const std::string& dir, ThreadPool& pool) {
   std::ifstream manifest(mapped_log_manifest_path(dir));
   TLM_REQUIRE(manifest.is_open(), "no mapped-log manifest under " + dir);
   std::string tag;
@@ -123,33 +127,26 @@ void ShardedReplay::load(const std::string& dir, ThreadPool* pool) {
   std::vector<DecodedThread> meta(threads);
   stats_.threads = threads;
 
-  if (pool != nullptr && pool->size() > 1 && threads > 1) {
-    // Shard = one worker's contiguous group of trace threads. Exceptions
-    // cannot unwind across the pool's join, so each shard parks the first
-    // one it hits (note_shard_done, under merge_mu_) and the caller
-    // rethrows after the barrier.
-    pool->parallel_for(0, threads,
-                       [&](std::size_t, std::size_t begin, std::size_t end) {
-                         if (begin == end) return;
-                         std::exception_ptr error;
-                         try {
-                           for (std::size_t t = begin; t < end; ++t)
-                             meta[t] =
-                                 decode_thread_log(dir, t, streams_[t]);
-                         } catch (...) {
-                           error = std::current_exception();
-                         }
-                         note_shard_done(error);
-                       });
-    {
-      MutexLock lock(merge_mu_);
-      if (first_shard_error_) std::rethrow_exception(first_shard_error_);
-      stats_.shards = shards_done_;
-    }
-  } else {
-    for (std::size_t t = 0; t < threads; ++t)
-      meta[t] = decode_thread_log(dir, t, streams_[t]);
-    stats_.shards = 1;
+  // Shard = one worker's contiguous group of trace threads. Exceptions
+  // cannot unwind across the pool's join, so each shard parks the first one
+  // it hits (note_shard_done, under merge_mu_) and the caller rethrows after
+  // the barrier.
+  pool.parallel_for(0, threads,
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      if (begin == end) return;
+                      std::exception_ptr error;
+                      try {
+                        for (std::size_t t = begin; t < end; ++t)
+                          meta[t] = decode_thread_log(dir, t, streams_[t]);
+                      } catch (...) {
+                        error = std::current_exception();
+                      }
+                      note_shard_done(error);
+                    });
+  {
+    MutexLock lock(merge_mu_);
+    if (first_shard_error_) std::rethrow_exception(first_shard_error_);
+    stats_.shards = shards_done_;
   }
 
   // Merge the shards at their fence points: every thread must carry the

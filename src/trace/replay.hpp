@@ -50,7 +50,8 @@ class ShardedReplay final : public TraceSource {
   // `pool`. Throws std::invalid_argument on a missing/corrupt capture and
   // std::logic_error when the per-thread fence schedules cannot merge.
   ShardedReplay(const std::string& dir, ThreadPool& pool);
-  // Single-shard convenience: decodes inline on the calling thread.
+  // Single-shard convenience: decodes on a one-worker pool, which runs
+  // inline on the calling thread.
   explicit ShardedReplay(const std::string& dir);
 
   std::size_t threads() const override { return streams_.size(); }
@@ -61,7 +62,7 @@ class ShardedReplay final : public TraceSource {
   const ReplayStats& stats() const { return stats_; }
 
  private:
-  void load(const std::string& dir, ThreadPool* pool);
+  void load(const std::string& dir, ThreadPool& pool);
   // Called by each decode shard as it finishes: counts the shard and parks
   // its first exception (unwinding cannot cross the pool join). The decode
   // workers write disjoint streams_/meta slots and share nothing else, so

@@ -31,30 +31,6 @@ void read_pod(std::istream& is, T& v) {
   TLM_REQUIRE(is.good(), "truncated trace stream");
 }
 
-// Replaying a loaded op through the sink interface re-establishes the
-// capture invariants (coalescing, thread bounds) regardless of encoding.
-void emit(TraceBuffer& tb, std::uint32_t thread, const TraceOp& op) {
-  switch (op.kind) {
-    case OpKind::Read:
-      tb.on_read(thread, op.addr, op.bytes);
-      break;
-    case OpKind::Write:
-      tb.on_write(thread, op.addr, op.bytes);
-      break;
-    case OpKind::Compute:
-      tb.on_compute(thread, op.ops);
-      break;
-    case OpKind::Barrier:
-      tb.on_barrier(thread, op.addr);
-      break;
-    case OpKind::DmaCopy:
-      tb.on_dma(thread, op.addr, op.src, op.bytes);
-      break;
-    default:
-      TLM_REQUIRE(false, "unknown op kind in trace");
-  }
-}
-
 std::uint64_t zigzag(std::uint64_t delta) {
   return (delta << 1) ^ (0 - (delta >> 63));
 }
@@ -90,7 +66,10 @@ bool get_uvarint(const std::uint8_t** p, const std::uint8_t* end,
                  std::uint64_t* v) {
   std::uint64_t out = 0;
   int shift = 0;
-  for (const std::uint8_t* q = *p; q != end && shift < 70; ++q, shift += 7) {
+  for (const std::uint8_t* q = *p; q != end; ++q, shift += 7) {
+    // The 10th byte carries only bit 63; any higher bit, or a continuation
+    // past it, cannot be a u64.
+    TLM_REQUIRE(shift < 63 || *q <= 1, "over-long varint in trace stream");
     out |= static_cast<std::uint64_t>(*q & 0x7f) << shift;
     if (!(*q & 0x80)) {
       *p = q + 1;
@@ -98,7 +77,6 @@ bool get_uvarint(const std::uint8_t** p, const std::uint8_t* end,
       return true;
     }
   }
-  TLM_REQUIRE(shift < 70, "over-long varint in trace stream");
   return false;  // ran off `end` mid-varint: truncated
 }
 
@@ -174,32 +152,23 @@ bool decode_op(const std::uint8_t** p, const std::uint8_t* end, Codec& c,
 
 }  // namespace wire
 
-void save_trace(const TraceBuffer& tb, std::ostream& os,
-                std::uint32_t version) {
-  TLM_REQUIRE(version == kTraceVersionPod || version == kTraceVersionVarint,
-              "unsupported trace version to write");
+void save_trace(const TraceBuffer& tb, std::ostream& os) {
   Header h{};
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
-  h.version = version;
+  h.version = kTraceVersionVarint;
   h.threads = static_cast<std::uint32_t>(tb.threads());
   write_pod(os, h);
   for (std::size_t t = 0; t < tb.threads(); ++t) {
     const auto& s = tb.stream(t);
     write_pod(os, static_cast<std::uint64_t>(s.size()));
-    if (version == kTraceVersionPod) {
-      if (!s.empty())
-        os.write(reinterpret_cast<const char*>(s.data()),
-                 static_cast<std::streamsize>(s.size() * sizeof(TraceOp)));
-    } else {
-      std::vector<std::uint8_t> payload;
-      payload.reserve(8 * s.size());
-      wire::Codec codec;
-      for (const TraceOp& op : s) wire::encode_op(payload, codec, op);
-      write_pod(os, static_cast<std::uint64_t>(payload.size()));
-      if (!payload.empty())
-        os.write(reinterpret_cast<const char*>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
-    }
+    std::vector<std::uint8_t> payload;
+    payload.reserve(8 * s.size());
+    wire::Codec codec;
+    for (const TraceOp& op : s) wire::encode_op(payload, codec, op);
+    write_pod(os, static_cast<std::uint64_t>(payload.size()));
+    if (!payload.empty())
+      os.write(reinterpret_cast<const char*>(payload.data()),
+               static_cast<std::streamsize>(payload.size()));
   }
   TLM_REQUIRE(os.good(), "trace write failed");
 }
@@ -209,54 +178,45 @@ TraceBuffer load_trace(std::istream& is) {
   read_pod(is, h);
   TLM_REQUIRE(std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0,
               "not a trace file (bad magic)");
-  TLM_REQUIRE(
-      h.version == kTraceVersionPod || h.version == kTraceVersionVarint,
-      "unsupported trace version");
+  TLM_REQUIRE(h.version == kTraceVersionVarint, "unsupported trace version");
   TLM_REQUIRE(h.threads >= 1 && h.threads <= 1 << 20,
               "implausible thread count in trace header");
 
+  // Loaded ops go through the sink hook, which re-establishes the capture
+  // invariants (coalescing, thread bounds).
   TraceBuffer tb(h.threads);
   for (std::uint32_t t = 0; t < h.threads; ++t) {
     std::uint64_t count = 0;
     read_pod(is, count);
     TLM_REQUIRE(count <= (1ULL << 40), "implausible op count in trace");
-    if (h.version == kTraceVersionPod) {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        TraceOp op{};
-        read_pod(is, op);
-        emit(tb, t, op);
-      }
-    } else {
-      std::uint64_t payload_bytes = 0;
-      read_pod(is, payload_bytes);
-      TLM_REQUIRE(payload_bytes <= (1ULL << 43),
-                  "implausible payload size in trace");
-      std::vector<std::uint8_t> payload(payload_bytes);
-      if (payload_bytes) {
-        is.read(reinterpret_cast<char*>(payload.data()),
-                static_cast<std::streamsize>(payload_bytes));
-        TLM_REQUIRE(is.good(), "truncated trace stream");
-      }
-      const std::uint8_t* p = payload.data();
-      const std::uint8_t* end = p + payload.size();
-      wire::Codec codec;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        TraceOp op{};
-        TLM_REQUIRE(wire::decode_op(&p, end, codec, &op),
-                    "truncated trace stream");
-        emit(tb, t, op);
-      }
-      TLM_REQUIRE(p == end, "trailing bytes after trace op payload");
+    std::uint64_t payload_bytes = 0;
+    read_pod(is, payload_bytes);
+    TLM_REQUIRE(payload_bytes <= (1ULL << 43),
+                "implausible payload size in trace");
+    std::vector<std::uint8_t> payload(payload_bytes);
+    if (payload_bytes) {
+      is.read(reinterpret_cast<char*>(payload.data()),
+              static_cast<std::streamsize>(payload_bytes));
+      TLM_REQUIRE(is.good(), "truncated trace stream");
     }
+    const std::uint8_t* p = payload.data();
+    const std::uint8_t* end = p + payload.size();
+    wire::Codec codec;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      TraceOp op{};
+      TLM_REQUIRE(wire::decode_op(&p, end, codec, &op),
+                  "truncated trace stream");
+      tb.record(t, op);
+    }
+    TLM_REQUIRE(p == end, "trailing bytes after trace op payload");
   }
   return tb;
 }
 
-void save_trace_file(const TraceBuffer& tb, const std::string& path,
-                     std::uint32_t version) {
+void save_trace_file(const TraceBuffer& tb, const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   TLM_REQUIRE(os.is_open(), "cannot open trace file for writing: " + path);
-  save_trace(tb, os, version);
+  save_trace(tb, os);
 }
 
 TraceBuffer load_trace_file(const std::string& path) {

@@ -1,15 +1,10 @@
 // Binary trace files: capture once, replay many — the workflow SST users
-// have with Ariel tracing. Two on-disk op encodings are supported:
-//
-//  * v2 — the original format: small versioned header + raw per-thread
-//    TraceOp POD arrays (40 B/op). Still written on request and always
-//    loadable.
-//  * v3 — compact varint/delta wire format (typically 3–6 B/op): vaddrs are
-//    zigzag-delta-coded against the end of the previous burst (coalesced
-//    runs therefore encode a 1-byte zero delta), burst lengths and barrier
-//    ids are LEB128 varints, and compute amounts are byte-swapped doubles
-//    (mantissa-light values varint short). The same wire codec backs the
-//    out-of-core MappedLog sink (trace/mapped_log.hpp).
+// have with Ariel tracing. Ops use the compact v3 varint/delta wire format
+// (typically 3–6 B/op): vaddrs are zigzag-delta-coded against the end of
+// the previous burst (coalesced runs therefore encode a 1-byte zero delta),
+// burst lengths and barrier ids are LEB128 varints, and compute amounts are
+// byte-swapped doubles (mantissa-light values varint short). The same wire
+// codec backs the out-of-core MappedLog sink (trace/mapped_log.hpp).
 #pragma once
 
 #include <cstdint>
@@ -21,20 +16,15 @@
 
 namespace tlm::trace {
 
-inline constexpr std::uint32_t kTraceVersionPod = 2;
 inline constexpr std::uint32_t kTraceVersionVarint = 3;
-inline constexpr std::uint32_t kTraceVersionLatest = kTraceVersionVarint;
 
 // Writes `tb` to `os` / reads a buffer back. Throws std::invalid_argument
-// on malformed input (bad magic, version, or truncated stream). `version`
-// selects the op encoding; both versions load transparently.
-void save_trace(const TraceBuffer& tb, std::ostream& os,
-                std::uint32_t version = kTraceVersionLatest);
+// on malformed input (bad magic, version, or truncated stream).
+void save_trace(const TraceBuffer& tb, std::ostream& os);
 TraceBuffer load_trace(std::istream& is);
 
 // File convenience wrappers; throw on I/O failure.
-void save_trace_file(const TraceBuffer& tb, const std::string& path,
-                     std::uint32_t version = kTraceVersionLatest);
+void save_trace_file(const TraceBuffer& tb, const std::string& path);
 TraceBuffer load_trace_file(const std::string& path);
 
 // The v3 wire codec, exposed so MappedLog/ShardedReplay append and decode
@@ -44,6 +34,7 @@ namespace wire {
 // LEB128 unsigned varint (1 byte for < 128, 10 bytes worst case).
 void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v);
 // Returns false when [*p, end) truncates mid-varint; on success advances *p.
+// Throws std::invalid_argument on an encoding longer than a u64 allows.
 bool get_uvarint(const std::uint8_t** p, const std::uint8_t* end,
                  std::uint64_t* v);
 

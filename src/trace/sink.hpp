@@ -38,26 +38,34 @@ struct TraceOp {
   std::uint64_t src = 0;    // source virtual address (DmaCopy only)
 };
 
-// Receives the instrumentation stream. Implementations must be safe to call
-// concurrently from distinct `thread` ids (each thread owns its stream).
+// Receives the instrumentation stream as TraceOp records through one hook,
+// `record`. Implementations must be safe to call concurrently from distinct
+// `thread` ids (each thread owns its stream). The on_* helpers build each
+// kind's record, so the per-kind field layout lives only here.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
-  virtual void on_read(std::size_t thread, std::uint64_t vaddr,
-                       std::uint64_t bytes) = 0;
-  virtual void on_write(std::size_t thread, std::uint64_t vaddr,
-                        std::uint64_t bytes) = 0;
-  virtual void on_compute(std::size_t thread, double ops) = 0;
-  virtual void on_barrier(std::size_t thread, std::uint64_t barrier_id) = 0;
+  virtual void record(std::size_t thread, const TraceOp& op) = 0;
+
+  void on_read(std::size_t thread, std::uint64_t vaddr, std::uint64_t bytes) {
+    record(thread, TraceOp{OpKind::Read, vaddr, bytes});
+  }
+  void on_write(std::size_t thread, std::uint64_t vaddr, std::uint64_t bytes) {
+    record(thread, TraceOp{OpKind::Write, vaddr, bytes});
+  }
+  void on_compute(std::size_t thread, double ops) {
+    record(thread, TraceOp{OpKind::Compute, 0, 0, ops});
+  }
+  void on_barrier(std::size_t thread, std::uint64_t barrier_id) {
+    record(thread, TraceOp{OpKind::Barrier, barrier_id});
+  }
   // A cross-space copy delegated to the DMA engine (Fig. 5/7's "DMA
   // Engines"): the issuing core posts a descriptor and keeps executing; the
-  // next barrier is the completion fence. Default: sinks that predate the
-  // DMA path see the equivalent read+write burst pair.
-  virtual void on_dma(std::size_t thread, std::uint64_t dst_vaddr,
-                      std::uint64_t src_vaddr, std::uint64_t bytes) {
-    on_read(thread, src_vaddr, bytes);
-    on_write(thread, dst_vaddr, bytes);
+  // next barrier is the completion fence.
+  void on_dma(std::size_t thread, std::uint64_t dst_vaddr,
+              std::uint64_t src_vaddr, std::uint64_t bytes) {
+    record(thread, TraceOp{OpKind::DmaCopy, dst_vaddr, bytes, 0, src_vaddr});
   }
 };
 

@@ -155,12 +155,11 @@ def main():
             fail(f"trace-replay steps must mention '{needle}'")
 
     # racecheck: the happens-before analysis lane — the injected-bug fixture
-    # suites (every detector fires; every near-miss stays clean), fresh
+    # suite (every detector fires; every near-miss stays clean), fresh
     # chaos-seed captures, and the Table I mapped-trace run directories must
     # all pass the analyzer; failures keep the reports as artifacts.
     rc = steps_text(jobs["racecheck"])
     for needle in (
-        "tlm_racecheck --self-test",
         "-L test_racecheck",
         "--capture=nmsort",
         "--chaos-seed",

@@ -493,16 +493,15 @@ TEST(MultisequenceCut, MatchesReferenceOnMergePathPartitionInputs) {
   }
 }
 
-// Counts read bursts per thread; every other event is ignored.
+// Counts read bursts per thread, the source side of a DMA descriptor
+// included; every other event is ignored.
 class ReadCounter final : public trace::TraceSink {
  public:
   explicit ReadCounter(std::size_t threads) : reads_(threads, 0) {}
-  void on_read(std::size_t t, std::uint64_t, std::uint64_t) override {
-    ++reads_[t];
+  void record(std::size_t t, const trace::TraceOp& op) override {
+    if (op.kind == trace::OpKind::Read || op.kind == trace::OpKind::DmaCopy)
+      ++reads_[t];
   }
-  void on_write(std::size_t, std::uint64_t, std::uint64_t) override {}
-  void on_compute(std::size_t, double) override {}
-  void on_barrier(std::size_t, std::uint64_t) override {}
   std::uint64_t reads(std::size_t t) const { return reads_[t]; }
   std::uint64_t total() const {
     std::uint64_t n = 0;

@@ -140,13 +140,28 @@ TEST(Racecheck, FlagsStagingReuseAcrossThreads) {
 }
 
 TEST(Racecheck, FlagsInFlightSrcOverwrite) {
-  TraceBuffer tb(1);
-  tb.on_dma(0, kNearBase + 0x4000, kFarBase + 0x600, 128);
-  tb.on_write(0, kFarBase + 0x640, 64);  // clobbers the in-flight source
+  // Alone, and beside an idle thread that only crosses the fence.
+  for (std::size_t threads : {1u, 2u}) {
+    TraceBuffer tb(threads);
+    tb.on_dma(0, kNearBase + 0x4000, kFarBase + 0x600, 128);
+    tb.on_write(0, kFarBase + 0x640, 64);  // clobbers the in-flight source
+    for (std::size_t t = 0; t < threads; ++t) tb.on_barrier(t, 0);
+    const RacecheckReport rep = racecheck(tb);
+    ASSERT_EQ(rep.findings.size(), 1u) << threads << " threads";
+    EXPECT_EQ(rep.findings[0].kind, FindingKind::StagingReuse);
+  }
+}
+
+TEST(Racecheck, AcceptsFencedStagingReuse) {
+  // The fence lands between the in-place work and the re-post.
+  TraceBuffer tb(2);
+  tb.on_write(0, kNearBase + 0x3000, 64);  // in-place work on a batch
   tb.on_barrier(0, 0);
-  const RacecheckReport rep = racecheck(tb);
-  ASSERT_EQ(rep.findings.size(), 1u);
-  EXPECT_EQ(rep.findings[0].kind, FindingKind::StagingReuse);
+  tb.on_barrier(0, 1);
+  tb.on_barrier(1, 0);
+  tb.on_dma(1, kNearBase + 0x3000, kFarBase, 128);  // re-post after fence
+  tb.on_barrier(1, 1);
+  EXPECT_TRUE(racecheck(tb).clean());
 }
 
 TEST(Racecheck, FlagsCrossThreadDescriptorCollision) {
@@ -161,12 +176,15 @@ TEST(Racecheck, FlagsCrossThreadDescriptorCollision) {
 }
 
 TEST(Racecheck, AcceptsSameThreadFifoReposts) {
-  // The engine drains one thread's descriptors in post order.
-  TraceBuffer tb(1);
-  tb.on_dma(0, kNearBase + 0x3000, kFarBase, 128);
-  tb.on_dma(0, kNearBase + 0x3000, kFarBase + 0x1000, 128);
-  tb.on_barrier(0, 0);
-  EXPECT_TRUE(racecheck(tb).clean());
+  // The engine drains one thread's descriptors in post order, with or
+  // without another thread in the epoch.
+  for (std::size_t threads : {1u, 2u}) {
+    TraceBuffer tb(threads);
+    tb.on_dma(0, kNearBase + 0x3000, kFarBase, 128);
+    tb.on_dma(0, kNearBase + 0x3000, kFarBase + 0x1000, 128);
+    for (std::size_t t = 0; t < threads; ++t) tb.on_barrier(t, 0);
+    EXPECT_TRUE(racecheck(tb).clean()) << threads << " threads";
+  }
 }
 
 TEST(Racecheck, FlagsWorkerTrailingOps) {

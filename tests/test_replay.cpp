@@ -27,7 +27,7 @@
 namespace tlm::trace {
 namespace {
 
-// Forwards every sink call to both capture paths, so one (possibly
+// Forwards every record to both capture paths, so one (possibly
 // fault-perturbed, thread-racing) run produces the in-RAM stream and the
 // mmap'd log from the *same* op sequence. This is how the chaos replay test
 // stays deterministic: fault occurrence numbering races across threads
@@ -35,26 +35,9 @@ namespace {
 class TeeSink final : public TraceSink {
  public:
   TeeSink(TraceSink& a, TraceSink& b) : a_(a), b_(b) {}
-  void on_read(std::size_t t, std::uint64_t v, std::uint64_t n) override {
-    a_.on_read(t, v, n);
-    b_.on_read(t, v, n);
-  }
-  void on_write(std::size_t t, std::uint64_t v, std::uint64_t n) override {
-    a_.on_write(t, v, n);
-    b_.on_write(t, v, n);
-  }
-  void on_compute(std::size_t t, double ops) override {
-    a_.on_compute(t, ops);
-    b_.on_compute(t, ops);
-  }
-  void on_barrier(std::size_t t, std::uint64_t id) override {
-    a_.on_barrier(t, id);
-    b_.on_barrier(t, id);
-  }
-  void on_dma(std::size_t t, std::uint64_t dst, std::uint64_t src,
-              std::uint64_t n) override {
-    a_.on_dma(t, dst, src, n);
-    b_.on_dma(t, dst, src, n);
+  void record(std::size_t t, const TraceOp& op) override {
+    a_.record(t, op);
+    b_.record(t, op);
   }
 
  private:
@@ -354,6 +337,58 @@ TEST(ShardedReplay, InterleavedScheduleDivergenceIsCaughtMidStream) {
 TEST(ShardedReplay, MissingManifestThrows) {
   EXPECT_THROW(ShardedReplay{"/nonexistent/tlm_replay_dir"},
                std::invalid_argument);
+}
+
+TEST(ShardedReplay, CommittedLengthPastTheFileIsRejected) {
+  // A finalized header whose committed_bytes would wrap a naive
+  // header + length sum must still be caught as a short file.
+  const std::string dir = fresh_dir("overlong_commit");
+  {
+    MappedLog log(dir, 1);
+    log.on_read(0, kFarBase, 64);
+    log.on_barrier(0, 0);
+    log.close();
+  }
+  {
+    std::fstream f(mapped_log_file_path(dir, 0),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    const std::uint64_t committed = 0 - sizeof(MappedLogFileHeader);
+    f.seekp(offsetof(MappedLogFileHeader, committed_bytes));
+    f.write(reinterpret_cast<const char*>(&committed), sizeof(committed));
+  }
+  try {
+    const ShardedReplay replay(dir);
+    FAIL() << "a committed length past the file must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "shorter than its committed length"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardedReplay, SingleThreadCaptureDecodesAsOneShardOnAnyPool) {
+  // Only worker 0's share of a one-thread capture is non-empty, so a wide
+  // pool decodes exactly what the one-worker constructor does.
+  const std::string dir = fresh_dir("one_thread");
+  {
+    MappedLog log(dir, 1);
+    for (std::uint64_t i = 0; i < 32; ++i) {
+      log.on_read(0, kFarBase + i * 4096, 64);
+      log.on_compute(0, 1.0);
+    }
+    log.on_dma(0, kNearBase, kFarBase, 256);
+    log.on_barrier(0, 0);
+    log.close();
+  }
+  const ShardedReplay serial(dir);
+  ThreadPool pool(4);
+  const ShardedReplay pooled(dir, pool);
+  expect_streams_equal(serial, pooled);
+  EXPECT_EQ(serial.stats().shards, 1u);
+  EXPECT_EQ(pooled.stats().shards, 1u);
+  EXPECT_EQ(serial.stats().ops, pooled.stats().ops);
 }
 
 TEST(MappedLog, AppendAfterCloseThrows) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "analysis/experiment.hpp"
 #include "sim/system.hpp"
@@ -60,6 +62,22 @@ TEST(TraceSerialize, BadMagicRejected) {
   std::stringstream ss;
   ss << "NOTATRACEFILE_____________";
   EXPECT_THROW(load_trace(ss), std::invalid_argument);
+
+  // A good magic with any version but v3 (here v2, raw POD) is rejected.
+  std::stringstream v3;
+  save_trace(sample_trace(), v3);
+  std::string bytes = v3.str();
+  const std::uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 8, &v2, sizeof(v2));  // after the 8-byte magic
+  std::stringstream old(bytes);
+  try {
+    (void)load_trace(old);
+    FAIL() << "a v2 header must not load";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported trace version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceSerialize, TruncationRejected) {
@@ -85,29 +103,16 @@ TEST(TraceSerialize, MissingFileThrows) {
                std::invalid_argument);
 }
 
-TEST(TraceSerialize, V2RoundTripStillWritable) {
-  // The POD format stays writable and loadable alongside the varint default.
-  const TraceBuffer tb = sample_trace();
-  std::stringstream ss;
-  save_trace(tb, ss, kTraceVersionPod);
-  EXPECT_TRUE(equal(tb, load_trace(ss)));
-}
-
 TEST(TraceSerialize, V2AndV3LoadIdenticalStreams) {
-  // Both encodings of a real captured trace must decode to the same ops —
+  // A real captured trace must decode to the same ops it was saved from:
   // v3 is a wire change, not a semantic one.
   const TwoLevelConfig cfg =
       analysis::scaled_counting_config(4.0, 4, 256 * KiB);
   const analysis::CaptureRun cap = analysis::capture_sort_trace(
       cfg, analysis::Algorithm::NMsort, 1 << 14, 33);
-  std::stringstream pod, varint;
-  save_trace(cap.trace, pod, kTraceVersionPod);
-  save_trace(cap.trace, varint, kTraceVersionVarint);
-  EXPECT_LT(varint.str().size(), pod.str().size() / 4);  // the point of v3
-  const TraceBuffer from_pod = load_trace(pod);
-  const TraceBuffer from_varint = load_trace(varint);
-  EXPECT_TRUE(equal(from_pod, from_varint));
-  EXPECT_TRUE(equal(cap.trace, from_varint));
+  std::stringstream varint;
+  save_trace(cap.trace, varint);
+  EXPECT_TRUE(equal(cap.trace, load_trace(varint)));
 }
 
 TEST(TraceSerialize, ZeroLengthOpsSurvive) {
@@ -117,7 +122,7 @@ TEST(TraceSerialize, ZeroLengthOpsSurvive) {
   tb.on_dma(0, kNearBase, kFarBase + 1 * MiB, 0);
   tb.on_barrier(0, 0);
   std::stringstream ss;
-  save_trace(tb, ss, kTraceVersionVarint);
+  save_trace(tb, ss);
   EXPECT_TRUE(equal(tb, load_trace(ss)));
 }
 
@@ -161,13 +166,22 @@ TEST(TraceSerialize, TruncatedRecordSignalsWithoutConsuming) {
 }
 
 TEST(TraceSerialize, OverlongVarintRejected) {
-  // 11 continuation bytes can never be a valid u64 varint: corrupt, not
-  // merely truncated, so the decoder throws instead of signaling recovery.
-  std::vector<std::uint8_t> buf(11, 0x80);
-  const std::uint8_t* p = buf.data();
-  std::uint64_t v = 0;
-  EXPECT_THROW(wire::get_uvarint(&p, p + buf.size(), &v),
-               std::invalid_argument);
+  // None of these can be a valid u64 varint: corrupt, not merely truncated,
+  // so the decoder throws instead of signaling recovery. The 10th byte
+  // holds only bit 63, so a 10th byte above 1 carries bits past 64.
+  std::vector<std::uint8_t> eleven_continuations(11, 0x80);
+  std::vector<std::uint8_t> tenth_byte_two(9, 0x80);
+  tenth_byte_two.push_back(0x02);
+  std::vector<std::uint8_t> tenth_byte_7f(9, 0xff);
+  tenth_byte_7f.push_back(0x7f);
+  for (const auto& buf :
+       {eleven_continuations, tenth_byte_two, tenth_byte_7f}) {
+    const std::uint8_t* p = buf.data();
+    std::uint64_t v = 0;
+    EXPECT_THROW(wire::get_uvarint(&p, p + buf.size(), &v),
+                 std::invalid_argument)
+        << "decoded " << v;
+  }
 }
 
 TEST(TraceSerialize, LoadedTraceReplaysIdentically) {

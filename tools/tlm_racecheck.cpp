@@ -2,19 +2,20 @@
 //
 // Modes (exactly one source):
 //   --trace-dir=DIR     analyze a MappedLog capture via ShardedReplay
-//                       (--jobs=N shards the decode across a thread pool)
+//                       (--jobs=N shards the decode across N workers)
 //   --trace-file=FILE   analyze a save_trace_file() snapshot
 //   --capture=ALG       capture a sort run in-process and analyze it
 //                       (--n, --seed, --threads, --near-kb, --rho,
 //                        --overlap-dma, --chaos-seed reproduce the CI
 //                        chaos schedules)
-//   --self-test         run the embedded injected-bug fixture suite: every
-//                       detector must fire on its bug fixture and stay
-//                       silent on the near-miss twin
+//
+// The injected-bug fixtures for every detector live in
+// tests/test_racecheck.cpp.
 //
 // Output: human-readable digest on stdout; --json[=PATH] additionally
 // emits the tlm.racecheck v1 report. Exit codes: 0 clean (or --warn-only),
 // 1 findings, 2 usage/load errors.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -36,8 +37,8 @@ using namespace tlm;
 
 struct Cli {
   std::string trace_dir, trace_file, capture, json_path;
-  bool json = false, warn_only = false, self_test = false;
-  std::size_t jobs = 0;  // 0 = inline single-shard decode
+  bool json = false, warn_only = false;
+  std::size_t jobs = 1;  // decode workers; 0 or 1 decodes inline
   std::uint64_t n = 100'000, seed = 2026;
   std::size_t threads = 4;
   std::uint64_t near_kb = 256;
@@ -67,7 +68,7 @@ int usage(const char* argv0) {
       "usage: %s (--trace-dir=DIR [--jobs=N] | --trace-file=FILE |\n"
       "           --capture=ALG [--n=N] [--seed=S] [--threads=T]\n"
       "             [--near-kb=KB] [--rho=R] [--overlap-dma]\n"
-      "             [--chaos-seed=S] | --self-test)\n"
+      "             [--chaos-seed=S])\n"
       "          [--json[=PATH]] [--warn-only] [--max-findings=N]\n"
       "  ALG: nmsort | gnusort | scratchpad-seq | scratchpad-par\n",
       argv0);
@@ -107,164 +108,6 @@ int report_and_exit(const analyze::RacecheckReport& rep, const Cli& cli) {
   return cli.warn_only ? 0 : 1;
 }
 
-// ---- injected-bug fixture suite -------------------------------------------
-//
-// Each detector gets a minimal trace that must fire and a near-miss twin
-// (same shape, one ordering edge added) that must analyze clean. Threads
-// always end on a barrier except where the trailing tail *is* the bug.
-
-int self_test_failures = 0;
-
-void expect(bool ok, const char* what) {
-  std::printf("  %-60s %s\n", what, ok ? "ok" : "FAIL");
-  if (!ok) ++self_test_failures;
-}
-
-analyze::RacecheckReport check(const trace::TraceBuffer& tb) {
-  return analyze::racecheck(tb);
-}
-
-bool fires(const analyze::RacecheckReport& rep, analyze::FindingKind kind) {
-  if (rep.findings.size() != 1) return false;
-  return rep.findings[0].kind == kind;
-}
-
-int self_test() {
-  using analyze::FindingKind;
-  using trace::TraceBuffer;
-  std::printf("racecheck self-test: injected-bug fixtures\n");
-
-  {  // (a) UnorderedOverlap: cross-thread write/read in one epoch.
-    TraceBuffer tb(2);
-    tb.on_write(0, 0x1000, 64);
-    tb.on_barrier(0, 0);
-    tb.on_read(1, 0x1020, 64);  // overlaps the tail of t0's write
-    tb.on_barrier(1, 0);
-    expect(fires(check(tb), FindingKind::UnorderedOverlap),
-           "unordered-overlap fires on same-epoch write/read overlap");
-  }
-  {  // (a) near-miss: the read happens after the fence.
-    TraceBuffer tb(2);
-    tb.on_write(0, 0x1000, 64);
-    tb.on_barrier(0, 0);
-    tb.on_barrier(0, 1);
-    tb.on_barrier(1, 0);
-    tb.on_read(1, 0x1020, 64);
-    tb.on_barrier(1, 1);
-    expect(check(tb).clean(),
-           "unordered-overlap accepts the fenced twin");
-  }
-  {  // (a) near-miss: same-epoch overlap, but both sides read.
-    TraceBuffer tb(2);
-    tb.on_read(0, 0x1000, 64);
-    tb.on_barrier(0, 0);
-    tb.on_read(1, 0x1020, 64);
-    tb.on_barrier(1, 0);
-    expect(check(tb).clean(), "unordered-overlap ignores read/read sharing");
-  }
-
-  {  // (b) UnfencedDmaRead: cross-thread read of an in-flight dst.
-    TraceBuffer tb(2);
-    tb.on_dma(0, /*dst=*/0x2000, /*src=*/0x100, 256);
-    tb.on_barrier(0, 0);
-    tb.on_read(1, 0x2040, 64);
-    tb.on_barrier(1, 0);
-    expect(fires(check(tb), FindingKind::UnfencedDmaRead),
-           "unfenced-dma-read fires on cross-thread in-flight dst read");
-  }
-  {  // (b) UnfencedDmaRead: the posting thread itself reads dst pre-fence.
-    TraceBuffer tb(1);
-    tb.on_dma(0, 0x2000, 0x100, 256);
-    tb.on_read(0, 0x2000, 64);
-    tb.on_barrier(0, 0);
-    expect(fires(check(tb), FindingKind::UnfencedDmaRead),
-           "unfenced-dma-read fires on own-post pre-fence dst read");
-  }
-  {  // (b) near-miss: the read waits for the completion fence.
-    TraceBuffer tb(2);
-    tb.on_dma(0, 0x2000, 0x100, 256);
-    tb.on_barrier(0, 0);
-    tb.on_barrier(0, 1);
-    tb.on_barrier(1, 0);
-    tb.on_read(1, 0x2040, 64);
-    tb.on_barrier(1, 1);
-    expect(check(tb).clean(), "unfenced-dma-read accepts the fenced twin");
-  }
-
-  {  // (c) StagingReuse: buffer re-targeted while another thread still
-     //     writes the previous batch in place.
-    TraceBuffer tb(2);
-    tb.on_dma(0, 0x3000, 0x500, 128);  // re-post into the staging range
-    tb.on_barrier(0, 0);
-    tb.on_write(1, 0x3000, 64);  // in-place work on the unfenced batch
-    tb.on_barrier(1, 0);
-    expect(fires(check(tb), FindingKind::StagingReuse),
-           "staging-reuse fires on re-post over an unfenced batch");
-  }
-  {  // (c) StagingReuse: an in-flight descriptor's src is overwritten.
-    TraceBuffer tb(2);
-    tb.on_dma(0, 0x4000, 0x600, 128);
-    tb.on_write(0, 0x640, 64);  // clobbers the tail of the in-flight src
-    tb.on_barrier(0, 0);
-    tb.on_barrier(1, 0);
-    expect(fires(check(tb), FindingKind::StagingReuse),
-           "staging-reuse fires on in-flight src overwrite");
-  }
-  {  // (c) near-miss: the fence lands between the batch and the re-post.
-    TraceBuffer tb(2);
-    tb.on_write(0, 0x3000, 64);  // in-place work on the previous batch
-    tb.on_barrier(0, 0);
-    tb.on_barrier(0, 1);
-    tb.on_barrier(1, 0);
-    tb.on_dma(1, 0x3000, 0x500, 128);  // re-post only after the fence
-    tb.on_barrier(1, 1);
-    expect(check(tb).clean(), "staging-reuse accepts the fenced twin");
-  }
-  {  // (c) near-miss: same-thread FIFO — two descriptors over one range.
-    TraceBuffer tb(2);
-    tb.on_dma(0, 0x3000, 0x500, 128);
-    tb.on_dma(0, 0x3000, 0x700, 128);  // engine drains posts in order
-    tb.on_barrier(0, 0);
-    tb.on_barrier(1, 0);
-    expect(check(tb).clean(),
-           "staging-reuse accepts same-thread FIFO re-posts");
-  }
-
-  {  // (d) PostPhaseCharge: a worker charges ops after its final fence.
-    TraceBuffer tb(2);
-    tb.on_barrier(0, 0);
-    tb.on_barrier(1, 0);
-    tb.on_compute(1, 5.0);  // lands after the join that closed the phase
-    expect(fires(check(tb), FindingKind::PostPhaseCharge),
-           "post-phase-charge fires on a worker's trailing ops");
-  }
-  {  // (d) near-miss: the orchestrator's sequential tail is legal.
-    TraceBuffer tb(2);
-    tb.on_barrier(0, 0);
-    tb.on_compute(0, 5.0);  // thread 0 closes the phase itself
-    tb.on_barrier(1, 0);
-    expect(check(tb).clean(),
-           "post-phase-charge accepts the orchestrator tail");
-  }
-
-  {  // Divergent fence schedules are rejected, not analyzed.
-    TraceBuffer tb(2);
-    tb.on_barrier(0, 0);
-    tb.on_barrier(1, 7);
-    bool threw = false;
-    try {
-      (void)check(tb);
-    } catch (const std::invalid_argument&) {
-      threw = true;
-    }
-    expect(threw, "divergent barrier schedules throw");
-  }
-
-  std::printf("racecheck self-test: %s\n",
-              self_test_failures ? "FAILED" : "all fixtures passed");
-  return self_test_failures ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -301,15 +144,11 @@ int main(int argc, char** argv) {
       cli.json_path = v;
     } else if (std::strcmp(a, "--warn-only") == 0) {
       cli.warn_only = true;
-    } else if (std::strcmp(a, "--self-test") == 0) {
-      cli.self_test = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a);
       return usage(argv[0]);
     }
   }
-
-  if (cli.self_test) return self_test();
 
   const int sources = (!cli.trace_dir.empty()) + (!cli.trace_file.empty()) +
                       (!cli.capture.empty());
@@ -320,18 +159,12 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli.trace_dir.empty()) {
-      if (cli.jobs > 1) {
-        ThreadPool pool(cli.jobs);
-        const trace::ShardedReplay replay(cli.trace_dir, pool);
-        std::printf("racecheck: %s (%llu ops, %llu shards)\n",
-                    cli.trace_dir.c_str(),
-                    (unsigned long long)replay.stats().ops,
-                    (unsigned long long)replay.stats().shards);
-        return report_and_exit(analyze::racecheck(replay, opt), cli);
-      }
-      const trace::ShardedReplay replay(cli.trace_dir);
-      std::printf("racecheck: %s (%llu ops)\n", cli.trace_dir.c_str(),
-                  (unsigned long long)replay.stats().ops);
+      ThreadPool pool(std::max<std::size_t>(cli.jobs, 1));
+      const trace::ShardedReplay replay(cli.trace_dir, pool);
+      std::printf("racecheck: %s (%llu ops, %llu shards)\n",
+                  cli.trace_dir.c_str(),
+                  (unsigned long long)replay.stats().ops,
+                  (unsigned long long)replay.stats().shards);
       return report_and_exit(analyze::racecheck(replay, opt), cli);
     }
     if (!cli.trace_file.empty()) {
