@@ -5,6 +5,11 @@
 // (counting backend across the full sweep; the cycle simulator corroborates
 // a subset unless --quick). The GNU baseline is ρ-independent — it never
 // touches the scratchpad — and anchors the series.
+//
+// Verdicts (exit 1 on any NO): NMsort's modeled time never rises with ρ;
+// its modeled speedup over GNU rises strictly with ρ; its scratchpad time at
+// ρ = 16 is at most 1/8 of that at ρ = 1 (the linear reduction); and,
+// outside --quick, the simulated speedup at 8X exceeds the one at 2X.
 #include <iostream>
 
 #include "analysis/experiment.hpp"
@@ -55,12 +60,17 @@ int run(const bench::Flags& flags) {
 
   double prev_time = 0;
   bool monotone = true;
+  double prev_speedup = 0;
+  bool speedup_rises = true;
+  double near_rho1 = 0, near_rho16 = 0;
+  double sim_speedup_2x = 0, sim_speedup_8x = 0;
   for (double rho : {1.0, 2.0, 4.0, 8.0, 16.0}) {
     const TwoLevelConfig cfg =
         analysis::scaled_counting_config(rho, cores, near_cap);
     const analysis::SortRun nm =
         analysis::run_sort_counting(cfg, Algorithm::NMsort, n, seed);
     if (!nm.verified) return 1;
+    const double speedup = gnu.modeled_seconds / nm.modeled_seconds;
 
     obs::RunRecord& rec =
         report.add_run("nmsort.rho" + Table::num(rho, 0));
@@ -68,10 +78,12 @@ int run(const bench::Flags& flags) {
     rec.set_counting(nm.counting, cfg.block_bytes);
     rec.wall_seconds = nm.host_seconds;
     rec.gauges["modeled_seconds"] = nm.modeled_seconds;
-    rec.gauges["speedup_vs_gnu"] = gnu.modeled_seconds / nm.modeled_seconds;
+    rec.gauges["speedup_vs_gnu"] = speedup;
 
     double near_s = 0;
     for (const auto& ph : nm.counting.phases) near_s += ph.near_s;
+    if (rho == 1.0) near_rho1 = near_s;
+    if (rho == 16.0) near_rho16 = near_s;
 
     std::string sim_cell = "-", sim_speedup = "-";
     if (!quick && (rho == 2.0 || rho == 8.0)) {
@@ -81,27 +93,43 @@ int run(const bench::Flags& flags) {
           rho, cores, sim_n, near_cap, Algorithm::NMsort, seed);
       const auto gnu_sim = analysis::simulate_sort(
           rho, cores, sim_n, near_cap, Algorithm::GnuSort, seed);
+      const double sim_x = gnu_sim.report.seconds / nm_sim.report.seconds;
+      (rho == 2.0 ? sim_speedup_2x : sim_speedup_8x) = sim_x;
       sim_cell = Table::num(nm_sim.report.seconds, 6);
-      sim_speedup =
-          Table::num(gnu_sim.report.seconds / nm_sim.report.seconds, 3);
+      sim_speedup = Table::num(sim_x, 3);
     }
 
     if (prev_time > 0 && nm.modeled_seconds > prev_time * 1.0001)
       monotone = false;
     prev_time = nm.modeled_seconds;
+    if (prev_speedup > 0 && speedup <= prev_speedup) speedup_rises = false;
+    prev_speedup = speedup;
 
     t.row({Table::num(rho, 1), Table::num(nm.modeled_seconds, 6),
            Table::num(near_s, 6),
-           Table::num(gnu.modeled_seconds / nm.modeled_seconds, 3), sim_cell,
-           sim_speedup});
+           Table::num(speedup, 3), sim_cell, sim_speedup});
   }
   std::cout << t;
+  const bool near_linear = near_rho16 * 8 <= near_rho1;
+  bool ok = monotone && speedup_rises && near_linear;
   std::cout << "shape: NMsort time monotonically non-increasing in rho: "
             << (monotone ? "yes" : "NO") << "\n";
-  std::cout << "shape: scratchpad-bound component scales ~1/rho (linear "
-               "reduction), far component is the rho-independent floor\n";
+  std::cout << "shape: modeled speedup over GNU rises strictly with rho: "
+            << (speedup_rises ? "yes" : "NO") << "\n";
+  std::cout << "shape: scratchpad time falls at least 8x from rho=1 to "
+               "rho=16 (linear reduction, "
+            << Table::num(near_rho1 / near_rho16, 1)
+            << "x): " << (near_linear ? "yes" : "NO") << "\n";
+  if (!quick) {
+    const bool sim_rises = sim_speedup_8x > sim_speedup_2x;
+    ok = ok && sim_rises;
+    std::cout << "shape: simulated speedup at 8X exceeds 2X ("
+              << Table::num(sim_speedup_8x, 3) << " vs "
+              << Table::num(sim_speedup_2x, 3)
+              << "): " << (sim_rises ? "yes" : "NO") << "\n";
+  }
   bench::write_report_if_requested(flags, report, wall);
-  return monotone ? 0 : 1;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

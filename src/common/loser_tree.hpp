@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,10 +18,17 @@
 
 namespace tlm {
 
-// Merges k sorted input cursors. The tree stores run indices; comparisons go
-// through the current head element of each run. Exhausted runs always lose,
-// so they sink to the bottom of the tournament. The merge is stable: ties are
-// broken by run index.
+// Merges k sorted input cursors. Every node holds a contender: the head key
+// of a run together with the run index and whether the run is exhausted, so
+// a replay compares contenders and never reads a cursor. Contenders order by
+// (exhausted, key, run): exhausted runs always lose and sink to the bottom
+// of the tournament, and ties between equal keys go to the lower run index,
+// which makes the merge stable.
+//
+// Unsigned integer keys of at most 64 bits under std::less pack a contender
+// into one 128-bit word, exhausted << 96 | key << 32 | run, so a replay step
+// is one unsigned compare and two conditional moves. Every other key type
+// compares the same three fields in the same order.
 template <typename T, typename Compare = std::less<T>>
 class LoserTree {
  public:
@@ -31,41 +40,53 @@ class LoserTree {
   explicit LoserTree(std::vector<Run> runs, Compare cmp = Compare())
       : runs_(std::move(runs)), cmp_(cmp) {
     TLM_REQUIRE(!runs_.empty(), "loser tree needs at least one run");
-    k_ = runs_.size();
+    if constexpr (kPacked)
+      TLM_REQUIRE(runs_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "packed loser tree needs the run count to fit 32 bits");
+    const std::size_t k = runs_.size();
     m_ = 1;
-    while (m_ < k_) m_ <<= 1;
+    while (m_ < k) m_ <<= 1;
     // Pad with permanently-empty runs so every leaf participates in the
     // tournament and every internal node gets a well-defined loser.
     runs_.resize(m_, Run{});
-    cursors_.resize(m_);
-    for (std::size_t i = 0; i < m_; ++i) cursors_[i] = runs_[i].begin;
     remaining_ = 0;
-    for (std::size_t i = 0; i < k_; ++i)
+    for (std::size_t i = 0; i < k; ++i)
       remaining_ += static_cast<std::size_t>(runs_[i].end - runs_[i].begin);
-    tree_.assign(m_, kInvalid);
-    for (std::size_t i = 0; i < m_; ++i) replay(i);
+    // Bottom-up build: winners[node] is the best contender below `node`;
+    // the node itself keeps the loser of the match between its children.
+    tree_.resize(m_);
+    std::vector<Contender> winners(2 * m_);
+    for (std::size_t i = 0; i < m_; ++i) winners[m_ + i] = head(i);
+    for (std::size_t node = m_ - 1; node >= 1; --node) {
+      const Contender& a = winners[2 * node];
+      const Contender& b = winners[2 * node + 1];
+      const bool a_wins = before(a, b);
+      winners[node] = a_wins ? a : b;
+      tree_[node] = a_wins ? b : a;
+    }
+    winner_ = winners[1];
   }
 
   bool done() const { return remaining_ == 0; }
   std::size_t remaining() const { return remaining_; }
 
   // Index of the run currently holding the global minimum.
-  std::size_t top_run() const { return winner_; }
+  std::size_t top_run() const { return run_of(winner_); }
 
   // Current read cursor of run `r` — lets callers charge block-granular
   // traffic as the merge consumes each run.
-  const T* cursor(std::size_t r) const { return cursors_[r]; }
+  const T* cursor(std::size_t r) const { return runs_[r].begin; }
 
   const T& top() const {
     TLM_CHECK(!done(), "top() on exhausted loser tree");
-    return *cursors_[winner_];
+    return *runs_[top_run()].begin;
   }
 
-  // Pops the minimum and replays the tournament along one root-to-leaf path.
+  // Pops the minimum and replays the tournament along one leaf-to-root path.
   T pop() {
     TLM_CHECK(!done(), "pop() on exhausted loser tree");
-    const std::size_t r = winner_;
-    T value = *cursors_[r]++;
+    const std::size_t r = top_run();
+    T value = *runs_[r].begin++;
     --remaining_;
     replay(r);
     return value;
@@ -79,45 +100,72 @@ class LoserTree {
   }
 
  private:
-  bool run_empty(std::size_t r) const { return cursors_[r] == runs_[r].end; }
+  static constexpr bool kPacked =
+      std::is_integral_v<T> && std::is_unsigned_v<T> &&
+      !std::is_same_v<T, bool> && sizeof(T) <= sizeof(std::uint64_t) &&
+      (std::is_same_v<Compare, std::less<T>> ||
+       std::is_same_v<Compare, std::less<>>);
 
-  // True when run `a` should be preferred over (sort before) run `b`.
-  bool beats(std::size_t a, std::size_t b) const {
-    if (run_empty(a)) return false;
-    if (run_empty(b)) return true;
-    if (cmp_(*cursors_[a], *cursors_[b])) return true;
-    if (cmp_(*cursors_[b], *cursors_[a])) return false;
-    return a < b;  // stable tie-break on run index
+  __extension__ using Word = unsigned __int128;
+  struct Fields {
+    bool exhausted = true;
+    T key{};
+    std::size_t run = 0;
+  };
+  using Contender = std::conditional_t<kPacked, Word, Fields>;
+
+  // The contender of run `r`: its head key, or exhausted.
+  Contender head(std::size_t r) const {
+    const Run& run = runs_[r];
+    if constexpr (kPacked) {
+      if (run.begin == run.end) return Word{1} << 96 | r;
+      return Word{*run.begin} << 32 | r;
+    } else {
+      if (run.begin == run.end) return Fields{true, T{}, r};
+      return Fields{false, *run.begin, r};
+    }
   }
 
-  // Challenger `run` climbs from its leaf to the root. During construction a
-  // challenger parks in the first empty slot it meets; exactly one challenger
-  // per build passes the root and becomes the winner. After construction the
-  // path is always fully populated, so replay ends at the root every time.
-  void replay(std::size_t run) {
-    std::size_t cur = run;
-    for (std::size_t node = (run + m_) / 2; node >= 1; node /= 2) {
-      std::size_t& loser = tree_[node];
-      if (loser == kInvalid) {
-        loser = cur;
-        return;
+  static std::size_t run_of(const Contender& c) {
+    if constexpr (kPacked)
+      return static_cast<std::uint32_t>(c);
+    else
+      return c.run;
+  }
+
+  // True when contender `a` sorts before contender `b`.
+  bool before(const Contender& a, const Contender& b) const {
+    if constexpr (kPacked) {
+      return a < b;
+    } else {
+      if (a.exhausted != b.exhausted) return b.exhausted;
+      if (!a.exhausted) {
+        if (cmp_(a.key, b.key)) return true;
+        if (cmp_(b.key, a.key)) return false;
       }
-      if (beats(loser, cur)) std::swap(loser, cur);
-      if (node == 1) break;
+      return a.run < b.run;  // stable tie-break on run index
+    }
+  }
+
+  // Run `r`'s new head climbs from its leaf to the root; at each node the
+  // better of the two contenders moves on and the other stays as the loser.
+  void replay(std::size_t r) {
+    Contender cur = head(r);
+    for (std::size_t node = (r + m_) / 2; node >= 1; node /= 2) {
+      Contender& loser = tree_[node];
+      const bool swap = before(loser, cur);
+      const Contender up = swap ? loser : cur;
+      loser = swap ? cur : loser;
+      cur = up;
     }
     winner_ = cur;
   }
 
-  static constexpr std::size_t kInvalid =
-      std::numeric_limits<std::size_t>::max();
-
-  std::vector<Run> runs_;
+  std::vector<Run> runs_;  // runs_[r].begin is run r's read cursor
   Compare cmp_;
-  std::size_t k_ = 0;  // real (unpadded) run count
   std::size_t m_ = 0;  // leaves in the padded complete tree
-  std::vector<std::size_t> tree_;
-  std::vector<const T*> cursors_;
-  std::size_t winner_ = 0;
+  std::vector<Contender> tree_;
+  Contender winner_{};
   std::size_t remaining_ = 0;
 };
 

@@ -14,7 +14,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/math.hpp"
@@ -76,6 +79,82 @@ RunLayout plan_runs(const Machine& m, std::uint64_t n,
   return L;
 }
 
+// Unsigned integer keys under plain `<` have one sorted order whatever
+// algorithm produces it, so host_sort may order them by their digits.
+template <typename T, typename Cmp>
+inline constexpr bool kRadixSortable =
+    std::is_integral_v<T> && std::is_unsigned_v<T> &&
+    !std::is_same_v<T, bool> &&
+    (std::is_same_v<Cmp, std::less<T>> || std::is_same_v<Cmp, std::less<>>);
+
+// Below this many keys a bucket is finished by insertion sort.
+inline constexpr std::size_t kRadixInsertionBelow = 32;
+
+// American flag sort (McIlroy, Bostic & McIlroy 1993): an in-place MSD radix
+// sort on 8-bit digits, starting at the digit whose lowest bit is `shift`.
+// Each level counts digits, permutes keys into their buckets by cycle
+// swaps, and recurses into every bucket on the next digit, so the depth is
+// at most sizeof(T) levels and no buffer is allocated.
+template <typename T>
+void american_flag_sort(T* a, std::size_t n, unsigned shift) {
+  for (;;) {
+    if (n < kRadixInsertionBelow) {
+      for (std::size_t i = 1; i < n; ++i) {
+        const T x = a[i];
+        std::size_t j = i;
+        for (; j > 0 && x < a[j - 1]; --j) a[j] = a[j - 1];
+        a[j] = x;
+      }
+      return;
+    }
+    const auto digit = [shift](T x) {
+      return static_cast<unsigned>(x >> shift) & 0xffu;
+    };
+    std::size_t end[256] = {};
+    for (std::size_t i = 0; i < n; ++i) ++end[digit(a[i])];
+    // One bucket holds every key: this digit is already in order.
+    if (end[digit(a[0])] == n) {
+      if (shift == 0) return;
+      shift -= 8;
+      continue;
+    }
+    std::size_t next[256];
+    std::size_t sum = 0;
+    for (unsigned d = 0; d < 256; ++d) {
+      next[d] = sum;
+      sum += end[d];
+      end[d] = sum;
+    }
+    for (unsigned d = 0; d < 256; ++d) {
+      while (next[d] < end[d]) {
+        T x = a[next[d]];
+        for (unsigned e = digit(x); e != d; e = digit(x))
+          std::swap(x, a[next[e]++]);
+        a[next[d]++] = x;
+      }
+    }
+    if (shift == 0) return;
+    std::size_t b = 0;
+    for (unsigned d = 0; d < 256; b = end[d++])
+      if (end[d] - b > 1) american_flag_sort(a + b, end[d] - b, shift - 8);
+    return;
+  }
+}
+
+// The host algorithm that physically orders a run. The Machine charges for
+// sorting analytically (callers charge n·lg n compute and their own passes),
+// so how the keys get ordered here is free as long as the order is the one
+// `cmp` defines: radix keys go through american_flag_sort, everything else
+// through std::sort.
+template <typename T, typename Cmp>
+void host_sort(T* first, T* last, [[maybe_unused]] Cmp cmp) {
+  if constexpr (kRadixSortable<T, Cmp>)
+    american_flag_sort(first, static_cast<std::size_t>(last - first),
+                       8 * (sizeof(T) - 1));
+  else
+    std::sort(first, last, cmp);
+}
+
 // Sorts `n` elements located at `dst` (optionally moving them from `src`
 // first) and charges one read plus one write pass and n·lg(n) compute.
 template <typename T, typename Cmp>
@@ -84,7 +163,7 @@ void form_run(Machine& m, std::size_t thread, const T* src, T* dst,
   if (n == 0) return;
   m.stream_read(thread, src, n * sizeof(T));
   if (dst != src) std::memcpy(dst, src, n * sizeof(T));
-  std::sort(dst, dst + n, cmp);
+  host_sort(dst, dst + n, cmp);
   m.stream_write(thread, dst, n * sizeof(T));
   m.compute(thread, cost_factor * static_cast<double>(n) *
                         std::log2(static_cast<double>(n) + 2));

@@ -48,7 +48,7 @@ namespace detail {
 
 // Charged model of quicksort inside the scratchpad: partitioning passes
 // stream the operand lg(x·sizeof(T)/Z) times before subproblems fit in
-// cache (the lg(M/Z) factor of Corollary 7). Physically a std::sort.
+// cache (the lg(M/Z) factor of Corollary 7). Physically a host_sort.
 template <typename T, typename Cmp>
 void charged_quicksort(Machine& m, std::span<T> buf, Cmp cmp) {
   const double bytes = static_cast<double>(buf.size_bytes());
@@ -59,7 +59,7 @@ void charged_quicksort(Machine& m, std::span<T> buf, Cmp cmp) {
     m.stream_read(0, buf.data(), buf.size_bytes());
     m.stream_write(0, buf.data(), buf.size_bytes());
   }
-  std::sort(buf.begin(), buf.end(), cmp);
+  host_sort(buf.data(), buf.data() + buf.size(), cmp);
   m.compute(0, static_cast<double>(buf.size()) *
                    (std::log2(static_cast<double>(buf.size()) + 2)));
 }

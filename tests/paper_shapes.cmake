@@ -6,6 +6,7 @@
 #   validate_backends  S4b: counting model and cycle sim agree on traffic
 #   sweep_skew         S6: merge-path balance exact on every distribution
 #   sweep_cores        S2: compute- to memory-bound flip and NMsort crossover
+#   sweep_bandwidth    S1: speedup rising with rho, near time ~1/rho
 #   table1_sst_sort    T1: NMsort beats GNU sort, speedup rising with rho
 # Expects -DBENCH_DIR=<bench binaries> -DWORK_DIR=<dir>.
 cmake_minimum_required(VERSION 3.16)
@@ -21,7 +22,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(failed "")
 foreach(bench theory_validation validate_backends sweep_skew sweep_cores
-              table1_sst_sort)
+              sweep_bandwidth table1_sst_sort)
   execute_process(
     COMMAND "${BENCH_DIR}/${bench}"
     WORKING_DIRECTORY "${WORK_DIR}"

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -222,9 +225,10 @@ std::vector<Tagged> merge_tagged(
 void expect_stable(const std::vector<Tagged>& out) {
   for (std::size_t i = 1; i < out.size(); ++i) {
     ASSERT_LE(out[i - 1].key, out[i].key);
-    if (out[i - 1].key == out[i].key)
+    if (out[i - 1].key == out[i].key) {
       ASSERT_LE(out[i - 1].run, out[i].run)
           << "tie on key " << out[i].key << " emitted out of run order";
+    }
   }
 }
 
@@ -277,6 +281,61 @@ TEST(LoserTree, RandomizedStabilityWithEmptiesAndDuplicates) {
   }
 }
 
+// Pops every element of a LoserTree<T> over `runs`, each paired with the
+// run top_run() named just before the pop.
+template <typename T>
+std::vector<std::pair<T, std::size_t>> merge_by_top_run(
+    const std::vector<std::vector<T>>& runs) {
+  std::vector<typename LoserTree<T>::Run> rs;
+  for (const auto& r : runs) rs.push_back({r.data(), r.data() + r.size()});
+  LoserTree<T> tree(std::move(rs));
+  std::vector<std::pair<T, std::size_t>> out;
+  while (!tree.done()) {
+    const std::size_t r = tree.top_run();
+    out.emplace_back(tree.pop(), r);
+  }
+  return out;
+}
+
+// The merge emits the sorted multiset of `runs`; every element comes from
+// the run top_run() named, in that run's order; and among equal keys the
+// run index never decreases.
+template <typename T>
+void expect_merged_in_tie_order(const std::vector<std::vector<T>>& runs) {
+  std::vector<T> all;
+  for (const auto& r : runs) all.insert(all.end(), r.begin(), r.end());
+  std::sort(all.begin(), all.end());
+  const auto out = merge_by_top_run(runs);
+  ASSERT_EQ(out.size(), all.size());
+  std::vector<std::size_t> taken(runs.size(), 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto [key, run] = out[i];
+    ASSERT_EQ(key, all[i]) << "position " << i;
+    ASSERT_LT(run, runs.size());
+    ASSERT_LT(taken[run], runs[run].size()) << "run " << run << " overrun";
+    ASSERT_EQ(key, runs[run][taken[run]++]) << "position " << i;
+    if (i > 0 && out[i - 1].first == key) {
+      ASSERT_LE(out[i - 1].second, run)
+          << "tie on key " << key << " emitted out of run order";
+    }
+  }
+}
+
+// `k` sorted runs of up to `max_len` keys from `draw`; about one in four
+// runs is empty.
+template <typename T, typename Draw>
+std::vector<std::vector<T>> random_runs(Xoshiro256& rng, std::size_t k,
+                                        std::size_t max_len, Draw draw) {
+  std::vector<std::vector<T>> runs(k);
+  for (auto& r : runs) {
+    if (rng.below(4) == 0) continue;
+    const std::size_t len = rng.below(max_len + 1);
+    for (std::size_t i = 0; i < len; ++i) r.push_back(draw());
+    std::sort(r.begin(), r.end());
+  }
+  return runs;
+}
+
 TEST(LoserTree, RandomizedAgainstStdMerge) {
   Xoshiro256 rng(99);
   for (int trial = 0; trial < 20; ++trial) {
@@ -291,6 +350,63 @@ TEST(LoserTree, RandomizedAgainstStdMerge) {
     }
     std::sort(all.begin(), all.end());
     EXPECT_EQ(merge_with_tree(runs), all) << "trial " << trial;
+  }
+  // Keys at the top of the range, with empty runs interleaved and runs
+  // running dry mid-merge: a real UINT64_MAX must still beat every
+  // exhausted run.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t extremes[] = {0, kMax - 1, kMax};
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t k = 2 + rng.below(9);
+    expect_merged_in_tie_order(random_runs<std::uint64_t>(
+        rng, k, 12, [&] { return extremes[rng.below(3)]; }));
+  }
+  expect_merged_in_tie_order<std::uint64_t>(
+      {{kMax}, {}, {kMax - 1, kMax}, {}, {0, kMax, kMax}, {}});
+}
+
+TEST(LoserTree, TieOrderOnUint64ByTopRun) {
+  // uint64_t under std::less is the packed path; the Tagged tests above
+  // cover only the generic one.
+  const auto out =
+      merge_by_top_run<std::uint64_t>({{5, 5}, {3, 5}, {5}, {5, 7}});
+  std::vector<std::size_t> five_runs;
+  for (const auto& [key, run] : out)
+    if (key == 5) five_runs.push_back(run);
+  EXPECT_EQ(five_runs, (std::vector<std::size_t>{0, 0, 1, 2, 3}));
+  Xoshiro256 rng(4321);
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t k = 1 + rng.below(10);
+    expect_merged_in_tie_order(random_runs<std::uint64_t>(
+        rng, k, 40, [&] { return rng.below(8); }));
+  }
+}
+
+TEST(LoserTree, Uint32Keys) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  Xoshiro256 rng(77);
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t k = 1 + rng.below(12);
+    expect_merged_in_tie_order(random_runs<std::uint32_t>(rng, k, 40, [&] {
+      return rng.below(2) ? kMax - static_cast<std::uint32_t>(rng.below(3))
+                          : static_cast<std::uint32_t>(rng.below(16));
+    }));
+  }
+}
+
+TEST(LoserTree, NonPowerOfTwoFanIns) {
+  Xoshiro256 rng(2024);
+  for (const std::size_t k : {3, 5, 17}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " trial " << trial);
+      const auto runs = random_runs<std::uint64_t>(
+          rng, k, 30, [&] { return rng.below(20); });
+      expect_merged_in_tie_order(runs);
+      expect_stable(merge_tagged(runs));
+    }
   }
 }
 

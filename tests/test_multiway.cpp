@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -64,14 +65,17 @@ TEST(PlanRuns, SinglePassWhenFanCoversRuns) {
   EXPECT_EQ(L.passes, 1u);
 }
 
-TEST(FormRuns, EachRunSortedAndDataPreserved) {
-  Machine m(cfg3());
-  const std::size_t n = 100'000;
-  auto src = random_keys(n, 31);
+// Forms the runs of `n` random keys on `threads` workers under `cmp` and
+// checks every run is sorted and the keys are a permutation of the input.
+template <typename Cmp>
+void expect_runs_formed(std::size_t n, std::size_t threads, Cmp cmp) {
+  SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+  Machine m(cfg3(threads));
+  auto src = random_keys(n, 31 + n);
   std::vector<std::uint64_t> dst(n);
   MultiwaySortOptions opt;
   const auto L = detail::plan_runs<std::uint64_t>(m, n, opt);
-  detail::form_runs(m, src.data(), dst.data(), n, L, opt, std::less<>{});
+  detail::form_runs(m, src.data(), dst.data(), n, L, opt, cmp);
   for (std::uint64_t r = 0; r < L.nruns; ++r) {
     const std::uint64_t b = r * L.run_elems;
     const std::uint64_t e = std::min<std::uint64_t>(b + L.run_elems, n);
@@ -82,6 +86,51 @@ TEST(FormRuns, EachRunSortedAndDataPreserved) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(FormRuns, EachRunSortedAndDataPreserved) {
+  // On one worker each small operand is a single run: sizes straddle the
+  // radix sort's insertion cut-off (32 keys) and reach a full run.
+  const std::uint64_t run_elems =
+      detail::plan_runs<std::uint64_t>(Machine(cfg3(1)), 100'000, {})
+          .run_elems;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{32},
+        std::size_t{33}, static_cast<std::size_t>(run_elems)}) {
+    expect_runs_formed(n, 1, std::less<std::uint64_t>{});
+    expect_runs_formed(n, 1, std::less<>{});
+  }
+  expect_runs_formed(100'000, 4, std::less<std::uint64_t>{});
+  expect_runs_formed(100'000, 4, std::less<>{});
+}
+
+// host_sort on `n` keys of type T drawn from `draw` matches std::sort.
+template <typename T, typename Draw>
+void expect_host_sorted(std::size_t n, Draw draw) {
+  SCOPED_TRACE(testing::Message() << sizeof(T) << "-byte keys, n=" << n);
+  std::vector<T> keys(n);
+  for (auto& x : keys) x = static_cast<T>(draw());
+  auto expect = keys;
+  std::sort(expect.begin(), expect.end());
+  detail::host_sort(keys.data(), keys.data() + n, std::less<T>{});
+  EXPECT_EQ(keys, expect);
+}
+
+template <typename T>
+void expect_host_sorts_width() {
+  Xoshiro256 rng(sizeof(T));
+  for (const std::size_t n : {0, 1, 31, 32, 33, 1000, 5000}) {
+    expect_host_sorted<T>(n, [&] { return rng.next(); });
+    expect_host_sorted<T>(n, [&] { return rng.below(3); });
+    expect_host_sorted<T>(n, [&] { return ~rng.below(300); });
+  }
+}
+
+TEST(HostSort, MatchesStdSortAtEveryKeyWidth) {
+  expect_host_sorts_width<std::uint8_t>();
+  expect_host_sorts_width<std::uint16_t>();
+  expect_host_sorts_width<std::uint32_t>();
+  expect_host_sorts_width<std::uint64_t>();
 }
 
 TEST(MergePass, HalvesRunCountByFan) {

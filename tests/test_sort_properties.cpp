@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -31,7 +32,9 @@ enum class Pattern {
   AllEqual,
   FewDistinct,
   OrganPipe,
-  NearlySorted
+  NearlySorted,
+  SharedHighBytes,  // one constant plus below(256): radix reaches digit 0
+  ExtremeKeys       // only 0 and UINT64_MAX
 };
 
 const char* name(Pattern p) {
@@ -43,6 +46,8 @@ const char* name(Pattern p) {
     case Pattern::FewDistinct: return "few-distinct";
     case Pattern::OrganPipe: return "organ-pipe";
     case Pattern::NearlySorted: return "nearly-sorted";
+    case Pattern::SharedHighBytes: return "shared-high-bytes";
+    case Pattern::ExtremeKeys: return "extreme-keys";
   }
   return "?";
 }
@@ -74,6 +79,13 @@ std::vector<std::uint64_t> make_input(Pattern p, std::size_t n,
       for (std::size_t i = 0; i < n; ++i) v[i] = i;
       for (std::size_t s = 0; s < n / 64 + 1; ++s)
         std::swap(v[rng.below(n)], v[rng.below(n)]);
+      break;
+    case Pattern::SharedHighBytes:
+      for (auto& x : v) x = 0x5eed'c0de'0000'0000ULL + rng.below(256);
+      break;
+    case Pattern::ExtremeKeys:
+      for (auto& x : v)
+        x = rng.below(2) ? std::numeric_limits<std::uint64_t>::max() : 0;
       break;
   }
   return v;
@@ -132,6 +144,15 @@ TEST_P(SortPatterns, NmSortHandlesPattern) {
   EXPECT_EQ(out, expect) << name(GetParam());
 }
 
+TEST_P(SortPatterns, BaselineHandlesPattern) {
+  Machine m(grid_config(4.0, 4));
+  auto keys = make_input(GetParam(), 100'000, 9);
+  auto expect = keys;
+  std::sort(expect.begin(), expect.end());
+  gnu_like_sort(m, std::span<std::uint64_t>(keys));
+  EXPECT_EQ(keys, expect) << name(GetParam());
+}
+
 TEST_P(SortPatterns, SequentialScratchpadSortHandlesPattern) {
   Machine m(grid_config(4.0, 2));
   auto keys = make_input(GetParam(), 150'000, 6);
@@ -160,7 +181,9 @@ INSTANTIATE_TEST_SUITE_P(Patterns, SortPatterns,
                                            Pattern::AllEqual,
                                            Pattern::FewDistinct,
                                            Pattern::OrganPipe,
-                                           Pattern::NearlySorted));
+                                           Pattern::NearlySorted,
+                                           Pattern::SharedHighBytes,
+                                           Pattern::ExtremeKeys));
 
 // ---- custom comparators -----------------------------------------------------
 
