@@ -106,16 +106,16 @@ int run(const bench::Flags& flags) {
     const PhaseStats* p2s = find_phase(sync.counting, "nmsort.phase2");
     const PhaseStats* p2d = find_phase(dma.counting, "nmsort.phase2");
     always_helps &= dma.modeled_seconds <= sync.modeled_seconds * 1.0001;
-    phase2_strictly_faster &= p2s && p2d && p2d->seconds < p2s->seconds &&
+    phase2_strictly_faster &= p2s && p2d && p2d->seconds() < p2s->seconds() &&
                               p2d->dma_bytes() > 0;
     t.row({Table::num(rho, 0), Table::num(sync.modeled_seconds, 6),
            Table::num(dma.modeled_seconds, 6),
            Table::pct(1.0 - dma.modeled_seconds / sync.modeled_seconds),
-           Table::num(p2s ? p2s->seconds : 0.0, 6),
-           Table::num(p2d ? p2d->seconds : 0.0, 6),
+           Table::num(p2s ? p2s->seconds() : 0.0, 6),
+           Table::num(p2d ? p2d->seconds() : 0.0, 6),
            Table::num(p2d ? static_cast<double>(p2d->dma_bytes()) / MiB : 0.0,
                       1),
-           Table::num(p2d ? p2d->partition_imbalance_max : 0.0, 3)});
+           Table::num(p2d ? p2d->partition_imbalance_max() : 0.0, 3)});
   }
   std::cout << t;
   sim_dma_demo(4.0);

@@ -33,12 +33,13 @@ int run(const bench::Flags& flags) {
   t.header({"phase", "far read", "far write", "near read", "near write",
             "compute ops", "model time (s)", "share"});
   for (const auto& ph : r.counting.phases) {
-    t.row({ph.name, Table::count(ph.far_read_bytes),
-           Table::count(ph.far_write_bytes), Table::count(ph.near_read_bytes),
-           Table::count(ph.near_write_bytes),
-           Table::count(static_cast<std::uint64_t>(ph.compute_ops_total)),
-           Table::num(ph.seconds, 6),
-           Table::pct(ph.seconds / r.modeled_seconds)});
+    t.row({ph.name, Table::count(ph.far_read_bytes()),
+           Table::count(ph.far_write_bytes()),
+           Table::count(ph.near_read_bytes()),
+           Table::count(ph.near_write_bytes()),
+           Table::count(static_cast<std::uint64_t>(ph.compute_ops_total())),
+           Table::num(ph.seconds(), 6),
+           Table::pct(ph.seconds() / r.modeled_seconds)});
   }
   std::cout << t;
 

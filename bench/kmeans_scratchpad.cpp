@@ -160,7 +160,7 @@ bool run_staged_sweep(const bench::Flags& flags, obs::RunReport& report) {
     t.row({std::to_string(mult) + "x",
            Table::num(mf.elapsed_seconds(), 6),
            Table::num(ms.elapsed_seconds(), 6), Table::num(speedup, 3),
-           Table::num(static_cast<double>(ms.stats().total.near_read_bytes) /
+           Table::num(static_cast<double>(ms.stats().total.near_read_bytes()) /
                           static_cast<double>(MiB) /
                           static_cast<double>(iters),
                       2),

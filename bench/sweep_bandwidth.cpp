@@ -81,7 +81,7 @@ int run(const bench::Flags& flags) {
     rec.gauges["speedup_vs_gnu"] = speedup;
 
     double near_s = 0;
-    for (const auto& ph : nm.counting.phases) near_s += ph.near_s;
+    for (const auto& ph : nm.counting.phases) near_s += ph.near_s();
     if (rho == 1.0) near_rho1 = near_s;
     if (rho == 16.0) near_rho16 = near_s;
 

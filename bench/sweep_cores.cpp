@@ -75,8 +75,8 @@ int run(const bench::Flags& flags) {
 
     double gnu_comp = 0, gnu_mem = 0;
     for (const auto& ph : gnu.counting.phases) {
-      gnu_comp += ph.compute_s;
-      gnu_mem += ph.far_s + ph.near_s;
+      gnu_comp += ph.compute_s();
+      gnu_mem += ph.far_s() + ph.near_s();
     }
     const bool bound = gnu_mem > gnu_comp;
     if (prev_adv == 0) first_bound = bound;

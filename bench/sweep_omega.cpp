@@ -99,17 +99,17 @@ int run(const bench::Flags& flags) {
     // additionally includes near + compute, which the tiny bench sizes let
     // dominate; it is reported, not gated.
     fewer_far_writes &=
-        wt.far_write_bytes < st.far_write_bytes &&
-        wt.far_write_blocks < st.far_write_blocks;
-    if (omega == 16.0) we_wins_at_16 = wt.far_s < st.far_s;
-    if (omega == 1.0) stock_holds_at_1 = wt.far_s >= st.far_s;
+        wt.far_write_bytes() < st.far_write_bytes() &&
+        wt.far_write_blocks() < st.far_write_blocks();
+    if (omega == 16.0) we_wins_at_16 = wt.far_s() < st.far_s();
+    if (omega == 1.0) stock_holds_at_1 = wt.far_s() >= st.far_s();
 
     for (const auto* r : {&stock, &we}) {
       const bool is_we = r == &we;
       t.row({Table::num(omega, 0), is_we ? "NMsort-WE" : "NMsort",
-             Table::count(r->counting.total.far_write_bytes),
-             Table::count(r->counting.total.far_read_bytes),
-             Table::num(r->counting.total.far_s, 6),
+             Table::count(r->counting.total.far_write_bytes()),
+             Table::count(r->counting.total.far_read_bytes()),
+             Table::num(r->counting.total.far_s(), 6),
              Table::num(r->modeled_seconds, 6)});
       obs::RunRecord& rec = report.add_run(
           std::string(is_we ? "NMsort-WE" : "NMsort") + " w=" +
@@ -118,7 +118,7 @@ int run(const bench::Flags& flags) {
       rec.set_counting(r->counting, cfg.block_bytes);
       rec.wall_seconds = r->host_seconds;
       rec.gauges["verified"] = r->verified ? 1.0 : 0.0;
-      rec.gauges["far_seconds"] = r->counting.total.far_s;
+      rec.gauges["far_seconds"] = r->counting.total.far_s();
     }
   }
   std::cout << t;

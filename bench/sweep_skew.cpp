@@ -130,10 +130,10 @@ int run(const bench::Flags& flags) {
     std::uint64_t splits = 0;
     for (const PhaseStats& p : st.phases) {
       if (p.name != "nmsort.phase2") continue;
-      imbal = std::max(imbal, p.partition_imbalance_max);
-      splits += p.partition_splits;
+      imbal = std::max(imbal, p.partition_imbalance_max());
+      splits += p.partition_splits();
     }
-    const double secs = st.total.seconds;
+    const double secs = st.total.seconds();
     if (std::string_view(d.name) == "uniform") uniform_s = secs;
     const double ratio = uniform_s > 0 ? secs / uniform_s : 1.0;
     worst_ratio = std::max(worst_ratio, ratio);

@@ -56,10 +56,10 @@ int main(int argc, char** argv) {
   for (const auto& ph : st.phases)
     t.row({ph.name, Table::num(ph.far_bytes() / 1e6, 1),
            Table::num(ph.near_bytes() / 1e6, 1),
-           Table::num(ph.seconds * 1e3, 3)});
+           Table::num(ph.seconds() * 1e3, 3)});
   t.row({"total", Table::num(st.total.far_bytes() / 1e6, 1),
          Table::num(st.total.near_bytes() / 1e6, 1),
-         Table::num(st.total.seconds * 1e3, 3)});
+         Table::num(st.total.seconds() * 1e3, 3)});
   std::cout << t;
 
   // 6. Compare with the single-level baseline on an identical machine.
@@ -68,9 +68,9 @@ int main(int argc, char** argv) {
   sort::gnu_like_sort(base, std::span<std::uint64_t>(copy));
   base.end_phase();
   std::cout << "baseline (far memory only): "
-            << Table::num(base.stats().total.seconds * 1e3, 3)
+            << Table::num(base.stats().total.seconds() * 1e3, 3)
             << " ms modeled -> NMsort speedup "
-            << Table::num(base.stats().total.seconds / st.total.seconds, 2)
+            << Table::num(base.stats().total.seconds() / st.total.seconds(), 2)
             << "x\n";
   return 0;
 }

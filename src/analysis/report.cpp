@@ -29,7 +29,7 @@ std::vector<SweepRow> run_sweep(const SweepGrid& grid) {
           row.near_blocks = r.counting.total.near_blocks();
           row.far_bursts = r.counting.total.far_bursts();
           row.near_bursts = r.counting.total.near_bursts();
-          row.compute_ops = r.counting.total.compute_ops_total;
+          row.compute_ops = r.counting.total.compute_ops_total();
           rows.push_back(row);
         }
       }

@@ -26,7 +26,7 @@ void export_leaf(MetricsRegistry& reg, const char* key, double v) {
 Json phase_to_json(const PhaseStats& p, bool with_name) {
   Json j = Json::object();
   if (with_name) j["name"] = p.name;
-#define TLM_X(kind, field, fold) j[#field] = p.field;
+#define TLM_X(kind, field, fold) j[#field] = p.field();
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
 #define TLM_X(combined, read, write) j[#combined] = p.combined();
@@ -35,27 +35,8 @@ Json phase_to_json(const PhaseStats& p, bool with_name) {
   // Injected-fault stall time: only ever nonzero under fault injection, so
   // it is emitted conditionally — clean reports stay byte-identical to
   // baselines that predate the fault model.
-  if (p.stall_s == 0) j.obj().erase("stall_s");
+  if (p.stall_s() == 0) j.obj().erase("stall_s");
   return j;
-}
-
-// A combined counter is derived from its read/write twins on load, so a
-// phase that has one without both twins (a report from before the split)
-// would silently load as zero; refuse it instead.
-PhaseStats phase_from_json(const Json& j) {
-#define TLM_X(combined, read, write)                                       \
-  if (j.contains(#combined) && !(j.contains(#read) && j.contains(#write))) \
-    throw std::runtime_error("run report counting section has '" #combined \
-                             "' but not '" #read "' and '" #write          \
-                             "': it predates the read/write split");
-  TLM_PHASE_COMBINED(TLM_X)
-#undef TLM_X
-  PhaseStats p;
-  p.name = j.get_str("name", "");
-#define TLM_X(kind, field, fold) read_leaf(j, #field, p.field);
-  TLM_PHASE_STATS(TLM_X)
-#undef TLM_X
-  return p;
 }
 
 Json config_to_json(const TwoLevelConfig& c) {
@@ -117,6 +98,25 @@ SimCounters sim_from_json(const Json& j) {
 }
 
 }  // namespace
+
+// A combined counter is derived from its read/write twins on load, so a
+// phase that has one without both twins (a report from before the split)
+// would silently load as zero; refuse it instead.
+PhaseStats phase_from_json(const Json& j) {
+#define TLM_X(combined, read, write)                                       \
+  if (j.contains(#combined) && !(j.contains(#read) && j.contains(#write))) \
+    throw std::runtime_error("run report counting section has '" #combined \
+                             "' but not '" #read "' and '" #write          \
+                             "': it predates the read/write split");
+  TLM_PHASE_COMBINED(TLM_X)
+#undef TLM_X
+  PhaseStats p;
+  p.name = j.get_str("name", "");
+#define TLM_X(kind, field, fold) read_leaf(j, #field, p.field##_);
+  TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
+  return p;
+}
 
 SimCounters SimCounters::from(const sim::SimReport& r) {
   SimCounters s;
@@ -391,10 +391,10 @@ std::vector<std::string> validate_report(const Json& j) {
 void export_stats(const MachineStats& st, std::uint64_t line_bytes,
                   MetricsRegistry& reg) {
   const PhaseStats& t = st.total;
-  reg.counter("machine.far_read_bytes").add(t.far_read_bytes);
-  reg.counter("machine.far_write_bytes").add(t.far_write_bytes);
-  reg.counter("machine.near_read_bytes").add(t.near_read_bytes);
-  reg.counter("machine.near_write_bytes").add(t.near_write_bytes);
+  reg.counter("machine.far_read_bytes").add(t.far_read_bytes());
+  reg.counter("machine.far_write_bytes").add(t.far_write_bytes());
+  reg.counter("machine.near_read_bytes").add(t.near_read_bytes());
+  reg.counter("machine.near_write_bytes").add(t.near_write_bytes());
   reg.counter("machine.far_blocks").add(t.far_blocks());
   reg.counter("machine.near_blocks").add(t.near_blocks());
   reg.counter("machine.far_bursts").add(t.far_bursts());
@@ -408,24 +408,24 @@ void export_stats(const MachineStats& st, std::uint64_t line_bytes,
   reg.counter("machine.far_writes").add(st.far_writes(line_bytes));
   reg.counter("machine.near_reads").add(st.near_reads(line_bytes));
   reg.counter("machine.near_writes").add(st.near_writes(line_bytes));
-  reg.counter("machine.far_read_blocks").add(t.far_read_blocks);
-  reg.counter("machine.far_write_blocks").add(t.far_write_blocks);
-  reg.counter("machine.near_read_blocks").add(t.near_read_blocks);
-  reg.counter("machine.near_write_blocks").add(t.near_write_blocks);
-  reg.counter("machine.far_read_bursts").add(t.far_read_bursts);
-  reg.counter("machine.far_write_bursts").add(t.far_write_bursts);
-  reg.counter("machine.near_read_bursts").add(t.near_read_bursts);
-  reg.counter("machine.near_write_bursts").add(t.near_write_bursts);
+  reg.counter("machine.far_read_blocks").add(t.far_read_blocks());
+  reg.counter("machine.far_write_blocks").add(t.far_write_blocks());
+  reg.counter("machine.near_read_blocks").add(t.near_read_blocks());
+  reg.counter("machine.near_write_blocks").add(t.near_write_blocks());
+  reg.counter("machine.far_read_bursts").add(t.far_read_bursts());
+  reg.counter("machine.far_write_bursts").add(t.far_write_bursts());
+  reg.counter("machine.near_read_bursts").add(t.near_read_bursts());
+  reg.counter("machine.near_write_bursts").add(t.near_write_bursts());
   reg.counter("machine.dma_far_bytes").add(t.dma_far_bytes());
   reg.counter("machine.dma_near_bytes").add(t.dma_near_bytes());
   reg.counter("machine.dma_bursts")
       .add(t.dma_far_bursts() + t.dma_near_bursts());
-  reg.counter("machine.partition_splits").add(t.partition_splits);
-  reg.set_gauge("machine.partition_imbalance_max", t.partition_imbalance_max);
-  reg.set_gauge("machine.compute_ops_total", t.compute_ops_total);
-  reg.set_gauge("machine.modeled_seconds", t.seconds);
-  reg.set_gauge("machine.dma_seconds", t.dma_s);
-  reg.set_gauge("machine.host_seconds", t.host_seconds);
+  reg.counter("machine.partition_splits").add(t.partition_splits());
+  reg.set_gauge("machine.partition_imbalance_max", t.partition_imbalance_max());
+  reg.set_gauge("machine.compute_ops_total", t.compute_ops_total());
+  reg.set_gauge("machine.modeled_seconds", t.seconds());
+  reg.set_gauge("machine.dma_seconds", t.dma_s());
+  reg.set_gauge("machine.host_seconds", t.host_seconds());
 }
 
 void export_stats(const StagerStats& st, MetricsRegistry& reg) {

@@ -124,6 +124,11 @@ struct RunReport {
 // `report_diff --validate` and CI-smoke entry point.
 std::vector<std::string> validate_report(const Json& j);
 
+// One counting-section phase object back into a PhaseStats (a missing leaf
+// loads as zero). The only writer of PhaseStats counters outside Machine;
+// throws on a report from before the read/write split.
+PhaseStats phase_from_json(const Json& j);
+
 // Export counting/sim statistics into a registry as flat named counters and
 // gauges ("machine.far_bytes", "sim.l1_hits", ...) so ad-hoc instrumentation
 // and the built-in accounting land in one namespace.

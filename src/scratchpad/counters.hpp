@@ -9,12 +9,13 @@
 
 namespace tlm {
 
-// Every counter below is declared once, in a table; the struct members,
-// operator+=, the *_delta snapshots, Machine::fold_open_phase, the run-report
-// JSON, the Stager/fault MetricsRegistry export and the job server's
-// attribution check are all expanded from these tables, so a field cannot
-// be missing from any of them. A row is X(kind, field, fold) or, for the
-// Stager and fault tables, X(kind, field, metric):
+// Every counter below is declared once, in a table; the struct members (for
+// PhaseStats, private storage plus a const accessor), operator+=, the *_delta
+// snapshots, Machine::fold_open_phase, the run-report JSON, the Stager/fault
+// MetricsRegistry export and the job server's attribution check are all
+// expanded from these tables, so a field cannot be missing from any of them.
+// A row is X(kind, field, fold) or, for the Stager and fault tables,
+// X(kind, field, metric):
 //   kind    u64 (a count) or f64 (a time or a ratio);
 //   fold    Sum: += adds and *_delta subtracts; Max: += keeps the larger
 //           and *_delta takes the later snapshot, since a maximum has no
@@ -116,47 +117,66 @@ struct Max {
   X(dma_far_bursts, dma_far_read_bursts, dma_far_write_bursts) \
   X(dma_near_bursts, dma_near_read_bursts, dma_near_write_bursts)
 
-// One phase of an algorithm (e.g. "phase1.sort_chunks").
+class Machine;
+struct PhaseStats;
+namespace obs {
+class Json;
+PhaseStats phase_from_json(const Json& j);
+}  // namespace obs
+
+// One phase of an algorithm (e.g. "phase1.sort_chunks"). Every counter is
+// read the same way, `p.field()`, stored or combined. The stored counters
+// are private: only the Machine's charge and fold paths and the report
+// loader obs::phase_from_json write them.
 struct PhaseStats {
   std::string name;
 
-#define TLM_X(kind, field, fold) counters::kind field = 0;
+#define TLM_X(kind, field, fold) \
+  counters::kind field() const { return field##_; }
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
 
 #define TLM_X(combined, read, write) \
-  std::uint64_t combined() const { return read + write; }
+  std::uint64_t combined() const { return read##_ + write##_; }
   TLM_PHASE_COMBINED(TLM_X)
 #undef TLM_X
-  std::uint64_t far_bytes() const { return far_read_bytes + far_write_bytes; }
+  std::uint64_t far_bytes() const { return far_read_bytes_ + far_write_bytes_; }
   std::uint64_t near_bytes() const {
-    return near_read_bytes + near_write_bytes;
+    return near_read_bytes_ + near_write_bytes_;
   }
   std::uint64_t dma_bytes() const { return dma_far_bytes() + dma_near_bytes(); }
 
   PhaseStats& operator+=(const PhaseStats& o) {
-#define TLM_X(kind, field, fold) counters::fold::add(field, o.field);
+#define TLM_X(kind, field, fold) counters::fold::add(field##_, o.field##_);
     TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
     return *this;
   }
-};
 
-// Counter-wise difference of two cumulative PhaseStats snapshots, for
-// attributing machine-lifetime totals to a window of work (the job server
-// brackets each scheduled tenant phase with Machine::totals() snapshots and
-// charges the delta to that tenant). Callers must pass snapshots of the
-// same monotone series (`after` taken later than `before`).
-inline PhaseStats phase_delta(const PhaseStats& after,
-                              const PhaseStats& before) {
-  PhaseStats d;
-  d.name = after.name;
+  // Counter-wise difference of two cumulative PhaseStats snapshots, for
+  // attributing machine-lifetime totals to a window of work (the job server
+  // brackets each scheduled tenant phase with Machine::totals() snapshots
+  // and charges the delta to that tenant). Callers must pass snapshots of
+  // the same monotone series (`after` taken later than `before`).
+  friend PhaseStats phase_delta(const PhaseStats& after,
+                                const PhaseStats& before) {
+    PhaseStats d;
+    d.name = after.name;
 #define TLM_X(kind, field, fold) \
-  d.field = counters::fold::delta(after.field, before.field);
+  d.field##_ = counters::fold::delta(after.field##_, before.field##_);
+    TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
+    return d;
+  }
+
+ private:
+  friend class Machine;
+  friend PhaseStats obs::phase_from_json(const obs::Json& j);
+
+#define TLM_X(kind, field, fold) counters::kind field##_ = 0;
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
-  return d;
-}
+};
 
 // Observables of the staged-streaming primitive (scratchpad/stager.hpp):
 //   batches            items processed out of a buffer;
@@ -257,16 +277,16 @@ struct MachineStats {
   // direction rounds up independently, so far_reads + far_writes may exceed
   // far_accesses by at most one line; the byte totals conserve exactly.
   std::uint64_t far_reads(std::uint64_t line_bytes) const {
-    return ceil_div(total.far_read_bytes, line_bytes);
+    return ceil_div(total.far_read_bytes(), line_bytes);
   }
   std::uint64_t far_writes(std::uint64_t line_bytes) const {
-    return ceil_div(total.far_write_bytes, line_bytes);
+    return ceil_div(total.far_write_bytes(), line_bytes);
   }
   std::uint64_t near_reads(std::uint64_t line_bytes) const {
-    return ceil_div(total.near_read_bytes, line_bytes);
+    return ceil_div(total.near_read_bytes(), line_bytes);
   }
   std::uint64_t near_writes(std::uint64_t line_bytes) const {
-    return ceil_div(total.near_write_bytes, line_bytes);
+    return ceil_div(total.near_write_bytes(), line_bytes);
   }
 };
 

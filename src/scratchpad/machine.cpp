@@ -136,7 +136,7 @@ void Machine::poll_cancel() {
   if (budget > 0) {
     PhaseStats open;
     fold_open_phase(open);
-    if (open.seconds > budget) {
+    if (open.seconds() > budget) {
       t->request(CancelReason::kDeadline);
       throw CancelledError(t->requested());
     }
@@ -144,6 +144,7 @@ void Machine::poll_cancel() {
 }
 
 void Machine::charge_stall(std::size_t thread, double seconds) {
+  TLM_CHECK(thread < acc_.size(), "thread id out of range");
   if (seconds <= 0) return;
   acc_[thread].stall += seconds;
   MutexLock lock(alloc_mu_);
@@ -332,8 +333,11 @@ void Machine::copy(std::size_t thread, void* dst, const void* src,
   charge(thread, dst, bytes, /*is_write=*/true, loc);
 }
 
-void Machine::dma_copy(std::size_t thread, void* dst, const void* src,
-                       std::uint64_t bytes, std::source_location loc) {
+void Machine::dma_copy(DmaKey, std::size_t thread, void* dst,
+                       const void* src, std::uint64_t bytes,
+                       std::source_location loc) {
+  // Before dma_retry_gate, which charges per-thread and fault state.
+  TLM_CHECK(thread < acc_.size(), "thread id out of range");
   if (bytes == 0) return;
 #if TLM_MODEL_CHECKS_ENABLED
   check_dma_granularity(dst, src, bytes, loc);
@@ -449,12 +453,13 @@ void Machine::end_phase() {
   PhaseStats phase;
   phase.name = *open_phase_;
   fold_open_phase(phase);
-  phase.host_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - phase_start_)
-                           .count();
+  phase.host_seconds_ = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - phase_start_)
+                            .count();
   // Skip phases in which nothing happened (e.g. the implicit "(run)" phase
   // of callers who structure everything explicitly).
-  if (phase.far_bytes() || phase.near_bytes() || phase.compute_ops_total > 0) {
+  if (phase.far_bytes() || phase.near_bytes() ||
+      phase.compute_ops_total() > 0) {
     stats_.total += phase;
     stats_.phases.push_back(std::move(phase));
   }
@@ -596,15 +601,15 @@ void Machine::advance_phase_epoch(bool next_is_explicit) {
 
 void Machine::fold_open_phase(PhaseStats& out) const {
   for (const auto& a : acc_) {
-#define TLM_X(kind, field, fold) out.field += a.traffic[Slot::field];
+#define TLM_X(kind, field, fold) out.field##_ += a.traffic[Slot::field];
     TLM_PHASE_TRAFFIC(TLM_X)
 #undef TLM_X
-    out.partition_splits += a.partition_splits;
-    out.partition_imbalance_max =
-        std::max(out.partition_imbalance_max, a.partition_imbalance);
-    out.compute_ops_total += a.ops;
-    out.compute_ops_max = std::max(out.compute_ops_max, a.ops);
-    out.stall_s = std::max(out.stall_s, a.stall);
+    out.partition_splits_ += a.partition_splits;
+    out.partition_imbalance_max_ =
+        std::max(out.partition_imbalance_max_, a.partition_imbalance);
+    out.compute_ops_total_ += a.ops;
+    out.compute_ops_max_ = std::max(out.compute_ops_max_, a.ops);
+    out.stall_s_ = std::max(out.stall_s_, a.stall);
   }
   // Per-burst access latencies amortize across the p cores issuing them.
   const double p = static_cast<double>(cfg_.threads);
@@ -623,11 +628,11 @@ void Machine::fold_open_phase(PhaseStats& out) const {
             omega * static_cast<double>(write_bursts)) *
                cfg_.far_latency / p;
   };
-  out.far_s = far_time(out.far_read_bytes, out.far_write_bytes,
-                       out.far_read_bursts, out.far_write_bursts);
-  out.near_s = static_cast<double>(out.near_bytes()) / cfg_.near_bw() +
-               static_cast<double>(out.near_bursts()) * cfg_.near_latency / p;
-  out.compute_s = out.compute_ops_max / cfg_.core_rate;
+  out.far_s_ = far_time(out.far_read_bytes_, out.far_write_bytes_,
+                        out.far_read_bursts_, out.far_write_bursts_);
+  out.near_s_ = static_cast<double>(out.near_bytes()) / cfg_.near_bw() +
+                static_cast<double>(out.near_bursts()) * cfg_.near_latency / p;
+  out.compute_s_ = out.compute_ops_max_ / cfg_.core_rate;
   // Overlap model (§VI-B): only traffic posted through dma_copy() runs on
   // the background engine. The engine pipelines its far reads into near
   // writes, so its busy time is the slower of its two sides; the cores'
@@ -637,21 +642,22 @@ void Machine::fold_open_phase(PhaseStats& out) const {
   // of the engine is ω-weighted like the core-driven far traffic, so the
   // overlap subtraction below stays consistent at any ω.
   const double dma_far_s =
-      far_time(out.dma_far_read_bytes, out.dma_far_write_bytes,
-               out.dma_far_read_bursts, out.dma_far_write_bursts);
+      far_time(out.dma_far_read_bytes_, out.dma_far_write_bytes_,
+               out.dma_far_read_bursts_, out.dma_far_write_bursts_);
   const double dma_near_s =
       static_cast<double>(out.dma_near_bytes()) / cfg_.near_bw() +
       static_cast<double>(out.dma_near_bursts()) * cfg_.near_latency / p;
-  out.dma_s = std::max(dma_far_s, dma_near_s);
+  out.dma_s_ = std::max(dma_far_s, dma_near_s);
   // Injected stalls and retry backoff serialize the core that hits them, so
   // they extend the cores' serial time by the worst-stalled thread's span
   // (stall_s); the background engine's busy time is unaffected.
   if (cfg_.overlap_dma) {
-    const double core_s = (out.far_s - dma_far_s) + (out.near_s - dma_near_s) +
-                          out.compute_s + out.stall_s;
-    out.seconds = std::max(core_s, out.dma_s);
+    const double core_s = (out.far_s_ - dma_far_s) +
+                          (out.near_s_ - dma_near_s) + out.compute_s_ +
+                          out.stall_s_;
+    out.seconds_ = std::max(core_s, out.dma_s_);
   } else {
-    out.seconds = out.far_s + out.near_s + out.compute_s + out.stall_s;
+    out.seconds_ = out.far_s_ + out.near_s_ + out.compute_s_ + out.stall_s_;
   }
 }
 
@@ -661,11 +667,11 @@ MachineStats Machine::stats() const {
     PhaseStats phase;
     phase.name = *open_phase_ + " (open)";
     fold_open_phase(phase);
-    phase.host_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - phase_start_)
-                             .count();
+    phase.host_seconds_ = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - phase_start_)
+                              .count();
     if (phase.far_bytes() || phase.near_bytes() ||
-        phase.compute_ops_total > 0) {
+        phase.compute_ops_total() > 0) {
       out.total += phase;
       out.phases.push_back(std::move(phase));
     }
@@ -678,12 +684,12 @@ PhaseStats Machine::totals() const {
   if (open_phase_) {
     PhaseStats open;
     fold_open_phase(open);
-    if (open.far_bytes() || open.near_bytes() || open.compute_ops_total > 0)
+    if (open.far_bytes() || open.near_bytes() || open.compute_ops_total() > 0)
       out += open;
   }
   return out;
 }
 
-double Machine::elapsed_seconds() const { return stats().total.seconds; }
+double Machine::elapsed_seconds() const { return stats().total.seconds(); }
 
 }  // namespace tlm

@@ -70,6 +70,20 @@ class NearQuotaGate {
   virtual std::uint64_t available() const = 0;
 };
 
+class Stager;
+struct DmaTestAccess;
+
+// Passkey for Machine::dma_copy. A posted transfer is only correct together
+// with its completion fence, and Stager is the one primitive that owns both,
+// so only Stager can construct a key. DmaTestAccess, which only the tests
+// define (tests/dma_test_access.hpp), mints one for the transfers Stager
+// never posts, such as near->far writebacks.
+class DmaKey {
+  DmaKey() = default;
+  friend class Stager;
+  friend struct DmaTestAccess;
+};
+
 class Machine {
  public:
   explicit Machine(TwoLevelConfig cfg, trace::TraceSink* sink = nullptr);
@@ -203,8 +217,8 @@ class Machine {
   // next barrier (sync()/run_spmd() join) is the completion fence. Under
   // `overlap_dma` the time model runs this traffic on a background engine
   // concurrent with core work, and the trace records a DmaCopy descriptor
-  // that sim::System routes to its DmaEngine.
-  void dma_copy(std::size_t thread, void* dst, const void* src,
+  // that sim::System routes to its DmaEngine. Callers need a DmaKey.
+  void dma_copy(DmaKey, std::size_t thread, void* dst, const void* src,
                 std::uint64_t bytes,
                 std::source_location loc = std::source_location::current());
   // Accounts for a streaming pass that reads/writes in place (no movement).

@@ -73,7 +73,8 @@ void Stager::sync_gather(const Item& it, std::byte* dst) {
 
 void Stager::post_prefetch(const Item& it, std::byte* dst) {
   for (const Slice& s : it.slices)
-    if (s.bytes) m_.dma_copy(0, dst + s.dst_off, s.src, s.bytes, loc_);
+    if (s.bytes)
+      m_.dma_copy(DmaKey{}, 0, dst + s.dst_off, s.src, s.bytes, loc_);
 }
 
 Stager::WorkerHook Stager::make_hook(const Item& it, std::byte* dst) {
@@ -83,7 +84,7 @@ Stager::WorkerHook Stager::make_hook(const Item& it, std::byte* dst) {
       auto [lo, hi] = ThreadPool::chunk(
           static_cast<std::size_t>(s.bytes / eb), w, m_.threads());
       if (lo < hi)
-        m_.dma_copy(w, dst + s.dst_off + lo * eb, s.src + lo * eb,
+        m_.dma_copy(DmaKey{}, w, dst + s.dst_off + lo * eb, s.src + lo * eb,
                     static_cast<std::uint64_t>(hi - lo) * eb, loc_);
     }
   };

@@ -328,9 +328,9 @@ void JobServer::finish_locked(Work& w) {
   t.faults += fault_delta(w.faults_after, w.faults_before);
   last_snapshot_ = w.after;
   t.phase_seconds.push_back(w.host_s);
-  t.phase_model_seconds.push_back(attributed.seconds);
+  t.phase_model_seconds.push_back(attributed.seconds());
   ++t.phases_run;
-  w.job->model_consumed_s += attributed.seconds;
+  w.job->model_consumed_s += attributed.seconds();
   lifecycle_.reclaimed_bytes += w.reclaimed;
 
   const auto front = t.queue.begin();  // == w.job: the combiner is serial
@@ -547,7 +547,7 @@ void JobServer::check_attribution_locked() {
                        std::source_location::current());
     }
   };
-#define TLM_X(kind, field, fold) check(#field, sum.field, grand.field);
+#define TLM_X(kind, field, fold) check(#field, sum.field(), grand.field());
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
 #endif

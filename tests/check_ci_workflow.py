@@ -92,6 +92,16 @@ def main():
     for job_name in ("build-test", "sanitizers", "model-check"):
         if "-LE paper_shapes" not in steps_text(jobs[job_name]):
             fail(f"{job_name} full ctest runs must exclude '-LE paper_shapes'")
+    # The compile_fail ctests prove the type-level invariants (DmaKey,
+    # private PhaseStats counters, nodiscard allocation) per compiler: every
+    # gcc and clang lane's full run must keep them.
+    full_runs = [
+        str(st.get("run", "")) for st in bt.get("steps", [])
+        if "-LE paper_shapes" in str(st.get("run", "")) and not st.get("if")
+    ]
+    if not full_runs or any("compile_fail" in run for run in full_runs):
+        fail("build-test's unguarded full ctest run must include the "
+             "compile_fail ctests")
 
     # Every job that compiles the tree must launch compilers through ccache
     # and persist the cache across runs via actions/cache — a cold matrix

@@ -17,6 +17,7 @@
 
 #include "analysis/experiment.hpp"
 #include "common/faults.hpp"
+#include "dma_test_access.hpp"
 #include "kmeans/kmeans.hpp"
 #include "obs/run_report.hpp"
 #include "scratchpad/machine.hpp"
@@ -148,7 +149,7 @@ TEST(ChaosCounters, RoundTripThroughRunReportSchema) {
   // Both failures hit the first gate: backoff base + doubled base.
   EXPECT_NEAR(fs.backoff_s, 3 * cfg.dma_retry_base_s, 1e-15);
   EXPECT_GT(fs.far_stalls, 0u);
-  EXPECT_GT(r.counting.total.stall_s, 0.0);
+  EXPECT_GT(r.counting.total.stall_s(), 0.0);
 
   obs::RunReport rep("chaos");
   obs::RunRecord& rec = rep.add_run("nmsort.chaos");
@@ -170,7 +171,7 @@ TEST(ChaosCounters, RoundTripThroughRunReportSchema) {
   EXPECT_NEAR(g.at("retries.backoff_seconds"), fs.backoff_s, 1e-15);
   EXPECT_NEAR(g.at("faults.stall_seconds"), fs.stall_s, 1e-12);
   // Phase stall time survives the JSON round trip too.
-  EXPECT_NEAR(back.runs[0].counting.total.stall_s, r.counting.total.stall_s,
+  EXPECT_NEAR(back.runs[0].counting.total.stall_s(), r.counting.total.stall_s(),
               1e-12);
 }
 
@@ -188,7 +189,8 @@ TEST(ChaosCounters, OmegaWritesChargedOncePerSuccessfulDmaTransfer) {
     auto far = m.alloc_array<std::uint64_t>(Space::Far, 1024);
     auto near = m.alloc_array<std::uint64_t>(Space::Near, 1024);
     m.begin_phase("d");
-    m.dma_copy(0, far.data(), near.data(), near.size_bytes());  // far writes
+    // Far writes.
+    DmaTestAccess::dma_copy(m, 0, far.data(), near.data(), near.size_bytes());
     m.end_phase();
     return m.stats().phases.at(0);
   };
@@ -198,15 +200,15 @@ TEST(ChaosCounters, OmegaWritesChargedOncePerSuccessfulDmaTransfer) {
   fi.arm(fault_site::kDmaFail, FaultSchedule::burst(1, 2));
   const PhaseStats faulty = run(&fi);
 
-  EXPECT_EQ(faulty.far_write_bytes, clean.far_write_bytes);
-  EXPECT_EQ(faulty.far_write_blocks, clean.far_write_blocks);
-  EXPECT_EQ(faulty.far_write_bursts, clean.far_write_bursts);
-  EXPECT_EQ(faulty.dma_far_write_bytes, clean.dma_far_write_bytes);
-  EXPECT_EQ(faulty.dma_far_write_bursts, clean.dma_far_write_bursts);
-  EXPECT_EQ(faulty.far_read_bytes, clean.far_read_bytes);
+  EXPECT_EQ(faulty.far_write_bytes(), clean.far_write_bytes());
+  EXPECT_EQ(faulty.far_write_blocks(), clean.far_write_blocks());
+  EXPECT_EQ(faulty.far_write_bursts(), clean.far_write_bursts());
+  EXPECT_EQ(faulty.dma_far_write_bytes(), clean.dma_far_write_bytes());
+  EXPECT_EQ(faulty.dma_far_write_bursts(), clean.dma_far_write_bursts());
+  EXPECT_EQ(faulty.far_read_bytes(), clean.far_read_bytes());
   // The omega-weighted transfer time is identical; only stall time grew.
-  EXPECT_EQ(faulty.far_s, clean.far_s);
-  EXPECT_GT(faulty.stall_s, clean.stall_s);
+  EXPECT_EQ(faulty.far_s(), clean.far_s());
+  EXPECT_GT(faulty.stall_s(), clean.stall_s());
 }
 
 TEST(ChaosMultiTenant, ConcurrentTenantsBitIdenticalToSoloUnderMixedFaults) {
@@ -274,7 +276,8 @@ TEST(ChaosDeathTest, DmaRetryBudgetExhaustionAborts) {
         m.set_fault_injector(&fi);
         auto far = m.alloc_array<std::uint64_t>(Space::Far, 64);
         auto near = m.alloc_array<std::uint64_t>(Space::Near, 64);
-        m.dma_copy(0, near.data(), far.data(), far.size_bytes());
+        DmaTestAccess::dma_copy(m, 0, near.data(), far.data(),
+                                far.size_bytes());
       },
       "fault\\.retry_budget");
 }

@@ -47,9 +47,10 @@ TEST(Integration, TraceReplayMatchesCountingTraffic) {
   const auto summary = cap.trace.summary();
   const auto& tot = cap.counting.counting.total;
   // The trace carries exactly the bytes the counting backend charged.
-  EXPECT_EQ(summary.read_bytes, tot.far_read_bytes + tot.near_read_bytes);
-  EXPECT_EQ(summary.write_bytes, tot.far_write_bytes + tot.near_write_bytes);
-  EXPECT_NEAR(summary.compute_ops, tot.compute_ops_total, 1.0);
+  EXPECT_EQ(summary.read_bytes, tot.far_read_bytes() + tot.near_read_bytes());
+  EXPECT_EQ(summary.write_bytes,
+            tot.far_write_bytes() + tot.near_write_bytes());
+  EXPECT_NEAR(summary.compute_ops, tot.compute_ops_total(), 1.0);
 }
 
 TEST(Integration, SimulatedNmsortCompletesAndTouchesBothMemories) {

@@ -70,11 +70,11 @@ TEST(KMeans, NearVersionMovesTrafficToScratchpad) {
   const auto sn = mn.stats().total;
   const std::uint64_t bytes = pts.size() * sizeof(double);
   // Far version streams the points from DRAM every iteration.
-  EXPECT_GE(sf.far_read_bytes, 10 * bytes);
+  EXPECT_GE(sf.far_read_bytes(), 10 * bytes);
   EXPECT_EQ(sf.near_bytes(), 0u);
   // Near version touches DRAM once (staging) and streams near thereafter.
-  EXPECT_LT(sn.far_read_bytes, 2 * bytes);
-  EXPECT_GE(sn.near_read_bytes, 10 * bytes);
+  EXPECT_LT(sn.far_read_bytes(), 2 * bytes);
+  EXPECT_GE(sn.near_read_bytes(), 10 * bytes);
 }
 
 TEST(KMeans, SpeedupApproachesRhoWhenMemoryBound) {

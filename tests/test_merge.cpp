@@ -79,9 +79,9 @@ TEST(MergeRunsCharged, ChargesReadsAndWritesOnce) {
   merge_runs_charged(m, 0, as_runs(runs), out.data());
   m.end_phase();
   const PhaseStats ph = m.stats().phases.at(0);
-  EXPECT_EQ(ph.far_read_bytes, expect.size() * 8);
-  EXPECT_EQ(ph.far_write_bytes, expect.size() * 8);
-  EXPECT_GT(ph.compute_ops_total, static_cast<double>(expect.size()));
+  EXPECT_EQ(ph.far_read_bytes(), expect.size() * 8);
+  EXPECT_EQ(ph.far_write_bytes(), expect.size() * 8);
+  EXPECT_GT(ph.compute_ops_total(), static_cast<double>(expect.size()));
 }
 
 TEST(MergeRunsCharged, EmptyRunsContributeNothing) {
@@ -320,10 +320,10 @@ TEST(MergePathPartition, ImbalanceCounterRecordsExactSplit) {
   parallel_multiway_merge(m, rs, std::span<std::uint64_t>(out));
   m.end_phase();
   const PhaseStats ph = m.stats().phases.at(0);
-  EXPECT_EQ(ph.partition_splits, 1u);
-  EXPECT_GT(ph.partition_imbalance_max, 0.0);
+  EXPECT_EQ(ph.partition_splits(), 1u);
+  EXPECT_GT(ph.partition_imbalance_max(), 0.0);
   // max slice == ideal share on a divisible all-equal input.
-  EXPECT_DOUBLE_EQ(ph.partition_imbalance_max, 1.0);
+  EXPECT_DOUBLE_EQ(ph.partition_imbalance_max(), 1.0);
 }
 
 TEST(MergePathPartition, SkewedAndRaggedRuns) {

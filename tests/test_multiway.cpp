@@ -221,7 +221,7 @@ TEST(MultiwaySort, ComputeChargeScalesNLogN) {
     m.begin_phase("s");
     multiway_merge_sort(m, std::span<std::uint64_t>(v));
     m.end_phase();
-    return m.stats().total.compute_ops_total;
+    return m.stats().total.compute_ops_total();
   };
   const double small = ops_for(50'000);
   const double large = ops_for(400'000);

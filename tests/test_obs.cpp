@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -121,39 +122,29 @@ TEST(MetricsRegistry, EmptySectionsOmittedFromJson) {
 // ------------------------------------------------------- PhaseStats fix
 
 TEST(PhaseStats, PlusEqualsAggregatesEveryField) {
-  PhaseStats a, b;
-  a.far_read_bytes = 100;
-  a.far_write_bytes = 10;
-  a.near_read_bytes = 20;
-  a.near_write_bytes = 2;
-  a.far_read_blocks = 3;
-  a.near_read_blocks = 4;
-  a.far_read_bursts = 5;
-  a.near_read_bursts = 6;
-  a.compute_ops_total = 7.0;
-  a.compute_ops_max = 1.5;
-  a.far_s = 0.1;
-  a.near_s = 0.2;
-  a.compute_s = 0.3;
-  a.seconds = 0.4;
-  a.host_seconds = 0.5;
-  b = a;
+  const PhaseStats a = obs::phase_from_json(Json::parse(R"({
+    "far_read_bytes": 100, "far_write_bytes": 10, "near_read_bytes": 20,
+    "near_write_bytes": 2, "far_read_blocks": 3, "near_read_blocks": 4,
+    "far_read_bursts": 5, "near_read_bursts": 6, "compute_ops_total": 7.0,
+    "compute_ops_max": 1.5, "far_s": 0.1, "near_s": 0.2, "compute_s": 0.3,
+    "seconds": 0.4, "host_seconds": 0.5})"));
+  PhaseStats b = a;
   b += a;
-  EXPECT_EQ(b.far_read_bytes, 200u);
-  EXPECT_EQ(b.far_write_bytes, 20u);
-  EXPECT_EQ(b.near_read_bytes, 40u);
-  EXPECT_EQ(b.near_write_bytes, 4u);
+  EXPECT_EQ(b.far_read_bytes(), 200u);
+  EXPECT_EQ(b.far_write_bytes(), 20u);
+  EXPECT_EQ(b.near_read_bytes(), 40u);
+  EXPECT_EQ(b.near_write_bytes(), 4u);
   EXPECT_EQ(b.far_blocks(), 6u);
   EXPECT_EQ(b.near_blocks(), 8u);
   EXPECT_EQ(b.far_bursts(), 10u);
   EXPECT_EQ(b.near_bursts(), 12u);
-  EXPECT_DOUBLE_EQ(b.compute_ops_total, 14.0);
-  EXPECT_DOUBLE_EQ(b.compute_ops_max, 3.0);
-  EXPECT_DOUBLE_EQ(b.far_s, 0.2);
-  EXPECT_DOUBLE_EQ(b.near_s, 0.4);
-  EXPECT_DOUBLE_EQ(b.compute_s, 0.6);
-  EXPECT_DOUBLE_EQ(b.seconds, 0.8);
-  EXPECT_DOUBLE_EQ(b.host_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(b.compute_ops_total(), 14.0);
+  EXPECT_DOUBLE_EQ(b.compute_ops_max(), 3.0);
+  EXPECT_DOUBLE_EQ(b.far_s(), 0.2);
+  EXPECT_DOUBLE_EQ(b.near_s(), 0.4);
+  EXPECT_DOUBLE_EQ(b.compute_s(), 0.6);
+  EXPECT_DOUBLE_EQ(b.seconds(), 0.8);
+  EXPECT_DOUBLE_EQ(b.host_seconds(), 1.0);
   EXPECT_EQ(b.far_bytes(), 220u);
   EXPECT_EQ(b.near_bytes(), 44u);
 }
@@ -190,14 +181,16 @@ double exported(const obs::MetricsRegistry& reg, const std::string& key) {
 // back, +=, the *_delta snapshots and the MetricsRegistry export.
 TEST(CounterTable, EveryFieldRoundTrips) {
   double v = 1;
-  PhaseStats a, b;
-  a.name = "phase";
-#define TLM_X(kind, field, fold)                        \
-  a.field = static_cast<counters::kind>(v + 0.5);       \
-  b.field = static_cast<counters::kind>(100 + v + 0.5); \
+  Json ja = Json::object(), jb = Json::object();
+  ja["name"] = "phase";
+#define TLM_X(kind, field, fold)                           \
+  ja[#field] = static_cast<counters::kind>(v + 0.5);       \
+  jb[#field] = static_cast<counters::kind>(100 + v + 0.5); \
   v += 1;
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
+  const PhaseStats a = obs::phase_from_json(ja);
+  const PhaseStats b = obs::phase_from_json(jb);
   PhaseStats sum = a;
   sum += b;
   const PhaseStats d = phase_delta(sum, b);
@@ -213,15 +206,18 @@ TEST(CounterTable, EveryFieldRoundTrips) {
       obs::RunReport::from_json(j).runs[0].counting.phases.at(0);
   EXPECT_EQ(back.name, "phase");
 #define TLM_X(kind, field, fold)                                          \
-  EXPECT_EQ(jt.at(#field).f64(), static_cast<double>(a.field)) << #field; \
-  EXPECT_EQ(back.field, a.field) << #field;                               \
-  expect_folded(#field, sum.field, a.field, b.field, counters::fold{});   \
-  expect_delta(#field, d.field, a.field, sum.field, counters::fold{});
+  EXPECT_EQ(static_cast<double>(a.field()), ja.at(#field).f64()) << #field; \
+  EXPECT_EQ(static_cast<double>(b.field()), jb.at(#field).f64()) << #field; \
+  EXPECT_EQ(jt.at(#field).f64(), static_cast<double>(a.field())) << #field; \
+  EXPECT_EQ(back.field(), a.field()) << #field;                             \
+  expect_folded(#field, sum.field(), a.field(), b.field(),                  \
+                counters::fold{});                                          \
+  expect_delta(#field, d.field(), a.field(), sum.field(), counters::fold{});
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
   // The one Max row: += keeps the larger value, the delta the later one.
-  EXPECT_EQ(sum.partition_imbalance_max, b.partition_imbalance_max);
-  EXPECT_EQ(d.partition_imbalance_max, sum.partition_imbalance_max);
+  EXPECT_EQ(sum.partition_imbalance_max(), b.partition_imbalance_max());
+  EXPECT_EQ(d.partition_imbalance_max(), sum.partition_imbalance_max());
   // A combined counter's twins are its name with read_/write_ inserted
   // before the last word: far_blocks = far_read_blocks + far_write_blocks.
   const auto twin = [](std::string name, const std::string& dir) {
@@ -230,7 +226,7 @@ TEST(CounterTable, EveryFieldRoundTrips) {
 #define TLM_X(combined, read, write)           \
   EXPECT_EQ(twin(#combined, "read"), #read);   \
   EXPECT_EQ(twin(#combined, "write"), #write); \
-  EXPECT_EQ(jt.at(#combined).u64(), a.read + a.write) << #combined;
+  EXPECT_EQ(jt.at(#combined).u64(), a.read() + a.write()) << #combined;
   TLM_PHASE_COMBINED(TLM_X)
 #undef TLM_X
 
@@ -298,14 +294,19 @@ TEST(CounterTable, SimCountersRoundTrip) {
 }
 
 TEST(MachineStats, AccessCountsRoundPartialLinesUp) {
-  MachineStats st;
-  st.total.far_read_bytes = 65;   // one full line + one partial
-  st.total.near_write_bytes = 64; // exactly one line
+  const auto with_total = [](std::string_view total) {
+    MachineStats st;
+    st.total = obs::phase_from_json(Json::parse(total));
+    return st;
+  };
+  // One full far line + one partial; exactly one near line.
+  MachineStats st =
+      with_total(R"({"far_read_bytes": 65, "near_write_bytes": 64})");
   EXPECT_EQ(st.far_accesses(64), 2u);
   EXPECT_EQ(st.near_accesses(64), 1u);
-  st.total.near_write_bytes = 63; // partial line still costs an access
+  st = with_total(R"({"near_write_bytes": 63})");  // a partial line still costs
   EXPECT_EQ(st.near_accesses(64), 1u);
-  st.total.near_write_bytes = 0;
+  st = with_total("{}");
   EXPECT_EQ(st.near_accesses(64), 0u);
 }
 
@@ -319,7 +320,7 @@ TEST(Machine, ChargesAfterEndPhaseLandInImplicitPhase) {
   // Traffic after end_phase must not vanish from stats().
   m.stream_read(0, buf.data(), 128);
   const MachineStats st = m.stats();
-  EXPECT_EQ(st.total.far_read_bytes, 192u);
+  EXPECT_EQ(st.total.far_read_bytes(), 192u);
 }
 
 // ----------------------------------------------------------- RunReport
@@ -353,8 +354,8 @@ TEST(RunReport, JsonRoundTripPreservesEverything) {
   EXPECT_TRUE(back.runs[0].has_config);
   EXPECT_TRUE(back.runs[0].has_counting);
   EXPECT_FALSE(back.runs[0].has_sim);
-  EXPECT_EQ(back.runs[0].counting.total.far_read_bytes,
-            report.runs[0].counting.total.far_read_bytes);
+  EXPECT_EQ(back.runs[0].counting.total.far_read_bytes(),
+            report.runs[0].counting.total.far_read_bytes());
   EXPECT_EQ(back.runs[0].counting.phases.size(),
             report.runs[0].counting.phases.size());
   // Full-fidelity round trip: serializing again yields the same document.

@@ -125,8 +125,8 @@ TEST(RecordSort, TraceCaptureWorksForRecords) {
   m.end_phase();
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end(), ByKey{}));
   const auto sum = tb.summary();
-  EXPECT_EQ(sum.read_bytes, m.stats().total.far_read_bytes +
-                                m.stats().total.near_read_bytes);
+  EXPECT_EQ(sum.read_bytes, m.stats().total.far_read_bytes() +
+                                m.stats().total.near_read_bytes());
 }
 
 }  // namespace

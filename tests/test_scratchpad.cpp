@@ -5,8 +5,10 @@
 
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
+#include "dma_test_access.hpp"
 #include "scratchpad/arena.hpp"
 #include "scratchpad/machine.hpp"
 
@@ -100,8 +102,8 @@ TEST(Machine, CopyMovesBytesAndCharges) {
   const MachineStats st = m.stats();
   ASSERT_EQ(st.phases.size(), 1u);
   const PhaseStats& ph = st.phases[0];
-  EXPECT_EQ(ph.far_read_bytes, 8192u);
-  EXPECT_EQ(ph.near_write_bytes, 8192u);
+  EXPECT_EQ(ph.far_read_bytes(), 8192u);
+  EXPECT_EQ(ph.near_write_bytes(), 8192u);
   EXPECT_EQ(ph.far_blocks(), 8192u / 64);
   // Near blocks are ρB = 256 bytes.
   EXPECT_EQ(ph.near_blocks(), 8192u / 256);
@@ -120,7 +122,7 @@ TEST(Machine, TimeModelSerializedVsOverlap) {
     auto far = m->alloc_array<std::uint64_t>(Space::Far, 1 << 16);
     auto near = m->alloc_array<std::uint64_t>(Space::Near, 1 << 16);
     m->begin_phase("p");
-    m->dma_copy(0, near.data(), far.data(), far.size_bytes());
+    DmaTestAccess::dma_copy(*m, 0, near.data(), far.data(), far.size_bytes());
     m->compute(0, 1e6);
     m->end_phase();
   }
@@ -128,16 +130,16 @@ TEST(Machine, TimeModelSerializedVsOverlap) {
   const double to = overlap.elapsed_seconds();
   EXPECT_GT(ts, to);  // overlap can only help
   const PhaseStats ph = serial.stats().phases[0];
-  EXPECT_NEAR(ph.seconds, ph.far_s + ph.near_s + ph.compute_s, 1e-15);
+  EXPECT_NEAR(ph.seconds(), ph.far_s() + ph.near_s() + ph.compute_s(), 1e-15);
   // Only DMA-posted traffic overlaps. All the traffic here went through
   // dma_copy, so the cores retain just the compute and the engine's busy
   // time is the slower of its two sides (it pipelines far reads into near
   // writes).
   const PhaseStats po = overlap.stats().phases[0];
   EXPECT_EQ(po.dma_bytes(), po.far_bytes() + po.near_bytes());
-  EXPECT_GT(po.dma_s, 0.0);
-  EXPECT_NEAR(po.dma_s, std::max(po.far_s, po.near_s), 1e-15);
-  EXPECT_NEAR(po.seconds, std::max(po.compute_s, po.dma_s), 1e-15);
+  EXPECT_GT(po.dma_s(), 0.0);
+  EXPECT_NEAR(po.dma_s(), std::max(po.far_s(), po.near_s()), 1e-15);
+  EXPECT_NEAR(po.seconds(), std::max(po.compute_s(), po.dma_s()), 1e-15);
 }
 
 TEST(Machine, CoreDrivenCopyDoesNotOverlap) {
@@ -154,8 +156,8 @@ TEST(Machine, CoreDrivenCopyDoesNotOverlap) {
   m.end_phase();
   const PhaseStats ph = m.stats().phases[0];
   EXPECT_EQ(ph.dma_bytes(), 0u);
-  EXPECT_DOUBLE_EQ(ph.dma_s, 0.0);
-  EXPECT_NEAR(ph.seconds, ph.far_s + ph.near_s + ph.compute_s, 1e-15);
+  EXPECT_DOUBLE_EQ(ph.dma_s(), 0.0);
+  EXPECT_NEAR(ph.seconds(), ph.far_s() + ph.near_s() + ph.compute_s(), 1e-15);
 }
 
 TEST(Machine, ComputeUsesPerThreadMax) {
@@ -165,9 +167,9 @@ TEST(Machine, ComputeUsesPerThreadMax) {
   m.compute(1, 4000.0);
   m.end_phase();
   const PhaseStats ph = m.stats().phases[0];
-  EXPECT_DOUBLE_EQ(ph.compute_ops_total, 5000.0);
-  EXPECT_DOUBLE_EQ(ph.compute_ops_max, 4000.0);
-  EXPECT_NEAR(ph.compute_s, 4000.0 / m.config().core_rate, 1e-18);
+  EXPECT_DOUBLE_EQ(ph.compute_ops_total(), 5000.0);
+  EXPECT_DOUBLE_EQ(ph.compute_ops_max(), 4000.0);
+  EXPECT_NEAR(ph.compute_s(), 4000.0 / m.config().core_rate, 1e-18);
 }
 
 TEST(Machine, PhasesAutoCloseOnBegin) {
@@ -181,7 +183,7 @@ TEST(Machine, PhasesAutoCloseOnBegin) {
   ASSERT_EQ(st.phases.size(), 2u);
   EXPECT_EQ(st.phases[0].name, "a");
   EXPECT_EQ(st.phases[1].name, "b");
-  EXPECT_DOUBLE_EQ(st.total.compute_ops_total, 30.0);
+  EXPECT_DOUBLE_EQ(st.total.compute_ops_total(), 30.0);
 }
 
 TEST(Machine, OpenPhaseVisibleInStats) {
@@ -190,7 +192,7 @@ TEST(Machine, OpenPhaseVisibleInStats) {
   m.compute(0, 7.0);
   const MachineStats st = m.stats();  // no end_phase
   ASSERT_EQ(st.phases.size(), 1u);
-  EXPECT_DOUBLE_EQ(st.total.compute_ops_total, 7.0);
+  EXPECT_DOUBLE_EQ(st.total.compute_ops_total(), 7.0);
 }
 
 TEST(Machine, VaddrMapsSpacesToDisjointRegions) {
@@ -274,11 +276,11 @@ TEST(Machine, ConcurrentChargesConserveTotals) {
   });
   m.end_phase();
   const PhaseStats ph = m.stats().phases.at(0);
-  EXPECT_EQ(ph.far_read_bytes, 8ull * kIters * 64);
-  EXPECT_EQ(ph.far_write_bytes, 8ull * kIters * 32);
+  EXPECT_EQ(ph.far_read_bytes(), 8ull * kIters * 64);
+  EXPECT_EQ(ph.far_write_bytes(), 8ull * kIters * 32);
   EXPECT_EQ(ph.far_bursts(), 8ull * kIters * 2);
-  EXPECT_DOUBLE_EQ(ph.compute_ops_total, 8.0 * kIters * 1.5);
-  EXPECT_DOUBLE_EQ(ph.compute_ops_max, kIters * 1.5);
+  EXPECT_DOUBLE_EQ(ph.compute_ops_total(), 8.0 * kIters * 1.5);
+  EXPECT_DOUBLE_EQ(ph.compute_ops_max(), kIters * 1.5);
 }
 
 TEST(Machine, ThreadOpsExposesPerWorkerLoad) {
@@ -364,7 +366,7 @@ TEST(Faults, DmaRetryChargesBoundedBackoff) {
   for (std::size_t i = 0; i < far.size(); ++i) far[i] = i ^ 0xabcdu;
 
   m.begin_phase("p");
-  m.dma_copy(0, near.data(), far.data(), far.size_bytes());
+  DmaTestAccess::dma_copy(m, 0, near.data(), far.data(), far.size_bytes());
   m.end_phase();
 
   EXPECT_TRUE(std::equal(near.begin(), near.end(), far.begin()));
@@ -375,7 +377,37 @@ TEST(Faults, DmaRetryChargesBoundedBackoff) {
   const double base = m.config().dma_retry_base_s;
   EXPECT_NEAR(fs.backoff_s, base + 2 * base, 1e-15);
   // The pauses are charged to the phase as stall time.
-  EXPECT_NEAR(m.stats().phases.at(0).stall_s, fs.backoff_s, 1e-15);
+  EXPECT_NEAR(m.stats().phases.at(0).stall_s(), fs.backoff_s, 1e-15);
+}
+
+void expect_same_faults(const FaultStats& after, const FaultStats& before) {
+#define TLM_X(kind, field, metric) \
+  EXPECT_EQ(after.field, before.field) << #field;
+  TLM_FAULT_STATS(TLM_X)
+#undef TLM_X
+}
+
+// An out-of-range thread id is rejected before any fault hook runs: with a
+// stall armed on every descriptor, nothing reaches the fault totals.
+TEST(Faults, DmaCopyChecksThreadBeforeFaultHooks) {
+  Machine m(cfg1());
+  FaultInjector fi(29);
+  fi.arm(fault_site::kDmaStall, FaultSchedule::every(1e-3));
+  m.set_fault_injector(&fi);
+  auto far = m.alloc_array<std::uint64_t>(Space::Far, 64);
+  auto near = m.alloc_array<std::uint64_t>(Space::Near, 64);
+  const FaultStats before = m.fault_stats();
+  EXPECT_THROW(DmaTestAccess::dma_copy(m, m.threads(), near.data(),
+                                       far.data(), far.size_bytes()),
+               std::logic_error);
+  expect_same_faults(m.fault_stats(), before);
+}
+
+TEST(Faults, ChargeStallChecksThread) {
+  Machine m(cfg1());
+  const FaultStats before = m.fault_stats();
+  EXPECT_THROW(m.charge_stall(m.threads(), 1e-3), std::logic_error);
+  expect_same_faults(m.fault_stats(), before);
 }
 
 TEST(Faults, FarStallChargesStallTime) {
@@ -390,11 +422,11 @@ TEST(Faults, FarStallChargesStallTime) {
   const FaultStats fs = m.fault_stats();
   EXPECT_EQ(fs.far_stalls, 1u);
   EXPECT_NEAR(fs.stall_s, 2e-6, 1e-15);
-  EXPECT_NEAR(m.stats().phases.at(0).stall_s, 2e-6, 1e-15);
+  EXPECT_NEAR(m.stats().phases.at(0).stall_s(), 2e-6, 1e-15);
   // The stall extends the phase's modeled time. stats() returns by value,
   // so keep a copy: a reference into the temporary would dangle.
   const PhaseStats ph = m.stats().phases.at(0);
-  EXPECT_GE(ph.seconds, ph.far_s + ph.stall_s - 1e-18);
+  EXPECT_GE(ph.seconds(), ph.far_s() + ph.stall_s() - 1e-18);
 }
 
 TEST(Faults, InjectorIsDeterministicPerSeedSiteOccurrence) {
@@ -450,10 +482,10 @@ TEST(OmegaSplit, EveryOpKindConserves) {
   m.copy(0, far.data(), near.data(), near.size_bytes());
   m.end_phase();
   m.begin_phase("dma.f2n");
-  m.dma_copy(0, near.data(), far.data(), far.size_bytes());
+  DmaTestAccess::dma_copy(m, 0, near.data(), far.data(), far.size_bytes());
   m.end_phase();
   m.begin_phase("dma.n2f");
-  m.dma_copy(0, far.data(), near.data(), near.size_bytes());
+  DmaTestAccess::dma_copy(m, 0, far.data(), near.data(), near.size_bytes());
   m.end_phase();
   m.begin_phase("stream");
   m.stream_read(0, far.data(), 64);
@@ -467,21 +499,21 @@ TEST(OmegaSplit, EveryOpKindConserves) {
   // Directional attribution: a far->near copy is all far *reads* and near
   // *writes*; the reverse copy flips both.
   const PhaseStats& f2n = st.phases[0];
-  EXPECT_EQ(f2n.far_read_bytes, 8192u);
-  EXPECT_EQ(f2n.far_write_blocks, 0u);
-  EXPECT_EQ(f2n.far_read_blocks, f2n.far_blocks());
-  EXPECT_EQ(f2n.near_write_blocks, f2n.near_blocks());
-  EXPECT_EQ(f2n.near_read_bursts, 0u);
+  EXPECT_EQ(f2n.far_read_bytes(), 8192u);
+  EXPECT_EQ(f2n.far_write_blocks(), 0u);
+  EXPECT_EQ(f2n.far_read_blocks(), f2n.far_blocks());
+  EXPECT_EQ(f2n.near_write_blocks(), f2n.near_blocks());
+  EXPECT_EQ(f2n.near_read_bursts(), 0u);
   const PhaseStats& n2f = st.phases[1];
-  EXPECT_EQ(n2f.far_write_blocks, n2f.far_blocks());
-  EXPECT_EQ(n2f.far_read_bursts, 0u);
-  EXPECT_EQ(n2f.near_read_blocks, n2f.near_blocks());
+  EXPECT_EQ(n2f.far_write_blocks(), n2f.far_blocks());
+  EXPECT_EQ(n2f.far_read_bursts(), 0u);
+  EXPECT_EQ(n2f.near_read_blocks(), n2f.near_blocks());
   // DMA traffic lands in the dma splits as well as the combined ones.
   const PhaseStats& dma = st.phases[2];
-  EXPECT_EQ(dma.dma_far_read_bytes, 8192u);
-  EXPECT_EQ(dma.dma_far_write_bytes, 0u);
-  EXPECT_EQ(dma.dma_near_write_bytes, 8192u);
-  EXPECT_EQ(dma.dma_far_read_bursts, dma.dma_far_bursts());
+  EXPECT_EQ(dma.dma_far_read_bytes(), 8192u);
+  EXPECT_EQ(dma.dma_far_write_bytes(), 0u);
+  EXPECT_EQ(dma.dma_near_write_bytes(), 8192u);
+  EXPECT_EQ(dma.dma_far_read_bursts(), dma.dma_far_bursts());
 }
 
 TEST(OmegaSplit, ConcurrentChargesConserve) {
@@ -499,17 +531,17 @@ TEST(OmegaSplit, ConcurrentChargesConserve) {
       m.stream_read(w, fslice.data(), 64);
       m.stream_write(w, fslice.data(), 32);
       m.copy(w, nslice.data(), fslice.data(), 128);
-      m.dma_copy(w, fslice.data(), nslice.data(), 256);
+      DmaTestAccess::dma_copy(m, w, fslice.data(), nslice.data(), 256);
     }
   });
   m.end_phase();
   const PhaseStats ph = m.stats().phases.at(0);
-  EXPECT_EQ(ph.far_read_bytes, 8ull * kIters * (64 + 128));
-  EXPECT_EQ(ph.far_write_bytes, 8ull * kIters * (32 + 256));
-  EXPECT_EQ(ph.near_read_bytes, 8ull * kIters * 256);
-  EXPECT_EQ(ph.near_write_bytes, 8ull * kIters * 128);
-  EXPECT_EQ(ph.dma_far_write_bytes, 8ull * kIters * 256);
-  EXPECT_EQ(ph.dma_far_read_bytes, 0u);
+  EXPECT_EQ(ph.far_read_bytes(), 8ull * kIters * (64 + 128));
+  EXPECT_EQ(ph.far_write_bytes(), 8ull * kIters * (32 + 256));
+  EXPECT_EQ(ph.near_read_bytes(), 8ull * kIters * 256);
+  EXPECT_EQ(ph.near_write_bytes(), 8ull * kIters * 128);
+  EXPECT_EQ(ph.dma_far_write_bytes(), 8ull * kIters * 256);
+  EXPECT_EQ(ph.dma_far_read_bytes(), 0u);
 }
 
 TEST(OmegaTime, FarWritesWeightedByOmega) {
@@ -525,14 +557,14 @@ TEST(OmegaTime, FarWritesWeightedByOmega) {
   const PhaseStats ph = m.stats().phases.at(0);
   const double p = static_cast<double>(c.threads);
   const double want =
-      (static_cast<double>(ph.far_read_bytes) +
-       4.0 * static_cast<double>(ph.far_write_bytes)) /
+      (static_cast<double>(ph.far_read_bytes()) +
+       4.0 * static_cast<double>(ph.far_write_bytes())) /
           c.far_bw +
-      (static_cast<double>(ph.far_read_bursts) +
-       4.0 * static_cast<double>(ph.far_write_bursts)) *
+      (static_cast<double>(ph.far_read_bursts()) +
+       4.0 * static_cast<double>(ph.far_write_bursts())) *
           c.far_latency / p;
-  EXPECT_EQ(ph.far_s, want);  // exact: same arithmetic, same order
-  EXPECT_GT(ph.far_s,
+  EXPECT_EQ(ph.far_s(), want);  // exact: same arithmetic, same order
+  EXPECT_GT(ph.far_s(),
             static_cast<double>(ph.far_bytes()) / c.far_bw +
                 static_cast<double>(ph.far_bursts()) * c.far_latency / p);
 }
@@ -551,7 +583,7 @@ TEST(OmegaTime, OmegaOneIsBitExactLegacy) {
   const double legacy =
       static_cast<double>(ph.far_bytes()) / m.config().far_bw +
       static_cast<double>(ph.far_bursts()) * m.config().far_latency / p;
-  EXPECT_EQ(ph.far_s, legacy);
+  EXPECT_EQ(ph.far_s(), legacy);
 }
 
 TEST(OmegaTime, ConfigRejectsOmegaBelowOne) {
@@ -572,11 +604,12 @@ TEST(OmegaTime, DmaFarSideWeighted) {
     auto far = m.alloc_array<std::uint64_t>(Space::Far, 1 << 14);
     auto near = m.alloc_array<std::uint64_t>(Space::Near, 1 << 14);
     m.begin_phase("d");
-    m.dma_copy(0, far.data(), near.data(), near.size_bytes());  // far writes
+    // Far writes.
+    DmaTestAccess::dma_copy(m, 0, far.data(), near.data(), near.size_bytes());
     m.end_phase();
     const PhaseStats ph = m.stats().phases.at(0);
-    EXPECT_GT(ph.dma_s, prev) << "omega=" << omega;
-    prev = ph.dma_s;
+    EXPECT_GT(ph.dma_s(), prev) << "omega=" << omega;
+    prev = ph.dma_s();
   }
 }
 
@@ -590,8 +623,8 @@ TEST(Machine, StreamChargesWithoutMoving) {
   m.end_phase();
   EXPECT_EQ(far[0], 42u);
   const PhaseStats ph = m.stats().phases[0];
-  EXPECT_EQ(ph.far_read_bytes, 2048u);
-  EXPECT_EQ(ph.far_write_bytes, 2048u);
+  EXPECT_EQ(ph.far_read_bytes(), 2048u);
+  EXPECT_EQ(ph.far_write_bytes(), 2048u);
 }
 
 }  // namespace

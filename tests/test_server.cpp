@@ -350,8 +350,8 @@ TEST(MachineTotals, PhaseDeltaBracketsTraffic) {
   m.stream_read(0, buf.data(), 4096);
   m.stream_write(0, buf.data(), 512);
   const PhaseStats delta = phase_delta(m.totals(), before);
-  EXPECT_EQ(delta.far_read_bytes, 4096u);
-  EXPECT_EQ(delta.far_write_bytes, 512u);
+  EXPECT_EQ(delta.far_read_bytes(), 4096u);
+  EXPECT_EQ(delta.far_write_bytes(), 512u);
   EXPECT_EQ(delta.near_bytes(), 0u);
   // Totals agree with the O(#phases) stats() view.
   EXPECT_EQ(m.totals().far_bytes(), m.stats().total.far_bytes());
@@ -516,14 +516,14 @@ TEST(JobServerTest, AttributionConservesMachineTotals) {
   const auto sa = srv.tenant_stats("a");
   const auto sb = srv.tenant_stats("b");
   const PhaseStats grand = m.totals();
-  EXPECT_EQ(sa.attributed.far_read_bytes + sb.attributed.far_read_bytes,
-            grand.far_read_bytes);
-  EXPECT_EQ(sa.attributed.far_write_bytes + sb.attributed.far_write_bytes,
-            grand.far_write_bytes);
-  EXPECT_EQ(sa.attributed.near_read_bytes + sb.attributed.near_read_bytes,
-            grand.near_read_bytes);
-  EXPECT_EQ(sa.attributed.near_write_bytes + sb.attributed.near_write_bytes,
-            grand.near_write_bytes);
+  EXPECT_EQ(sa.attributed.far_read_bytes() + sb.attributed.far_read_bytes(),
+            grand.far_read_bytes());
+  EXPECT_EQ(sa.attributed.far_write_bytes() + sb.attributed.far_write_bytes(),
+            grand.far_write_bytes());
+  EXPECT_EQ(sa.attributed.near_read_bytes() + sb.attributed.near_read_bytes(),
+            grand.near_read_bytes());
+  EXPECT_EQ(sa.attributed.near_write_bytes() + sb.attributed.near_write_bytes(),
+            grand.near_write_bytes());
   EXPECT_EQ(sa.attributed.far_bursts() + sb.attributed.far_bursts(),
             grand.far_bursts());
   EXPECT_EQ(sa.phases_run + sb.phases_run, 18u);

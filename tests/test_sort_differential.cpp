@@ -264,14 +264,14 @@ TEST(WriteEfficientAcceptance, FewerFarWritesThanStockNMsort) {
     we_sort_into(m, std::span<const std::uint64_t>(keys),
                  std::span<std::uint64_t>(we_out));
     m.end_phase();
-    we_writes = m.stats().total.far_write_bytes;
+    we_writes = m.stats().total.far_write_bytes();
   }
   {
     Machine m(cfg);
     nm_sort_into(m, std::span<const std::uint64_t>(keys),
                  std::span<std::uint64_t>(nm_out));
     m.end_phase();
-    nm_writes = m.stats().total.far_write_bytes;
+    nm_writes = m.stats().total.far_write_bytes();
   }
   EXPECT_EQ(we_out, nm_out) << "variants disagree on the sorted output";
   EXPECT_LT(we_writes, nm_writes)
@@ -297,9 +297,9 @@ TEST(SortDifferentialAcceptance, AllEqualKeysSplitPhase2AcrossAllThreads) {
   for (const PhaseStats& p : st.phases) {
     if (p.name != "nmsort.phase2") continue;
     saw_phase2 = true;
-    EXPECT_GT(p.partition_splits, 0u);
-    EXPECT_GE(p.partition_imbalance_max, 1.0);
-    EXPECT_LE(p.partition_imbalance_max, 1.0 + 1e-9)
+    EXPECT_GT(p.partition_splits(), 0u);
+    EXPECT_GE(p.partition_imbalance_max(), 1.0);
+    EXPECT_LE(p.partition_imbalance_max(), 1.0 + 1e-9)
         << "all-equal keys must split the Phase-2 merge exactly";
   }
   EXPECT_TRUE(saw_phase2);

@@ -395,7 +395,7 @@ TEST(ParallelScratchpadSort, ComputeSpanShrinksWithThreads) {
     parallel_scratchpad_sort(m, std::span<std::uint64_t>(keys));
     m.end_phase();
     double comp = 0;
-    for (const auto& ph : m.stats().phases) comp += ph.compute_s;
+    for (const auto& ph : m.stats().phases) comp += ph.compute_s();
     return comp;
   };
   const double one = span_seconds(1);
@@ -417,10 +417,10 @@ TEST(SortAccounting, NmsortFarTrafficIsTwoPassesPlusMetadata) {
   const std::uint64_t payload = n * 8;
   // Exactly two far read passes (input, runs area) and two write passes
   // (runs area, output) plus small metadata.
-  EXPECT_GE(tot.far_read_bytes, 2 * payload);
-  EXPECT_LE(tot.far_read_bytes, 2.2 * payload);
-  EXPECT_GE(tot.far_write_bytes, 2 * payload);
-  EXPECT_LE(tot.far_write_bytes, 2.2 * payload);
+  EXPECT_GE(tot.far_read_bytes(), 2 * payload);
+  EXPECT_LE(tot.far_read_bytes(), 2.2 * payload);
+  EXPECT_GE(tot.far_write_bytes(), 2 * payload);
+  EXPECT_LE(tot.far_write_bytes(), 2.2 * payload);
 }
 
 TEST(SortAccounting, BaselineTrafficGrowsWithPassCount) {
@@ -450,7 +450,7 @@ TEST(SortAccounting, NearTrafficScalesInverselyWithRhoInTime) {
                  std::span<std::uint64_t>(out));
     m.end_phase();
     double near_s = 0;
-    for (const auto& ph : m.stats().phases) near_s += ph.near_s;
+    for (const auto& ph : m.stats().phases) near_s += ph.near_s();
     return std::pair<std::uint64_t, double>(m.stats().total.near_bytes(),
                                             near_s);
   };
@@ -482,8 +482,8 @@ TEST(SortAccounting, SingleChunkFastPathUsesOnlyTwoFarPasses) {
   m.end_phase();
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   const auto tot = m.stats().total;
-  EXPECT_LE(tot.far_read_bytes, n * 8 * 11 / 10);   // one read pass
-  EXPECT_LE(tot.far_write_bytes, n * 8 * 11 / 10);  // one write pass
+  EXPECT_LE(tot.far_read_bytes(), n * 8 * 11 / 10);   // one read pass
+  EXPECT_LE(tot.far_write_bytes(), n * 8 * 11 / 10);  // one write pass
 }
 
 }  // namespace

@@ -68,10 +68,10 @@ TEST(SortSmoke, TrafficIsAccounted) {
   const MachineStats st = m.stats();
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   // At minimum the input must be read and the output written once.
-  EXPECT_GE(st.total.far_read_bytes, keys.size() * 8);
-  EXPECT_GE(st.total.far_write_bytes, keys.size() * 8);
+  EXPECT_GE(st.total.far_read_bytes(), keys.size() * 8);
+  EXPECT_GE(st.total.far_write_bytes(), keys.size() * 8);
   EXPECT_GT(st.total.near_bytes(), 0u);
-  EXPECT_GT(st.total.seconds, 0.0);
+  EXPECT_GT(st.total.seconds(), 0.0);
 }
 
 }  // namespace
