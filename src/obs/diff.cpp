@@ -77,9 +77,7 @@ bool is_split_leaf(std::string_view path) {
   if (leaf == #read || leaf == #write) return true;
   TLM_PHASE_COMBINED(TLM_X)
 #undef TLM_X
-  // The directional line counts of the MetricsRegistry export.
-  return leaf == "far_reads" || leaf == "far_writes" ||
-         leaf == "near_reads" || leaf == "near_writes";
+  return false;
 }
 
 void flatten(const Json& j, const std::string& prefix,

@@ -25,7 +25,7 @@ bool Json::boolean() const {
 std::uint64_t Json::u64() const {
   if (const auto* u = std::get_if<std::uint64_t>(&v_)) return *u;
   if (const double* d = std::get_if<double>(&v_)) {
-    if (*d >= 0 && *d <= 1.8446744073709551e19 && *d == std::floor(*d))
+    if (*d >= 0 && *d < 0x1p64 && *d == std::floor(*d))
       return static_cast<std::uint64_t>(*d);
     fail("number is not a non-negative integer");
   }

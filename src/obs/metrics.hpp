@@ -122,4 +122,15 @@ class MetricsRegistry {
   std::map<std::string, double, std::less<>> gauges_ TLM_GUARDED_BY(mu_);
 };
 
+// One counter-table row into `reg`: a count adds to a counter, a double
+// sets a gauge.
+inline void export_leaf(MetricsRegistry& reg, std::string_view key,
+                        std::uint64_t v) {
+  reg.counter(key).add(v);
+}
+inline void export_leaf(MetricsRegistry& reg, std::string_view key,
+                        double v) {
+  reg.set_gauge(key, v);
+}
+
 }  // namespace tlm::obs

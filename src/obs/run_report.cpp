@@ -14,13 +14,6 @@ void read_leaf(const Json& j, const char* key, double& v) {
   v = j.get_f64(key, 0);
 }
 
-void export_leaf(MetricsRegistry& reg, const char* key, std::uint64_t v) {
-  reg.counter(key).add(v);
-}
-void export_leaf(MetricsRegistry& reg, const char* key, double v) {
-  reg.set_gauge(key, v);
-}
-
 // Every stored field, plus the derived combined counters under their own
 // names so reports keep the leaves older baselines diff against.
 Json phase_to_json(const PhaseStats& p, bool with_name) {
@@ -57,44 +50,16 @@ Json config_to_json(const TwoLevelConfig& c) {
   return j;
 }
 
-TwoLevelConfig config_from_json(const Json& j) {
-  TwoLevelConfig c;
-  c.near_capacity = j.get_u64("near_capacity", c.near_capacity);
-  c.block_bytes = j.get_u64("block_bytes", c.block_bytes);
-  c.cache_bytes = j.get_u64("cache_bytes", c.cache_bytes);
-  c.rho = j.get_f64("rho", c.rho);
-  c.far_bw = j.get_f64("far_bw", c.far_bw);
-  c.near_latency = j.get_f64("near_latency", c.near_latency);
-  c.far_latency = j.get_f64("far_latency", c.far_latency);
-  c.core_rate = j.get_f64("core_rate", c.core_rate);
-  c.threads = static_cast<std::size_t>(
-      j.get_u64("threads", static_cast<std::uint64_t>(c.threads)));
-  c.overlap_dma = j.contains("overlap_dma") && j.at("overlap_dma").boolean();
-  c.far_write_cost = j.get_f64("far_write_cost", c.far_write_cost);
-  return c;
-}
-
-Json sim_to_json(const SimCounters& s) {
+Json sim_to_json(const sim::SimReport& r) {
   Json j = Json::object();
-  j["seconds"] = s.seconds;
-  j["events"] = s.events;
-#define TLM_X(kind, section, key, field, source) j[#section][#key] = s.field;
-  TLM_SIM_COUNTERS(TLM_X)
+  j["seconds"] = r.seconds;
+  j["events"] = r.events;
+#define TLM_X(section, key, source) j[#section][#key] = source;
+  TLM_SIM_STATS(TLM_X)
 #undef TLM_X
-  // The DMA section appears only when an engine saw traffic.
-  if (!s.dma_descriptors && !s.dma_lines && !s.dma_bytes) j.obj().erase("dma");
+  // The DMA section appears only when the engine saw traffic.
+  if (!r.dma.descriptors && !r.dma.lines && !r.dma.bytes) j.obj().erase("dma");
   return j;
-}
-
-SimCounters sim_from_json(const Json& j) {
-  SimCounters s;
-  s.seconds = j.get_f64("seconds", 0);
-  s.events = j.get_u64("events", 0);
-#define TLM_X(kind, section, key, field, source) \
-  if (j.contains(#section)) read_leaf(j.at(#section), #key, s.field);
-  TLM_SIM_COUNTERS(TLM_X)
-#undef TLM_X
-  return s;
 }
 
 }  // namespace
@@ -118,16 +83,6 @@ PhaseStats phase_from_json(const Json& j) {
   return p;
 }
 
-SimCounters SimCounters::from(const sim::SimReport& r) {
-  SimCounters s;
-  s.seconds = r.seconds;
-  s.events = r.events;
-#define TLM_X(kind, section, key, field, source) s.field = source;
-  TLM_SIM_COUNTERS(TLM_X)
-#undef TLM_X
-  return s;
-}
-
 void RunRecord::set_config(const TwoLevelConfig& cfg) {
   config = cfg;
   has_config = true;
@@ -140,23 +95,7 @@ void RunRecord::set_counting(const MachineStats& st, std::uint64_t line) {
 }
 
 void RunRecord::set_sim(const sim::SimReport& r) {
-  // The report carries the system DMA engine's counters; if it saw no DMA
-  // traffic, preserve counters a prior set_dma() call may have attached
-  // (benches that drive a standalone engine).
-  const SimCounters dma_keep = sim;
-  sim = SimCounters::from(r);
-  if (sim.dma_descriptors == 0 && sim.dma_lines == 0 && sim.dma_bytes == 0) {
-    sim.dma_descriptors = dma_keep.dma_descriptors;
-    sim.dma_lines = dma_keep.dma_lines;
-    sim.dma_bytes = dma_keep.dma_bytes;
-  }
-  has_sim = true;
-}
-
-void RunRecord::set_dma(const sim::DmaStats& d) {
-  sim.dma_descriptors = d.descriptors;
-  sim.dma_lines = d.lines;
-  sim.dma_bytes = d.bytes;
+  sim = r;
   has_sim = true;
 }
 
@@ -215,54 +154,8 @@ Json RunReport::to_json() const {
   return j;
 }
 
-RunReport RunReport::from_json(const Json& j) {
-  const auto problems = validate_report(j);
-  if (!problems.empty())
-    throw std::runtime_error("run report schema violation: " + problems[0]);
-
-  RunReport rep;
-  rep.benchmark = j.at("benchmark").str();
-  rep.params = j.contains("params") ? j.at("params") : Json::object();
-  rep.wall_seconds = j.get_f64("wall_seconds", 0);
-  for (const Json& jr : j.at("runs").arr()) {
-    RunRecord& r = rep.add_run(jr.at("name").str());
-    r.wall_seconds = jr.get_f64("wall_seconds", 0);
-    if (jr.contains("config")) {
-      r.config = config_from_json(jr.at("config"));
-      r.has_config = true;
-    }
-    if (jr.contains("counting")) {
-      const Json& c = jr.at("counting");
-      r.line_bytes = c.get_u64("line_bytes", 64);
-      r.counting.total = phase_from_json(c.at("total"));
-      if (c.contains("phases"))
-        for (const Json& p : c.at("phases").arr())
-          r.counting.phases.push_back(phase_from_json(p));
-      r.has_counting = true;
-    }
-    if (jr.contains("sim")) {
-      r.sim = sim_from_json(jr.at("sim"));
-      r.has_sim = true;
-    }
-    if (jr.contains("metrics")) {
-      const Json& m = jr.at("metrics");
-      if (m.contains("counters"))
-        for (const auto& [k, v] : m.at("counters").obj())
-          r.counters.emplace(k, v.u64());
-      if (m.contains("gauges"))
-        for (const auto& [k, v] : m.at("gauges").obj())
-          r.gauges.emplace(k, v.f64());
-    }
-  }
-  return rep;
-}
-
 void RunReport::write(const std::string& path) const {
   to_json().write_file(path);
-}
-
-RunReport RunReport::load(const std::string& path) {
-  return from_json(Json::load_file(path));
 }
 
 std::vector<std::string> validate_report(const Json& j) {
@@ -388,46 +281,6 @@ std::vector<std::string> validate_report(const Json& j) {
   return out;
 }
 
-void export_stats(const MachineStats& st, std::uint64_t line_bytes,
-                  MetricsRegistry& reg) {
-  const PhaseStats& t = st.total;
-  reg.counter("machine.far_read_bytes").add(t.far_read_bytes());
-  reg.counter("machine.far_write_bytes").add(t.far_write_bytes());
-  reg.counter("machine.near_read_bytes").add(t.near_read_bytes());
-  reg.counter("machine.near_write_bytes").add(t.near_write_bytes());
-  reg.counter("machine.far_blocks").add(t.far_blocks());
-  reg.counter("machine.near_blocks").add(t.near_blocks());
-  reg.counter("machine.far_bursts").add(t.far_bursts());
-  reg.counter("machine.near_bursts").add(t.near_bursts());
-  reg.counter("machine.far_accesses").add(st.far_accesses(line_bytes));
-  reg.counter("machine.near_accesses").add(st.near_accesses(line_bytes));
-  // Directional access counts and the split block/burst counters — what the
-  // ω model weighs. Old baselines predate them; obs::diff tolerates their
-  // absence (is_split_leaf) the way it does for faults.*.
-  reg.counter("machine.far_reads").add(st.far_reads(line_bytes));
-  reg.counter("machine.far_writes").add(st.far_writes(line_bytes));
-  reg.counter("machine.near_reads").add(st.near_reads(line_bytes));
-  reg.counter("machine.near_writes").add(st.near_writes(line_bytes));
-  reg.counter("machine.far_read_blocks").add(t.far_read_blocks());
-  reg.counter("machine.far_write_blocks").add(t.far_write_blocks());
-  reg.counter("machine.near_read_blocks").add(t.near_read_blocks());
-  reg.counter("machine.near_write_blocks").add(t.near_write_blocks());
-  reg.counter("machine.far_read_bursts").add(t.far_read_bursts());
-  reg.counter("machine.far_write_bursts").add(t.far_write_bursts());
-  reg.counter("machine.near_read_bursts").add(t.near_read_bursts());
-  reg.counter("machine.near_write_bursts").add(t.near_write_bursts());
-  reg.counter("machine.dma_far_bytes").add(t.dma_far_bytes());
-  reg.counter("machine.dma_near_bytes").add(t.dma_near_bytes());
-  reg.counter("machine.dma_bursts")
-      .add(t.dma_far_bursts() + t.dma_near_bursts());
-  reg.counter("machine.partition_splits").add(t.partition_splits());
-  reg.set_gauge("machine.partition_imbalance_max", t.partition_imbalance_max());
-  reg.set_gauge("machine.compute_ops_total", t.compute_ops_total());
-  reg.set_gauge("machine.modeled_seconds", t.seconds());
-  reg.set_gauge("machine.dma_seconds", t.dma_s());
-  reg.set_gauge("machine.host_seconds", t.host_seconds());
-}
-
 void export_stats(const StagerStats& st, MetricsRegistry& reg) {
 #define TLM_X(kind, field, metric) export_leaf(reg, metric, st.field);
   TLM_STAGER_STATS(TLM_X)
@@ -457,17 +310,6 @@ void export_stats(const trace::ReplayStats& st, MetricsRegistry& reg) {
   reg.counter("trace.replay_fences").add(st.fences);
   reg.counter("trace.replay_dmas").add(st.dmas);
   reg.counter("trace.replay_recovered_threads").add(st.recovered_threads);
-}
-
-void export_stats(const sim::SimReport& r, MetricsRegistry& reg) {
-  for (const auto& [name, value] : r.counters()) {
-    // Integral counters stay counters; rates/times become gauges.
-    if (value >= 0 && value == static_cast<double>(
-                                   static_cast<std::uint64_t>(value)))
-      reg.counter("sim." + name).add(static_cast<std::uint64_t>(value));
-    else
-      reg.set_gauge("sim." + name, value);
-  }
 }
 
 }  // namespace tlm::obs

@@ -35,6 +35,11 @@ Machine::~Machine() {
   }
 }
 
+std::uint64_t Machine::array_bytes(std::size_t n, std::size_t elem_bytes) {
+  TLM_REQUIRE(n <= UINT64_MAX / elem_bytes, "array byte size overflows");
+  return n * elem_bytes;
+}
+
 std::byte* Machine::alloc(Space s, std::uint64_t bytes, std::uint64_t align,
                           std::source_location loc) {
   TLM_REQUIRE(bytes > 0, "zero-byte allocation");

@@ -22,6 +22,7 @@
 #include <barrier>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -108,7 +109,8 @@ class Machine {
   std::span<T> alloc_array(
       Space s, std::size_t n,
       std::source_location loc = std::source_location::current()) {
-    auto* p = alloc(s, n * sizeof(T), alignof(T) < 64 ? 64 : alignof(T), loc);
+    auto* p = alloc(s, array_bytes(n, sizeof(T)),
+                    alignof(T) < 64 ? 64 : alignof(T), loc);
     return {reinterpret_cast<T*>(p), n};
   }
   template <typename T>
@@ -129,7 +131,7 @@ class Machine {
       std::size_t n,
       std::source_location loc = std::source_location::current()) {
     std::byte* p = try_alloc_near_bytes(
-        n * sizeof(T), alignof(T) < 64 ? 64 : alignof(T), loc);
+        array_bytes(n, sizeof(T)), alignof(T) < 64 ? 64 : alignof(T), loc);
     if (p == nullptr) return std::nullopt;
     return std::span<T>{reinterpret_cast<T*>(p), n};
   }
@@ -295,6 +297,9 @@ class Machine {
     double ops = 0;
     double stall = 0;  // injected stalls + retry backoff charged to this core
   };
+
+  // n * elem_bytes; a count whose byte size would wrap is refused.
+  static std::uint64_t array_bytes(std::size_t n, std::size_t elem_bytes);
 
   // The one charge path behind copy, dma_copy and the stream calls.
   void charge(std::size_t thread, const void* p, std::uint64_t bytes,

@@ -30,29 +30,33 @@ struct JobHandle::State {
 };
 
 struct JobServer::Tenant {
-  std::string name;
   TenantArena arena;
   std::deque<std::shared_ptr<JobHandle::State>> queue;
-
-  std::uint64_t admissions = 0;
-  std::uint64_t rejections = 0;
-  std::uint64_t backoff_stalls = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_cancelled = 0;
-  std::uint64_t jobs_deadline_exceeded = 0;
-  std::uint64_t jobs_quarantined = 0;
-  std::uint64_t job_retries = 0;
-  std::uint64_t phases_run = 0;
-
-  PhaseStats attributed;
-  StagerStats stager;
-  FaultStats faults;
-  std::vector<double> phase_seconds;
-  std::vector<double> phase_model_seconds;
+  // The server-kept counters, the attribution and the phase times;
+  // snapshot() adds the name, the arena-kept counters and the degradation
+  // level.
+  TenantStats stats;
 
   Tenant(Machine& m, const std::string& n, std::uint64_t quota)
-      : name(n), arena(m, n, quota) {}
+      : arena(m, n, quota) {}
+
+  const std::string& name() const { return arena.tenant(); }
+
+  TenantStats snapshot() const {
+    TenantStats s = stats;
+    s.tenant = name();
+#define TLM_READ_server(field)
+#define TLM_READ_arena(field) s.field = arena.field();
+#define TLM_X(field, metric, source) TLM_READ_##source(field)
+    TLM_TENANT_COUNTERS(TLM_X)
+#undef TLM_X
+#undef TLM_READ_arena
+#undef TLM_READ_server
+    s.degrade_level = s.stager.degrade_to_direct > 0   ? 2
+                      : s.stager.degrade_to_single > 0 ? 1
+                                                       : 0;
+    return s;
+  }
 };
 
 // One scheduling round: a (tenant, job, phase) pick plus the snapshots the
@@ -70,7 +74,6 @@ struct JobServer::Work {
   // execute() reads no scheduler-owned job state outside the lock.
   double model_budget_s = 0;
   double wall_budget_s = 0;
-  std::uint64_t reclaimed = 0;  // quota bytes handed back on unwind
   PhaseStats before, after;
   StagerStats stager_before, stager_after;
   FaultStats faults_before, faults_after;
@@ -135,7 +138,7 @@ TenantArena& JobServer::add_tenant(const std::string& name,
   TLM_REQUIRE(!name.empty(), "tenant name must be non-empty");
   MutexLock lock(mu_);
   for (const auto& t : tenants_)
-    TLM_REQUIRE(t->name != name, "tenant already registered");
+    TLM_REQUIRE(t->name() != name, "tenant already registered");
   tenants_.push_back(std::make_unique<Tenant>(machine_, name, quota_bytes));
   return tenants_.back()->arena;
 }
@@ -159,33 +162,28 @@ JobServer::settle_locked(
     // where leaked allocations are handed back. Usually a no-op: a mid-
     // phase unwind already reclaimed in execute(), and jobs settled before
     // running own nothing.
-    lifecycle_.reclaimed_bytes += t.arena.reclaim();
+    t.arena.reclaim();
   }
   // Settlement honesty: after a completed job's own frees — or the reclaim
   // above — the tenant's charge must be zero (model.tenant_leak otherwise).
   if (front) t.arena.check_job_end(st->spec.name);
   switch (final) {
     case JobStatus::kDone:
-      ++t.jobs_completed;
+      ++t.stats.jobs_completed;
       break;
     case JobStatus::kFailed:
-      ++t.jobs_failed;
+      ++t.stats.jobs_failed;
       break;
     case JobStatus::kCancelled:
-      ++t.jobs_cancelled;
-      ++lifecycle_.cancelled;
-      if (reason == CancelReason::kShutdown) ++lifecycle_.shutdown_cancelled;
+      ++t.stats.jobs_cancelled;
+      if (reason == CancelReason::kShutdown) ++shutdown_cancelled_;
       break;
     case JobStatus::kDeadlineExceeded:
-      ++t.jobs_deadline_exceeded;
-      if (reason == CancelReason::kWatchdog)
-        ++lifecycle_.watchdog_fired;
-      else
-        ++lifecycle_.deadline_expired;
+      ++t.stats.jobs_deadline_exceeded;
+      if (reason == CancelReason::kWatchdog) ++watchdog_fired_;
       break;
     case JobStatus::kQuarantined:
-      ++t.jobs_quarantined;
-      ++lifecycle_.quarantined;
+      ++t.stats.jobs_quarantined;
       break;
     default:
       TLM_REQUIRE(false, "settle_locked: not a terminal status");
@@ -264,7 +262,7 @@ void JobServer::execute(Work& w) {
   w.job->token.arm_phase(w.model_budget_s, w.wall_budget_s);
   t.arena.install();
   machine_.set_cancel_token(&w.job->token);
-  machine_.begin_phase("tenant/" + t.name + "/" + w.job->spec.name + "/" +
+  machine_.begin_phase("tenant/" + t.name() + "/" + w.job->spec.name + "/" +
                        w.phase->name);
   JobContext ctx{machine_};
   const auto t0 = std::chrono::steady_clock::now();
@@ -303,7 +301,7 @@ void JobServer::execute(Work& w) {
     // Leak-free unwinding: the phase body died before its own frees, so
     // hand back every quota-charged allocation now — while the gate is
     // still installed and before end_phase() audits the phase for leaks.
-    w.reclaimed = t.arena.reclaim();
+    t.arena.reclaim();
   }
   machine_.end_phase();
   machine_.set_cancel_token(nullptr);
@@ -323,15 +321,15 @@ void JobServer::finish_locked(Work& w) {
   // separate bucket so attribution stays conservative, not approximate.
   untenanted_ += phase_delta(w.before, last_snapshot_);
   const PhaseStats attributed = phase_delta(w.after, w.before);
-  t.attributed += attributed;
-  t.stager += stager_delta(w.stager_after, w.stager_before);
-  t.faults += fault_delta(w.faults_after, w.faults_before);
+  TenantStats& ts = t.stats;
+  ts.attributed += attributed;
+  ts.stager += stager_delta(w.stager_after, w.stager_before);
+  ts.faults += fault_delta(w.faults_after, w.faults_before);
   last_snapshot_ = w.after;
-  t.phase_seconds.push_back(w.host_s);
-  t.phase_model_seconds.push_back(attributed.seconds());
-  ++t.phases_run;
+  ts.phase_seconds.push_back(w.host_s);
+  ts.phase_model_seconds.push_back(attributed.seconds());
+  ++ts.phases_run;
   w.job->model_consumed_s += attributed.seconds();
-  lifecycle_.reclaimed_bytes += w.reclaimed;
 
   const auto front = t.queue.begin();  // == w.job: the combiner is serial
   if (w.cancelled) {
@@ -357,8 +355,7 @@ void JobServer::finish_locked(Work& w) {
       // Bounded retry: back to phase 0 with a clean arena (execute()
       // already reclaimed the unwound charge).
       ++w.job->retries_used;
-      ++t.job_retries;
-      ++lifecycle_.retries;
+      ++t.stats.job_retries;
       w.job->next_phase = 0;
       w.job->status.store(static_cast<int>(JobStatus::kQueued),
                           std::memory_order_release);
@@ -425,19 +422,19 @@ JobHandle JobServer::submit(JobSpec spec) {
       TLM_REQUIRE(accepting_, "submit after shutdown");
       Tenant* tenant = nullptr;
       for (const auto& t : tenants_)
-        if (t->name == st->spec.tenant) tenant = t.get();
+        if (t->name() == st->spec.tenant) tenant = t.get();
       TLM_REQUIRE(tenant != nullptr, "submit: unregistered tenant");
       if (outstanding_ < opt_.max_outstanding &&
           tenant->queue.size() < opt_.max_queue_per_tenant) {
         tenant->queue.push_back(st);
         ++outstanding_;
-        ++tenant->admissions;
+        ++tenant->stats.admissions;
         return h;
       }
       ++attempt;
-      ++tenant->backoff_stalls;
+      ++tenant->stats.backoff_stalls;
       if (attempt > opt_.admission_retry_budget) {
-        ++tenant->rejections;
+        ++tenant->stats.rejections;
         st->status.store(static_cast<int>(JobStatus::kRejected),
                          std::memory_order_release);
         return h;
@@ -511,13 +508,30 @@ bool JobServer::accepting() const {
 
 JobServer::LifecycleStats JobServer::lifecycle_stats() const {
   MutexLock lock(mu_);
-  return lifecycle_;
+  return lifecycle_locked();
+}
+
+JobServer::LifecycleStats JobServer::lifecycle_locked() const {
+  LifecycleStats l;
+  l.cancel_requested = cancel_requested_;
+  l.shutdown_cancelled = shutdown_cancelled_;
+  l.watchdog_fired = watchdog_fired_;
+  for (const auto& t : tenants_) {
+    l.cancelled += t->stats.jobs_cancelled;
+    l.deadline_expired += t->stats.jobs_deadline_exceeded;
+    l.quarantined += t->stats.jobs_quarantined;
+    l.retries += t->stats.job_retries;
+    l.reclaimed_bytes += t->arena.reclaimed_bytes();
+  }
+  // Every watchdog settlement is also a tenant's jobs_deadline_exceeded.
+  l.deadline_expired -= l.watchdog_fired;
+  return l;
 }
 
 void JobServer::request_cancel(const std::shared_ptr<JobHandle::State>& st) {
   {
     MutexLock lock(mu_);
-    ++lifecycle_.cancel_requested;
+    ++cancel_requested_;
   }
   st->token.request(CancelReason::kCancelled);
   // Wake combiner-role waiters so somebody sweeps the queues soon; the
@@ -533,7 +547,7 @@ void JobServer::check_attribution_locked() {
   // bracketed phase.
   const PhaseStats grand = machine_.totals();
   PhaseStats sum = untenanted_;
-  for (const auto& t : tenants_) sum += t->attributed;
+  for (const auto& t : tenants_) sum += t->stats.attributed;
   sum += phase_delta(grand, last_snapshot_);
   const auto check = [](const char* what, auto attributed, auto total) {
     if constexpr (std::is_integral_v<decltype(total)>) {
@@ -555,35 +569,8 @@ void JobServer::check_attribution_locked() {
 
 TenantStats JobServer::tenant_stats(const std::string& name) const {
   MutexLock lock(mu_);
-  for (const auto& t : tenants_) {
-    if (t->name != name) continue;
-    TenantStats s;
-    s.tenant = t->name;
-    s.quota_bytes = t->arena.quota_bytes();
-    s.admissions = t->admissions;
-    s.rejections = t->rejections;
-    s.backoff_stalls = t->backoff_stalls;
-    s.quota_denials = t->arena.quota_denials();
-    s.high_water_bytes = t->arena.high_water_bytes();
-    s.jobs_completed = t->jobs_completed;
-    s.jobs_failed = t->jobs_failed;
-    s.jobs_cancelled = t->jobs_cancelled;
-    s.jobs_deadline_exceeded = t->jobs_deadline_exceeded;
-    s.jobs_quarantined = t->jobs_quarantined;
-    s.job_retries = t->job_retries;
-    s.foreign_frees = t->arena.foreign_frees();
-    s.reclaimed_bytes = t->arena.reclaimed_bytes();
-    s.phases_run = t->phases_run;
-    s.degrade_level = t->stager.degrade_to_direct > 0   ? 2
-                      : t->stager.degrade_to_single > 0 ? 1
-                                                        : 0;
-    s.attributed = t->attributed;
-    s.stager = t->stager;
-    s.faults = t->faults;
-    s.phase_seconds = t->phase_seconds;
-    s.phase_model_seconds = t->phase_model_seconds;
-    return s;
-  }
+  for (const auto& t : tenants_)
+    if (t->name() == name) return t->snapshot();
   TLM_REQUIRE(false, "tenant_stats: unregistered tenant");
   return {};
 }
@@ -592,49 +579,35 @@ std::vector<std::string> JobServer::tenant_names() const {
   MutexLock lock(mu_);
   std::vector<std::string> out;
   out.reserve(tenants_.size());
-  for (const auto& t : tenants_) out.push_back(t->name);
+  for (const auto& t : tenants_) out.push_back(t->name());
   return out;
 }
 
 void JobServer::export_metrics(obs::MetricsRegistry& reg) const {
   MutexLock lock(mu_);
   for (const auto& t : tenants_) {
-    const std::string p = "tenant." + t->name + ".";
-    reg.counter(p + "quota_bytes").add(t->arena.quota_bytes());
-    reg.counter(p + "admissions").add(t->admissions);
-    reg.counter(p + "rejections").add(t->rejections);
-    reg.counter(p + "backoff_stalls").add(t->backoff_stalls);
-    reg.counter(p + "quota_denials").add(t->arena.quota_denials());
-    reg.counter(p + "high_water_bytes").add(t->arena.high_water_bytes());
-    reg.counter(p + "jobs_completed").add(t->jobs_completed);
-    reg.counter(p + "jobs_failed").add(t->jobs_failed);
-    reg.counter(p + "jobs_cancelled").add(t->jobs_cancelled);
-    reg.counter(p + "jobs_deadline_exceeded").add(t->jobs_deadline_exceeded);
-    reg.counter(p + "jobs_quarantined").add(t->jobs_quarantined);
-    reg.counter(p + "job_retries").add(t->job_retries);
-    reg.counter(p + "foreign_free").add(t->arena.foreign_frees());
-    reg.counter(p + "reclaimed_bytes").add(t->arena.reclaimed_bytes());
-    reg.counter(p + "phases").add(t->phases_run);
-    reg.counter(p + "attributed_far_bytes").add(t->attributed.far_bytes());
-    reg.counter(p + "attributed_near_bytes").add(t->attributed.near_bytes());
-    reg.counter(p + "degrade_to_single").add(t->stager.degrade_to_single);
-    reg.counter(p + "degrade_to_direct").add(t->stager.degrade_to_direct);
-    reg.set_gauge(p + "degrade_level",
-                  t->stager.degrade_to_direct > 0   ? 2
-                  : t->stager.degrade_to_single > 0 ? 1
-                                                    : 0);
+    const TenantStats s = t->snapshot();
+    const std::string p = "tenant." + s.tenant + ".";
+#define TLM_X(field, metric, source) \
+  obs::export_leaf(reg, p + metric, s.field);
+    TLM_TENANT_COUNTERS(TLM_X)
+#undef TLM_X
+#define TLM_X(metric, value) obs::export_leaf(reg, p + metric, value);
+    TLM_TENANT_DERIVED(TLM_X)
+#undef TLM_X
   }
   // Server-wide lifecycle counters — the run-report surface the CI
   // determinism gate diffs with --max-changed=0 (watchdog_fired is wall-
   // clock-driven and only deterministic when no watchdog is armed).
-  reg.counter("cancel.requested").add(lifecycle_.cancel_requested);
-  reg.counter("cancel.settled").add(lifecycle_.cancelled);
-  reg.counter("cancel.shutdown").add(lifecycle_.shutdown_cancelled);
-  reg.counter("deadline.expired").add(lifecycle_.deadline_expired);
-  reg.counter("deadline.watchdog").add(lifecycle_.watchdog_fired);
-  reg.counter("quarantine.settled").add(lifecycle_.quarantined);
-  reg.counter("retry.attempts").add(lifecycle_.retries);
-  reg.counter("lifecycle.reclaimed_bytes").add(lifecycle_.reclaimed_bytes);
+  const LifecycleStats l = lifecycle_locked();
+  reg.counter("cancel.requested").add(l.cancel_requested);
+  reg.counter("cancel.settled").add(l.cancelled);
+  reg.counter("cancel.shutdown").add(l.shutdown_cancelled);
+  reg.counter("deadline.expired").add(l.deadline_expired);
+  reg.counter("deadline.watchdog").add(l.watchdog_fired);
+  reg.counter("quarantine.settled").add(l.quarantined);
+  reg.counter("retry.attempts").add(l.retries);
+  reg.counter("lifecycle.reclaimed_bytes").add(l.reclaimed_bytes);
 }
 
 }  // namespace tlm::server

@@ -96,24 +96,44 @@ enum class JobStatus : int {
   kQuarantined,        // tripped fault sites quarantine_fault_trips times
 };
 
+// Per-tenant counters, declared once: X(field, metric, source) is the
+// TenantStats member `field`, exported as the counter
+// tenant.<name>.<metric>; `source` is who keeps the count:
+//   server  the job server, as the tenant's jobs are admitted, run and
+//           settled;
+//   arena   the tenant's TenantArena, read through its accessor field().
+#define TLM_TENANT_COUNTERS(X)                                  \
+  X(quota_bytes, "quota_bytes", arena)                          \
+  X(admissions, "admissions", server)                           \
+  X(rejections, "rejections", server)                           \
+  X(backoff_stalls, "backoff_stalls", server)                   \
+  X(quota_denials, "quota_denials", arena)                      \
+  X(high_water_bytes, "high_water_bytes", arena)                \
+  X(jobs_completed, "jobs_completed", server)                   \
+  X(jobs_failed, "jobs_failed", server)                         \
+  X(jobs_cancelled, "jobs_cancelled", server)                   \
+  X(jobs_deadline_exceeded, "jobs_deadline_exceeded", server)   \
+  X(jobs_quarantined, "jobs_quarantined", server)               \
+  X(job_retries, "job_retries", server)                         \
+  X(foreign_frees, "foreign_free", arena)                       \
+  X(reclaimed_bytes, "reclaimed_bytes", arena)                  \
+  X(phases_run, "phases", server)
+
+// The rest of a tenant's export, derived from a TenantStats `s`:
+// X(metric, value) is a counter, or a gauge where `value` is a double.
+#define TLM_TENANT_DERIVED(X)                                    \
+  X("attributed_far_bytes", s.attributed.far_bytes())            \
+  X("attributed_near_bytes", s.attributed.near_bytes())          \
+  X("degrade_to_single", s.stager.degrade_to_single)             \
+  X("degrade_to_direct", s.stager.degrade_to_direct)             \
+  X("degrade_level", static_cast<double>(s.degrade_level))
+
 // Per-tenant observables, copyable snapshot (see JobServer::tenant_stats).
 struct TenantStats {
   std::string tenant;
-  std::uint64_t quota_bytes = 0;
-  std::uint64_t admissions = 0;
-  std::uint64_t rejections = 0;
-  std::uint64_t backoff_stalls = 0;
-  std::uint64_t quota_denials = 0;
-  std::uint64_t high_water_bytes = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_cancelled = 0;
-  std::uint64_t jobs_deadline_exceeded = 0;
-  std::uint64_t jobs_quarantined = 0;
-  std::uint64_t job_retries = 0;
-  std::uint64_t foreign_frees = 0;
-  std::uint64_t reclaimed_bytes = 0;
-  std::uint64_t phases_run = 0;
+#define TLM_X(field, metric, source) std::uint64_t field = 0;
+  TLM_TENANT_COUNTERS(TLM_X)
+#undef TLM_X
   // Worst degradation-ladder level this tenant's phases drove any Stager
   // to: 0 = double-buffered, 1 = single, 2 = direct-from-far.
   int degrade_level = 0;
@@ -188,16 +208,19 @@ class JobServer {
   };
 
   // Server-wide lifecycle counters, exported as cancel.* / deadline.* /
-  // quarantine.* / retry.* through export_metrics.
+  // quarantine.* / retry.* through export_metrics. The server keeps only
+  // cancel_requested, shutdown_cancelled and watchdog_fired; the rest are
+  // sums over the tenants' counters.
   struct LifecycleStats {
     std::uint64_t cancel_requested = 0;   // JobHandle::cancel() calls
-    std::uint64_t cancelled = 0;          // jobs settled kCancelled
+    std::uint64_t cancelled = 0;          // Σ jobs_cancelled
     std::uint64_t shutdown_cancelled = 0; // subset swept by shutdown(kAbort)
-    std::uint64_t deadline_expired = 0;   // modeled-deadline settlements
+    std::uint64_t deadline_expired = 0;   // Σ jobs_deadline_exceeded
+                                          //   − watchdog_fired
     std::uint64_t watchdog_fired = 0;     // wall-watchdog settlements
-    std::uint64_t quarantined = 0;        // jobs settled kQuarantined
-    std::uint64_t retries = 0;            // phase-0 restarts granted
-    std::uint64_t reclaimed_bytes = 0;    // quota refunded at settlement
+    std::uint64_t quarantined = 0;        // Σ jobs_quarantined
+    std::uint64_t retries = 0;            // Σ job_retries
+    std::uint64_t reclaimed_bytes = 0;    // Σ arena reclaimed_bytes()
   };
 
   explicit JobServer(Machine& m);  // default Options
@@ -278,6 +301,7 @@ class JobServer {
   void sweep_locked(Tenant& t) TLM_REQUIRES(mu_);
   void request_cancel(const std::shared_ptr<JobHandle::State>& st);
   void check_attribution_locked() TLM_REQUIRES(mu_);
+  LifecycleStats lifecycle_locked() const TLM_REQUIRES(mu_);
 
   Machine& machine_;
   Options opt_;
@@ -289,7 +313,10 @@ class JobServer {
   std::size_t rr_ TLM_GUARDED_BY(mu_) = 0;  // round-robin tenant cursor
   std::size_t outstanding_ TLM_GUARDED_BY(mu_) = 0;
   std::vector<std::unique_ptr<Tenant>> tenants_ TLM_GUARDED_BY(mu_);
-  LifecycleStats lifecycle_ TLM_GUARDED_BY(mu_);
+  // The lifecycle counts no tenant counter holds (LifecycleStats).
+  std::uint64_t cancel_requested_ TLM_GUARDED_BY(mu_) = 0;
+  std::uint64_t shutdown_cancelled_ TLM_GUARDED_BY(mu_) = 0;
+  std::uint64_t watchdog_fired_ TLM_GUARDED_BY(mu_) = 0;
 
   // Attribution bookkeeping (combiner-only, but mutated under mu_ in
   // finish_locked): the machine totals as of the last bracketed phase, and

@@ -21,7 +21,7 @@ void TenantArena::uninstall() {
 
 bool TenantArena::admit(std::uint64_t bytes, const std::source_location&) {
   const std::uint64_t u = used_.load(std::memory_order_relaxed);
-  if (u + bytes > quota_) {
+  if (bytes > quota_ - u) {  // u <= quota_, so this cannot wrap
     denials_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }

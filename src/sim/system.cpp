@@ -164,42 +164,15 @@ SimReport System::run(std::uint64_t max_events) {
 }
 
 std::vector<std::pair<std::string, double>> SimReport::counters() const {
-  std::vector<std::pair<std::string, double>> out;
-  auto put = [&](const char* name, double v) { out.emplace_back(name, v); };
-  put("seconds", seconds);
-  put("events", static_cast<double>(events));
-  put("far.reads", static_cast<double>(far.reads));
-  put("far.writes", static_cast<double>(far.writes));
-  put("far.bytes", static_cast<double>(far.bytes));
-  put("far.row_hits", static_cast<double>(far.row_hits));
-  put("far.row_misses", static_cast<double>(far.row_misses));
-  put("far.stalls", static_cast<double>(far.stalls));
-  put("far.busy_s", to_seconds(far.busy));
-  put("near.reads", static_cast<double>(near.reads));
-  put("near.writes", static_cast<double>(near.writes));
-  put("near.bytes", static_cast<double>(near.bytes));
-  put("near.busy_s", to_seconds(near.busy));
-  put("l1.accesses", static_cast<double>(l1.accesses()));
-  put("l1.hits", static_cast<double>(l1.hits()));
-  put("l1.fills", static_cast<double>(l1.fills));
-  put("l1.writebacks", static_cast<double>(l1.writebacks));
-  put("l2.accesses", static_cast<double>(l2.accesses()));
-  put("l2.hits", static_cast<double>(l2.hits()));
-  put("l2.fills", static_cast<double>(l2.fills));
-  put("l2.writebacks", static_cast<double>(l2.writebacks));
-  put("noc.messages", static_cast<double>(noc.messages));
-  put("noc.bytes", static_cast<double>(noc.bytes));
-  put("dma.descriptors", static_cast<double>(dma.descriptors));
-  put("dma.lines", static_cast<double>(dma.lines));
-  put("dma.bytes", static_cast<double>(dma.bytes));
-  put("dma.stalls", static_cast<double>(dma.stalls));
-  put("dma.retries", static_cast<double>(dma.retries));
-  put("cores.loads", static_cast<double>(core_loads));
-  put("cores.stores", static_cast<double>(core_stores));
-  put("cores.compute_ops", compute_ops);
-  put("cores.barrier_epochs", static_cast<double>(barrier_epochs));
-  put("latency.mean_s", access_latency.mean());
-  return out;
+  const SimReport& r = *this;
+  return {
+      {"seconds", seconds},
+      {"events", static_cast<double>(events)},
+#define TLM_X(section, key, source) \
+  {#section "." #key, static_cast<double>(source)},
+      TLM_SIM_STATS(TLM_X) TLM_SIM_DETAIL_STATS(TLM_X)
+#undef TLM_X
+  };
 }
 
 void System::print_stats(std::ostream& os) const {

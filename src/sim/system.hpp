@@ -46,6 +46,46 @@ struct SystemConfig {
   static SystemConfig scaled(double rho, std::size_t cores = 8);
 };
 
+// The simulator's counters, declared once: X(section, key, source) is the
+// counter `section.key` and `source`, its value read from a SimReport `r`
+// (a count, or seconds and operations as a double). The first table's rows
+// are also the run-report leaves sim.<section>.<key>; the second table's
+// (fault stalls, bus occupancy, mean latency) appear only in counters().
+#define TLM_SIM_STATS(X)                       \
+  X(far, reads, r.far.reads)                   \
+  X(far, writes, r.far.writes)                 \
+  X(far, bytes, r.far.bytes)                   \
+  X(far, row_hits, r.far.row_hits)             \
+  X(far, row_misses, r.far.row_misses)         \
+  X(near, reads, r.near.reads)                 \
+  X(near, writes, r.near.writes)               \
+  X(near, bytes, r.near.bytes)                 \
+  X(l1, accesses, r.l1.accesses())             \
+  X(l1, hits, r.l1.hits())                     \
+  X(l1, fills, r.l1.fills)                     \
+  X(l1, writebacks, r.l1.writebacks)           \
+  X(l2, accesses, r.l2.accesses())             \
+  X(l2, hits, r.l2.hits())                     \
+  X(l2, fills, r.l2.fills)                     \
+  X(l2, writebacks, r.l2.writebacks)           \
+  X(noc, messages, r.noc.messages)             \
+  X(noc, bytes, r.noc.bytes)                   \
+  X(cores, loads, r.core_loads)                \
+  X(cores, stores, r.core_stores)              \
+  X(cores, compute_ops, r.compute_ops)         \
+  X(cores, barrier_epochs, r.barrier_epochs)   \
+  X(dma, descriptors, r.dma.descriptors)       \
+  X(dma, lines, r.dma.lines)                   \
+  X(dma, bytes, r.dma.bytes)
+
+#define TLM_SIM_DETAIL_STATS(X)                \
+  X(far, stalls, r.far.stalls)                 \
+  X(far, busy_s, to_seconds(r.far.busy))       \
+  X(near, busy_s, to_seconds(r.near.busy))     \
+  X(dma, stalls, r.dma.stalls)                 \
+  X(dma, retries, r.dma.retries)               \
+  X(latency, mean_s, r.access_latency.mean())
+
 struct SimReport {
   double seconds = 0;        // simulated wall-clock (Table I "Sim Time")
   std::uint64_t events = 0;  // DES events executed
@@ -60,9 +100,8 @@ struct SimReport {
   RunningStats access_latency;  // per-request round trip across all cores
   LogHistogram latency_hist;    // pooled distribution (p50/p95/p99)
 
-  // Flat named view of every counter above ("far.reads", "l1.hits",
-  // "noc.bytes", ...) — the export surface for the observability layer
-  // (obs::MetricsRegistry / run reports).
+  // Flat named view: "seconds", "events", then every row of both counter
+  // tables ("far.reads", "l1.hits", "latency.mean_s", ...).
   std::vector<std::pair<std::string, double>> counters() const;
 };
 

@@ -115,10 +115,12 @@ def main():
                 fail(f"{job_name} steps must mention '{needle}'")
 
     # sanitizers: ASan+UBSan everywhere, TSan on every `threaded`-labeled
-    # suite (the shared label is applied in tests/CMakeLists.txt).
+    # suite (the shared label is applied in tests/CMakeLists.txt). GCC's
+    # -fsanitize=undefined leaves out float-cast-overflow, so it is named.
     san = steps_text(jobs["sanitizers"])
     for needle in (
         "-fsanitize=address,undefined",
+        "float-cast-overflow",
         "-fsanitize=thread",
         "-L threaded",
     ):

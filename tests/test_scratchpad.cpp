@@ -3,6 +3,7 @@
 // trace virtual addressing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -322,6 +323,19 @@ TEST(Faults, TryAllocNearExhaustionReturnsNullAndCounts) {
   EXPECT_EQ(m.fault_stats().near_alloc_injected, 0u);
   m.dealloc(ok->data());  // space-inferred free
   EXPECT_EQ(m.near_arena().used(), 0u);
+}
+
+TEST(Faults, ArrayByteSizeThatWouldWrapIsRefused) {
+  Machine m(cfg1());
+  // 2^61 + 1 eight-byte elements: the byte size wraps to 8.
+  constexpr std::size_t n = (std::size_t{1} << 61) + 1;
+  EXPECT_THROW((void)m.try_alloc_near<std::uint64_t>(n), std::invalid_argument);
+  EXPECT_THROW((void)m.alloc_array<std::uint64_t>(Space::Near, n),
+               std::invalid_argument);
+  EXPECT_THROW((void)m.alloc_array<std::uint64_t>(Space::Far, n),
+               std::invalid_argument);
+  EXPECT_EQ(m.near_arena().used(), 0u);
+  EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 0u);
 }
 
 TEST(Faults, InjectedNearDenialConsumesNoSpace) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -69,6 +70,20 @@ TEST(TenantArenaQuota, ExactFitAtQuotaBoundary) {
   m.dealloc(p->data());
   EXPECT_EQ(a.used_bytes(), 0u);
   EXPECT_EQ(a.releases(), 1u);
+}
+
+TEST(TenantArenaQuota, HugeRequestIsAQuotaDenialNotAWrap) {
+  Machine m(server_config(2));
+  TenantArena a(m, "huge", 8192);
+  a.install();
+  const auto p = m.try_alloc_near(4096);
+  ASSERT_TRUE(p);
+  // used + bytes wraps to less than the quota; the gate must still deny.
+  EXPECT_FALSE(m.try_alloc_near(SIZE_MAX - 100));
+  EXPECT_EQ(a.quota_denials(), 1u);
+  EXPECT_EQ(a.used_bytes(), 4096u);
+  EXPECT_EQ(m.fault_stats().near_alloc_exhausted, 0u);
+  m.dealloc(p->data());
 }
 
 TEST(TenantArenaQuota, ReleaseThenReallocAccounting) {

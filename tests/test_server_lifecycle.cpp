@@ -212,6 +212,7 @@ TEST(JobLifecycle, WatchdogCatchesStuckDma) {
   EXPECT_TRUE(h.deadline_exceeded());
   EXPECT_NE(h.error().find("watchdog"), std::string::npos);
   EXPECT_EQ(srv.lifecycle_stats().watchdog_fired, 1u);
+  EXPECT_EQ(srv.lifecycle_stats().deadline_expired, 0u);  // not a deadline
   // The next job sees no wedge and completes under the same watchdog.
   server::JobHandle h2 = srv.submit(compute_job("t", "fine", 2));
   h2.wait();
@@ -465,6 +466,100 @@ TEST(JobLifecycle, ExportsLifecycleMetrics) {
   EXPECT_EQ(c.at("retry.attempts"), 0u);
   EXPECT_EQ(c.at("tenant.t.jobs_cancelled"), 1u);
   EXPECT_EQ(c.at("tenant.t.foreign_free"), 0u);
+}
+
+// One wave over two tenants whose jobs settle every way but rejected: the
+// export keeps its key set, and each derived lifecycle total equals its sum
+// over the tenants.
+TEST(JobLifecycle, ExportContractOverTwoTenants) {
+  Machine m(lifecycle_config(2));
+  JobServer::Options opt;
+  opt.quarantine_fault_trips = 1;
+  JobServer srv(m, opt);
+  srv.add_tenant("a", 64 * 1024);
+  srv.add_tenant("b", 4096);
+
+  server::JobHandle done = srv.submit(compute_job("a", "done", 2));
+  JobSpec flaky;
+  flaky.tenant = "a";
+  flaky.name = "flaky";
+  flaky.max_retries = 1;
+  flaky.phases.push_back({"leak", [](server::JobContext& ctx) {
+    ctx.machine.alloc(Space::Near, 1024);  // reclaimed on unwind
+    throw std::runtime_error("deterministic bug");
+  }});
+  server::JobHandle failed = srv.submit(std::move(flaky));
+  server::JobHandle cancelled = srv.submit(compute_job("a", "cancelled", 2));
+  JobSpec late = compute_job("b", "late", 2);
+  late.deadline_model_s = 1e-15;
+  server::JobHandle expired = srv.submit(std::move(late));
+  JobSpec grab;
+  grab.tenant = "b";
+  grab.name = "overdraft";
+  grab.phases.push_back({"grab", [](server::JobContext& ctx) {
+    ctx.machine.alloc(Space::Near, 64 * 1024);  // over quota: typed fault
+  }});
+  server::JobHandle quarantined = srv.submit(std::move(grab));
+  cancelled.cancel();
+  srv.drain();
+  EXPECT_TRUE(done.done());
+  EXPECT_EQ(failed.status(), JobStatus::kFailed);
+  EXPECT_TRUE(cancelled.cancelled());
+  EXPECT_TRUE(expired.deadline_exceeded());
+  EXPECT_TRUE(quarantined.quarantined());
+
+  obs::MetricsRegistry reg;
+  srv.export_metrics(reg);
+  std::set<std::string> counters, gauges;
+  for (const auto& [k, v] : reg.counters()) counters.insert(k);
+  for (const auto& [k, v] : reg.gauges()) gauges.insert(k);
+  std::set<std::string> want_counters = {
+      "cancel.requested",  "cancel.settled",     "cancel.shutdown",
+      "deadline.expired",  "deadline.watchdog",  "quarantine.settled",
+      "retry.attempts",    "lifecycle.reclaimed_bytes"};
+  std::set<std::string> want_gauges;
+  for (const std::string t : {"a", "b"}) {
+    for (const char* key :
+         {"quota_bytes", "admissions", "rejections", "backoff_stalls",
+          "quota_denials", "high_water_bytes", "jobs_completed",
+          "jobs_failed", "jobs_cancelled", "jobs_deadline_exceeded",
+          "jobs_quarantined", "job_retries", "foreign_free",
+          "reclaimed_bytes", "phases", "attributed_far_bytes",
+          "attributed_near_bytes", "degrade_to_single", "degrade_to_direct"})
+      want_counters.insert("tenant." + t + "." + key);
+    want_gauges.insert("tenant." + t + ".degrade_level");
+  }
+  EXPECT_EQ(counters, want_counters);
+  EXPECT_EQ(gauges, want_gauges);
+
+  const server::TenantStats a = srv.tenant_stats("a");
+  const server::TenantStats b = srv.tenant_stats("b");
+  EXPECT_EQ(a.jobs_completed, 1u);
+  EXPECT_EQ(a.jobs_failed, 1u);
+  EXPECT_EQ(a.job_retries, 1u);
+  EXPECT_EQ(a.jobs_cancelled, 1u);
+  EXPECT_EQ(a.reclaimed_bytes, 2048u);  // both attempts leaked 1 KiB
+  EXPECT_EQ(b.jobs_deadline_exceeded, 1u);
+  EXPECT_EQ(b.jobs_quarantined, 1u);
+  const JobServer::LifecycleStats ls = srv.lifecycle_stats();
+  EXPECT_EQ(ls.cancel_requested, 1u);
+  EXPECT_EQ(ls.cancelled, a.jobs_cancelled + b.jobs_cancelled);
+  EXPECT_EQ(ls.quarantined, a.jobs_quarantined + b.jobs_quarantined);
+  EXPECT_EQ(ls.retries, a.job_retries + b.job_retries);
+  EXPECT_EQ(ls.reclaimed_bytes, a.reclaimed_bytes + b.reclaimed_bytes);
+  EXPECT_EQ(ls.deadline_expired + ls.watchdog_fired,
+            a.jobs_deadline_exceeded + b.jobs_deadline_exceeded);
+  const auto c = reg.counters();
+  EXPECT_EQ(c.at("cancel.requested"), ls.cancel_requested);
+  EXPECT_EQ(c.at("cancel.settled"), ls.cancelled);
+  EXPECT_EQ(c.at("cancel.shutdown"), ls.shutdown_cancelled);
+  EXPECT_EQ(c.at("deadline.expired"), ls.deadline_expired);
+  EXPECT_EQ(c.at("deadline.watchdog"), ls.watchdog_fired);
+  EXPECT_EQ(c.at("quarantine.settled"), ls.quarantined);
+  EXPECT_EQ(c.at("retry.attempts"), ls.retries);
+  EXPECT_EQ(c.at("lifecycle.reclaimed_bytes"), ls.reclaimed_bytes);
+  EXPECT_EQ(c.at("tenant.a.reclaimed_bytes"), a.reclaimed_bytes);
+  EXPECT_EQ(c.at("tenant.b.jobs_quarantined"), b.jobs_quarantined);
 }
 
 // ---------------------------------------------------------------------------
