@@ -39,11 +39,11 @@ struct SortRun {
   Algorithm algorithm = Algorithm::GnuSort;
   std::uint64_t n = 0;
   double rho = 1.0;
-  bool verified = false;   // output checked against std::sort
+  bool verified = false;   // output == std::sort(input): is_sorted_permutation
   MachineStats counting;   // analytic traffic + modeled time
   FaultStats faults;       // injected faults / retries / fallbacks observed
   double modeled_seconds = 0;
-  double host_seconds = 0;  // real wall-clock of the native run
+  double host_seconds = 0;  // wall-clock of the kernel, not of the check
 };
 
 // Runs `a` on `n` random 64-bit keys under the counting backend. An

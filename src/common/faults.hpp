@@ -23,6 +23,10 @@
 //   server.stuck_dma     the job server burns stall_seconds of *host* time
 //                        at phase start (a wedged engine the model cannot
 //                        see), which only the wall-clock watchdog catches
+//   analysis.output_flip the experiment harness flips the low bit of the
+//                        middle output key after the kernel returns (silent
+//                        corruption no Machine op sees), which only the
+//                        output check catches: the run reports unverified
 //
 // Decisions are a pure function of (seed, site, occurrence#): the same
 // schedule on the same seed fires at exactly the same points in every run,
@@ -78,6 +82,7 @@ inline constexpr const char* kSimFarStall = "sim.far.stall";
 inline constexpr const char* kServerSlowPhase = "server.slow_phase";
 inline constexpr const char* kServerStuckDma = "server.stuck_dma";
 inline constexpr const char* kTenantQuota = "server.tenant_quota";
+inline constexpr const char* kOutputFlip = "analysis.output_flip";
 }  // namespace fault_site
 
 // Unrecoverable fault outcomes (analogous to model_rule for the sanitizer).

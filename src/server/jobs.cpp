@@ -1,8 +1,7 @@
 #include "server/jobs.hpp"
 
-#include <algorithm>
-
 #include "common/rng.hpp"
+#include "common/sorted_check.hpp"
 #include "sort/sort.hpp"
 
 namespace tlm::server {
@@ -84,9 +83,8 @@ JobSpec make_sort_job(std::string tenant, std::string name, SortBackend b,
        }});
   spec.phases.push_back(
       {"check", [result](JobContext&) {
-         std::vector<std::uint64_t> expect = result->input;
-         std::sort(expect.begin(), expect.end());
-         result->verified = result->output == expect;
+         result->verified =
+             is_sorted_permutation(result->input, result->output);
        }});
   return spec;
 }

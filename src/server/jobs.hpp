@@ -35,7 +35,9 @@ const char* to_string(SortBackend b);
 struct SortJobResult {
   std::vector<std::uint64_t> input;   // the generated keys
   std::vector<std::uint64_t> output;  // the backend's sorted output
-  bool verified = false;              // output == std::sort(input)
+  // The check phase's verdict, output == std::sort(input), computed in
+  // linear passes by is_sorted_permutation (common/sorted_check.hpp).
+  bool verified = false;
 };
 
 // Phases: gen (deterministic keys from `seed`), sort, check. `result` must

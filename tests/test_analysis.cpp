@@ -21,6 +21,23 @@ TEST(Analysis, AlgorithmNamesAreDistinct) {
       EXPECT_STRNE(to_string(all[i]), to_string(all[j]));
 }
 
+// The harness's `verified` is computed from the run's real output: a bit
+// flipped in it after the kernel returns (the analysis.output_flip fault
+// site) is refused, and the same run without the flip passes.
+TEST(Analysis, CorruptOutputIsNotVerified) {
+  TwoLevelConfig cfg = test_config(4.0);
+  cfg.near_capacity = 256 * KiB;
+  cfg.threads = 2;
+  for (Algorithm a : {Algorithm::NMsort, Algorithm::GnuSort}) {
+    EXPECT_TRUE(run_sort_counting(cfg, a, 5000, 11).verified) << to_string(a);
+    FaultInjector fi(3);
+    fi.arm(fault_site::kOutputFlip, FaultSchedule::every());
+    const SortRun bad = run_sort_counting(cfg, a, 5000, 11, &fi);
+    EXPECT_FALSE(bad.verified) << to_string(a);
+    EXPECT_EQ(fi.site_stats(fault_site::kOutputFlip).fired, 1u);
+  }
+}
+
 TEST(Analysis, SweepGridProducesCartesianRows) {
   SweepGrid g;
   g.algorithms = {Algorithm::GnuSort, Algorithm::NMsort};

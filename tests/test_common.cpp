@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: math helpers, RNG, thread pool,
-// loser tree, tables, running stats.
+// loser tree, tables, running stats, the sorted-permutation check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "common/loser_tree.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
+#include "common/sorted_check.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -508,6 +510,164 @@ TEST(Units, TimeConversionsRoundTrip) {
   EXPECT_EQ(from_seconds(1.0), kSecond);
   EXPECT_DOUBLE_EQ(to_seconds(kSecond), 1.0);
   EXPECT_EQ(period_from_hz(1e9), kNanosecond);
+}
+
+// ---------------------------------------------------------------------------
+// is_sorted_permutation against its definition, output == std::sort(input)
+
+std::vector<std::uint64_t> std_sorted(std::vector<std::uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+struct Mutant {
+  std::string how;
+  std::vector<std::uint64_t> output;
+};
+
+// The ways a sort can go wrong, each applied to the correct output where
+// the input allows it (every mutant differs from the correct output).
+std::vector<Mutant> corruptions(const std::vector<std::uint64_t>& sorted) {
+  std::vector<Mutant> out;
+  const std::size_t n = sorted.size();
+  if (n == 0) {
+    out.push_back({"extra key", {7}});
+    return out;
+  }
+  const std::size_t mid = n / 2;
+  Mutant changed{"one key changed", sorted};
+  changed.output[mid] ^= 1;
+  out.push_back(changed);
+  if (sorted.back() != UINT64_MAX) {  // changed and still sorted
+    Mutant top{"largest key raised", sorted};
+    ++top.output.back();
+    out.push_back(top);
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    if (sorted[i] == sorted[i - 1]) continue;
+    Mutant swapped{"adjacent swap", sorted};
+    std::swap(swapped.output[i - 1], swapped.output[i]);
+    out.push_back(swapped);
+    Mutant dup{"duplicate replaces a distinct key", sorted};
+    dup.output[i] = dup.output[i - 1];  // still sorted
+    out.push_back(dup);
+    break;
+  }
+  Mutant missing{"one key missing", sorted};
+  missing.output.erase(missing.output.begin() + static_cast<long>(mid));
+  out.push_back(missing);
+  Mutant extra{"one key extra", sorted};
+  extra.output.insert(extra.output.begin() + static_cast<long>(mid),
+                      sorted[mid]);
+  out.push_back(extra);
+  return out;
+}
+
+// The check accepts std::sort's answer, refuses every corruption of it, and
+// refuses the answer for an input with one key changed.
+void expect_exact(const std::vector<std::uint64_t>& input,
+                  const std::string& what) {
+  const std::vector<std::uint64_t> sorted = std_sorted(input);
+  EXPECT_TRUE(is_sorted_permutation(input, sorted)) << what;
+  for (const Mutant& m : corruptions(sorted)) {
+    ASSERT_NE(m.output, sorted) << what << ": " << m.how;
+    EXPECT_FALSE(is_sorted_permutation(input, m.output))
+        << what << ": " << m.how;
+  }
+  if (input.empty()) return;
+  std::vector<std::uint64_t> changed = input;
+  changed[changed.size() / 2] ^= 1;
+  EXPECT_FALSE(is_sorted_permutation(changed, sorted))
+      << what << ": one input key changed";
+}
+
+TEST(SortedCheck, SmallSizes) {
+  expect_exact({}, "n = 0");
+  expect_exact({42}, "n = 1");
+  expect_exact({9, 3}, "n = 2");
+  expect_exact({3, 3}, "n = 2, equal");
+  EXPECT_FALSE(is_sorted_permutation({}, std::vector<std::uint64_t>{0}));
+  EXPECT_FALSE(is_sorted_permutation(std::vector<std::uint64_t>{0}, {}));
+}
+
+TEST(SortedCheck, EdgeKeySets) {
+  for (std::size_t n : {3u, 17u, 100u, 5000u}) {
+    const std::string size = " n = " + std::to_string(n);
+    Xoshiro256 rng(n);
+    std::vector<std::uint64_t> equal(n, 0x5555);
+    expect_exact(equal, "all keys equal" + size);
+    std::vector<std::uint64_t> two(n), top(n), bottom(n), extremes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      two[i] = rng.below(2) ? 1000 : 999;
+      top[i] = (rng.below(256) << 56) | 0x00abcdef12345678ULL;
+      bottom[i] = 0xfedcba9876543200ULL | rng.below(256);
+      extremes[i] = rng.below(2) ? UINT64_MAX : 0;
+    }
+    expect_exact(two, "two distinct values" + size);
+    expect_exact(top, "keys differ only in the top byte" + size);
+    expect_exact(bottom, "keys differ only in the bottom byte" + size);
+    expect_exact(extremes, "keys 0 and UINT64_MAX" + size);
+    std::vector<std::uint64_t> ascending = random_keys(n, n + 1);
+    std::sort(ascending.begin(), ascending.end());
+    expect_exact(ascending, "already sorted" + size);
+    std::vector<std::uint64_t> reversed(ascending.rbegin(), ascending.rend());
+    expect_exact(reversed, "reversed" + size);
+  }
+}
+
+TEST(SortedCheck, RandomSizesAndShapes) {
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = rng.below(trial < 100 ? 64 : 20000);
+    // Uniform keys; heavy duplicates; a dense cluster with a far outlier
+    // (buckets that split again); keys spread over a middle bit field.
+    const std::uint64_t shape = rng.below(4);
+    std::vector<std::uint64_t> keys(n);
+    for (std::uint64_t& k : keys) {
+      switch (shape) {
+        case 0: k = rng.next(); break;
+        case 1: k = rng.below(1 + n / 8); break;
+        case 2: k = rng.below(8) ? rng.below(1000) : UINT64_MAX - rng.below(3);
+          break;
+        default: k = rng.next() & 0x000fff0000ff0000ULL; break;
+      }
+    }
+    expect_exact(keys, "trial " + std::to_string(trial) + " shape " +
+                           std::to_string(shape) + " n " + std::to_string(n));
+  }
+}
+
+TEST(SortedCheck, BucketCountsDecideWhenScratchHoldsTheAnswer) {
+  // Sorted keys, most below 120, and five far outliers: the first split
+  // puts most keys in one bucket, and the second split scatters into
+  // scratch that still holds a copy of this input. With one 82 turned into
+  // an 85 the inner buckets' counts differ from the output's runs, while
+  // the slot the scatter leaves unwritten already holds the right key, so
+  // only the count comparison refuses it.
+  const std::vector<std::uint64_t> keys = {
+      0,  3,  6,  7,  8,  9,  12, 16,  16,  19,  20,  23,  23,  26,
+      28, 29, 32, 33, 34, 41, 43, 45,  45,  46,  48,  49,  51,  52,
+      54, 61, 63, 64, 65, 67, 78, 82,  82,  82,  84,  84,  85,  87,
+      91, 93, 105, 107, 111, 112, 116, 118, 118, 268435533,
+      549755814000ULL, 4398046511132ULL, 70368744177773ULL,
+      9223372036854775895ULL};
+  std::vector<std::uint64_t> changed = keys;
+  changed[35] = 85;
+  EXPECT_TRUE(is_sorted_permutation(keys, keys));
+  EXPECT_FALSE(is_sorted_permutation(changed, keys));
+  EXPECT_FALSE(is_sorted_permutation(keys, std_sorted(changed)));
+}
+
+TEST(SortedCheck, NestedClustersAtScale) {
+  // Most keys in ever narrower clusters: every level of bucket splitting
+  // runs before the ranges collapse to single values.
+  Xoshiro256 rng(7);
+  std::vector<std::uint64_t> keys(200000);
+  for (std::uint64_t& k : keys) {
+    const unsigned width = 4 + static_cast<unsigned>(rng.below(60));
+    k = rng.next() >> (64 - width);
+  }
+  expect_exact(keys, "nested clusters");
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/faults.hpp"
@@ -399,6 +401,57 @@ TEST(JobServerTest, RunsEverySortBackendVerified) {
   EXPECT_EQ(st.jobs_completed, 5u);
   EXPECT_EQ(st.phases_run, 15u);  // gen/sort/check each
   EXPECT_GT(st.attributed.far_bytes() + st.attributed.near_bytes(), 0u);
+}
+
+// A phase between sort and check corrupts the output; the check must say
+// so. The identity corruption is the control: the extra phase alone does
+// not unverify a job.
+TEST(JobServerTest, CheckPhaseRefusesCorruptOutput) {
+  using Keys = std::vector<std::uint64_t>;
+  // Index of the first key that differs from its predecessor.
+  auto first_step = [](const Keys& v) {
+    std::size_t i = 1;
+    while (v[i] == v[i - 1]) ++i;
+    return i;
+  };
+  const std::vector<std::pair<const char*, std::function<void(Keys&)>>>
+      corruptions = {
+          {"none", [](Keys&) {}},
+          {"one key changed", [](Keys& v) { v[v.size() / 2] ^= 1; }},
+          {"adjacent swap",
+           [&](Keys& v) {
+             const std::size_t i = first_step(v);
+             std::swap(v[i - 1], v[i]);
+           }},
+          {"duplicate replaces a distinct key",
+           [&](Keys& v) {
+             const std::size_t i = first_step(v);
+             v[i] = v[i - 1];
+           }},
+          {"one key missing", [](Keys& v) { v.pop_back(); }},
+          {"one key extra", [](Keys& v) { v.push_back(v.back()); }},
+      };
+  std::size_t k = 0;
+  for (const auto& [how, corrupt] : corruptions) {
+    const SortBackend b = server::kSortBackends[k++ % 5];
+    Machine m(server_config());
+    JobServer srv(m);
+    srv.add_tenant("t", m.near_arena().capacity());
+    auto res = std::make_shared<server::SortJobResult>();
+    JobSpec spec = server::make_sort_job("t", "sort", b, 3000, 77, res);
+    ASSERT_EQ(spec.phases.size(), 3u);
+    ASSERT_EQ(spec.phases[1].name, "sort");
+    spec.phases.insert(
+        spec.phases.begin() + 2,
+        {"corrupt", [res, corrupt = corrupt](server::JobContext&) {
+           corrupt(res->output);
+         }});
+    server::JobHandle h = srv.submit(std::move(spec));
+    srv.drain();
+    ASSERT_TRUE(h.done()) << how;
+    EXPECT_EQ(res->verified, std::string(how) == "none")
+        << how << " on " << server::to_string(b);
+  }
 }
 
 TEST(JobServerTest, KMeansJobBitIdenticalToSoloRun) {
