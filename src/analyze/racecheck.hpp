@@ -15,7 +15,7 @@
 //  * Program order: core-driven ops in one thread's stream are totally
 //    ordered.
 //  * Barrier fences: Barrier id crossings are global rendezvous points (the
-//    SPMD sync()/run_spmd joins). Everything any thread did before its k-th
+//    markers of each Machine::run_spmd fork and join). Everything any thread did before its k-th
 //    crossing happens-before everything any thread does after its own k-th
 //    crossing. Crossing counts partition each stream into *epochs*; the
 //    fence-merge validator (trace/replay.hpp) guarantees all threads cross

@@ -1,5 +1,9 @@
 #include "common/thread_pool.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
+
 namespace tlm {
 
 ThreadPool::ThreadPool(std::size_t workers) : workers_(workers) {
@@ -32,13 +36,25 @@ void ThreadPool::run_spmd(const std::function<void(std::size_t)>& fn) {
     ++epoch_;
   }
   cv_start_.notify_all();
-  fn(0);
-  // Explicit predicate loop (not the cv.wait(lock, pred) overload): the
-  // lambda form hides the remaining_ read from the thread-safety analysis,
-  // which checks lambda bodies as separate unannotated functions.
-  UniqueLock lock(mu_);
-  while (remaining_ != 0) cv_done_.wait(lock.native());
-  job_ = nullptr;
+  // The workers hold &fn until their decrement, so a throwing caller share
+  // must not unwind past the wait below.
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    // Explicit predicate loop (not the cv.wait(lock, pred) overload): the
+    // lambda form hides the remaining_ read from the thread-safety analysis,
+    // which checks lambda bodies as separate unannotated functions.
+    UniqueLock lock(mu_);
+    while (remaining_ != 0) cv_done_.wait(lock.native());
+    job_ = nullptr;
+    if (!error) error = error_;
+    error_ = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop(std::size_t id) {
@@ -54,9 +70,18 @@ void ThreadPool::worker_loop(std::size_t id) {
     }
     // The pointee outlives the call: run_spmd keeps `fn` alive until this
     // worker's decrement below, so the unlocked dereference is safe.
-    (*job)(id);
+    std::exception_ptr error;
+    try {
+      (*job)(id);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       MutexLock lock(mu_);
+      if (error && (!error_ || id < error_worker_)) {
+        error_ = std::move(error);
+        error_worker_ = id;
+      }
       if (--remaining_ == 0) cv_done_.notify_all();
     }
   }
@@ -71,6 +96,15 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk(std::size_t n,
   const std::size_t begin = w * base + std::min(w, extra);
   const std::size_t len = base + (w < extra ? 1 : 0);
   return {begin, begin + len};
+}
+
+std::size_t ThreadPool::host_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0)
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  // A mask wider than cpu_set_t (over 1024 CPUs) does not fit the call.
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void ThreadPool::parallel_for(

@@ -1,13 +1,18 @@
-// A fixed-size worker pool with fork/join parallel_for.
+// A fixed-size worker pool with fork/join parallel_for: one OS thread per
+// worker, the caller doubling as worker 0.
 //
-// The paper's node model is `p` cores sharing one scratchpad; every parallel
-// algorithm here expresses its parallelism as static range splits over this
-// pool so that thread id <-> simulated core id is a stable mapping (the trace
-// capture layer depends on that stability).
+// Workers are host threads, not the paper's simulated cores. Machine
+// (scratchpad/machine.hpp) runs its p cores on a pool of at most
+// host_cpus() workers, each running a contiguous block of core ids
+// (chunk()), and keys every per-core counter and trace stream by core id,
+// never by worker id. Other users (the server's clients, the trace replay
+// decoders, the race checker) need real concurrency and size the pool
+// themselves.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -31,6 +36,9 @@ class ThreadPool {
 
   // Runs fn(worker_id) on every worker (including id 0 on the caller) and
   // waits for all of them. This is the SPMD primitive everything builds on.
+  // A share that throws does not cut the others short: run_spmd still waits
+  // for every share, then rethrows the exception of the lowest-numbered
+  // share that threw, and the pool takes the next dispatch as usual.
   void run_spmd(const std::function<void(std::size_t)>& fn);
 
   // Splits [begin, end) into `size()` near-equal contiguous chunks and runs
@@ -45,6 +53,9 @@ class ThreadPool {
                                                    std::size_t w,
                                                    std::size_t p);
 
+  // CPUs this process may run on (its affinity mask), at least 1.
+  static std::size_t host_cpus();
+
  private:
   void worker_loop(std::size_t id);
 
@@ -54,15 +65,18 @@ class ThreadPool {
   // Dispatch protocol: run_spmd publishes {job_, remaining_, epoch_} under
   // mu_ and wakes the workers; each worker copies the job pointer out under
   // mu_, runs it unlocked (the pointee is the caller's function object, kept
-  // alive until every worker has decremented remaining_), and the last
-  // decrement wakes the caller. All four fields are mu_-protected; the
-  // thread-safety analysis enforces that no path reads them unlocked.
+  // alive until every worker has decremented remaining_), records what its
+  // share threw in error_ with the same decrement, and the last decrement
+  // wakes the caller. All fields are mu_-protected; the thread-safety
+  // analysis enforces that no path reads them unlocked.
   Mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   const std::function<void(std::size_t)>* job_ TLM_GUARDED_BY(mu_) = nullptr;
   std::uint64_t epoch_ TLM_GUARDED_BY(mu_) = 0;
   std::size_t remaining_ TLM_GUARDED_BY(mu_) = 0;
+  std::exception_ptr error_ TLM_GUARDED_BY(mu_);  // lowest thrower's
+  std::size_t error_worker_ TLM_GUARDED_BY(mu_) = 0;
   bool stop_ TLM_GUARDED_BY(mu_) = false;
 };
 

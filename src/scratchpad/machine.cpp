@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <new>
 
@@ -16,11 +17,10 @@ constexpr std::uint64_t kFarAllocAlign = 64;
 
 Machine::Machine(TwoLevelConfig cfg, trace::TraceSink* sink)
     : cfg_(cfg),
-      pool_(cfg.threads),
+      pool_(std::min(cfg.threads, ThreadPool::host_cpus())),
       arena_(cfg.near_capacity),
       sink_(sink),
-      acc_(cfg.threads),
-      barrier_(static_cast<std::ptrdiff_t>(cfg.threads)) {
+      acc_(cfg.threads) {
   cfg_.validate();
   open_phase_ = "(run)";
 }
@@ -386,18 +386,6 @@ void Machine::compute(std::size_t thread, double ops) {
   if (sink_ && ops > 0) sink_->on_compute(thread, ops);
 }
 
-void Machine::sync(std::size_t thread) {
-  // All participants observe the same epoch: the increment happens only
-  // after every thread has both emitted its marker and arrived.
-  const std::uint64_t id = barrier_id_.load(std::memory_order_acquire);
-  if (sink_) sink_->on_barrier(thread, id);
-  barrier_.arrive_and_wait();
-  // One designated thread advances the epoch; a second barrier keeps the
-  // next sync() from racing with the increment.
-  if (thread == 0) barrier_id_.store(id + 1, std::memory_order_release);
-  barrier_.arrive_and_wait();
-}
-
 void Machine::note_stager(const StagerStats& s) {
   MutexLock lock(alloc_mu_);
   stager_totals_ += s;
@@ -411,7 +399,7 @@ StagerStats Machine::stager_stats() const {
 void Machine::run_spmd(const std::function<void(std::size_t)>& fn) {
   if (sink_) {
     // The fork is a rendezvous too: everything the orchestrator did before
-    // dispatch happens-before every worker's section ops (the pool handoff
+    // dispatch happens-before every core's section ops (the pool handoff
     // is the host-side edge). Without this marker an offline analyzer
     // (analyze/racecheck.hpp) would see the orchestrator's sequential-tail
     // writes as concurrent with the section that reads them.
@@ -420,10 +408,23 @@ void Machine::run_spmd(const std::function<void(std::size_t)>& fn) {
     for (std::size_t t = 0; t < cfg_.threads; ++t)
       sink_->on_barrier(t, fork_id);
   }
-  pool_.run_spmd(fn);
+  // Each host thread runs its block of core ids in order (one core each
+  // when h == p); a throwing core does not skip the rest of the block.
+  pool_.run_spmd([&fn, this](std::size_t host) {
+    const auto [lo, hi] = ThreadPool::chunk(cfg_.threads, host, pool_.size());
+    std::exception_ptr error;
+    for (std::size_t core = lo; core < hi; ++core) {
+      try {
+        fn(core);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+  });
   if (sink_) {
-    // The join is a rendezvous of every worker: record it in each stream.
-    // Emitted from the orchestrating thread, after all workers are idle.
+    // The join is a rendezvous of every core: record it in each stream.
+    // Emitted from the orchestrating thread, after all host threads are idle.
     const std::uint64_t id =
         barrier_id_.fetch_add(1, std::memory_order_acq_rel);
     for (std::size_t t = 0; t < cfg_.threads; ++t) sink_->on_barrier(t, id);

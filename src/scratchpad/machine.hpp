@@ -5,21 +5,29 @@
 //   * far memory (the regular heap, registered so traces get stable virtual
 //     addresses),
 //   * a NearArena of M bytes (the scratchpad, §VI-B),
-//   * a thread pool of p workers (the cores of §IV-A),
+//   * p simulated cores (§IV-A), run on a ThreadPool of
+//     h = min(p, host CPUs) host threads,
 //   * traffic counters and an analytic time model (the counting backend),
 //   * an optional TraceSink — when attached, every operation is also
 //     recorded for replay on the cycle-level simulator (the Ariel role).
 //
 // Algorithms express their memory behaviour explicitly: copy() stages data
 // between spaces, stream_read()/stream_write() account for in-place passes,
-// compute() charges work, sync() is a full thread barrier. Because the data
-// movement is explicit, one implementation of each algorithm serves
-// correctness testing, analytic counting, and trace-driven simulation.
+// compute() charges work, and run_spmd() forks the p cores and joins them.
+// Because the data movement is explicit, one implementation of each
+// algorithm serves correctness testing, analytic counting, and trace-driven
+// simulation.
+//
+// Simulated cores are not host threads. Host thread i runs the core ids of
+// ThreadPool::chunk(p, i, h) one after another, so an SPMD body must never
+// wait on another core inside a section: every rendezvous is a run_spmd
+// join. Everything per core (the accumulators, the trace streams and their
+// fork/join markers) is keyed by core id, so no modeled, traced or
+// simulated number depends on h.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -94,7 +102,6 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   const TwoLevelConfig& config() const { return cfg_; }
-  ThreadPool& pool() { return pool_; }
   std::size_t threads() const { return cfg_.threads; }
 
   // ---- memory management -------------------------------------------------
@@ -209,14 +216,14 @@ class Machine {
   Space space_of(const void* p) const;
   const NearArena& near_arena() const { return arena_; }
 
-  // ---- instrumented operations (callable from any worker thread) ---------
+  // ---- instrumented operations (callable from any core's share) ----------
   // Moves bytes between spaces (memmove semantics) and charges both sides.
   void copy(std::size_t thread, void* dst, const void* src,
             std::uint64_t bytes,
             std::source_location loc = std::source_location::current());
   // Like copy(), but the transfer is posted to the DMA engine instead of
-  // being driven by the core (§VI-B): the issuing thread continues, and the
-  // next barrier (sync()/run_spmd() join) is the completion fence. Under
+  // being driven by the core (§VI-B): the issuing core continues, and the
+  // next run_spmd() join is the completion fence. Under
   // `overlap_dma` the time model runs this traffic on a background engine
   // concurrent with core work, and the trace records a DmaCopy descriptor
   // that sim::System routes to its DmaEngine. Callers need a DmaKey.
@@ -236,19 +243,17 @@ class Machine {
   // Feeds the phase's partition_splits / partition_imbalance_max counters.
   void note_partition(std::size_t thread, std::size_t parts,
                       std::uint64_t max_slice, std::uint64_t total);
-  // Full barrier across all p workers; also recorded in the trace.
-  void sync(std::size_t thread);
-
   // Folds a finished Stager's counters into the machine-lifetime aggregate
   // (called by Stager::release; algorithms never call this directly).
   void note_stager(const StagerStats& s);
   // Aggregate over every stager that has released on this machine.
   StagerStats stager_stats() const;
 
-  // SPMD section with an implicit join barrier: runs fn(worker) on every
-  // worker, waits, and records one barrier marker per thread so the trace
-  // replay preserves the fork/join dependency structure. All parallel
-  // algorithm code should use these instead of pool() directly.
+  // SPMD section with an implicit join barrier: runs fn(core) once for
+  // every core id in [0, p), waits, and records one fork and one join marker
+  // per core so the trace replay preserves the fork/join dependency
+  // structure. A throwing share skips no other core: every share runs, then
+  // the exception of the lowest-numbered core that threw reaches the caller.
   void run_spmd(const std::function<void(std::size_t)>& fn);
   // Same, over static contiguous chunks of [begin, end).
   void parallel_for(std::size_t begin, std::size_t end,
@@ -393,7 +398,6 @@ class Machine {
 #endif
 
   std::vector<ThreadAcc> acc_;
-  std::barrier<> barrier_;
   std::atomic<std::uint64_t> barrier_id_{0};
 
   std::optional<std::string> open_phase_;

@@ -1,7 +1,7 @@
 // JobServer — a long-lived multi-tenant runtime over one shared Machine.
 //
 // Tenants register with a near-memory quota, then submit jobs: ordered
-// lists of phases that run on the shared ThreadPool. Nobody owns run_spmd
+// lists of phases that run on the shared Machine's cores. Nobody owns run_spmd
 // anymore — the server is the single orchestrator, and it schedules one
 // phase at a time, round-robin across tenants, with that tenant's
 // TenantArena installed as the quota gate for the duration of the phase.

@@ -68,10 +68,12 @@ def main():
     for needle in ("ccache", "actions/cache", "cmake -B build", "ctest"):
         if needle not in text:
             fail(f"build-test steps must mention '{needle}'")
-    # The full ctest run includes baseline_gate, which regenerates every
-    # checked-in baseline report; a failing lane must keep those reports.
-    for needle in ("build/bench/baseline_gate/", "actions/upload-artifact",
-                   "failure()"):
+    # The full ctest run includes baseline_gate and baseline_gate_one_cpu,
+    # which regenerate every checked-in baseline report; a failing lane must
+    # keep those reports.
+    for needle in ("build/bench/baseline_gate/",
+                   "build/bench/baseline_gate_one_cpu/",
+                   "actions/upload-artifact", "failure()"):
         if needle not in text:
             fail(f"build-test steps must mention '{needle}'")
 

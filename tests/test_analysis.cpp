@@ -15,7 +15,7 @@ TEST(Analysis, AlgorithmNamesAreDistinct) {
   const Algorithm all[] = {Algorithm::GnuSort, Algorithm::NMsort,
                            Algorithm::NMsortNaive, Algorithm::ScratchpadSeq,
                            Algorithm::ScratchpadSeqQuick,
-                           Algorithm::ScratchpadPar};
+                           Algorithm::ScratchpadPar, Algorithm::NMsortWriteEff};
   for (std::size_t i = 0; i < std::size(all); ++i)
     for (std::size_t j = i + 1; j < std::size(all); ++j)
       EXPECT_STRNE(to_string(all[i]), to_string(all[j]));

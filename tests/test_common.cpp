@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -123,6 +124,48 @@ TEST(ThreadPool, SpmdRunsEveryWorkerOnce) {
   std::vector<std::atomic<int>> seen(8);
   pool.run_spmd([&](std::size_t w) { seen[w].fetch_add(1); });
   for (auto& s : seen) EXPECT_EQ(s.load(), 1);
+}
+
+// A throwing share must not cut the dispatch short: every other share
+// still runs, the exception reaches the caller once all shares are done,
+// and the pool dispatches again afterwards.
+void expect_throw_is_contained(std::size_t thrower) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> seen(4);
+  try {
+    pool.run_spmd([&](std::size_t w) {
+      seen[w].fetch_add(1);
+      if (w == thrower) throw std::runtime_error("share " + std::to_string(w));
+    });
+    FAIL() << "run_spmd swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), "share " + std::to_string(thrower));
+  }
+  for (auto& s : seen) EXPECT_EQ(s.load(), 1);
+  pool.run_spmd([&](std::size_t w) { seen[w].fetch_add(1); });
+  for (auto& s : seen) EXPECT_EQ(s.load(), 2);
+}
+
+TEST(ThreadPool, CallerShareThrowWaitsForEveryShare) {
+  expect_throw_is_contained(0);
+}
+
+TEST(ThreadPool, WorkerShareThrowReachesCaller) {
+  expect_throw_is_contained(2);
+}
+
+TEST(ThreadPool, LowestThrowingShareWins) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    try {
+      pool.run_spmd([](std::size_t w) {
+        if (w >= 1) throw std::runtime_error(std::to_string(w));
+      });
+      FAIL() << "run_spmd swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "1");
+    }
+  }
 }
 
 TEST(ThreadPool, SingleWorkerRunsInline) {

@@ -7,11 +7,13 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dma_test_access.hpp"
 #include "scratchpad/arena.hpp"
 #include "scratchpad/machine.hpp"
+#include "trace/capture.hpp"
 
 namespace tlm {
 namespace {
@@ -248,13 +250,73 @@ TEST(Machine, NearCapacityEnforced) {
 #endif
 }
 
-TEST(Machine, SyncFromAllThreadsAdvancesEpoch) {
-  Machine m(cfg1());
-  m.run_spmd([&](std::size_t w) {
-    m.sync(w);
-    m.sync(w);
-  });
-  SUCCEED();  // no deadlock, no throw
+TEST(Machine, MoreCoresThanHostThreadsRunsEachCoreOnce) {
+  // 64 simulated cores, more than any test host has CPUs, so host threads
+  // run blocks of core ids. Counters, phase folds and trace markers must
+  // still be exactly per core.
+  TwoLevelConfig c = cfg1();
+  c.threads = 64;
+  trace::TraceBuffer tb(c.threads);
+  Machine m(c, &tb);
+  auto far = m.alloc_array<std::uint64_t>(Space::Far, c.threads * 8);
+  m.begin_phase("cores");
+  constexpr int kRounds = 3;
+  std::vector<int> runs(c.threads, 0);  // each slot written by its core only
+  for (int r = 0; r < kRounds; ++r) {
+    m.run_spmd([&](std::size_t w) {
+      ++runs[w];
+      m.stream_read(w, far.data() + w * 8, 64);
+      m.compute(w, static_cast<double>(w + 1));
+    });
+    for (std::size_t w = 0; w < c.threads; ++w)
+      ASSERT_EQ(runs[w], r + 1) << "core " << w << " in round " << r;
+  }
+  const auto ops = m.thread_ops();
+  for (std::size_t w = 0; w < c.threads; ++w)
+    EXPECT_DOUBLE_EQ(ops[w], kRounds * static_cast<double>(w + 1));
+  m.end_phase();
+  const PhaseStats ph = m.stats().phases.at(0);
+  EXPECT_EQ(ph.far_read_bytes(), c.threads * kRounds * 64);
+  EXPECT_EQ(ph.far_bursts(), c.threads * kRounds);
+  EXPECT_DOUBLE_EQ(ph.compute_ops_total(), kRounds * 64.0 * 65.0 / 2);
+  EXPECT_DOUBLE_EQ(ph.compute_ops_max(), kRounds * 64.0);
+  // Per round and core: fork marker, its read, its compute, join marker.
+  for (std::size_t w = 0; w < c.threads; ++w) {
+    const auto& st = tb.stream(w);
+    ASSERT_EQ(st.size(), 4u * kRounds) << "core " << w;
+    for (int r = 0; r < kRounds; ++r) {
+      const trace::TraceOp* op = &st[4 * r];
+      EXPECT_EQ(op[0].kind, trace::OpKind::Barrier);
+      EXPECT_EQ(op[0].addr, 2u * r);
+      EXPECT_EQ(op[1].kind, trace::OpKind::Read);
+      EXPECT_EQ(op[2].kind, trace::OpKind::Compute);
+      EXPECT_EQ(op[3].kind, trace::OpKind::Barrier);
+      EXPECT_EQ(op[3].addr, 2u * r + 1);
+    }
+  }
+  m.free_array(Space::Far, far);
+}
+
+TEST(Machine, ThrowingCoreSkipsNoOtherCore) {
+  // A throw in one core's share must not skip the cores after it on the
+  // same host thread; the lowest thrower's exception reaches the caller and
+  // the machine dispatches again afterwards.
+  TwoLevelConfig c = cfg1();
+  c.threads = 64;
+  Machine m(c);
+  std::vector<int> runs(c.threads, 0);
+  try {
+    m.run_spmd([&](std::size_t w) {
+      ++runs[w];
+      if (w == 5 || w == 40) throw std::runtime_error(std::to_string(w));
+    });
+    FAIL() << "run_spmd swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "5");
+  }
+  for (std::size_t w = 0; w < c.threads; ++w) EXPECT_EQ(runs[w], 1);
+  m.run_spmd([&](std::size_t w) { ++runs[w]; });
+  for (std::size_t w = 0; w < c.threads; ++w) EXPECT_EQ(runs[w], 2);
 }
 
 TEST(Machine, ConcurrentChargesConserveTotals) {

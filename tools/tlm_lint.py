@@ -6,8 +6,9 @@ textually over src/:
 
   raw-thread         No std::thread / std::jthread / std::async / pthread
                      spawns outside src/common/thread_pool.* — all
-                     parallelism flows through ThreadPool so thread id <->
-                     simulated core id stays a stable mapping.
+                     parallelism flows through ThreadPool, so host threads
+                     are made in one place and simulated cores reach them
+                     only through Machine::run_spmd.
   raw-alloc          No new[] / malloc-family / make_unique<T[]> data
                      buffers in src/sort or src/kmeans — kernel memory comes
                      from Machine::alloc_array so the Arena/Machine
