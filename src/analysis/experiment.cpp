@@ -1,5 +1,6 @@
 #include "analysis/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -172,10 +173,10 @@ MappedSimulatedSort simulate_sort_mapped(double rho, std::size_t cores,
       scaled_counting_config(rho, cores, near_capacity_bytes);
   MappedCaptureRun cap =
       capture_sort_trace_mapped(cfg, a, n, seed, trace_dir);
-  // Decode shards on the same pool width the capture ran with; the decoded
-  // streams (not the shard split) determine the simulation, so any width
-  // replays identically.
-  ThreadPool pool(cores);
+  // Decode on at most one host thread per usable CPU, as Machine runs its
+  // cores; the decoded streams (not the shard split) determine the
+  // simulation, so any width replays identically.
+  ThreadPool pool(std::min(cores, ThreadPool::host_cpus()));
   trace::ShardedReplay replay(trace_dir, pool);
   sim::SystemConfig sys = sim::SystemConfig::scaled(rho, cores);
   sim::System system(sys, replay);

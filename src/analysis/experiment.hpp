@@ -107,10 +107,10 @@ SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
                             std::uint64_t max_events = ~0ULL);
 
 // The out-of-core twin of simulate_sort: capture spills to mmap'd logs
-// under `trace_dir`, a ShardedReplay decodes them in parallel shards, and
-// the same scaled simulator node replays the decoded streams. Reports are
-// bit-identical to simulate_sort on the same inputs (the trace-replay CI
-// lane's contract).
+// under `trace_dir`, a ShardedReplay decodes them in parallel shards on at
+// most one host thread per usable CPU, and the same scaled simulator node
+// replays the decoded streams. Reports are bit-identical to simulate_sort
+// on the same inputs (the trace-replay CI lane's contract).
 struct MappedSimulatedSort {
   SortRun counting;
   sim::SimReport report;

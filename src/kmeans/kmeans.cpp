@@ -44,6 +44,61 @@ struct TileAcc {
   }
 };
 
+// The one nearest-centroid kernel. Classifies the `npts` points of `pts`
+// (row-major, d coordinates each) against the k centroids of `cents` and
+// returns the sum of each point's squared distance to its centroid, added
+// in point order. With `sums`/`counts` it adds every point to its
+// cluster's coordinate sums and count, in point order; with `labels` it
+// stores every point's centroid index.
+//
+// The arithmetic is the contract the far, near and staged variants (and
+// the reference Lloyd in the tests) share bit for bit: each distance
+// starts at 0 and adds its d terms in order j = 0, 1, ...; a strict `<`
+// keeps the lowest centroid index on ties, so a NaN distance never wins.
+// The select is branch-free, because which centroid wins is data and
+// mispredicts as a branch. D = 4 fixes d at compile time (the dims every
+// bench, example and server job uses); D = 0 reads `d` at run time.
+template <std::size_t D>
+double classify(const double* __restrict pts, std::size_t npts,
+                const double* __restrict cents, std::size_t k, std::size_t d,
+                double* __restrict sums, std::uint64_t* __restrict counts,
+                std::uint32_t* __restrict labels) {
+  const std::size_t dim = D != 0 ? D : d;
+  double inertia = 0;
+  for (std::size_t i = 0; i < npts; ++i) {
+    const double* __restrict x = pts + i * dim;
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_c = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double* __restrict y = cents + c * dim;
+      double dist = 0;
+      for (std::size_t j = 0; j < dim; ++j) {
+        const double diff = x[j] - y[j];
+        dist += diff * diff;
+      }
+      const bool lt = dist < best;
+      best = lt ? dist : best;
+      best_c = lt ? c : best_c;
+    }
+    if (sums != nullptr) {
+      double* __restrict s = sums + best_c * dim;
+      for (std::size_t j = 0; j < dim; ++j) s[j] += x[j];
+      counts[best_c] += 1;
+    }
+    if (labels != nullptr) labels[i] = static_cast<std::uint32_t>(best_c);
+    inertia += best;
+  }
+  return inertia;
+}
+
+double classify_points(const double* pts, std::size_t npts,
+                       const double* cents, std::size_t k, std::size_t d,
+                       double* sums, std::uint64_t* counts,
+                       std::uint32_t* labels) {
+  return d == 4 ? classify<4>(pts, npts, cents, k, d, sums, counts, labels)
+                : classify<0>(pts, npts, cents, k, d, sums, counts, labels);
+}
+
 // Classifies the points of tiles [first_tile, last_tile) against
 // `centroids`, filling each tile's accumulator slot. `base` points at the
 // first point of tile `first_tile` and may live in either space; each
@@ -66,29 +121,11 @@ void tile_pass(Machine& m, const double* base, std::size_t first_tile,
       std::uint64_t* counts = acc.counts.data() + t * k;
       std::fill(sums, sums + k * d, 0.0);
       std::fill(counts, counts + k, 0);
-      double tile_inertia = 0;
       const std::size_t t_lo = t * kTilePoints;
       const std::size_t t_hi = std::min(n, t_lo + kTilePoints);
-      for (std::size_t i = t_lo; i < t_hi; ++i) {
-        const double* x = base + (i - first_tile * kTilePoints) * d;
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t best_c = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          double dist = 0;
-          for (std::size_t j = 0; j < d; ++j) {
-            const double diff = x[j] - centroids[c * d + j];
-            dist += diff * diff;
-          }
-          if (dist < best) {
-            best = dist;
-            best_c = c;
-          }
-        }
-        for (std::size_t j = 0; j < d; ++j) sums[best_c * d + j] += x[j];
-        counts[best_c] += 1;
-        tile_inertia += best;
-      }
-      acc.inertia[t] = tile_inertia;
+      acc.inertia[t] = classify_points(
+          base + (t_lo - first_tile * kTilePoints) * d, t_hi - t_lo,
+          centroids.data(), k, d, sums, counts, nullptr);
     }
     m.compute(w, static_cast<double>(p_hi - p_lo) * static_cast<double>(k) *
                      static_cast<double>(d) * 3.0);
@@ -105,23 +142,8 @@ void label_points(Machine& m, const double* pts, std::size_t n,
   m.adopt_far(res.assignments.data(), n * sizeof(std::uint32_t));
   m.parallel_for(0, n, [&](std::size_t w, std::size_t lo, std::size_t hi) {
     m.stream_read(w, pts + lo * d, (hi - lo) * d * sizeof(double));
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double* x = pts + i * d;
-      double best = std::numeric_limits<double>::infinity();
-      std::uint32_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        double dist = 0;
-        for (std::size_t j = 0; j < d; ++j) {
-          const double diff = x[j] - res.centroids[c * d + j];
-          dist += diff * diff;
-        }
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<std::uint32_t>(c);
-        }
-      }
-      res.assignments[i] = best_c;
-    }
+    classify_points(pts + lo * d, hi - lo, res.centroids.data(), k, d,
+                    nullptr, nullptr, res.assignments.data() + lo);
     m.stream_write(w, res.assignments.data() + lo,
                    (hi - lo) * sizeof(std::uint32_t));
     m.compute(w, static_cast<double>(hi - lo) * static_cast<double>(k) *

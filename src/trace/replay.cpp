@@ -6,10 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <exception>
 #include <fstream>
 
 #include "common/assert.hpp"
@@ -104,12 +102,6 @@ ShardedReplay::ShardedReplay(const std::string& dir) {
   load(dir, inline_pool);
 }
 
-void ShardedReplay::note_shard_done(std::exception_ptr error) {
-  MutexLock lock(merge_mu_);
-  ++shards_done_;
-  if (error && !first_shard_error_) first_shard_error_ = error;
-}
-
 void ShardedReplay::load(const std::string& dir, ThreadPool& pool) {
   std::ifstream manifest(mapped_log_manifest_path(dir));
   TLM_REQUIRE(manifest.is_open(), "no mapped-log manifest under " + dir);
@@ -127,27 +119,18 @@ void ShardedReplay::load(const std::string& dir, ThreadPool& pool) {
   std::vector<DecodedThread> meta(threads);
   stats_.threads = threads;
 
-  // Shard = one worker's contiguous group of trace threads. Exceptions
-  // cannot unwind across the pool's join, so each shard parks the first one
-  // it hits (note_shard_done, under merge_mu_) and the caller rethrows after
-  // the barrier.
+  // Shard = one worker's contiguous group of trace threads. A shard stops at
+  // its first bad log and throws; run_spmd waits for every shard and
+  // rethrows the lowest-numbered shard's exception. Shards hold ascending
+  // thread ranges, so that is the lowest bad thread's error, on any pool.
   pool.parallel_for(0, threads,
                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                      if (begin == end) return;
-                      std::exception_ptr error;
-                      try {
-                        for (std::size_t t = begin; t < end; ++t)
-                          meta[t] = decode_thread_log(dir, t, streams_[t]);
-                      } catch (...) {
-                        error = std::current_exception();
-                      }
-                      note_shard_done(error);
+                      for (std::size_t t = begin; t < end; ++t)
+                        meta[t] = decode_thread_log(dir, t, streams_[t]);
                     });
-  {
-    MutexLock lock(merge_mu_);
-    if (first_shard_error_) std::rethrow_exception(first_shard_error_);
-    stats_.shards = shards_done_;
-  }
+  // parallel_for runs only the non-empty chunks: one per worker, at most
+  // one per thread.
+  stats_.shards = std::min<std::uint64_t>(threads, pool.size());
 
   // Merge the shards at their fence points: every thread must carry the
   // same ordered Barrier-id schedule, or the sim's rendezvous (and the

@@ -21,11 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "trace/capture.hpp"
 
 namespace tlm {
@@ -48,7 +46,9 @@ class ShardedReplay final : public TraceSource {
  public:
   // Decodes every per-thread log under `dir`, sharding the work across
   // `pool`. Throws std::invalid_argument on a missing/corrupt capture and
-  // std::logic_error when the per-thread fence schedules cannot merge.
+  // std::logic_error when the per-thread fence schedules cannot merge. Of
+  // several corrupt logs, the lowest-numbered thread's error is the one
+  // thrown, whatever the pool's width.
   ShardedReplay(const std::string& dir, ThreadPool& pool);
   // Single-shard convenience: decodes on a one-worker pool, which runs
   // inline on the calling thread.
@@ -63,17 +63,9 @@ class ShardedReplay final : public TraceSource {
 
  private:
   void load(const std::string& dir, ThreadPool& pool);
-  // Called by each decode shard as it finishes: counts the shard and parks
-  // its first exception (unwinding cannot cross the pool join). The decode
-  // workers write disjoint streams_/meta slots and share nothing else, so
-  // this is the only cross-shard state and it stays behind merge_mu_.
-  void note_shard_done(std::exception_ptr error) TLM_EXCLUDES(merge_mu_);
 
   std::vector<std::vector<TraceOp>> streams_;
   ReplayStats stats_;
-  Mutex merge_mu_;
-  std::uint64_t shards_done_ TLM_GUARDED_BY(merge_mu_) = 0;
-  std::exception_ptr first_shard_error_ TLM_GUARDED_BY(merge_mu_);
 };
 
 }  // namespace tlm::trace

@@ -2,9 +2,14 @@
 // far/near traffic split, and the ρ-speedup mechanism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "kmeans/kmeans.hpp"
 
 namespace tlm::kmeans {
@@ -227,6 +232,204 @@ TEST(KMeans, ForgyInitDrawsDistinctSeeds) {
     EXPECT_TRUE(r.converged) << "seed=" << seed;
     EXPECT_DOUBLE_EQ(r.inertia, 0.0) << "seed=" << seed;
   }
+}
+
+// ---- Oracle: a plain reference Lloyd -------------------------------------
+//
+// Every other test here compares the library's variants with each other,
+// and they all share one classification kernel. This reference is written
+// out independently: a point-by-centroid loop with an `if (dist < best)`
+// select, the same 1024-point tiles, and the same tile-order fold. The
+// library must agree with it bit for bit, which pins the arithmetic
+// contract: each distance sums its d terms in order from 0, a strict `<`
+// keeps the lowest centroid index on ties, each cluster's sums grow in
+// point order within a tile, and the tiles fold in tile order.
+
+struct Reference {
+  std::vector<double> centroids;
+  std::vector<std::uint32_t> assignments;
+  std::size_t iterations = 0;
+  double inertia = 0;
+  bool converged = false;
+};
+
+std::uint32_t reference_nearest(const double* x,
+                                const std::vector<double>& cents,
+                                std::size_t k, std::size_t d, double& best) {
+  best = std::numeric_limits<double>::infinity();
+  std::uint32_t best_c = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    double dist = 0;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double diff = x[j] - cents[c * d + j];
+      dist += diff * diff;
+    }
+    if (dist < best) {
+      best = dist;
+      best_c = static_cast<std::uint32_t>(c);
+    }
+  }
+  return best_c;
+}
+
+Reference reference_lloyd(const std::vector<double>& pts,
+                          const KMeansOptions& o) {
+  constexpr std::size_t kTile = 1024;
+  const std::size_t d = o.dims;
+  const std::size_t k = o.k;
+  const std::size_t n = pts.size() / d;
+  Reference r;
+  // Forgy: k distinct indices drawn from the seed.
+  Xoshiro256 rng(o.seed);
+  std::vector<std::uint64_t> chosen;
+  for (std::size_t c = 0; c < k; ++c) {
+    std::uint64_t idx = rng.below(n);
+    while (std::find(chosen.begin(), chosen.end(), idx) != chosen.end())
+      idx = rng.below(n);
+    chosen.push_back(idx);
+    r.centroids.insert(r.centroids.end(), pts.begin() + idx * d,
+                       pts.begin() + (idx + 1) * d);
+  }
+  for (std::size_t it = 0; it < o.max_iters; ++it) {
+    std::vector<double> sum(k * d, 0.0);
+    std::vector<std::uint64_t> count(k, 0);
+    double inertia = 0;
+    for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
+      std::vector<double> tile_sum(k * d, 0.0);
+      double tile_inertia = 0;
+      for (std::size_t i = t0; i < std::min(n, t0 + kTile); ++i) {
+        double best;
+        const std::uint32_t c =
+            reference_nearest(&pts[i * d], r.centroids, k, d, best);
+        for (std::size_t j = 0; j < d; ++j)
+          tile_sum[c * d + j] += pts[i * d + j];
+        ++count[c];
+        tile_inertia += best;
+      }
+      for (std::size_t i = 0; i < k * d; ++i) sum[i] += tile_sum[i];
+      inertia += tile_inertia;
+    }
+    r.iterations = it + 1;
+    r.inertia = inertia;
+    double shift = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (count[c] == 0) continue;
+      for (std::size_t j = 0; j < d; ++j) {
+        const double nc = sum[c * d + j] / static_cast<double>(count[c]);
+        const double diff = nc - r.centroids[c * d + j];
+        shift += diff * diff;
+        r.centroids[c * d + j] = nc;
+      }
+    }
+    if (shift < o.tol * o.tol) {
+      r.converged = true;
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double best;
+    r.assignments.push_back(
+        reference_nearest(&pts[i * d], r.centroids, k, d, best));
+  }
+  return r;
+}
+
+// Bit patterns, so NaN centroids compare equal to themselves.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+enum class Input { kBlobs, kDuplicates, kNonFinite };
+
+// 2500 points: two full tiles and a partial third.
+std::vector<double> oracle_points(Input kind, std::size_t d) {
+  constexpr std::size_t n = 2500;
+  if (kind == Input::kDuplicates) {
+    // Five distinct points, each repeated: with k > 5 Forgy must seed
+    // coincident centroids, and every tie between them goes to the lower
+    // index.
+    const auto base = make_blobs(5, d, 5, 41);
+    std::vector<double> pts(n * d);
+    for (std::size_t i = 0; i < n; ++i)
+      std::copy_n(base.begin() + (i % 5) * d, d, pts.begin() + i * d);
+    return pts;
+  }
+  auto pts = make_blobs(n, d, 6, 43);
+  if (kind == Input::kNonFinite) {
+    pts[3 * d] = std::numeric_limits<double>::quiet_NaN();
+    pts[2000 * d + d - 1] = std::numeric_limits<double>::infinity();
+  }
+  return pts;
+}
+
+TEST(KMeansOracle, EveryVariantMatchesReferenceLloydBitForBit) {
+  // d = 4 runs the compiled-in dimension count, the others the runtime
+  // one. The staged scratchpad (2.5 tiles) holds one resident tile and one
+  // staging buffer, so the other two tiles stream every sweep.
+  std::size_t coincident = 0;  // centroid pairs the tie check covered
+  for (const Input kind :
+       {Input::kBlobs, Input::kDuplicates, Input::kNonFinite})
+    for (const std::size_t d : {1u, 3u, 4u, 5u, 8u})
+      for (const std::size_t k : {1u, 2u, 7u, 16u}) {
+        const auto pts = oracle_points(kind, d);
+        KMeansOptions o = opts(k, d);
+        o.max_iters = 8;
+        o.produce_assignments = true;
+        const Reference want = reference_lloyd(pts, o);
+        for (const std::size_t threads : {1u, 4u})
+          for (int variant = 0; variant < 3; ++variant) {
+            SCOPED_TRACE(::testing::Message()
+                         << "input " << static_cast<int>(kind) << " d=" << d
+                         << " k=" << k << " threads=" << threads
+                         << " variant " << variant);
+            TwoLevelConfig cfg = km_config();
+            cfg.threads = threads;
+            // Room for the points (at most 160 KB) and nothing more: a
+            // Machine zero-fills its whole scratchpad, which is most of a
+            // run's cost under a sanitizer.
+            cfg.near_capacity = 256 * KiB;
+            if (variant == 2) {
+              cfg.near_capacity = 2560 * d * sizeof(double);
+              cfg.overlap_dma = false;
+            }
+            Machine m(cfg);
+            const KMeansResult got = variant == 0   ? kmeans_far(m, pts, o)
+                                     : variant == 1 ? kmeans_near(m, pts, o)
+                                                    : kmeans_staged(m, pts, o);
+            if (variant == 2) {
+              EXPECT_GT(m.stager_stats().batches, 0u);
+            }
+            EXPECT_EQ(got.iterations, want.iterations);
+            EXPECT_EQ(got.converged, want.converged);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.inertia),
+                      std::bit_cast<std::uint64_t>(want.inertia));
+            EXPECT_EQ(bits(got.centroids), bits(want.centroids));
+            EXPECT_EQ(got.assignments, want.assignments);
+          }
+        if (kind == Input::kDuplicates) {
+          // No point is labelled with a centroid that coincides with a
+          // lower-indexed one.
+          for (std::size_t hi = 1; hi < k; ++hi) {
+            for (std::size_t lo = 0; lo < hi; ++lo) {
+              if (!std::equal(want.centroids.begin() + hi * d,
+                              want.centroids.begin() + (hi + 1) * d,
+                              want.centroids.begin() + lo * d))
+                continue;
+              ++coincident;
+              EXPECT_EQ(std::count(want.assignments.begin(),
+                                   want.assignments.end(), hi),
+                        0)
+                  << "d=" << d << " k=" << k << " centroid " << hi;
+            }
+          }
+        }
+        if (kind == Input::kNonFinite) {
+          EXPECT_FALSE(std::isfinite(want.inertia)) << "d=" << d << " k=" << k;
+        }
+      }
+  EXPECT_GT(coincident, 0u);
 }
 
 TEST(KMeans, RejectsOversizedNearOperand) {

@@ -6,11 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -389,6 +391,56 @@ TEST(ShardedReplay, SingleThreadCaptureDecodesAsOneShardOnAnyPool) {
   EXPECT_EQ(serial.stats().shards, 1u);
   EXPECT_EQ(pooled.stats().shards, 1u);
   EXPECT_EQ(serial.stats().ops, pooled.stats().ops);
+}
+
+TEST(ShardedReplay, LowestCorruptThreadIsReportedOnEveryPoolWidth) {
+  // Threads 1 and 3 of a four-thread capture carry a bad magic. Whichever
+  // shard finishes first, the decode must name thread 1: each shard stops
+  // at its first bad log, and the pool rethrows the lowest shard's error.
+  const std::string dir = fresh_dir("two_corrupt");
+  {
+    MappedLog log(dir, 4);
+    for (std::size_t t = 0; t < 4; ++t) {
+      log.on_read(t, kFarBase + t * 4096, 64);
+      log.on_barrier(t, 0);
+    }
+    log.close();
+  }
+  for (const std::size_t t : {1u, 3u}) {
+    std::fstream f(mapped_log_file_path(dir, t),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(offsetof(MappedLogFileHeader, magic));
+    f.write("XXXX", 4);
+  }
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    ThreadPool pool(width);
+    try {
+      const ShardedReplay replay(dir, pool);
+      FAIL() << "a corrupt capture must not decode (pool " << width << ")";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+      EXPECT_NE(what.find(mapped_log_file_path(dir, 1)), std::string::npos)
+          << "pool " << width << ": " << what;
+    }
+  }
+}
+
+TEST(ShardedReplay, WideMappedSortDecodesOnTheHostsCpusAndMatchesRam) {
+  // A 16-core mapped capture decodes on at most one host thread per usable
+  // CPU, not one per simulated core, and still simulates exactly what the
+  // in-RAM capture does.
+  const std::string dir = fresh_dir("wide_mapped");
+  const analysis::MappedSimulatedSort mapped = analysis::simulate_sort_mapped(
+      4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29, dir);
+  const analysis::SimulatedSort ram = analysis::simulate_sort(
+      4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29);
+  ASSERT_TRUE(mapped.counting.verified);
+  EXPECT_EQ(mapped.replay.threads, 16u);
+  EXPECT_EQ(mapped.replay.shards,
+            std::min<std::uint64_t>(16, ThreadPool::host_cpus()));
+  EXPECT_EQ(mapped.report.counters(), ram.report.counters());
 }
 
 TEST(MappedLog, AppendAfterCloseThrows) {
