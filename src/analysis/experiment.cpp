@@ -99,6 +99,7 @@ SortRun run_with_sink(const TwoLevelConfig& cfg, Algorithm a, std::uint64_t n,
   m.end_phase();
   r.counting = m.stats();
   r.faults = m.fault_stats();
+  r.stager = m.stager_stats();
   r.modeled_seconds = r.counting.total.seconds();
   r.host_seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;

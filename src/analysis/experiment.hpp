@@ -42,6 +42,7 @@ struct SortRun {
   bool verified = false;   // output == std::sort(input): is_sorted_permutation
   MachineStats counting;   // analytic traffic + modeled time
   FaultStats faults;       // injected faults / retries / fallbacks observed
+  StagerStats stager;      // every Stager the run released, folded
   double modeled_seconds = 0;
   double host_seconds = 0;  // wall-clock of the kernel, not of the check
 };
