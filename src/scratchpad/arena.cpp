@@ -6,9 +6,13 @@
 
 namespace tlm {
 
+// The buffer is left uninitialized, as a real scratchpad's contents are
+// until written: no kernel reads a near byte it did not write, and pages
+// the run never touches are never backed.
 NearArena::NearArena(std::uint64_t capacity_bytes)
     : capacity_(capacity_bytes),
-      buffer_(std::make_unique<std::byte[]>(capacity_bytes + kMaxAlign)) {
+      buffer_(std::make_unique_for_overwrite<std::byte[]>(capacity_bytes +
+                                                          kMaxAlign)) {
   TLM_REQUIRE(capacity_bytes > 0, "scratchpad capacity must be positive");
   const auto raw = reinterpret_cast<std::uintptr_t>(buffer_.get());
   base_ = buffer_.get() + (round_up(raw, kMaxAlign) - raw);

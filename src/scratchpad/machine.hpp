@@ -146,7 +146,7 @@ class Machine {
   // Infallible two-level allocation: near when it fits (and injection
   // permits), far otherwise. The far fallback is counted in
   // faults.near_far_fallbacks. Free with the space-inferred free_array
-  // overload below; guard any retain_across_phases on space_of().
+  // overload below.
   template <typename T>
   std::span<T> alloc_array_near_or_far(
       std::size_t n,
@@ -204,7 +204,9 @@ class Machine {
   // Declares that a live near allocation intentionally spans explicit
   // phases (e.g. NMsort's BucketTot matrix is "scratchpad-resident
   // throughout"), exempting it from the sanitizer's model.phase_leak check.
-  // A no-op outside TLM_CHECK_MODEL builds.
+  // `p` must be the base of a live near allocation; a far pointer (the far
+  // fallback of alloc_array_near_or_far) has nothing to retain and is
+  // ignored. A no-op outside TLM_CHECK_MODEL builds.
   void retain_across_phases(const void* p);
 
   // Registers an externally-owned far buffer (e.g. the caller's input array)
@@ -230,6 +232,20 @@ class Machine {
   void dma_copy(DmaKey, std::size_t thread, void* dst, const void* src,
                 std::uint64_t bytes,
                 std::source_location loc = std::source_location::current());
+  // Parallel staged copy of `n` elements of `elem_bytes` each: [0, n) is
+  // split across all cores (parallel_for), and each core copies its
+  // contiguous share in one copy() burst. An empty copy opens no SPMD
+  // section. Call from the orchestrating thread.
+  void parallel_copy(
+      void* dst, const void* src, std::uint64_t n, std::uint64_t elem_bytes,
+      std::source_location loc = std::source_location::current());
+  template <typename T>
+  void parallel_copy(
+      T* dst, const T* src, std::uint64_t n,
+      std::source_location loc = std::source_location::current()) {
+    parallel_copy(static_cast<void*>(dst), static_cast<const void*>(src), n,
+                  sizeof(T), loc);
+  }
   // Accounts for a streaming pass that reads/writes in place (no movement).
   void stream_read(std::size_t thread, const void* p, std::uint64_t bytes,
                    std::source_location loc = std::source_location::current());

@@ -55,20 +55,11 @@ void Stager::sync_gather(const Item& it, std::byte* dst) {
       if (s.bytes) m_.copy(0, dst + s.dst_off, s.src, s.bytes, loc_);
     return;
   }
-  // One SPMD section per slice, one burst per worker: every worker copies
-  // its element-aligned chunk, so burst boundaries (and their ceil-rounded
-  // block counts) match a hand-rolled parallel copy exactly.
+  // One parallel copy per slice, one burst per worker over its
+  // element-aligned chunk.
   const std::uint64_t eb = opt_.elem_bytes;
-  for (const Slice& s : it.slices) {
-    if (!s.bytes) continue;
-    m_.run_spmd([&](std::size_t w) {
-      auto [lo, hi] = ThreadPool::chunk(
-          static_cast<std::size_t>(s.bytes / eb), w, m_.threads());
-      if (lo < hi)
-        m_.copy(w, dst + s.dst_off + lo * eb, s.src + lo * eb,
-                static_cast<std::uint64_t>(hi - lo) * eb, loc_);
-    });
-  }
+  for (const Slice& s : it.slices)
+    m_.parallel_copy(dst + s.dst_off, s.src, s.bytes / eb, eb, loc_);
 }
 
 void Stager::post_prefetch(const Item& it, std::byte* dst) {

@@ -26,17 +26,9 @@ template void nm_sort_into<std::uint64_t, std::less<std::uint64_t>>(
     Machine&, std::span<const std::uint64_t>, std::span<std::uint64_t>,
     NMSortOptions, std::less<std::uint64_t>);
 
-template void nm_sort<std::uint64_t, std::less<std::uint64_t>>(
-    Machine&, std::span<std::uint64_t>, NMSortOptions,
-    std::less<std::uint64_t>);
-
 template void we_sort_into<std::uint64_t, std::less<std::uint64_t>>(
     Machine&, std::span<const std::uint64_t>, std::span<std::uint64_t>,
     WESortOptions, std::less<std::uint64_t>);
-
-template void we_sort<std::uint64_t, std::less<std::uint64_t>>(
-    Machine&, std::span<std::uint64_t>, WESortOptions,
-    std::less<std::uint64_t>);
 
 template ScratchpadSortReport
 scratchpad_sort<std::uint64_t, std::less<std::uint64_t>>(

@@ -35,8 +35,6 @@ struct MergeOptions {
   // per-burst access latency while letting 2·fan buffers fit in the cache
   // (fan-in derives from cache_bytes / (2·refill_bytes)).
   std::uint64_t refill_bytes = 4 * KiB;
-  // Modeled comparisons per emitted element on top of log2(k).
-  double cost_per_element = 1.0;
   // Minimum elements per parallel merge slice: splitting a merge across
   // more threads than total/min_part_elems just burns splitter probes and
   // produces sub-refill slices.
@@ -63,9 +61,10 @@ void merge_runs_charged(Machine& m, std::size_t thread,
   for (std::size_t i = 0; i < runs.size(); ++i) watermark[i] = runs[i].begin;
 
   LT tree(std::move(lt_runs), cmp);
+  // Modeled comparisons per emitted element: log2(k), plus one.
   const double per_elem =
       std::log2(static_cast<double>(std::max<std::size_t>(2, runs.size()))) +
-      opt.cost_per_element;
+      1.0;
 
   T* o = out;
   T* flush_from = out;

@@ -52,18 +52,15 @@ struct NMSortOptions {
 
 namespace detail {
 
-// Parallel staged copy: splits [0, n) across all threads, each issuing one
-// burst. Used for chunk loads/stores and batch gathers.
-template <typename T>
-void parallel_copy(Machine& m, T* dst, const T* src, std::uint64_t n) {
-  if (n == 0) return;
-  m.run_spmd([&](std::size_t w) {
-    auto [lo, hi] = ThreadPool::chunk(static_cast<std::size_t>(n), w,
-                                      m.threads());
-    if (lo < hi)
-      m.copy(w, dst + lo, src + lo,
-             static_cast<std::uint64_t>(hi - lo) * sizeof(T));
-  });
+// The metadata slice NMsort and the write-efficient sort reserve in the
+// scratchpad for pivots and bucket tables — Θ(M/B) entries, i.e. well under
+// 1% of M at realistic geometries (§IV-D's overhead argument).
+inline std::uint64_t meta_slice_bytes(const TwoLevelConfig& cfg) {
+  const std::uint64_t meta =
+      std::clamp<std::uint64_t>(cfg.near_capacity / 16, 64 * KiB, 2 * MiB);
+  TLM_REQUIRE(meta * 2 < cfg.near_capacity,
+              "scratchpad too small for the sort's metadata slice");
+  return meta;
 }
 
 struct NMGeometry {
@@ -79,13 +76,8 @@ NMGeometry nm_geometry(const Machine& m, std::uint64_t n,
                        const NMSortOptions& opt) {
   const TwoLevelConfig& cfg = m.config();
   NMGeometry g;
-  // Reserve a small metadata slice of the scratchpad for the pivots,
-  // BucketTot, and a BucketPos row — Θ(M/B) entries, i.e. well under 1% of M
-  // at realistic geometries (§IV-D's overhead argument).
-  g.meta_bytes = std::clamp<std::uint64_t>(cfg.near_capacity / 16, 64 * KiB,
-                                           2 * MiB);
-  TLM_REQUIRE(g.meta_bytes * 2 < cfg.near_capacity,
-              "scratchpad too small for NMsort metadata");
+  // The pivots, BucketTot and a BucketPos row live in the metadata slice.
+  g.meta_bytes = meta_slice_bytes(cfg);
   const std::uint64_t usable = cfg.near_capacity - g.meta_bytes;
 
   g.chunk_elems = opt.chunk_elems
@@ -157,24 +149,11 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
     std::span<T> buf = m.alloc_array_near_or_far<T>(n);
     std::span<T> tmp = m.alloc_array_near_or_far<T>(n);
     const detail::RunLayout L = detail::plan_runs<T>(m, n, opt.inner);
-    detail::form_runs(m, input.data(), buf.data(), n, L, opt.inner, cmp);
-    T* src = buf.data();
-    T* dst = tmp.data();
-    std::uint64_t run_len = L.run_elems;
-    std::uint64_t cur = L.nruns;
-    while (cur > L.fan) {
-      cur = detail::merge_pass(m, src, dst, n, run_len, cur, L.fan,
-                                  opt.inner.merge, cmp);
-      std::swap(src, dst);
-      run_len *= L.fan;
-    }
-    if (cur == 1) {
-      detail::parallel_copy(m, output.data(), src, n);
-    } else {
-      auto rs = detail::group_runs(static_cast<const T*>(src), n, run_len,
-                                      cur, cur, 0);
-      parallel_multiway_merge(m, rs, output, cmp, opt.merge);
-    }
+    detail::finish_runs(m,
+                        detail::form_and_merge(m, input.data(), buf.data(),
+                                               tmp.data(), n, L,
+                                               opt.inner.merge, cmp),
+                        output, opt.merge, cmp);
     m.free_array(tmp);
     m.free_array(buf);
     m.end_phase();
@@ -187,25 +166,22 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
   // ---- pivot sample (§III-A) ---------------------------------------------
   m.begin_phase("nmsort.sample");
   std::span<T> pivots;
-  if (npivots > 0) pivots = sample_pivots(m, 0, input, npivots, opt.seed, cmp);
+  if (npivots > 0) pivots = sample_pivots(m, input, npivots, opt.seed, cmp);
   // The pivots and bucket metadata are "scratchpad-resident throughout"
   // (§III-B): they intentionally live across every later phase, so tell the
   // model sanitizer they are not end-of-phase leaks. Under near pressure
-  // they fall back to far memory (retain only applies to near pointers).
-  if (!pivots.empty() && m.space_of(pivots.data()) == Space::Near)
-    m.retain_across_phases(pivots.data());
+  // they fall back to far memory, where retaining is a no-op.
+  m.retain_across_phases(pivots.data());
 
   // Scratchpad-resident metadata (far-fallback under pressure).
   std::span<std::uint64_t> bucket_tot =
       m.alloc_array_near_or_far<std::uint64_t>(nb);
-  if (m.space_of(bucket_tot.data()) == Space::Near)
-    m.retain_across_phases(bucket_tot.data());
+  m.retain_across_phases(bucket_tot.data());
   std::fill(bucket_tot.begin(), bucket_tot.end(), 0);
   m.stream_write(0, bucket_tot.data(), bucket_tot.size_bytes());
   std::span<std::uint64_t> pos_row =
       m.alloc_array_near_or_far<std::uint64_t>(nb + 1);
-  if (m.space_of(pos_row.data()) == Space::Near)
-    m.retain_across_phases(pos_row.data());
+  m.retain_across_phases(pos_row.data());
 
   // Far-resident sorted-run area and BucketPos matrix (Fig. 2(d)).
   std::span<T> runs_area = m.alloc_array<T>(Space::Far, n);
@@ -227,20 +203,11 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
       const std::uint64_t len = std::min(g.chunk_elems, n - b);
 
       const detail::RunLayout L = detail::plan_runs<T>(m, len, opt.inner);
-      detail::form_runs(m, input.data() + b, chunk_buf.data(), len, L,
-                        opt.inner, cmp);
-      T* src = chunk_buf.data();
-      T* dst = temp_buf.data();
-      std::uint64_t run_len = L.run_elems;
-      std::uint64_t cur = L.nruns;
-      while (cur > L.fan) {
-        cur = detail::merge_pass(m, src, dst, len, run_len, cur, L.fan,
-                                 opt.inner.merge, cmp);
-        std::swap(src, dst);
-        run_len *= L.fan;
-      }
-      const auto rs = detail::group_runs(static_cast<const T*>(src), len,
-                                         run_len, cur, cur, 0);
+      const std::vector<Run<T>> rs =
+          detail::form_and_merge(m, input.data() + b, chunk_buf.data(),
+                                 temp_buf.data(), len, L, opt.inner.merge,
+                                 cmp)
+              .all();
 
       // Bucket boundaries, in parallel across pivots: the position inside
       // the (about-to-be-merged) sorted chunk is the sum of per-run lower
@@ -428,20 +395,10 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
       const std::uint64_t b = c * g.chunk_elems;
       const std::uint64_t len = std::min(g.chunk_elems, n - b);
       std::span<T> chunk = chunk_buf.subspan(0, len);
-      detail::parallel_copy(m, chunk.data(), input.data() + b, len);
+      m.parallel_copy(chunk.data(), input.data() + b, len);
       multiway_merge_sort(m, chunk, opt.inner, cmp);
-
-      pos_row[0] = 0;
-      pos_row[nb] = len;
-      m.parallel_for(1, nb, [&](std::size_t w, std::size_t lo,
-                                std::size_t hi) {
-        const T* prev = chunk.data();
-        for (std::size_t i = lo; i < hi; ++i) {
-          prev = charged_gallop_lower_bound(m, w, prev, chunk.data() + len,
-                                            pivots[i - 1], cmp);
-          pos_row[i] = static_cast<std::uint64_t>(prev - chunk.data());
-        }
-      });
+      detail::bucket_bounds(m, chunk.data(), len,
+                            std::span<const T>(pivots), pos_row.data(), cmp);
       // The inefficient part: one small append per non-empty bucket.
       // (Allocation happens on the orchestrator; the copies — the modeled
       // traffic — run in parallel like the original's appends.)
@@ -489,19 +446,6 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
   m.free_array(pos_row);
   m.free_array(bucket_tot);
   if (!pivots.empty()) m.free_array(pivots);
-}
-
-// In-place convenience wrapper: sorts through a far temp area and copies the
-// result back (one extra far pass; prefer nm_sort_into for measurements).
-template <typename T, typename Cmp = std::less<T>>
-void nm_sort(Machine& m, std::span<T> data, NMSortOptions opt = {},
-             Cmp cmp = {}) {
-  if (data.size() <= 1) return;
-  m.adopt_far(data.data(), data.size_bytes());
-  std::span<T> out = m.alloc_array<T>(Space::Far, data.size());
-  nm_sort_into(m, std::span<const T>(data.data(), data.size()), out, opt, cmp);
-  detail::parallel_copy(m, data.data(), out.data(), data.size());
-  m.free_array(Space::Far, out);
 }
 
 }  // namespace tlm::sort

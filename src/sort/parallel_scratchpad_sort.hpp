@@ -25,13 +25,13 @@
 namespace tlm::sort {
 
 struct ParallelScratchpadSortOptions {
-  std::size_t sample_size = 0;  // pivots per round; 0 → min(M/B, 1024)
-  MultiwaySortOptions inner;
   std::uint64_t seed = 0x9a5eedULL;
-  std::size_t max_depth = 64;
 };
 
 namespace detail {
+
+// Recursion guard: past it a segment is sorted directly (multiway).
+inline constexpr std::size_t kPspMaxDepth = 64;
 
 template <typename T, typename Cmp>
 void psp_rec(Machine& m, std::span<T> seg,
@@ -46,41 +46,32 @@ void psp_rec(Machine& m, std::span<T> seg,
     // sorted in place in far memory instead.
     const auto buf = m.try_alloc_near<T>(n);
     if (!buf) {
-      multiway_merge_sort(m, seg, o.inner, cmp);
+      multiway_merge_sort(m, seg, {}, cmp);
       return;
     }
-    parallel_copy(m, buf->data(), seg.data(), n);
-    multiway_merge_sort(m, *buf, o.inner, cmp);
-    parallel_copy(m, seg.data(), buf->data(), n);
+    m.parallel_copy(buf->data(), seg.data(), n);
+    multiway_merge_sort(m, *buf, {}, cmp);
+    m.parallel_copy(seg.data(), buf->data(), n);
     m.free_array(Space::Near, *buf);
     return;
   }
-  if (depth >= o.max_depth) {
-    multiway_merge_sort(m, seg, o.inner, cmp);
+  if (depth >= kPspMaxDepth) {
+    multiway_merge_sort(m, seg, {}, cmp);
     return;
   }
 
   // Sample X in parallel (§IV-C: "we can randomly choose the elements of X
   // and move them into the scratchpad in parallel").
-  const TwoLevelConfig& cfg = m.config();
-  std::size_t s = o.sample_size
-                      ? o.sample_size
-                      : static_cast<std::size_t>(std::min<std::uint64_t>(
-                            {cfg.near_capacity / cfg.block_bytes,
-                             fit_elems / 4, 1024}));
-  s = static_cast<std::size_t>(
-      std::min<std::uint64_t>(std::max<std::size_t>(s, 1), n / 2 + 1));
+  const std::size_t s = pivot_count(m.config(), fit_elems, n, 0);
   std::span<T> pivots =
-      sample_pivots(m, 0, std::span<const T>(seg.data(), n), s,
+      sample_pivots(m, std::span<const T>(seg.data(), n), s,
                     o.seed + depth * 0x9e3779b9ULL, cmp);
   const std::size_t nb = s + 1;
 
   // Parallel bucketizing scans (Lemma 9): each group is ingested in
   // parallel, sorted with the parallel in-scratchpad sort, and its bucket
   // boundaries located with a parallel sweep over the pivots.
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1024, fit_elems - std::min<std::uint64_t>(
-                                                    fit_elems / 2, 2 * s));
+  const std::uint64_t chunk = group_elems(fit_elems, s);
   const std::uint64_t nchunks = ceil_div(n, chunk);
   std::vector<std::vector<std::uint64_t>> pos(
       static_cast<std::size_t>(nchunks));
@@ -88,33 +79,21 @@ void psp_rec(Machine& m, std::span<T> seg,
   for (std::uint64_t c = 0; c < nchunks; ++c) {
     const std::uint64_t b = c * chunk;
     const std::uint64_t len = std::min(chunk, n - b);
-    parallel_copy(m, buf.data(), seg.data() + b, len);
+    m.parallel_copy(buf.data(), seg.data() + b, len);
     std::span<T> group = buf.subspan(0, len);
-    multiway_merge_sort(m, group, o.inner, cmp);
+    multiway_merge_sort(m, group, {}, cmp);
     auto& row = pos[static_cast<std::size_t>(c)];
-    row.assign(nb + 1, 0);
-    row[nb] = len;
-    m.parallel_for(1, nb, [&](std::size_t w, std::size_t lo,
-                              std::size_t hi) {
-      const T* prev = group.data();
-      for (std::size_t i = lo; i < hi; ++i) {
-        prev = charged_gallop_lower_bound(m, w, prev, group.data() + len,
-                                          pivots[i - 1], cmp);
-        row[i] = static_cast<std::uint64_t>(prev - group.data());
-      }
-    });
-    parallel_copy(m, seg.data() + b, buf.data(), len);
+    row.resize(nb + 1);
+    bucket_bounds(m, group.data(), len,
+                  std::span<const T>(pivots), row.data(), cmp);
+    m.parallel_copy(seg.data() + b, buf.data(), len);
   }
   m.free_array(buf);
   m.free_array(pivots);
 
   // Materialize every bucket (the eager §III structure, gathered in
   // parallel across buckets), then recurse per bucket and write back.
-  std::vector<std::uint64_t> tot(nb, 0);
-  for (std::uint64_t c = 0; c < nchunks; ++c)
-    for (std::size_t i = 0; i < nb; ++i)
-      tot[i] += pos[static_cast<std::size_t>(c)][i + 1] -
-                pos[static_cast<std::size_t>(c)][i];
+  const std::vector<std::uint64_t> tot = bucket_totals(pos, nb);
 
   std::vector<std::span<T>> buckets(nb);
   for (std::size_t i = 0; i < nb; ++i)
@@ -140,9 +119,9 @@ void psp_rec(Machine& m, std::span<T> seg,
     if (tot[i] < n)
       psp_rec(m, buckets[i], o, fit_elems, depth + 1, cmp);
     else
-      multiway_merge_sort(m, buckets[i], o.inner, cmp);
-    parallel_copy(m, seg.data() + out_off, buckets[i].data(),
-                  buckets[i].size());
+      multiway_merge_sort(m, buckets[i], {}, cmp);
+    m.parallel_copy(seg.data() + out_off, buckets[i].data(),
+                    buckets[i].size());
     out_off += tot[i];
     m.free_array(Space::Far, buckets[i]);
   }
@@ -158,12 +137,8 @@ void parallel_scratchpad_sort(Machine& m, std::span<T> data,
                               Cmp cmp = {}) {
   if (data.size() <= 1) return;
   m.adopt_far(data.data(), data.size_bytes());
-  const std::uint64_t reserve = m.config().near_capacity / 16;
-  const std::uint64_t usable = m.config().near_capacity - reserve;
-  const std::uint64_t fit =
-      std::max<std::uint64_t>(1024, usable / sizeof(T) / 2);
   m.begin_phase("psp.sort");
-  detail::psp_rec(m, data, opt, fit, 0, cmp);
+  detail::psp_rec(m, data, opt, detail::fit_elems<T>(m.config()), 0, cmp);
   m.end_phase();
 }
 

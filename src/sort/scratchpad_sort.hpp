@@ -28,7 +28,6 @@ namespace tlm::sort {
 
 struct ScratchpadSortOptions {
   std::size_t sample_size = 0;  // pivots per round; 0 → Θ(M/B)
-  MultiwaySortOptions inner;
   bool quicksort_inner = false;  // Corollary 7 variant
   std::uint64_t seed = 0x715eedULL;
   std::size_t max_depth = 64;  // safety valve; falls back to external sort
@@ -70,7 +69,7 @@ void inner_sort(Machine& m, std::span<T> buf, const ScratchpadSortOptions& o,
   if (o.quicksort_inner)
     charged_quicksort(m, buf, cmp);
   else
-    multiway_merge_sort(m, buf, o.inner, cmp);
+    multiway_merge_sort(m, buf, {}, cmp);
 }
 
 template <typename T, typename Cmp>
@@ -100,25 +99,15 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
     // Adversarial/duplicate-heavy input defeated the sampling: fall back to
     // a plain external multiway mergesort on this segment.
     ++report.fallbacks;
-    multiway_merge_sort(m, seg, o.inner, cmp);
+    multiway_merge_sort(m, seg, {}, cmp);
     return;
   }
 
   // --- choose and sort the sample X (§III-A) -----------------------------
-  // The theory asks for m = Θ(M/B) samples; any m >= (N/M)^(1/rounds) keeps
-  // the recursion depth at Lemma 5's bound, so practically we cap the
-  // sample at 1024 — plenty for the N/M ratios a real node sees, and it
-  // keeps the per-bucket bookkeeping off the critical path.
   const TwoLevelConfig& cfg = m.config();
-  std::size_t s = o.sample_size
-                      ? o.sample_size
-                      : static_cast<std::size_t>(std::min<std::uint64_t>(
-                            {cfg.near_capacity / cfg.block_bytes,
-                             fit_elems / 4, 1024}));
-  s = static_cast<std::size_t>(
-      std::min<std::uint64_t>(std::max<std::size_t>(s, 1), n / 2 + 1));
+  const std::size_t s = pivot_count(cfg, fit_elems, n, o.sample_size);
   std::span<T> pivots =
-      sample_pivots(m, 0, std::span<const T>(seg.data(), n), s,
+      sample_pivots(m, std::span<const T>(seg.data(), n), s,
                     o.seed + depth * 0x9e3779b9ULL, cmp);
   const std::size_t nb = s + 1;
 
@@ -126,9 +115,7 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
   // Groups of M − Θ(m) elements stream through the scratchpad; the sorted
   // group's positions against X yield the bucket pieces, written back in
   // place so each chunk of `seg` becomes a bucket-ordered sorted run.
-  std::uint64_t chunk =
-      std::max<std::uint64_t>(1024, fit_elems - std::min<std::uint64_t>(
-                                                    fit_elems / 2, 2 * s));
+  std::uint64_t chunk = group_elems(fit_elems, s);
   // Pipelined staging (§VI-B): with an overlap-capable engine the gather of
   // group c+1 runs on the DMA while group c sorts. That costs a second
   // staging buffer, so shrink the group until two buffers plus the inner
@@ -190,11 +177,7 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
   m.free_array(pivots);
 
   // --- gather buckets and recurse ------------------------------------------
-  std::vector<std::uint64_t> tot(nb, 0);
-  for (std::uint64_t c = 0; c < nchunks; ++c)
-    for (std::size_t i = 0; i < nb; ++i)
-      tot[i] += pos[static_cast<std::size_t>(c)][i + 1] -
-                pos[static_cast<std::size_t>(c)][i];
+  const std::vector<std::uint64_t> tot = bucket_totals(pos, nb);
 
   // Gather every bucket into its own far array *before* overwriting seg:
   // final positions overlap the not-yet-gathered pieces, so the write-back
@@ -223,7 +206,7 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
     if (tot[i] < n)
       sp_sort_rec(m, buckets[i], o, fit_elems, depth + 1, cmp, report);
     else
-      multiway_merge_sort(m, buckets[i], o.inner, cmp);
+      multiway_merge_sort(m, buckets[i], {}, cmp);
     m.copy(0, seg.data() + out_off, buckets[i].data(),
            buckets[i].size_bytes());
     out_off += tot[i];
@@ -243,15 +226,11 @@ ScratchpadSortReport scratchpad_sort(Machine& m, std::span<T> data,
   ScratchpadSortReport report;
   if (data.size() <= 1) return report;
   m.adopt_far(data.data(), data.size_bytes());
-  // Staging budget: half the scratchpad for the operand, half for the
-  // inner sort's working buffer (quicksort is in-place but keeps the same
-  // geometry so the A1 ablation isolates the inner-sort choice), with a
-  // small reserve for the pivot sample.
-  const std::uint64_t reserve = m.config().near_capacity / 16;
-  const std::uint64_t usable = m.config().near_capacity - reserve;
-  const std::uint64_t fit =
-      std::max<std::uint64_t>(1024, usable / sizeof(T) / 2);
-  detail::sp_sort_rec(m, data, opt, fit, 0, cmp, report);
+  // Staging budget: half the usable scratchpad for the operand, half for
+  // the inner sort's working buffer (quicksort is in-place but keeps the
+  // same geometry so the A1 ablation isolates the inner-sort choice).
+  detail::sp_sort_rec(m, data, opt, detail::fit_elems<T>(m.config()), 0, cmp,
+                      report);
   return report;
 }
 

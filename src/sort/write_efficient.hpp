@@ -59,18 +59,14 @@
 namespace tlm::sort {
 
 struct WESortOptions {
-  std::uint64_t gather_elems = 0;  // 0 → 3/8 of the usable scratchpad
-  std::uint64_t chunk_elems = 0;   // staging-chunk size; 0 → usable/8
-  std::size_t num_splitters = 0;   // 0 → scaled with n / gather capacity
-  MultiwaySortOptions inner;       // the in-scratchpad sort
-  MergeOptions merge;              // final merge-to-far tuning
   std::uint64_t seed = 0x5eedULL;
-  // Recursion guard for oversized open buckets; past it the bucket falls
-  // back to stock NMsort (correct for any input, just not write-efficient).
-  int max_depth = 24;
 };
 
 namespace detail {
+
+// Recursion guard for oversized open buckets; past it the bucket falls back
+// to stock NMsort (correct for any input, just not write-efficient).
+inline constexpr int kWEMaxDepth = 24;
 
 struct WEGeometry {
   std::uint64_t gather_elems = 0;
@@ -81,28 +77,18 @@ struct WEGeometry {
 };
 
 template <typename T>
-WEGeometry we_geometry(const Machine& m, std::uint64_t n,
-                       const WESortOptions& opt) {
-  const TwoLevelConfig& cfg = m.config();
+WEGeometry we_geometry(const Machine& m, std::uint64_t n) {
   WEGeometry g;
   // Same metadata slice as NMsort: splitters, the count matrix, and the
   // bucket offset arrays live here, scratchpad-resident throughout.
-  g.meta_bytes = std::clamp<std::uint64_t>(cfg.near_capacity / 16, 64 * KiB,
-                                           2 * MiB);
-  TLM_REQUIRE(g.meta_bytes * 2 < cfg.near_capacity,
-              "scratchpad too small for write-efficient sort metadata");
-  const std::uint64_t usable = cfg.near_capacity - g.meta_bytes;
+  g.meta_bytes = meta_slice_bytes(m.config());
+  const std::uint64_t usable = m.config().near_capacity - g.meta_bytes;
 
   // Near budget: gather buffer + sort ping-pong buffer (3/8 usable each)
   // plus two staging chunks (usable/8 each) fill the scratchpad exactly.
-  g.gather_elems =
-      opt.gather_elems
-          ? opt.gather_elems
-          : std::max<std::uint64_t>(1024, (usable * 3 / 8) / sizeof(T));
-  g.chunk_elems = opt.chunk_elems
-                      ? opt.chunk_elems
-                      : std::max<std::uint64_t>(1024, usable / 8 / sizeof(T));
-  g.chunk_elems = std::min(g.chunk_elems, n);
+  g.gather_elems = std::max<std::uint64_t>(1024, (usable * 3 / 8) / sizeof(T));
+  g.chunk_elems = std::min<std::uint64_t>(
+      std::max<std::uint64_t>(1024, usable / 8 / sizeof(T)), n);
   g.nchunks = ceil_div(n, g.chunk_elems);
 
   // The count matrix has one row per (chunk × worker) slice and one column
@@ -111,18 +97,12 @@ WEGeometry we_geometry(const Machine& m, std::uint64_t n,
   const std::uint64_t nb_cap = std::max<std::uint64_t>(
       3, g.meta_bytes / 2 / std::max<std::uint64_t>(1, nslices * 8));
   const std::uint64_t s_cap = (nb_cap - 1) / 2;
-  if (opt.num_splitters) {
-    g.num_splitters = opt.num_splitters;
-    TLM_REQUIRE(g.num_splitters <= s_cap,
-                "num_splitters exceeds the scratchpad metadata budget");
-  } else {
-    // Enough splitters that the average open bucket is a quarter of the
-    // gather buffer, so group packing stays tight.
-    const std::uint64_t want = std::max<std::uint64_t>(
-        16, 4 * ceil_div(n, std::max<std::uint64_t>(1, g.gather_elems)));
-    g.num_splitters = static_cast<std::size_t>(std::min<std::uint64_t>(
-        {want, s_cap, 1024, std::max<std::uint64_t>(1, n / 4)}));
-  }
+  // Enough splitters that the average open bucket is a quarter of the
+  // gather buffer, so group packing stays tight.
+  const std::uint64_t want = std::max<std::uint64_t>(
+      16, 4 * ceil_div(n, std::max<std::uint64_t>(1, g.gather_elems)));
+  g.num_splitters = static_cast<std::size_t>(std::min<std::uint64_t>(
+      {want, s_cap, 1024, std::max<std::uint64_t>(1, n / 4)}));
   TLM_REQUIRE(g.num_splitters >= 1, "need at least one splitter");
   return g;
 }
@@ -132,26 +112,10 @@ WEGeometry we_geometry(const Machine& m, std::uint64_t n,
 // straight into far-resident `out` — the only far write the group pays.
 template <typename T, typename Cmp>
 void we_sort_group_into(Machine& m, T* buf, T* tmp, std::uint64_t len,
-                        std::span<T> out, const WESortOptions& opt, Cmp cmp) {
-  const RunLayout L = plan_runs<T>(m, len, opt.inner);
-  form_runs(m, static_cast<const T*>(buf), tmp, len, L, opt.inner, cmp);
-  T* src = tmp;
-  T* dst = buf;
-  std::uint64_t run_len = L.run_elems;
-  std::uint64_t cur = L.nruns;
-  while (cur > L.fan) {
-    cur = merge_pass(m, src, dst, len, run_len, cur, L.fan, opt.inner.merge,
-                     cmp);
-    std::swap(src, dst);
-    run_len *= L.fan;
-  }
-  if (cur == 1) {
-    parallel_copy(m, out.data(), src, len);
-  } else {
-    const auto rs =
-        group_runs(static_cast<const T*>(src), len, run_len, cur, cur, 0);
-    parallel_multiway_merge(m, rs, out, cmp, opt.merge);
-  }
+                        std::span<T> out, Cmp cmp) {
+  const RunLayout L = plan_runs<T>(m, len, {});
+  finish_runs(m, form_and_merge(m, buf, tmp, buf, len, L, {}, cmp), out, {},
+              cmp);
 }
 
 template <typename T, typename Cmp>
@@ -159,7 +123,7 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
                        std::span<T> output, const WESortOptions& opt, Cmp cmp,
                        int depth) {
   const std::uint64_t n = input.size();
-  const WEGeometry g = we_geometry<T>(m, n, opt);
+  const WEGeometry g = we_geometry<T>(m, n);
   const std::size_t p = m.threads();
 
   // ---- small fast path: the whole input fits the gather buffer -----------
@@ -169,8 +133,8 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
     m.begin_phase("wesort.small");
     std::span<T> buf = m.alloc_array_near_or_far<T>(n);
     std::span<T> tmp = m.alloc_array_near_or_far<T>(n);
-    parallel_copy(m, buf.data(), input.data(), n);
-    we_sort_group_into(m, buf.data(), tmp.data(), n, output, opt, cmp);
+    m.parallel_copy(buf.data(), input.data(), n);
+    we_sort_group_into(m, buf.data(), tmp.data(), n, output, cmp);
     m.free_array(tmp);
     m.free_array(buf);
     m.end_phase();
@@ -179,8 +143,7 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
 
   // ---- sample: splitters and the bucket structure ------------------------
   m.begin_phase("wesort.sample");
-  std::span<T> pivots =
-      sample_pivots(m, 0, input, g.num_splitters, opt.seed, cmp);
+  std::span<T> pivots = sample_pivots(m, input, g.num_splitters, opt.seed, cmp);
   // Deduplicate: each distinct splitter value gets a singleton bucket of
   // its own, so repeated keys (skewed / all-equal inputs) concentrate
   // there instead of widening an open range.
@@ -197,16 +160,14 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
   const std::size_t nb = 2 * ns + 1;
 
   std::span<T> split = m.alloc_array_near_or_far<T>(ns);
-  if (m.space_of(split.data()) == Space::Near)
-    m.retain_across_phases(split.data());
+  m.retain_across_phases(split.data());
   std::memcpy(split.data(), sv.data(), ns * sizeof(T));
   m.stream_write(0, split.data(), split.size_bytes());
 
   const std::uint64_t nslices = g.nchunks * p;
   std::span<std::uint64_t> counts =
       m.alloc_array_near_or_far<std::uint64_t>(nslices * nb);
-  if (m.space_of(counts.data()) == Space::Near)
-    m.retain_across_phases(counts.data());
+  m.retain_across_phases(counts.data());
   m.parallel_for(0, static_cast<std::size_t>(nslices * nb),
                  [&](std::size_t w, std::size_t lo, std::size_t hi) {
                    if (lo >= hi) return;
@@ -216,8 +177,7 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
                  });
   std::span<std::uint64_t> bucket_off =
       m.alloc_array_near_or_far<std::uint64_t>(nb + 1);
-  if (m.space_of(bucket_off.data()) == Space::Near)
-    m.retain_across_phases(bucket_off.data());
+  m.retain_across_phases(bucket_off.data());
   m.end_phase();
 
   const double lg = std::log2(static_cast<double>(ns) + 2.0);
@@ -319,7 +279,7 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
     std::vector<std::uint64_t> slice_off(static_cast<std::size_t>(nslices) +
                                          1);
     auto sweep_into = [&](std::size_t first, std::size_t last, T* dst,
-                          std::uint64_t expect, bool dst_is_gather) {
+                          std::uint64_t expect) {
       slice_off[0] = 0;
       for (std::uint64_t s = 0; s < nslices; ++s) {
         std::uint64_t cnt = 0;
@@ -361,7 +321,6 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
           m.compute(w, static_cast<double>(hi - lo) * (lg + 1.0));
         });
       });
-      (void)dst_is_gather;
     };
 
     for (const Stager::Range& r : groups) {
@@ -388,12 +347,12 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
         // temporary — extra far writes, the honest fallback price — and
         // recurse on it after the phase closes.
         std::span<T> temp = m.alloc_array<T>(Space::Far, elems);
-        sweep_into(r.first, r.last, temp.data(), elems, false);
+        sweep_into(r.first, r.last, temp.data(), elems);
         deferred.push_back(Deferred{temp, out_off, r.first});
         continue;
       }
-      sweep_into(r.first, r.last, gather.data(), elems, true);
-      we_sort_group_into(m, gather.data(), ping.data(), elems, out, opt, cmp);
+      sweep_into(r.first, r.last, gather.data(), elems);
+      we_sort_group_into(m, gather.data(), ping.data(), elems, out, cmp);
     }
     stager.release();
     m.free_array(ping);
@@ -408,10 +367,8 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
   for (const Deferred& d : deferred) {
     std::span<T> out = output.subspan(d.out_off, d.temp.size());
     const std::span<const T> in(d.temp.data(), d.temp.size());
-    if (depth + 1 >= opt.max_depth) {
+    if (depth + 1 >= kWEMaxDepth) {
       NMSortOptions fb;
-      fb.inner = opt.inner;
-      fb.merge = opt.merge;
       fb.seed = opt.seed ^ 0x9e3779b97f4a7c15ULL;
       nm_sort_into(m, in, out, fb, cmp);
     } else {
@@ -440,19 +397,6 @@ void we_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
   m.adopt_far(input.data(), input.size_bytes());
   m.adopt_far(output.data(), output.size_bytes());
   detail::we_sort_into_impl(m, input, output, opt, cmp, 0);
-}
-
-// In-place convenience wrapper (one extra far pass; prefer we_sort_into
-// for measurements, exactly as with nm_sort).
-template <typename T, typename Cmp = std::less<T>>
-void we_sort(Machine& m, std::span<T> data, WESortOptions opt = {},
-             Cmp cmp = {}) {
-  if (data.size() <= 1) return;
-  m.adopt_far(data.data(), data.size_bytes());
-  std::span<T> out = m.alloc_array<T>(Space::Far, data.size());
-  we_sort_into(m, std::span<const T>(data.data(), data.size()), out, opt, cmp);
-  detail::parallel_copy(m, data.data(), out.data(), data.size());
-  m.free_array(Space::Far, out);
 }
 
 }  // namespace tlm::sort

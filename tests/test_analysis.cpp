@@ -7,6 +7,7 @@
 #include "analysis/report.hpp"
 #include "analysis/validate.hpp"
 #include "sim/system.hpp"
+#include "temp_path.hpp"
 
 namespace tlm::analysis {
 namespace {
@@ -78,9 +79,8 @@ TEST(Analysis, CsvFileRoundTrip) {
   g.cores = {2};
   g.ns = {1 << 13};
   g.near_capacity = 256 * KiB;
-  const std::string path = "/tmp/tlm_sweep_test.csv";
-  EXPECT_EQ(write_sweep_csv(g, path), 1u);
-  std::remove(path.c_str());
+  const TempPath csv("sweep_test.csv");
+  EXPECT_EQ(write_sweep_csv(g, csv.path()), 1u);
   EXPECT_THROW(write_sweep_csv(g, "/nonexistent/dir/x.csv"),
                std::invalid_argument);
 }

@@ -7,10 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "kmeans/kmeans.hpp"
+#include "trace/capture.hpp"
 
 namespace tlm::kmeans {
 namespace {
@@ -444,6 +446,16 @@ TEST(KMeans, RejectsMisshapenInput) {
   Machine m(km_config());
   std::vector<double> pts(10);  // not divisible by dims=4
   EXPECT_THROW(kmeans_far(m, pts, opts(2, 4)), std::invalid_argument);
+}
+
+TEST(KMeans, EmptyInputIsRejectedBeforeAnySpmdSection) {
+  const TwoLevelConfig cfg = km_config();
+  trace::TraceBuffer tb(cfg.threads);
+  Machine m(cfg, &tb);
+  const std::span<const double> none;
+  EXPECT_THROW(kmeans_near(m, none, opts(2, 4)), std::invalid_argument);
+  EXPECT_THROW(kmeans_staged(m, none, opts(2, 4)), std::invalid_argument);
+  EXPECT_EQ(tb.summary().barriers, 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "kmeans/kmeans.hpp"
@@ -172,6 +173,26 @@ TEST_F(ModelSanitizerDeath, RetainAcrossPhasesSuppressesLeak) {
   m.end_phase();
   m.free_array(Space::Near, meta);
   SUCCEED();
+}
+
+TEST_F(ModelSanitizerDeath, RetainIgnoresFarPointers) {
+  // The far fallback of alloc_array_near_or_far is retained unguarded.
+  Machine m(tiny());
+  m.begin_phase("setup");
+  auto meta = m.alloc_array<std::uint64_t>(Space::Far, 64);
+  m.retain_across_phases(meta.data());
+  m.retain_across_phases(nullptr);  // an empty span's data()
+  m.end_phase();
+  m.free_array(Space::Far, meta);
+  SUCCEED();
+}
+
+TEST_F(ModelSanitizerDeath, RetainOfInteriorNearPointerIsRejected) {
+  Machine m(tiny());
+  auto meta = m.alloc_array<std::uint64_t>(Space::Near, 64);
+  EXPECT_THROW(m.retain_across_phases(meta.data() + 1),
+               std::invalid_argument);
+  m.free_array(Space::Near, meta);
 }
 
 TEST_F(ModelSanitizerDeath, FreeBeforeEndPhaseIsClean) {

@@ -75,7 +75,7 @@ void expect_runs_formed(std::size_t n, std::size_t threads, Cmp cmp) {
   std::vector<std::uint64_t> dst(n);
   MultiwaySortOptions opt;
   const auto L = detail::plan_runs<std::uint64_t>(m, n, opt);
-  detail::form_runs(m, src.data(), dst.data(), n, L, opt, cmp);
+  detail::form_runs(m, src.data(), dst.data(), n, L, cmp);
   for (std::uint64_t r = 0; r < L.nruns; ++r) {
     const std::uint64_t b = r * L.run_elems;
     const std::uint64_t e = std::min<std::uint64_t>(b + L.run_elems, n);
@@ -142,7 +142,7 @@ TEST(MergePass, HalvesRunCountByFan) {
   opt.fan_in = 4;
   opt.run_bytes = 8 * KiB;  // 1024-element runs
   const auto L = detail::plan_runs<std::uint64_t>(m, n, opt);
-  detail::form_runs(m, data.data(), data.data(), n, L, opt, std::less<>{});
+  detail::form_runs(m, data.data(), data.data(), n, L, std::less<>{});
   const std::uint64_t next = detail::merge_pass(
       m, data.data(), tmp.data(), n, L.run_elems, L.nruns, L.fan, opt.merge,
       std::less<std::uint64_t>{});

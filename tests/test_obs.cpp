@@ -20,6 +20,7 @@
 #include "scratchpad/machine.hpp"
 #include "server/job_server.hpp"
 #include "server/jobs.hpp"
+#include "temp_path.hpp"
 
 namespace tlm {
 namespace {
@@ -398,10 +399,9 @@ TEST(RunReport, JsonRoundTripPreservesEverything) {
 
 TEST(RunReport, WriteAndLoadFile) {
   const obs::RunReport report = tiny_report();
-  const std::string path =
-      testing::TempDir() + "/tlm_obs_run_report_test.json";
-  report.write(path);
-  EXPECT_EQ(Json::load_file(path), report.to_json());
+  const TempPath json("obs_run_report_test.json");
+  report.write(json.path());
+  EXPECT_EQ(Json::load_file(json.path()), report.to_json());
 }
 
 TEST(RunReport, ValidateRejectsBrokenDocuments) {

@@ -3,8 +3,6 @@
 // plumbing (merge/suppression/JSON), the ShardedReplay-sourced path, and
 // the "every real capture analyzes clean" contract the CI racecheck lane
 // enforces.
-#include <unistd.h>
-
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +13,7 @@
 #include "common/faults.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/json.hpp"
+#include "temp_path.hpp"
 #include "trace/capture.hpp"
 #include "trace/mapped_log.hpp"
 #include "trace/replay.hpp"
@@ -25,11 +24,6 @@ namespace {
 using trace::kFarBase;
 using trace::kNearBase;
 using trace::TraceBuffer;
-
-std::string fresh_dir(const char* name) {
-  return std::string("/tmp/tlm_racecheck_test_") + name + "_" +
-         std::to_string(::getpid());
-}
 
 // ---- detector fixtures ----------------------------------------------------
 
@@ -317,30 +311,30 @@ TEST(Racecheck, DetectsInjectedBugThroughMappedLogReplay) {
   // The analyzer must see the same hazards through the out-of-core path:
   // write an injected-bug trace to a MappedLog, load it back with
   // ShardedReplay, and the detector still fires.
-  const std::string dir = fresh_dir("bug");
+  const TempPath dir("racecheck_test_bug");
   {
-    trace::MappedLog log(dir, 2);
+    trace::MappedLog log(dir.path(), 2);
     log.on_dma(0, kNearBase + 0x2000, kFarBase, 256);
     log.on_barrier(0, 0);
     log.on_read(1, kNearBase + 0x2040, 64);
     log.on_barrier(1, 0);
     log.close();
   }
-  const trace::ShardedReplay replay(dir);
+  const trace::ShardedReplay replay(dir.path());
   const RacecheckReport rep = racecheck(replay);
   ASSERT_EQ(rep.findings.size(), 1u);
   EXPECT_EQ(rep.findings[0].kind, FindingKind::UnfencedDmaRead);
 }
 
 TEST(Racecheck, MappedCaptureOfRealSortAnalyzesClean) {
-  const std::string dir = fresh_dir("clean");
+  const TempPath dir("racecheck_test_clean");
   TwoLevelConfig cfg = test_config(4.0);
   cfg.near_capacity = 256 * KiB;
   cfg.cache_bytes = 32 * KiB;
   cfg.threads = 4;
   cfg.overlap_dma = true;
   const analysis::MappedCaptureRun run = analysis::capture_sort_trace_mapped(
-      cfg, analysis::Algorithm::NMsort, 50'000, 2026, dir);
+      cfg, analysis::Algorithm::NMsort, 50'000, 2026, dir.path());
   ThreadPool pool(4);
   const trace::ShardedReplay replay(run.trace_dir, pool);
   const RacecheckReport rep = racecheck(replay);

@@ -22,6 +22,7 @@
 #include "scratchpad/machine.hpp"
 #include "sim/system.hpp"
 #include "sort/sort.hpp"
+#include "temp_path.hpp"
 #include "trace/capture.hpp"
 #include "trace/mapped_log.hpp"
 #include "trace/replay.hpp"
@@ -47,11 +48,6 @@ class TeeSink final : public TraceSink {
   TraceSink& b_;
 };
 
-std::string fresh_dir(const char* name) {
-  return std::string("/tmp/tlm_replay_test_") + name + "_" +
-         std::to_string(::getpid());
-}
-
 void expect_streams_equal(const TraceSource& a, const TraceSource& b) {
   ASSERT_EQ(a.threads(), b.threads());
   for (std::size_t t = 0; t < a.threads(); ++t) {
@@ -76,10 +72,10 @@ void expect_reports_equal(const sim::SimReport& a, const sim::SimReport& b) {
 }
 
 TEST(MappedLog, StreamsMatchTraceBufferExactly) {
-  const std::string dir = fresh_dir("tee");
+  const TempPath dir("replay_test_tee");
   TraceBuffer tb(2);
   {
-    MappedLog log(dir, 2);
+    MappedLog log(dir.path(), 2);
     TeeSink tee(tb, log);
     // Coalescible bursts, a gap, a zero-length op, computes, DMA pairs with
     // contiguous and non-contiguous continuations, and barriers.
@@ -100,17 +96,18 @@ TEST(MappedLog, StreamsMatchTraceBufferExactly) {
     EXPECT_EQ(log.summary().read_bytes, tb.summary().read_bytes);
     EXPECT_EQ(log.summary().dma_bytes, tb.summary().dma_bytes);
   }
-  const ShardedReplay replay(dir);
+  const ShardedReplay replay(dir.path());
   expect_streams_equal(tb, replay);
   EXPECT_EQ(replay.stats().shards, 1u);
   EXPECT_EQ(replay.stats().recovered_threads, 0u);
 }
 
 TEST(MappedLog, RecordsStraddleChunkBoundaries) {
-  const std::string dir = fresh_dir("chunks");
+  const TempPath dir("replay_test_chunks");
   TraceBuffer tb(1);
   {
-    MappedLog log(dir, 1, /*chunk_bytes=*/64);  // a few records per chunk
+    // A few records per chunk.
+    MappedLog log(dir.path(), 1, /*chunk_bytes=*/64);
     TeeSink tee(tb, log);
     for (std::uint64_t i = 0; i < 400; ++i) {
       tee.on_read(0, kFarBase + i * 4096, 64);  // gaps defeat coalescing
@@ -121,7 +118,7 @@ TEST(MappedLog, RecordsStraddleChunkBoundaries) {
     EXPECT_EQ(log.stats().file_bytes,
               log.stats().encoded_bytes + sizeof(MappedLogFileHeader));
   }
-  expect_streams_equal(tb, ShardedReplay(dir));
+  expect_streams_equal(tb, ShardedReplay(dir.path()));
 }
 
 TEST(ShardedReplay, NMsortSimulatesBitIdenticallyToInRamPath) {
@@ -129,17 +126,17 @@ TEST(ShardedReplay, NMsortSimulatesBitIdenticallyToInRamPath) {
   // in-RAM capture and the mapped capture are two separate executions of
   // the same clean (fault-free) run, exactly like the two table1 processes
   // report_diff compares. Clean captures must be run-to-run deterministic.
-  const std::string dir = fresh_dir("nmsort");
+  const TempPath dir("replay_test_nmsort");
   const TwoLevelConfig cfg = analysis::scaled_counting_config(4.0, 4, 256 * KiB);
   analysis::CaptureRun ram = analysis::capture_sort_trace(
       cfg, analysis::Algorithm::NMsort, 1 << 15, 21);
   const analysis::MappedCaptureRun mapped = analysis::capture_sort_trace_mapped(
-      cfg, analysis::Algorithm::NMsort, 1 << 15, 21, dir);
+      cfg, analysis::Algorithm::NMsort, 1 << 15, 21, dir.path());
   ASSERT_TRUE(ram.counting.verified);
   ASSERT_TRUE(mapped.counting.verified);
 
   ThreadPool pool(4);
-  const ShardedReplay replay(dir, pool);
+  const ShardedReplay replay(dir.path(), pool);
   expect_streams_equal(ram.trace, replay);
   EXPECT_GE(replay.stats().shards, 2u);
   EXPECT_EQ(replay.stats().ops, mapped.log.ops);
@@ -154,7 +151,7 @@ TEST(ShardedReplay, ChaosSeedCaptureReplaysBitIdentically) {
   // A fault-perturbed capture (chaos seed 101, the mixed schedule of
   // test_chaos.cpp) teed to both sinks in one run: the mmap'd log must
   // replay to the identical simulation the in-RAM stream produces.
-  const std::string dir = fresh_dir("chaos");
+  const TempPath dir("replay_test_chaos");
   TwoLevelConfig cfg = test_config(4.0);
   cfg.near_capacity = 256 * KiB;
   cfg.cache_bytes = 32 * KiB;
@@ -170,7 +167,7 @@ TEST(ShardedReplay, ChaosSeedCaptureReplaysBitIdentically) {
   TraceBuffer tb(cfg.threads);
   FaultStats observed;
   {
-    MappedLog log(dir, cfg.threads);
+    MappedLog log(dir.path(), cfg.threads);
     TeeSink tee(tb, log);
     Machine m(cfg, &tee);
     m.set_fault_injector(&fi);
@@ -190,7 +187,7 @@ TEST(ShardedReplay, ChaosSeedCaptureReplaysBitIdentically) {
             0u);
 
   ThreadPool pool(cfg.threads);
-  const ShardedReplay replay(dir, pool);
+  const ShardedReplay replay(dir.path(), pool);
   expect_streams_equal(tb, replay);
 
   sim::SystemConfig sys = sim::SystemConfig::scaled(4.0, cfg.threads);
@@ -202,24 +199,25 @@ TEST(ShardedReplay, ChaosSeedCaptureReplaysBitIdentically) {
 // Writes a two-thread log where thread 0's tail is cut mid-record and its
 // header is never finalized — the on-disk state a crash leaves behind.
 struct CutLogFixture {
-  std::string dir;
+  TempPath dir{"replay_test_cut"};
+  TempPath probe{"replay_test_cut_probe"};
   TraceBuffer expect{2};
 
-  explicit CutLogFixture(const std::string& d) : dir(d) {
+  CutLogFixture() {
     // Pass 1: just the prefix, to learn thread 0's exact cut offset.
-    const std::string probe = d + "_probe";
     {
-      MappedLog log(probe, 2);
+      MappedLog log(probe.path(), 2);
       emit_prefix(log);
       log.close();
     }
-    std::ifstream probe0(mapped_log_file_path(probe, 0), std::ios::binary);
+    std::ifstream probe0(mapped_log_file_path(probe.path(), 0),
+                         std::ios::binary);
     probe0.seekg(0, std::ios::end);
     const auto cut = static_cast<long>(probe0.tellg()) + 1;  // mid-record
 
     // Pass 2: the full capture, then surgery on thread 0.
     {
-      MappedLog log(dir, 2);
+      MappedLog log(dir.path(), 2);
       emit_prefix(log);
       log.on_read(0, kFarBase + 1 * MiB, 64);
       log.on_barrier(0, 1);
@@ -227,7 +225,7 @@ struct CutLogFixture {
       log.on_barrier(1, 1);
       log.close();
     }
-    const std::string victim = mapped_log_file_path(dir, 0);
+    const std::string victim = mapped_log_file_path(dir.path(), 0);
     {
       // Un-finalize the header: committed_bytes and ops back to kUnfinalized.
       std::fstream f(victim,
@@ -255,34 +253,34 @@ struct CutLogFixture {
 };
 
 TEST(ShardedReplay, TruncatedTailRecoversDeepestCommonFencePrefix) {
-  const CutLogFixture fx(fresh_dir("cut"));
-  const ShardedReplay replay(fx.dir);
+  const CutLogFixture fx;
+  const ShardedReplay replay(fx.dir.path());
   EXPECT_EQ(replay.stats().recovered_threads, 1u);
   EXPECT_EQ(replay.stats().fences, 1u);
   expect_streams_equal(fx.expect, replay);
 }
 
 TEST(ShardedReplay, DivergentFenceSchedulesCannotMerge) {
-  const std::string dir = fresh_dir("diverge");
+  const TempPath dir("replay_test_diverge");
   {
-    MappedLog log(dir, 2);
+    MappedLog log(dir.path(), 2);
     log.on_barrier(0, 0);
     log.on_barrier(1, 5);  // same depth, different rendezvous id
     log.close();
   }
-  EXPECT_THROW(ShardedReplay{dir}, std::logic_error);
+  EXPECT_THROW(ShardedReplay{dir.path()}, std::logic_error);
 }
 
 TEST(ShardedReplay, ExtraBarrierCrossingsInFinalizedLogCannotMerge) {
-  const std::string dir = fresh_dir("ragged");
+  const TempPath dir("replay_test_ragged");
   {
-    MappedLog log(dir, 2);
+    MappedLog log(dir.path(), 2);
     log.on_barrier(0, 0);
     log.on_barrier(0, 1);  // thread 0 crossed a fence thread 1 never saw...
     log.on_barrier(1, 0);
     log.close();           // ...and nothing crashed to excuse it
   }
-  EXPECT_THROW(ShardedReplay{dir}, std::logic_error);
+  EXPECT_THROW(ShardedReplay{dir.path()}, std::logic_error);
 }
 
 TEST(ShardedReplay, LegalInterleavingsWithRaggedEpochOpCountsMerge) {
@@ -292,10 +290,11 @@ TEST(ShardedReplay, LegalInterleavingsWithRaggedEpochOpCountsMerge) {
   // strides). The merge validator must accept this — only the fence
   // *schedule* is the contract, never per-epoch op counts — and the decoded
   // streams must be bit-identical to the in-RAM capture.
-  const std::string dir = fresh_dir("legal_ragged");
+  const TempPath dir("replay_test_legal_ragged");
   TraceBuffer expect(2);
   {
-    MappedLog log(dir, 2, /*chunk_bytes=*/512);  // force chunk growth too
+    // Force chunk growth too.
+    MappedLog log(dir.path(), 2, /*chunk_bytes=*/512);
     TeeSink tee(expect, log);
     for (int i = 0; i < 64; ++i)
       tee.on_read(0, kFarBase + 4096 * i, 64);  // strided: 64 records
@@ -312,7 +311,7 @@ TEST(ShardedReplay, LegalInterleavingsWithRaggedEpochOpCountsMerge) {
     tee.on_barrier(1, 2);
     log.close();
   }
-  const ShardedReplay replay(dir);
+  const ShardedReplay replay(dir.path());
   EXPECT_EQ(replay.stats().fences, 3u);
   EXPECT_EQ(replay.stats().recovered_threads, 0u);
   expect_streams_equal(expect, replay);
@@ -321,9 +320,9 @@ TEST(ShardedReplay, LegalInterleavingsWithRaggedEpochOpCountsMerge) {
 TEST(ShardedReplay, InterleavedScheduleDivergenceIsCaughtMidStream) {
   // The schedules agree for two fences and only then fork — the validator
   // must flag the first divergent fence, not just index-0 mismatches.
-  const std::string dir = fresh_dir("mid_diverge");
+  const TempPath dir("replay_test_mid_diverge");
   {
-    MappedLog log(dir, 2);
+    MappedLog log(dir.path(), 2);
     for (std::uint64_t f = 0; f < 2; ++f) {
       log.on_barrier(0, f);
       log.on_barrier(1, f);
@@ -333,7 +332,7 @@ TEST(ShardedReplay, InterleavedScheduleDivergenceIsCaughtMidStream) {
     log.on_barrier(1, 9);  // legal depth, wrong rendezvous
     log.close();
   }
-  EXPECT_THROW(ShardedReplay{dir}, std::logic_error);
+  EXPECT_THROW(ShardedReplay{dir.path()}, std::logic_error);
 }
 
 TEST(ShardedReplay, MissingManifestThrows) {
@@ -344,15 +343,15 @@ TEST(ShardedReplay, MissingManifestThrows) {
 TEST(ShardedReplay, CommittedLengthPastTheFileIsRejected) {
   // A finalized header whose committed_bytes would wrap a naive
   // header + length sum must still be caught as a short file.
-  const std::string dir = fresh_dir("overlong_commit");
+  const TempPath dir("replay_test_overlong_commit");
   {
-    MappedLog log(dir, 1);
+    MappedLog log(dir.path(), 1);
     log.on_read(0, kFarBase, 64);
     log.on_barrier(0, 0);
     log.close();
   }
   {
-    std::fstream f(mapped_log_file_path(dir, 0),
+    std::fstream f(mapped_log_file_path(dir.path(), 0),
                    std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
     const std::uint64_t committed = 0 - sizeof(MappedLogFileHeader);
@@ -360,7 +359,7 @@ TEST(ShardedReplay, CommittedLengthPastTheFileIsRejected) {
     f.write(reinterpret_cast<const char*>(&committed), sizeof(committed));
   }
   try {
-    const ShardedReplay replay(dir);
+    const ShardedReplay replay(dir.path());
     FAIL() << "a committed length past the file must be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(
@@ -373,9 +372,9 @@ TEST(ShardedReplay, CommittedLengthPastTheFileIsRejected) {
 TEST(ShardedReplay, SingleThreadCaptureDecodesAsOneShardOnAnyPool) {
   // Only worker 0's share of a one-thread capture is non-empty, so a wide
   // pool decodes exactly what the one-worker constructor does.
-  const std::string dir = fresh_dir("one_thread");
+  const TempPath dir("replay_test_one_thread");
   {
-    MappedLog log(dir, 1);
+    MappedLog log(dir.path(), 1);
     for (std::uint64_t i = 0; i < 32; ++i) {
       log.on_read(0, kFarBase + i * 4096, 64);
       log.on_compute(0, 1.0);
@@ -384,9 +383,9 @@ TEST(ShardedReplay, SingleThreadCaptureDecodesAsOneShardOnAnyPool) {
     log.on_barrier(0, 0);
     log.close();
   }
-  const ShardedReplay serial(dir);
+  const ShardedReplay serial(dir.path());
   ThreadPool pool(4);
-  const ShardedReplay pooled(dir, pool);
+  const ShardedReplay pooled(dir.path(), pool);
   expect_streams_equal(serial, pooled);
   EXPECT_EQ(serial.stats().shards, 1u);
   EXPECT_EQ(pooled.stats().shards, 1u);
@@ -397,9 +396,9 @@ TEST(ShardedReplay, LowestCorruptThreadIsReportedOnEveryPoolWidth) {
   // Threads 1 and 3 of a four-thread capture carry a bad magic. Whichever
   // shard finishes first, the decode must name thread 1: each shard stops
   // at its first bad log, and the pool rethrows the lowest shard's error.
-  const std::string dir = fresh_dir("two_corrupt");
+  const TempPath dir("replay_test_two_corrupt");
   {
-    MappedLog log(dir, 4);
+    MappedLog log(dir.path(), 4);
     for (std::size_t t = 0; t < 4; ++t) {
       log.on_read(t, kFarBase + t * 4096, 64);
       log.on_barrier(t, 0);
@@ -407,7 +406,7 @@ TEST(ShardedReplay, LowestCorruptThreadIsReportedOnEveryPoolWidth) {
     log.close();
   }
   for (const std::size_t t : {1u, 3u}) {
-    std::fstream f(mapped_log_file_path(dir, t),
+    std::fstream f(mapped_log_file_path(dir.path(), t),
                    std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.is_open());
     f.seekp(offsetof(MappedLogFileHeader, magic));
@@ -416,12 +415,13 @@ TEST(ShardedReplay, LowestCorruptThreadIsReportedOnEveryPoolWidth) {
   for (const std::size_t width : {1u, 2u, 4u}) {
     ThreadPool pool(width);
     try {
-      const ShardedReplay replay(dir, pool);
+      const ShardedReplay replay(dir.path(), pool);
       FAIL() << "a corrupt capture must not decode (pool " << width << ")";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
-      EXPECT_NE(what.find(mapped_log_file_path(dir, 1)), std::string::npos)
+      EXPECT_NE(what.find(mapped_log_file_path(dir.path(), 1)),
+                std::string::npos)
           << "pool " << width << ": " << what;
     }
   }
@@ -431,9 +431,9 @@ TEST(ShardedReplay, WideMappedSortDecodesOnTheHostsCpusAndMatchesRam) {
   // A 16-core mapped capture decodes on at most one host thread per usable
   // CPU, not one per simulated core, and still simulates exactly what the
   // in-RAM capture does.
-  const std::string dir = fresh_dir("wide_mapped");
+  const TempPath dir("replay_test_wide_mapped");
   const analysis::MappedSimulatedSort mapped = analysis::simulate_sort_mapped(
-      4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29, dir);
+      4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29, dir.path());
   const analysis::SimulatedSort ram = analysis::simulate_sort(
       4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29);
   ASSERT_TRUE(mapped.counting.verified);
@@ -444,8 +444,8 @@ TEST(ShardedReplay, WideMappedSortDecodesOnTheHostsCpusAndMatchesRam) {
 }
 
 TEST(MappedLog, AppendAfterCloseThrows) {
-  const std::string dir = fresh_dir("closed");
-  MappedLog log(dir, 1);
+  const TempPath dir("replay_test_closed");
+  MappedLog log(dir.path(), 1);
   log.on_read(0, kFarBase, 64);
   log.close();
   EXPECT_TRUE(log.closed());

@@ -3,6 +3,7 @@
 // trace virtual addressing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -112,6 +113,29 @@ TEST(Machine, CopyMovesBytesAndCharges) {
   EXPECT_EQ(ph.near_blocks(), 8192u / 256);
   EXPECT_EQ(ph.far_bursts(), 1u);
   EXPECT_EQ(ph.near_bursts(), 1u);
+}
+
+TEST(Machine, ParallelCopyIssuesOneBurstPerCoreShare) {
+  TwoLevelConfig cfg = cfg1();
+  cfg.threads = 4;
+  trace::TraceBuffer tb(cfg.threads);
+  Machine m(cfg, &tb);
+  auto near = m.alloc_array<std::uint64_t>(Space::Near, 1001);
+  auto far = m.alloc_array<std::uint64_t>(Space::Far, 1001);
+  for (std::size_t i = 0; i < far.size(); ++i) far[i] = i * 7;
+
+  m.parallel_copy(near.data(), far.data(), 0);  // opens no SPMD section
+  EXPECT_EQ(tb.summary().barriers, 0u);
+  m.parallel_copy(near.data(), far.data(), far.size());
+  m.end_phase();
+
+  EXPECT_TRUE(std::equal(near.begin(), near.end(), far.begin()));
+  const PhaseStats t = m.totals();
+  EXPECT_EQ(t.far_read_bytes(), far.size_bytes());
+  EXPECT_EQ(t.near_write_bytes(), far.size_bytes());
+  EXPECT_EQ(t.far_read_bursts(), cfg.threads);
+  // One fork and one join marker per core.
+  EXPECT_EQ(tb.summary().barriers, 2 * cfg.threads);
 }
 
 TEST(Machine, TimeModelSerializedVsOverlap) {

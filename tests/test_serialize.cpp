@@ -2,13 +2,13 @@
 // replay equivalence (a loaded trace must produce the identical simulation).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
 
 #include "analysis/experiment.hpp"
 #include "sim/system.hpp"
+#include "temp_path.hpp"
 #include "trace/serialize.hpp"
 
 namespace tlm::trace {
@@ -91,11 +91,10 @@ TEST(TraceSerialize, TruncationRejected) {
 
 TEST(TraceSerialize, FileRoundTrip) {
   const TraceBuffer tb = sample_trace();
-  const std::string path = "/tmp/tlm_trace_test.bin";
-  save_trace_file(tb, path);
-  const TraceBuffer back = load_trace_file(path);
+  const TempPath bin("trace_test.bin");
+  save_trace_file(tb, bin.path());
+  const TraceBuffer back = load_trace_file(bin.path());
   EXPECT_TRUE(equal(tb, back));
-  std::remove(path.c_str());
 }
 
 TEST(TraceSerialize, MissingFileThrows) {

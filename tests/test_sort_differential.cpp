@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,9 +45,12 @@ const char* name(Backend b) {
   return "?";
 }
 
-// Sorts `data` in place on `m` with the chosen backend.
+// Sorts `data` on `m` with the chosen backend: in place, or into a
+// separate output for the NMsort family, which then replaces `data`.
 void run_backend(Machine& m, Backend b, std::vector<std::uint64_t>& data) {
   std::span<std::uint64_t> s(data);
+  std::vector<std::uint64_t> out(data.size());
+  const std::span<const std::uint64_t> in(data);
   switch (b) {
     case Backend::Baseline:
       gnu_like_sort(m, s);
@@ -58,16 +62,19 @@ void run_backend(Machine& m, Backend b, std::vector<std::uint64_t>& data) {
       parallel_scratchpad_sort(m, s);
       break;
     case Backend::NMsortMeta:
-      nm_sort(m, s);
+      nm_sort_into(m, in, std::span<std::uint64_t>(out));
+      data = std::move(out);
       break;
     case Backend::NMsortScatter: {
       NMSortOptions opt;
       opt.use_bucket_metadata = false;
-      nm_sort(m, s, opt);
+      nm_sort_into(m, in, std::span<std::uint64_t>(out), opt);
+      data = std::move(out);
       break;
     }
     case Backend::WriteEfficient:
-      we_sort(m, s);
+      we_sort_into(m, in, std::span<std::uint64_t>(out));
+      data = std::move(out);
       break;
   }
 }

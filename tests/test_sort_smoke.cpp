@@ -41,13 +41,14 @@ TEST(SortSmoke, NmSortIntoSortsRandomKeys) {
   EXPECT_EQ(out, keys);
 }
 
-TEST(SortSmoke, NmSortInPlace) {
+TEST(SortSmoke, NmSortIntoSingleChunk) {
   Machine m(small_config());
   auto keys = random_keys(50'000, 3);
-  auto expect = keys;
-  std::sort(expect.begin(), expect.end());
-  sort::nm_sort(m, std::span<std::uint64_t>(keys));
-  EXPECT_EQ(keys, expect);
+  std::vector<std::uint64_t> out(keys.size());
+  sort::nm_sort_into(m, std::span<const std::uint64_t>(keys),
+                     std::span<std::uint64_t>(out));
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(out, keys);
 }
 
 TEST(SortSmoke, ScratchpadSortRecursive) {
