@@ -16,8 +16,9 @@
 // run and with one and two merge passes, NMsort with a single run, a single
 // chunk and several chunks (metadata and eager-scatter Phase 1), the §III
 // sorts at their base case and recursing at least two levels, and the
-// write-efficient sort's small path (a single run and several) and its
-// distribution.
+// write-efficient sort's small path (a single run and several), its
+// distribution, and its oversized-singleton fill (an input half of whose keys
+// are one value).
 //
 // On a mismatch the test writes the values it computed to
 // sort_golden.actual.json in its working directory. A change that moves the
@@ -25,6 +26,7 @@
 // tests/data/sort_golden.json.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +39,7 @@
 #include "analysis/experiment.hpp"
 #include "common/faults.hpp"
 #include "common/rng.hpp"
+#include "common/sorted_check.hpp"
 #include "obs/json.hpp"
 #include "scratchpad/counters.hpp"
 #include "scratchpad/machine.hpp"
@@ -60,7 +63,20 @@ struct Case {
   Algorithm algorithm;
   TwoLevelConfig cfg;
   std::uint64_t n;
+  // Keys in place of the harness's random ones; only the write-efficient
+  // sort takes them (run_we_sort).
+  std::vector<std::uint64_t> (*keys)(std::uint64_t n) = nullptr;
 };
+
+// Random keys with every other one replaced by a single value: that value's
+// singleton bucket outgrows the gather buffer.
+std::vector<std::uint64_t> half_equal_keys(std::uint64_t n) {
+  std::vector<std::uint64_t> keys =
+      random_keys(static_cast<std::size_t>(n), kSeed);
+  for (std::size_t i = 0; i < keys.size(); i += 2)
+    keys[i] = 0x5555'5555'5555'5555ULL;
+  return keys;
+}
 
 // One scratchpad holding the whole input several times over.
 TwoLevelConfig roomy() {
@@ -96,6 +112,8 @@ std::vector<Case> cases() {
       {"wesort_one_run", Algorithm::NMsortWriteEff, roomy(), kOneRun},
       {"wesort_small", Algorithm::NMsortWriteEff, roomy(), 1 << 14},
       {"wesort_distribute", Algorithm::NMsortWriteEff, tight(), 50000},
+      {"wesort_equal_fill", Algorithm::NMsortWriteEff, tight(), 50000,
+       half_equal_keys},
   };
 }
 
@@ -180,6 +198,44 @@ void add_trace(const trace::TraceBuffer& tb, Entries& out) {
   out.emplace_back("trace.hash", buf);
 }
 
+// The write-efficient sort on `input`, counted the way
+// analysis::run_sort_counting counts its random keys.
+analysis::SortRun run_we_sort(const TwoLevelConfig& cfg,
+                              const std::vector<std::uint64_t>& input,
+                              trace::TraceSink* sink, FaultInjector* faults) {
+  Machine m(cfg, sink);
+  m.set_fault_injector(faults);
+  std::vector<std::uint64_t> output(input.size());
+  WESortOptions opt;
+  opt.seed = kSeed ^ 0x9e3779b97f4a7c15ULL;
+  we_sort_into(m, std::span<const std::uint64_t>(input),
+               std::span<std::uint64_t>(output), opt);
+  analysis::SortRun r;
+  r.verified = is_sorted_permutation(input, output);
+  m.end_phase();
+  r.counting = m.stats();
+  r.faults = m.fault_stats();
+  r.stager = m.stager_stats();
+  r.modeled_seconds = r.counting.total.seconds();
+  return r;
+}
+
+analysis::SortRun count_case(const TwoLevelConfig& cfg, const Case& c,
+                             FaultInjector* faults) {
+  if (c.keys) return run_we_sort(cfg, c.keys(c.n), nullptr, faults);
+  return analysis::run_sort_counting(cfg, c.algorithm, c.n, kSeed, faults);
+}
+
+analysis::CaptureRun capture_case(const TwoLevelConfig& cfg, const Case& c,
+                                  FaultInjector* faults) {
+  if (!c.keys)
+    return analysis::capture_sort_trace(cfg, c.algorithm, c.n, kSeed, faults);
+  analysis::CaptureRun cap{analysis::SortRun{},
+                           trace::TraceBuffer(cfg.threads)};
+  cap.counting = run_we_sort(cfg, c.keys(c.n), &cap.trace, faults);
+  return cap;
+}
+
 // A fresh injector per run, so both runs draw the same denials.
 FaultInjector* arm(std::optional<FaultInjector>& fi, Variant s) {
   fi.reset();
@@ -196,11 +252,8 @@ Entries run_case(const Case& c, Variant s) {
   cfg.overlap_dma = s == Variant::kOverlapDma;
   std::optional<FaultInjector> fi;
   Entries counted;
-  add_run(analysis::run_sort_counting(cfg, c.algorithm, c.n, kSeed,
-                                      arm(fi, s)),
-          counted);
-  const analysis::CaptureRun cap = analysis::capture_sort_trace(
-      cfg, c.algorithm, c.n, kSeed, arm(fi, s));
+  add_run(count_case(cfg, c, arm(fi, s)), counted);
+  const analysis::CaptureRun cap = capture_case(cfg, c, arm(fi, s));
   Entries captured;
   add_run(cap.counting, captured);
   EXPECT_EQ(counted, captured) << c.name << "/" << variant_name(s);
@@ -223,6 +276,39 @@ const std::string* lookup(const Entries& e, const std::string& key) {
   for (const auto& [k, v] : e)
     if (k == key) return &v;
   return nullptr;
+}
+
+// True when some SPMD section of `tb` is the write-efficient sort's
+// oversized-singleton fill: every core's share is one write burst and one
+// compute unit per 8-byte key it wrote.
+bool has_fill_section(const trace::TraceBuffer& tb) {
+  std::vector<std::size_t> shared;  // fill-shaped epochs on every core
+  for (std::size_t t = 0; t < tb.threads(); ++t) {
+    std::vector<std::size_t> epochs;
+    std::vector<trace::TraceOp> cur;
+    std::size_t epoch = 0;
+    for (const trace::TraceOp& op : tb.stream(t)) {
+      if (op.kind != trace::OpKind::Barrier) {
+        cur.push_back(op);
+        continue;
+      }
+      if (cur.size() == 2 && cur[0].kind == trace::OpKind::Write &&
+          cur[1].kind == trace::OpKind::Compute &&
+          cur[1].ops * sizeof(std::uint64_t) ==
+              static_cast<double>(cur[0].bytes))
+        epochs.push_back(epoch);
+      cur.clear();
+      ++epoch;
+    }
+    if (t == 0) {
+      shared = epochs;
+    } else {
+      std::erase_if(shared, [&](std::size_t e) {
+        return std::find(epochs.begin(), epochs.end(), e) == epochs.end();
+      });
+    }
+  }
+  return !shared.empty();
 }
 
 bool has_phase(const Entries& e, const std::string& name) {
@@ -276,7 +362,7 @@ TEST(SortGolden, GeometriesReachTheirPaths) {
     Entries e;
     TwoLevelConfig cfg = c.cfg;
     cfg.overlap_dma = s == Variant::kOverlapDma;
-    add_run(analysis::run_sort_counting(cfg, c.algorithm, c.n, kSeed), e);
+    add_run(count_case(cfg, c, nullptr), e);
     return e;
   };
   const std::vector<Case> cs = cases();
@@ -306,6 +392,11 @@ TEST(SortGolden, GeometriesReachTheirPaths) {
       phases_of(find("wesort_small"), Variant::kDefault), "wesort.small"));
   EXPECT_TRUE(has_phase(phases_of(find("wesort_distribute"), Variant::kDefault),
                         "wesort.distribute"));
+  // Only the half-equal input fills an oversized singleton bucket.
+  const Case fill = find("wesort_equal_fill");
+  EXPECT_TRUE(has_fill_section(capture_case(fill.cfg, fill, nullptr).trace));
+  const Case dist = find("wesort_distribute");
+  EXPECT_FALSE(has_fill_section(capture_case(dist.cfg, dist, nullptr).trace));
   // The pipelined Phase 2 prefetches through the Stager.
   const Entries nmo = phases_of(find("nmsort_chunks"), Variant::kOverlapDma);
   ASSERT_NE(lookup(nmo, "stager.prefetch_batches"), nullptr);
