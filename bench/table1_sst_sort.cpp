@@ -117,8 +117,7 @@ int run(const bench::Flags& flags) {
         std::cout << "  [" << c.name << "] spilled "
                   << s.log.file_bytes / 1024 << " KiB ("
                   << Table::num(s.log.bytes_per_op(), 2)
-                  << " B/op), replayed in " << s.replay.shards
-                  << " shards\n";
+                  << " B/op), replayed " << s.replay.ops << " records\n";
       } else {
         analysis::SimulatedSort s =
             analysis::simulate_sort(c.rho, cores, n, near_cap, c.algo, seed);

@@ -2,12 +2,13 @@
 // trace layer (EXPERIMENTS.md row T1).
 //
 // Runs the same NMsort three times: with no trace sink (the cost floor),
-// with the in-RAM TraceBuffer, and with the MappedLog mmap sink. Reports
-// the encoded bytes per coalesced op and the capture slowdown of each sink
-// against the no-sink run, and hard-fails when the v3 encoding exceeds the
-// bytes/op budget — the property that makes Table-I-scale captures fit on
-// disk. The sinks must also agree on the coalesced op stream (summary
-// equality), or the "mapped capture is the in-RAM capture" contract broke.
+// with the in-RAM TraceBuffer, and with the MappedLog mmap sink. Both sinks
+// hold v3 records (trace/capture.hpp). Reports the encoded bytes per coalesced
+// op and the capture slowdown of each sink against the no-sink run, and
+// hard-fails when the v3 encoding exceeds the bytes/op budget — the property
+// that makes Table-I-scale captures fit on disk. Each thread's mapped log,
+// read back through ShardedReplay, must also hold exactly the TraceBuffer's
+// bytes, or the "mapped capture is the in-RAM capture" contract broke.
 //
 // The baseline_gate ctest runs this with --json and diffs the deterministic
 // counters (ops, encoded/spill bytes, chunk growths) at --max-changed=0
@@ -15,6 +16,7 @@
 // gauges but are too noisy to gate on shared runners.
 #include <algorithm>
 #include <iostream>
+#include <span>
 
 #include "analysis/experiment.hpp"
 #include "bench_util.hpp"
@@ -77,24 +79,33 @@ int run(const bench::Flags& flags) {
   Table t("capture overhead (NMsort, identical run under three sinks)");
   t.header({"sink", "coalesced ops", "bytes", "bytes/op", "slowdown"});
   t.row({"none", "-", "-", "-", Table::num(1.0, 2)});
-  t.row({"TraceBuffer", Table::count(rs.total_ops()),
-         Table::count(rs.total_ops() * sizeof(trace::TraceOp)),
-         Table::num(static_cast<double>(sizeof(trace::TraceOp)), 1),
+  const std::uint64_t ram_bytes = ram.trace.bytes();
+  t.row({"TraceBuffer", Table::count(rs.total_ops()), Table::count(ram_bytes),
+         Table::num(static_cast<double>(ram_bytes) /
+                        static_cast<double>(std::max<std::uint64_t>(
+                            rs.total_ops(), 1)),
+                    2),
          Table::num(slowdown_ram, 2)});
   t.row({"MappedLog", Table::count(ml.ops), Table::count(ml.encoded_bytes),
          Table::num(bytes_per_op, 2), Table::num(slowdown_mapped, 2)});
   std::cout << t;
 
-  // The mapped sink must coalesce exactly like the in-RAM sink, or its logs
-  // would not replay to the in-RAM simulation.
-  const bool streams_agree = ml.ops == rs.total_ops();
-  std::cout << "gate: mapped/ram coalesced op streams agree: "
+  // The mapped sink must write exactly the in-RAM sink's records, or its
+  // logs would not replay to the in-RAM simulation.
+  const trace::ShardedReplay replay(dir);
+  bool streams_agree = replay.threads() == ram.trace.threads();
+  for (std::size_t th = 0; streams_agree && th < replay.threads(); ++th) {
+    const std::span<const std::uint8_t> a = ram.trace.log(th);
+    const std::span<const std::uint8_t> b = replay.log(th);
+    streams_agree = std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  std::cout << "gate: mapped/ram v3 logs byte-identical: "
             << (streams_agree ? "yes" : "NO") << "\n";
   std::cout << "gate: encoded bytes/op " << Table::num(bytes_per_op, 3)
             << " <= " << kBytesPerOpBudget << ": "
             << (bytes_per_op <= kBytesPerOpBudget ? "yes" : "NO") << " ("
             << Table::num(sizeof(trace::TraceOp) / bytes_per_op, 1)
-            << "x smaller than the POD op)\n";
+            << "x smaller than a decoded TraceOp)\n";
   std::cout << "note: spilled " << ml.file_bytes / 1024 << " KiB across "
             << ml.chunks << " chunks\n";
 

@@ -174,8 +174,8 @@ MappedSimulatedSort simulate_sort_mapped(double rho, std::size_t cores,
       scaled_counting_config(rho, cores, near_capacity_bytes);
   MappedCaptureRun cap =
       capture_sort_trace_mapped(cfg, a, n, seed, trace_dir);
-  // Decode on at most one host thread per usable CPU, as Machine runs its
-  // cores; the decoded streams (not the shard split) determine the
+  // Validate the logs on at most one host thread per usable CPU, as Machine
+  // runs its cores; the records (not the pool width) determine the
   // simulation, so any width replays identically.
   ThreadPool pool(std::min(cores, ThreadPool::host_cpus()));
   trace::ShardedReplay replay(trace_dir, pool);

@@ -6,7 +6,7 @@
 //  * counting — the Machine's analytic traffic/time model (fast; used for
 //    sweeps and theory validation), and
 //  * capture  — the same run with a TraceBuffer attached, producing the
-//    per-thread op streams that sim::System replays cycle-level (Table I).
+//    per-thread record logs that sim::System replays cycle-level (Table I).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,7 @@ SortRun run_sort_counting(const TwoLevelConfig& cfg, Algorithm a,
 
 struct CaptureRun {
   SortRun counting;          // the counting-side view of the same run
-  trace::TraceBuffer trace;  // per-thread op streams for sim::System
+  trace::TraceBuffer trace;  // per-thread record logs for sim::System
 };
 
 // Same run with trace capture attached (the Ariel role). An optional fault
@@ -108,10 +108,10 @@ SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
                             std::uint64_t max_events = ~0ULL);
 
 // The out-of-core twin of simulate_sort: capture spills to mmap'd logs
-// under `trace_dir`, a ShardedReplay decodes them in parallel shards on at
-// most one host thread per usable CPU, and the same scaled simulator node
-// replays the decoded streams. Reports are bit-identical to simulate_sort
-// on the same inputs (the trace-replay CI lane's contract).
+// under `trace_dir`, a ShardedReplay reads and validates them on at most
+// one host thread per usable CPU, and the same scaled simulator node
+// replays their records. Reports are bit-identical to simulate_sort on the
+// same inputs (the trace-replay CI lane's contract).
 struct MappedSimulatedSort {
   SortRun counting;
   sim::SimReport report;

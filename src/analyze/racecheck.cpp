@@ -118,65 +118,36 @@ RacecheckReport racecheck(const trace::TraceSource& src,
   const std::size_t threads = src.threads();
   st.threads = threads;
 
-  // Re-validate the fence schedule (the analyzer's sync edges are only as
-  // good as the rendezvous alignment the replay merge relies on).
-  std::vector<std::vector<std::uint64_t>> schedules(threads);
-  std::uint64_t common = ~std::uint64_t{0};
-  bool any_ops = false;
+  // One forward pass over each thread's log collects its barrier schedule,
+  // its accesses by epoch, and the ops after its final Barrier crossing.
+  struct ThreadScan {
+    std::vector<std::uint64_t> schedule;  // Barrier ids, in order
+    std::vector<Access> accesses;
+    std::uint64_t ops = 0;
+    std::uint64_t trailing = 0;  // ops since the last Barrier
+    std::size_t first_trailing = 0;
+    TraceOp first_trailing_op{};
+  };
+  std::vector<ThreadScan> scans(threads);
   for (std::size_t t = 0; t < threads; ++t) {
-    for (const TraceOp& op : src.stream(t))
-      if (op.kind == OpKind::Barrier) schedules[t].push_back(op.addr);
-    st.ops += src.stream(t).size();
-    // Idle threads never reached a rendezvous; they contribute no ordering
-    // constraints and must not drag the common fence depth to zero.
-    if (!src.stream(t).empty()) {
-      common = std::min(common, schedules[t].size());
-      any_ops = true;
-    }
-  }
-  if (!any_ops) common = 0;
-  for (std::size_t t = 0; t < threads; ++t) {
-    for (std::uint64_t f = 0;
-         f < std::min<std::uint64_t>(common, schedules[t].size()); ++f) {
-      std::size_t ref = 0;
-      while (src.stream(ref).empty()) ++ref;
-      if (schedules[t][f] != schedules[ref][f])
-        throw std::invalid_argument(
-            "racecheck: thread " + std::to_string(t) +
-            " diverges from the global barrier schedule at fence " +
-            std::to_string(f) + " (id " + std::to_string(schedules[t][f]) +
-            " vs " + std::to_string(schedules[ref][f]) +
-            ") — this trace cannot replay");
-    }
-  }
-  st.fences = common;
-
-  // Extract address-ranged accesses, grouped by sweep epoch. Epochs past the
-  // globally common fence depth pool into one trailing group: no further
-  // rendezvous orders them across threads.
-  const std::uint64_t groups = common + 1;
-  std::vector<std::vector<Access>> by_group(groups);
-  for (std::size_t t = 0; t < threads; ++t) {
-    const auto& stream = src.stream(t);
-    const std::uint64_t fences_t = schedules[t].size();
-    std::uint64_t epoch = 0;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      const TraceOp& op = stream[i];
+    ThreadScan& ts = scans[t];
+    trace::wire::Cursor cur = src.cursor(t);
+    for (TraceOp op; cur.next(&op); ++ts.ops) {
+      const std::size_t i = ts.ops;  // the record's index in the log
       if (op.kind == OpKind::Barrier) {
-        ++epoch;
+        ts.schedule.push_back(op.addr);
+        ts.trailing = 0;
         continue;
       }
-      if (op.kind == OpKind::Compute) continue;
-      if (op.bytes == 0) continue;
-      const bool fenced = epoch < fences_t;
-      const std::uint64_t g = std::min(epoch, common);
+      if (ts.trailing++ == 0) {
+        ts.first_trailing = i;
+        ts.first_trailing_op = op;
+      }
+      if (op.kind == OpKind::Compute || op.bytes == 0) continue;
       auto push = [&](bool engine, bool write, std::uint64_t addr) {
-        Access a;
-        a.ref = AccessRef{t, i, op.kind, engine, write, addr, op.bytes};
-        a.epoch = epoch;
-        a.fenced = fenced;
-        by_group[g].push_back(a);
-        ++st.accesses;
+        ts.accesses.push_back(
+            Access{AccessRef{t, i, op.kind, engine, write, addr, op.bytes},
+                   ts.schedule.size()});
       };
       if (op.kind == OpKind::Read) {
         push(false, false, op.addr);
@@ -188,7 +159,48 @@ RacecheckReport racecheck(const trace::TraceSource& src,
         push(true, true, op.addr);
       }
     }
+    st.ops += ts.ops;
+    st.accesses += ts.accesses.size();
   }
+
+  // Re-validate the fence schedule (the analyzer's sync edges are only as
+  // good as the rendezvous alignment the replay merge relies on). Idle
+  // threads never reached a rendezvous; they contribute no ordering
+  // constraints and must not drag the common fence depth to zero.
+  std::uint64_t common = ~std::uint64_t{0};
+  const ThreadScan* ref = nullptr;
+  for (const ThreadScan& ts : scans) {
+    if (ts.ops == 0) continue;
+    common = std::min<std::uint64_t>(common, ts.schedule.size());
+    if (!ref) ref = &ts;
+  }
+  if (!ref) common = 0;
+  for (std::size_t t = 0; t < threads; ++t) {
+    const std::vector<std::uint64_t>& s = scans[t].schedule;
+    for (std::uint64_t f = 0; f < std::min<std::uint64_t>(common, s.size());
+         ++f) {
+      if (s[f] != ref->schedule[f])
+        throw std::invalid_argument(
+            "racecheck: thread " + std::to_string(t) +
+            " diverges from the global barrier schedule at fence " +
+            std::to_string(f) + " (id " + std::to_string(s[f]) + " vs " +
+            std::to_string(ref->schedule[f]) +
+            ") — this trace cannot replay");
+    }
+  }
+  st.fences = common;
+
+  // Group the accesses by sweep epoch. Epochs past the globally common
+  // fence depth pool into one trailing group: no further rendezvous orders
+  // them across threads. An access is sealed when its thread crossed the
+  // barrier ending its epoch.
+  const std::uint64_t groups = common + 1;
+  std::vector<std::vector<Access>> by_group(groups);
+  for (const ThreadScan& ts : scans)
+    for (Access a : ts.accesses) {
+      a.fenced = a.epoch < ts.schedule.size();
+      by_group[std::min(a.epoch, common)].push_back(a);
+    }
   st.epochs = groups;
 
   // Findings are merged per (kind, thread pair, group) so one racy buffer
@@ -263,43 +275,26 @@ RacecheckReport racecheck(const trace::TraceSource& src,
   // after its final rendezvous ran past the join end_phase() folds on.
   if (opt.check_post_phase) {
     for (std::size_t t = 0; t < threads; ++t) {
-      if (t == opt.orchestrator_thread) continue;
-      const auto& stream = src.stream(t);
-      std::size_t last_barrier = stream.size();
-      for (std::size_t i = stream.size(); i-- > 0;) {
-        if (stream[i].kind == OpKind::Barrier) {
-          last_barrier = i;
-          break;
-        }
-      }
-      std::size_t first_trailing = stream.size();
-      std::uint64_t trailing = 0;
-      const std::size_t begin =
-          last_barrier == stream.size() ? 0 : last_barrier + 1;
-      for (std::size_t i = begin; i < stream.size(); ++i) {
-        if (stream[i].kind == OpKind::Barrier) continue;
-        if (first_trailing == stream.size()) first_trailing = i;
-        ++trailing;
-      }
-      if (trailing == 0) continue;
+      const ThreadScan& ts = scans[t];
+      if (t == opt.orchestrator_thread || ts.trailing == 0) continue;
       if (report.findings.size() >= opt.max_findings) {
         ++st.suppressed;
         continue;
       }
-      const TraceOp& op = stream[first_trailing];
+      const TraceOp& op = ts.first_trailing_op;
       Finding f;
       f.kind = FindingKind::PostPhaseCharge;
-      f.epoch = schedules[t].size();
-      f.first = AccessRef{t,       first_trailing,
+      f.epoch = ts.schedule.size();
+      f.first = AccessRef{t,       ts.first_trailing,
                           op.kind, op.kind == OpKind::DmaCopy,
                           op.kind == OpKind::Write ||
                               op.kind == OpKind::DmaCopy,
                           op.addr, op.bytes};
-      f.merged = trailing - 1;
+      f.merged = ts.trailing - 1;
       f.detail = "thread " + std::to_string(t) + " charges " +
-                 std::to_string(trailing) + " op(s) after its final " +
+                 std::to_string(ts.trailing) + " op(s) after its final " +
                  "Barrier crossing (first: " + op_name(op.kind) +
-                 " at op " + std::to_string(first_trailing) +
+                 " at op " + std::to_string(ts.first_trailing) +
                  ") — work landing after the phase-closing join";
       report.findings.push_back(std::move(f));
     }

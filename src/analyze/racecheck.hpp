@@ -7,7 +7,7 @@
 // eagerly, so a schedule that would corrupt data on real hardware still
 // "works" natively). This analyzer replays the ordering model over any
 // TraceSource (TraceBuffer or a MappedLog capture loaded through
-// ShardedReplay) and proves — in the FastTrack vector-clock sense, collapsed
+// ShardedReplay), one forward pass over each thread's log, and proves — in the FastTrack vector-clock sense, collapsed
 // to epochs because every sync edge here is a global rendezvous — that no
 // two conflicting accesses are unordered.
 //
@@ -68,7 +68,7 @@ const char* to_string(FindingKind k);
 // the DMA engine on behalf of the DmaCopy record at `op_index`.
 struct AccessRef {
   std::size_t thread = 0;
-  std::size_t op_index = 0;  // index into stream(thread)
+  std::size_t op_index = 0;  // record index in the thread's log
   trace::OpKind op = trace::OpKind::Read;
   bool engine = false;
   bool write = false;

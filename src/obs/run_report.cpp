@@ -303,12 +303,8 @@ void export_stats(const trace::MappedLogStats& st, MetricsRegistry& reg) {
 }
 
 void export_stats(const trace::ReplayStats& st, MetricsRegistry& reg) {
-  reg.counter("trace.replay_shards").add(st.shards);
-  reg.counter("trace.replay_threads").add(st.threads);
   reg.counter("trace.replay_ops").add(st.ops);
-  reg.counter("trace.replay_mapped_bytes").add(st.mapped_bytes);
   reg.counter("trace.replay_fences").add(st.fences);
-  reg.counter("trace.replay_dmas").add(st.dmas);
   reg.counter("trace.replay_recovered_threads").add(st.recovered_threads);
 }
 

@@ -96,8 +96,9 @@ void export_stats(const StagerStats& st, MetricsRegistry& reg);
 // absence in older baselines as zero.
 void export_stats(const FaultStats& st, MetricsRegistry& reg);
 // Out-of-core trace capture ("trace.spill_bytes", "trace.capture_bytes_per_op",
-// ...) from MappedLog::stats() and sharded replay ("trace.replay_shards",
-// "trace.replay_fences", ...) from ShardedReplay::stats().
+// ...) from MappedLog::stats() and its replay ("trace.replay_ops",
+// "trace.replay_fences", "trace.replay_recovered_threads") from
+// ShardedReplay::stats().
 void export_stats(const trace::MappedLogStats& st, MetricsRegistry& reg);
 void export_stats(const trace::ReplayStats& st, MetricsRegistry& reg);
 

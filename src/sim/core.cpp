@@ -18,7 +18,7 @@ void BarrierController::arrive(Simulator& sim, std::uint64_t id,
 }
 
 TraceCore::TraceCore(Simulator& sim, CoreConfig cfg, std::size_t id,
-                     const std::vector<trace::TraceOp>* stream, MemPort* l1,
+                     trace::wire::Cursor stream, MemPort* l1,
                      BarrierController* barrier, DmaEngine* dma)
     : sim_(sim),
       cfg_(cfg),
@@ -27,33 +27,31 @@ TraceCore::TraceCore(Simulator& sim, CoreConfig cfg, std::size_t id,
       l1_(l1),
       barrier_(barrier),
       dma_(dma) {
-  TLM_REQUIRE(stream_ != nullptr && l1_ != nullptr && barrier_ != nullptr,
+  TLM_REQUIRE(l1_ != nullptr && barrier_ != nullptr,
               "core is missing a connection");
   TLM_REQUIRE(cfg_.max_outstanding >= 1, "need at least one outstanding slot");
 }
 
 void TraceCore::start() {
-  sim_.schedule(0, [this] { step(); });
+  sim_.schedule(0, [this] { advance(); });
 }
 
 void TraceCore::advance() {
-  ++op_;
-  step();
+  if (stream_.next(&op_)) {
+    step();
+    return;
+  }
+  if (!stats_.finished) {
+    stats_.finished = true;
+    stats_.finish_time = sim_.now();
+  }
 }
 
 void TraceCore::step() {
-  if (op_ >= stream_->size()) {
-    if (!stats_.finished) {
-      stats_.finished = true;
-      stats_.finish_time = sim_.now();
-    }
-    return;
-  }
-  const trace::TraceOp& op = (*stream_)[op_];
-  switch (op.kind) {
+  switch (op_.kind) {
     case trace::OpKind::Compute: {
-      stats_.compute_ops += op.ops;
-      const double cycles = op.ops * cfg_.cycles_per_op;
+      stats_.compute_ops += op_.ops;
+      const double cycles = op_.ops * cfg_.cycles_per_op;
       const auto delay =
           static_cast<SimTime>(cycles / cfg_.freq_hz * 1e12 + 0.5);
       sim_.schedule(delay, [this] { advance(); });
@@ -62,8 +60,8 @@ void TraceCore::step() {
     case trace::OpKind::Read:
     case trace::OpKind::Write: {
       burst_active_ = true;
-      cursor_ = round_down(op.addr, cfg_.line_bytes);
-      burst_end_ = op.addr + op.bytes;
+      cursor_ = round_down(op_.addr, cfg_.line_bytes);
+      burst_end_ = op_.addr + op_.bytes;
       issue_lines();
       return;
     }
@@ -75,9 +73,9 @@ void TraceCore::step() {
       // the background and the core's next barrier is the completion fence.
       // Elements are not naturally line-aligned, so widen to line bounds
       // (the same rounding a Read/Write burst applies via round_down).
-      const std::uint64_t src = round_down(op.src, cfg_.line_bytes);
-      const std::uint64_t dst = round_down(op.addr, cfg_.line_bytes);
-      const std::uint64_t src_end = op.src + op.bytes;
+      const std::uint64_t src = round_down(op_.src, cfg_.line_bytes);
+      const std::uint64_t dst = round_down(op_.addr, cfg_.line_bytes);
+      const std::uint64_t src_end = op_.src + op_.bytes;
       const std::uint64_t bytes =
           ceil_div(src_end - src, static_cast<std::uint64_t>(cfg_.line_bytes)) *
           cfg_.line_bytes;
@@ -86,33 +84,21 @@ void TraceCore::step() {
       dma_->copy(src, dst, bytes, [this] {
         TLM_CHECK(dma_pending_ > 0, "DMA completion with nothing pending");
         --dma_pending_;
-        if (waiting_barrier_ && outstanding_ == 0 && dma_pending_ == 0) {
-          waiting_barrier_ = false;
-          const trace::TraceOp& bop = (*stream_)[op_];
-          ++stats_.barriers;
-          barrier_->arrive(sim_, bop.addr, [this] { advance(); });
-        }
+        arrive_when_drained();
       });
       advance();
       return;
     }
-    case trace::OpKind::Barrier: {
-      if (outstanding_ > 0 || dma_pending_ > 0) {
-        // Drain in-flight accesses and posted copies before the rendezvous.
-        waiting_barrier_ = true;
-        return;
-      }
-      ++stats_.barriers;
-      barrier_->arrive(sim_, op.addr, [this] { advance(); });
+    case trace::OpKind::Barrier:
+      waiting_barrier_ = true;
+      arrive_when_drained();
       return;
-    }
   }
   TLM_CHECK(false, "unreachable trace op kind");
 }
 
 void TraceCore::issue_lines() {
-  const trace::TraceOp& op = (*stream_)[op_];
-  const bool is_write = op.kind == trace::OpKind::Write;
+  const bool is_write = op_.kind == trace::OpKind::Write;
   while (cursor_ < burst_end_ && outstanding_ < cfg_.max_outstanding) {
     MemReq req;
     req.addr = cursor_;
@@ -144,12 +130,15 @@ void TraceCore::on_response(const MemReq& req) {
     issue_lines();
     return;
   }
-  if (waiting_barrier_ && outstanding_ == 0 && dma_pending_ == 0) {
-    waiting_barrier_ = false;
-    const trace::TraceOp& op = (*stream_)[op_];
-    ++stats_.barriers;
-    barrier_->arrive(sim_, op.addr, [this] { advance(); });
-  }
+  arrive_when_drained();
+}
+
+void TraceCore::arrive_when_drained() {
+  // In-flight accesses and posted copies drain before the rendezvous.
+  if (!waiting_barrier_ || outstanding_ > 0 || dma_pending_ > 0) return;
+  waiting_barrier_ = false;
+  ++stats_.barriers;
+  barrier_->arrive(sim_, op_.addr, [this] { advance(); });
 }
 
 }  // namespace tlm::sim

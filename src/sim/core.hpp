@@ -10,7 +10,7 @@
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
 #include "sim/simulator.hpp"
-#include "trace/sink.hpp"
+#include "trace/capture.hpp"
 
 namespace tlm::sim {
 
@@ -57,7 +57,7 @@ class TraceCore final : public Requester {
   // completion fence (it waits for the core's posted copies to drain, the
   // same contract Machine::dma_copy documents).
   TraceCore(Simulator& sim, CoreConfig cfg, std::size_t id,
-            const std::vector<trace::TraceOp>* stream, MemPort* l1,
+            trace::wire::Cursor stream, MemPort* l1,
             BarrierController* barrier, DmaEngine* dma = nullptr);
 
   // Schedules the first step; call once before Simulator::run().
@@ -71,17 +71,18 @@ class TraceCore final : public Requester {
  private:
   void step();         // process the current op
   void issue_lines();  // drive the current read/write burst
-  void advance();      // move to the next op and step again
+  void advance();      // decode the next op and step, or finish
+  void arrive_when_drained();  // join the pending barrier once idle
 
   Simulator& sim_;
   CoreConfig cfg_;
   std::size_t id_;
-  const std::vector<trace::TraceOp>* stream_;
+  trace::wire::Cursor stream_;
   MemPort* l1_;
   BarrierController* barrier_;
   DmaEngine* dma_;
 
-  std::size_t op_ = 0;           // index into the stream
+  trace::TraceOp op_{};          // the op being executed
   std::uint64_t cursor_ = 0;     // next line address within the current burst
   std::uint64_t burst_end_ = 0;  // one past the last byte of the burst
   std::uint32_t outstanding_ = 0;

@@ -65,10 +65,10 @@ SystemConfig SystemConfig::scaled(double rho, std::size_t cores) {
   return c;
 }
 
-System::System(SystemConfig cfg, const trace::TraceSource& trace)
-    : cfg_(std::move(cfg)), trace_(trace) {
+System::System(SystemConfig cfg, const trace::TraceSource& source)
+    : cfg_(std::move(cfg)) {
   cfg_.validate();
-  TLM_REQUIRE(trace_.threads() == cfg_.cores,
+  TLM_REQUIRE(source.threads() == cfg_.cores,
               "trace thread count must equal the core count");
 
   noc_ = std::make_unique<Crossbar>(sim_, cfg_.noc);
@@ -113,7 +113,7 @@ System::System(SystemConfig cfg, const trace::TraceSource& trace)
     l1s_.push_back(std::make_unique<Cache>(
         sim_, l1, l2s_[i / cfg_.cores_per_group].get()));
     cores_.push_back(std::make_unique<TraceCore>(
-        sim_, cfg_.core, i, &trace_.stream(i), l1s_[i].get(), barrier_.get(),
+        sim_, cfg_.core, i, source.cursor(i), l1s_[i].get(), barrier_.get(),
         dma_.get()));
   }
 }

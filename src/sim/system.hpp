@@ -107,9 +107,9 @@ struct SimReport {
 
 class System {
  public:
-  // `trace` must carry exactly cfg.cores thread streams. Any TraceSource
-  // feeds the cores: the in-RAM TraceBuffer or a ShardedReplay decoded from
-  // memory-mapped logs (trace/replay.hpp) — the cores cannot tell which.
+  // `trace` must carry exactly cfg.cores thread logs and outlive the
+  // System: a TraceBuffer or a ShardedReplay (trace/replay.hpp), which the
+  // cores, decoding their logs as they run, cannot tell apart.
   System(SystemConfig cfg, const trace::TraceSource& trace);
 
   // Runs the whole trace to completion and reports. `max_events` guards
@@ -131,7 +131,6 @@ class System {
 
  private:
   SystemConfig cfg_;
-  const trace::TraceSource& trace_;
 
   Simulator sim_;
   std::unique_ptr<Crossbar> noc_;

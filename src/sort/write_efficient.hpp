@@ -170,7 +170,6 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
   m.retain_across_phases(counts.data());
   m.parallel_for(0, static_cast<std::size_t>(nslices * nb),
                  [&](std::size_t w, std::size_t lo, std::size_t hi) {
-                   if (lo >= hi) return;
                    std::fill(counts.begin() + lo, counts.begin() + hi, 0);
                    m.stream_write(w, counts.data() + lo,
                                   (hi - lo) * sizeof(std::uint64_t));
@@ -332,14 +331,13 @@ void we_sort_into_impl(Machine& m, std::span<const T> input,
         // Oversized singleton: every key equals splitter r.first/2 — fill
         // the output range directly. Pure ω-weighted writes, no gather.
         const T v = split[r.first / 2];
-        m.run_spmd([&](std::size_t w) {
-          const auto [lo, hi] =
-              ThreadPool::chunk(static_cast<std::size_t>(elems), w, p);
-          if (lo >= hi) return;
-          std::fill(out.begin() + lo, out.begin() + hi, v);
-          m.stream_write(w, out.data() + lo, (hi - lo) * sizeof(T));
-          m.compute(w, static_cast<double>(hi - lo));
-        });
+        m.parallel_for(0, static_cast<std::size_t>(elems),
+                       [&](std::size_t w, std::size_t lo, std::size_t hi) {
+                         std::fill(out.begin() + lo, out.begin() + hi, v);
+                         m.stream_write(w, out.data() + lo,
+                                        (hi - lo) * sizeof(T));
+                         m.compute(w, static_cast<double>(hi - lo));
+                       });
         continue;
       }
       if (r.oversized) {

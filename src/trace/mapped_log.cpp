@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -30,17 +31,11 @@ std::string mapped_log_file_path(const std::string& dir, std::size_t thread) {
 // All mutable capture state for one thread lives here, alignas-separated so
 // concurrent appenders never share a cache line.
 struct alignas(64) MappedLog::PerThread {
+  wire::Writer writer;
   int fd = -1;
-  std::uint8_t* base = nullptr;   // whole-file mapping
-  std::size_t mapped_bytes = 0;   // current file / mapping length
-  std::size_t write_off = 0;      // next free byte (absolute file offset)
-  wire::Codec codec;
-  TraceOp pending{};
-  bool has_pending = false;
-  std::vector<std::uint8_t> scratch;  // one record's encoding
-  TraceSummary summary;
-  std::uint64_t ops = 0;      // encoded + pending records
-  std::uint64_t raw_ops = 0;  // sink calls
+  std::uint8_t* base = nullptr;  // whole-file mapping
+  std::size_t mapped_bytes = 0;  // current file / mapping length
+  std::uint64_t raw_ops = 0;     // sink calls
   std::uint64_t chunks = 0;
 };
 
@@ -81,8 +76,6 @@ MappedLog::MappedLog(std::string dir, std::size_t threads,
     h.committed_bytes = kUnfinalized;
     h.ops = kUnfinalized;
     std::memcpy(pt->base, &h, sizeof(h));
-    pt->write_off = sizeof(h);
-    pt->scratch.reserve(wire::kMaxRecordBytes);
     per_thread_.push_back(std::move(pt));
   }
 
@@ -101,12 +94,16 @@ MappedLog::~MappedLog() {
   }
 }
 
-void MappedLog::encode_pending(PerThread& pt) {
-  if (!pt.has_pending) return;
-  pt.scratch.clear();
-  wire::encode_op(pt.scratch, pt.codec, pt.pending);
-  pt.has_pending = false;
-  if (pt.write_off + pt.scratch.size() > pt.mapped_bytes) {
+void MappedLog::record(std::size_t thread, const TraceOp& op) {
+  TLM_REQUIRE(thread < per_thread_.size(), "thread id outside trace");
+  TLM_CHECK(!closed_.load(std::memory_order_acquire),
+            "append to a closed MappedLog");
+  PerThread& pt = *per_thread_[thread];
+  ++pt.raw_ops;
+  const std::uint64_t old_end = pt.writer.size();
+  const std::span<const std::uint8_t> rec = pt.writer.append(op);
+  const std::size_t at = sizeof(MappedLogFileHeader) + pt.writer.tail_offset();
+  if (at + rec.size() > pt.mapped_bytes) {
     // Chunked growth: extend the file and remap the whole of it. The record
     // then lands contiguously, straddling the old chunk's end.
     const std::size_t grown = pt.mapped_bytes + chunk_bytes_;
@@ -122,23 +119,13 @@ void MappedLog::encode_pending(PerThread& pt) {
     pt.mapped_bytes = grown;
     ++pt.chunks;
   }
-  std::memcpy(pt.base + pt.write_off, pt.scratch.data(), pt.scratch.size());
-  pt.write_off += pt.scratch.size();
-}
-
-void MappedLog::record(std::size_t thread, const TraceOp& op) {
-  TLM_REQUIRE(thread < per_thread_.size(), "thread id outside trace");
-  TLM_CHECK(!closed_.load(std::memory_order_acquire),
-            "append to a closed MappedLog");
-  PerThread& pt = *per_thread_[thread];
-  ++pt.raw_ops;
-  const bool coalesced = pt.has_pending && try_coalesce(pt.pending, op);
-  pt.summary.note(op, coalesced);
-  if (coalesced) return;
-  encode_pending(pt);
-  pt.pending = op;
-  pt.has_pending = true;
-  ++pt.ops;
+  std::memcpy(pt.base + at, rec.data(), rec.size());
+  // A merged tail can re-encode shorter. Zero the bytes it left behind, so a
+  // crash-cut log ends the way unwritten chunk slack does.
+  const std::uint64_t end = pt.writer.size();
+  if (end < old_end)
+    std::memset(pt.base + sizeof(MappedLogFileHeader) + end, 0,
+                old_end - end);
 }
 
 void MappedLog::close() {
@@ -148,42 +135,40 @@ void MappedLog::close() {
   closed_.store(true, std::memory_order_release);
   for (auto& ptp : per_thread_) {
     PerThread& pt = *ptp;
-    encode_pending(pt);
-    const std::uint64_t payload = pt.write_off - sizeof(MappedLogFileHeader);
+    const std::size_t write_off =
+        sizeof(MappedLogFileHeader) + pt.writer.size();
     auto* h = reinterpret_cast<MappedLogFileHeader*>(pt.base);
-    h->committed_bytes = payload;
-    h->ops = pt.ops;
-    TLM_CHECK(::msync(pt.base, pt.write_off, MS_SYNC) == 0,
+    h->committed_bytes = pt.writer.size();
+    h->ops = pt.writer.records();
+    TLM_CHECK(::msync(pt.base, write_off, MS_SYNC) == 0,
               "msync failed finalizing trace log: " + errno_text());
     TLM_CHECK(::munmap(pt.base, pt.mapped_bytes) == 0,
               "munmap failed closing trace log");
     pt.base = nullptr;
     // Trim the unwritten chunk slack so on-disk size equals committed size.
-    TLM_CHECK(::ftruncate(pt.fd, static_cast<off_t>(pt.write_off)) == 0,
+    TLM_CHECK(::ftruncate(pt.fd, static_cast<off_t>(write_off)) == 0,
               "cannot trim trace log: " + errno_text());
     ::close(pt.fd);
     pt.fd = -1;
-    pt.mapped_bytes = pt.write_off;
+    pt.mapped_bytes = write_off;
   }
 }
 
 TraceSummary MappedLog::summary() const {
   MutexLock lock(lifecycle_mu_);
   TraceSummary out;
-  for (const auto& pt : per_thread_) out += pt->summary;
+  for (const auto& pt : per_thread_) out += pt->writer.summary();
   return out;
 }
 
 MappedLogStats MappedLog::stats() const {
   MutexLock lock(lifecycle_mu_);
-  const bool trimmed = closed_.load(std::memory_order_acquire);
   MappedLogStats st;
   for (const auto& pt : per_thread_) {
-    st.ops += pt->ops;
+    st.ops += pt->writer.records();
     st.raw_ops += pt->raw_ops;
-    st.encoded_bytes += pt->write_off - sizeof(MappedLogFileHeader);
-    st.file_bytes +=
-        trimmed ? pt->write_off : pt->mapped_bytes;  // slack until trimmed
+    st.encoded_bytes += pt->writer.size();
+    st.file_bytes += pt->mapped_bytes;  // chunk slack included until close()
     st.chunks += pt->chunks;
   }
   return st;

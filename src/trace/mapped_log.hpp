@@ -4,7 +4,7 @@
 //
 // Layout per thread (`<dir>/thread-<i>.tlmlog`):
 //
-//   FileHeader (64 B) | v3 varint/delta op records (serialize.hpp wire codec)
+//   FileHeader (64 B) | v3 varint/delta op records (trace/capture.hpp)
 //
 // The file grows in fixed chunks (ftruncate + remap); encoded records are
 // contiguous in the file and may straddle a chunk boundary. The header's
@@ -13,10 +13,8 @@
 // recognizable and ShardedReplay recovers the longest cleanly-decodable
 // record prefix instead of trusting a stale length.
 //
-// Coalescing contract: one op per thread is held pending and merged via
-// try_coalesce() (the same function TraceBuffer uses) before being encoded,
-// so the record streams — and therefore any replay — are bit-identical to
-// the in-RAM capture path.
+// Each thread appends through a wire::Writer, as TraceBuffer does, so a log's
+// payload is byte-identical to the in-RAM capture of the same ops.
 //
 // Threading: record(thread, op) calls touch only that thread's cache-line-
 // separated state, matching the TraceSink contract (concurrent calls must
@@ -37,8 +35,6 @@
 
 #include "common/thread_annotations.hpp"
 #include "trace/capture.hpp"
-#include "trace/serialize.hpp"
-#include "trace/sink.hpp"
 
 namespace tlm::trace {
 
@@ -84,22 +80,17 @@ class MappedLog final : public TraceSink {
 
   void record(std::size_t thread, const TraceOp& op) override;
 
-  // Flushes pending ops, finalizes every header (committed_bytes/ops), trims
-  // chunk slack, msyncs, and unmaps. Idempotent; called by the destructor.
+  // Finalizes every header (committed_bytes/ops), trims chunk slack,
+  // msyncs, and unmaps. Idempotent; called by the destructor.
   void close() TLM_EXCLUDES(lifecycle_mu_);
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  std::size_t threads() const { return per_thread_.size(); }
-  const std::string& dir() const { return dir_; }
-
-  // Aggregated over all threads; includes pending (not yet encoded) ops.
+  // Aggregated over all threads.
   TraceSummary summary() const TLM_EXCLUDES(lifecycle_mu_);
   MappedLogStats stats() const TLM_EXCLUDES(lifecycle_mu_);
 
  private:
   struct PerThread;
-
-  void encode_pending(PerThread& pt);
 
   std::string dir_;
   std::size_t chunk_bytes_;

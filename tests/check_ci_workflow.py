@@ -148,8 +148,9 @@ def main():
         if needle not in chaos:
             fail(f"chaos steps must mention '{needle}'")
 
-    # trace-replay: the out-of-core determinism lane — the replay test
-    # suites (stream equality, crash recovery, chaos-seed replay) plus the
+    # trace-replay: the out-of-core determinism lane — the replay, serialize
+    # and trace suites (byte and stream equality, crash recovery, chaos-seed
+    # replay, the record writer's coalesced-tail rewrites) plus the
     # cross-process gate: Table I captured through the in-RAM path and the
     # mmap'd MappedLog path must diff to zero changed cost leaves, and both
     # must diff to zero against the checked-in cycle-sim baseline. Failures
@@ -158,6 +159,7 @@ def main():
     for needle in (
         "-L test_replay",
         "-L test_serialize",
+        "-L test_trace",
         "--trace=mapped",
         "report_diff --max-changed=0",
         "bench/baselines/table1_sim_quick.json",

@@ -26,6 +26,13 @@ TraceBuffer sample_trace() {
   return tb;
 }
 
+// Appends `op`'s v3 record to `buf`.
+void append(std::vector<std::uint8_t>& buf, wire::Codec& c, const TraceOp& op) {
+  std::uint8_t rec[wire::kMaxRecordBytes];
+  const std::size_t n = wire::encode_op(rec, c, op);
+  buf.insert(buf.end(), rec, rec + n);
+}
+
 bool equal(const TraceBuffer& a, const TraceBuffer& b) {
   if (a.threads() != b.threads()) return false;
   for (std::size_t t = 0; t < a.threads(); ++t) {
@@ -137,7 +144,7 @@ TEST(TraceSerialize, MaxU64AddressDeltasRoundTrip) {
       {OpKind::Read, 1ULL << 63, 64, 0, 0},    // the zigzag sign boundary
       {OpKind::DmaCopy, ~0ULL - 63, 64, 0, ~0ULL - 63},  // dst+bytes wraps
   };
-  for (const TraceOp& op : ops) wire::encode_op(buf, enc, op);
+  for (const TraceOp& op : ops) append(buf, enc, op);
   const std::uint8_t* p = buf.data();
   const std::uint8_t* end = p + buf.size();
   for (const TraceOp& want : ops) {
@@ -154,7 +161,7 @@ TEST(TraceSerialize, MaxU64AddressDeltasRoundTrip) {
 TEST(TraceSerialize, TruncatedRecordSignalsWithoutConsuming) {
   wire::Codec enc;
   std::vector<std::uint8_t> buf;
-  wire::encode_op(buf, enc, TraceOp{OpKind::Read, kFarBase, 4096, 0, 0});
+  append(buf, enc, TraceOp{OpKind::Read, kFarBase, 4096, 0, 0});
   for (std::size_t cut = 0; cut < buf.size(); ++cut) {
     wire::Codec dec;
     const std::uint8_t* p = buf.data();
@@ -165,21 +172,24 @@ TEST(TraceSerialize, TruncatedRecordSignalsWithoutConsuming) {
 }
 
 TEST(TraceSerialize, OverlongVarintRejected) {
-  // None of these can be a valid u64 varint: corrupt, not merely truncated,
-  // so the decoder throws instead of signaling recovery. The 10th byte
-  // holds only bit 63, so a 10th byte above 1 carries bits past 64.
+  // A Barrier tag followed by an id no u64 varint can encode: corrupt, not
+  // merely truncated, so the decoder throws instead of signaling recovery.
+  // The 10th byte holds only bit 63, so a 10th byte above 1 carries bits
+  // past 64.
+  const std::uint8_t tag = static_cast<std::uint8_t>(OpKind::Barrier);
   std::vector<std::uint8_t> eleven_continuations(11, 0x80);
   std::vector<std::uint8_t> tenth_byte_two(9, 0x80);
   tenth_byte_two.push_back(0x02);
   std::vector<std::uint8_t> tenth_byte_7f(9, 0xff);
   tenth_byte_7f.push_back(0x7f);
-  for (const auto& buf :
-       {eleven_continuations, tenth_byte_two, tenth_byte_7f}) {
+  for (auto buf : {eleven_continuations, tenth_byte_two, tenth_byte_7f}) {
+    buf.insert(buf.begin(), tag);
     const std::uint8_t* p = buf.data();
-    std::uint64_t v = 0;
-    EXPECT_THROW(wire::get_uvarint(&p, p + buf.size(), &v),
+    wire::Codec c;
+    TraceOp op{};
+    EXPECT_THROW(wire::decode_op(&p, p + buf.size(), c, &op),
                  std::invalid_argument)
-        << "decoded " << v;
+        << "decoded id " << op.addr;
   }
 }
 

@@ -474,14 +474,14 @@ TEST(TraceCore, ReplaysComputeAndMemoryOps) {
   Cache l1(sim, tiny_cache(), &mem);
   BarrierController barrier(1);
 
-  std::vector<trace::TraceOp> stream;
-  stream.push_back({trace::OpKind::Compute, 0, 0, 1700.0});  // 1 us at 1.7GHz
-  stream.push_back({trace::OpKind::Read, 0x10000, 256, 0});  // 4 lines
-  stream.push_back({trace::OpKind::Barrier, 0, 0, 0});
-  stream.push_back({trace::OpKind::Write, 0x20000, 128, 0});  // 2 lines
+  trace::TraceBuffer tb(1);
+  tb.on_compute(0, 1700.0);       // 1 us at 1.7GHz
+  tb.on_read(0, 0x10000, 256);    // 4 lines
+  tb.on_barrier(0, 0);
+  tb.on_write(0, 0x20000, 128);   // 2 lines
 
   CoreConfig cc;
-  TraceCore core(sim, cc, 0, &stream, &l1, &barrier);
+  TraceCore core(sim, cc, 0, tb.cursor(0), &l1, &barrier);
   core.start();
   sim.run();
 
@@ -495,8 +495,8 @@ TEST(TraceCore, ReplaysComputeAndMemoryOps) {
 
 TEST(TraceCore, OutstandingLimitThrottlesIssue) {
   // With max_outstanding=1 and a slow memory, 8 lines take ~8 memory trips.
-  std::vector<trace::TraceOp> stream = {
-      {trace::OpKind::Read, 0x10000, 512, 0}};
+  trace::TraceBuffer tb(1);
+  tb.on_read(0, 0x10000, 512);
   auto run_with = [&](std::uint32_t outstanding) {
     Simulator sim;
     RecordingMemory mem(sim, 100 * kNanosecond);
@@ -504,7 +504,7 @@ TEST(TraceCore, OutstandingLimitThrottlesIssue) {
     BarrierController barrier(1);
     CoreConfig cc;
     cc.max_outstanding = outstanding;
-    TraceCore core(sim, cc, 0, &stream, &l1, &barrier);
+    TraceCore core(sim, cc, 0, tb.cursor(0), &l1, &barrier);
     core.start();
     sim.run();
     return to_seconds(sim.now());

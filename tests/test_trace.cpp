@@ -1,6 +1,10 @@
 // Tests for the trace capture layer (the Ariel substitute): per-thread
-// streams, coalescing, summaries, and Machine → TraceBuffer integration.
+// streams, coalescing, summaries, the v3 record writer, and Machine →
+// TraceBuffer integration.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "scratchpad/machine.hpp"
 #include "trace/capture.hpp"
@@ -65,6 +69,73 @@ TEST(TraceBuffer, SummaryAggregates) {
   EXPECT_EQ(s.write_bytes, 64u);
   EXPECT_DOUBLE_EQ(s.compute_ops, 5.0);
   EXPECT_EQ(s.barriers, 2u);
+}
+
+// The v3 bytes of `ops` encoded one record each, from a fresh codec.
+std::vector<std::uint8_t> encode_all(const std::vector<TraceOp>& ops) {
+  std::vector<std::uint8_t> out;
+  wire::Codec c;
+  for (const TraceOp& op : ops) {
+    std::uint8_t rec[wire::kMaxRecordBytes];
+    out.insert(out.end(), rec, rec + wire::encode_op(rec, c, op));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> bytes_of(const TraceBuffer& tb, std::size_t t) {
+  const auto log = tb.log(t);
+  return {log.begin(), log.end()};
+}
+
+TEST(TraceBuffer, CoalescedTailIsReencodedInPlace) {
+  // 64 B fits a one-byte varint; the merged 128 B needs two, so the tail
+  // record grows by a byte when it is rewritten. The next record must land
+  // after the grown tail and decode against the merged tail's end.
+  TraceBuffer tb(1);
+  tb.on_read(0, 0x1000, 64);
+  const std::size_t one = tb.log(0).size();
+  tb.on_read(0, 0x1040, 64);
+  EXPECT_EQ(tb.log(0).size(), one + 1);
+  tb.on_write(0, 0x9000, 8);
+  const std::vector<TraceOp> want = {{OpKind::Read, 0x1000, 128},
+                                     {OpKind::Write, 0x9000, 8}};
+  EXPECT_EQ(bytes_of(tb, 0), encode_all(want));
+  const std::vector<TraceOp> got = tb.stream(0);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].addr, 0x1000u);
+  EXPECT_EQ(got[0].bytes, 128u);
+  EXPECT_EQ(got[1].kind, OpKind::Write);
+  EXPECT_EQ(got[1].addr, 0x9000u);
+  EXPECT_EQ(got[1].bytes, 8u);
+  EXPECT_EQ(tb.records(0), 2u);
+}
+
+TEST(TraceBuffer, CoalescedTailCanShrink) {
+  // The byte-swapped 1.0 takes a three-byte varint, 3.0 a two-byte one.
+  TraceBuffer tb(1);
+  tb.on_compute(0, 1.0);
+  const std::size_t before = tb.log(0).size();
+  tb.on_compute(0, 2.0);
+  EXPECT_EQ(tb.log(0).size(), before - 1);
+  tb.on_barrier(0, 7);
+  EXPECT_EQ(bytes_of(tb, 0),
+            encode_all({{OpKind::Compute, 0, 0, 3.0}, {OpKind::Barrier, 7}}));
+}
+
+TEST(TraceBuffer, AdoptedLogContinuesCoalescing) {
+  // A log adopted from its bytes continues exactly like the buffer that
+  // wrote it: the next contiguous burst merges into the adopted tail.
+  TraceBuffer a(1);
+  a.on_compute(0, 4.0);
+  a.on_read(0, 0x2000, 64);
+  TraceBuffer b(1);
+  b.adopt(0, bytes_of(a, 0), a.records(0));
+  a.on_read(0, 0x2040, 64);
+  b.on_read(0, 0x2040, 64);
+  EXPECT_EQ(bytes_of(a, 0), bytes_of(b, 0));
+  EXPECT_EQ(b.records(0), 2u);
+  EXPECT_EQ(b.summary().read_bytes, 128u);
+  EXPECT_THROW(b.adopt(0, bytes_of(a, 0), 3), std::invalid_argument);
 }
 
 TEST(TraceBuffer, OutOfRangeThreadThrows) {

@@ -2,7 +2,7 @@
 //
 // Modes (exactly one source):
 //   --trace-dir=DIR     analyze a MappedLog capture via ShardedReplay
-//                       (--jobs=N shards the decode across N workers)
+//                       (--jobs=N reads the logs on N workers)
 //   --trace-file=FILE   analyze a save_trace_file() snapshot
 //   --capture=ALG       capture a sort run in-process and analyze it
 //                       (--n, --seed, --threads, --near-kb, --rho,
@@ -38,7 +38,7 @@ using namespace tlm;
 struct Cli {
   std::string trace_dir, trace_file, capture, json_path;
   bool json = false, warn_only = false;
-  std::size_t jobs = 1;  // decode workers; 0 or 1 decodes inline
+  std::size_t jobs = 1;  // log readers; 0 or 1 reads inline
   std::uint64_t n = 100'000, seed = 2026;
   std::size_t threads = 4;
   std::uint64_t near_kb = 256;
@@ -161,10 +161,8 @@ int main(int argc, char** argv) {
     if (!cli.trace_dir.empty()) {
       ThreadPool pool(std::max<std::size_t>(cli.jobs, 1));
       const trace::ShardedReplay replay(cli.trace_dir, pool);
-      std::printf("racecheck: %s (%llu ops, %llu shards)\n",
-                  cli.trace_dir.c_str(),
-                  (unsigned long long)replay.stats().ops,
-                  (unsigned long long)replay.stats().shards);
+      std::printf("racecheck: %s (%llu ops)\n", cli.trace_dir.c_str(),
+                  (unsigned long long)replay.stats().ops);
       return report_and_exit(analyze::racecheck(replay, opt), cli);
     }
     if (!cli.trace_file.empty()) {
