@@ -42,7 +42,13 @@ struct MergeOptions {
 };
 
 // Sequential k-way merge of `runs` into `out` (which must have room for the
-// total size), charging `thread` for all traffic and compute.
+// total size), charging `thread` for all traffic and compute. Before each
+// element is consumed, its run's next refill is charged if the element lies
+// past the run's charged prefix; after each element is emitted, a full
+// refill_bytes of output is flushed (written and charged lg k + 1 compute
+// per element). Two runs merge in a two-cursor loop, more through a
+// LoserTree; both take run 0's head on equal keys, so the element order and
+// with it every Machine call are the same either way.
 template <typename T, typename Cmp = std::less<T>>
 void merge_runs_charged(Machine& m, std::size_t thread,
                         const std::vector<Run<T>>& runs, T* out, Cmp cmp = {},
@@ -50,47 +56,86 @@ void merge_runs_charged(Machine& m, std::size_t thread,
   const std::uint64_t total = total_size(runs);
   if (total == 0) return;
 
-  using LT = LoserTree<T, Cmp>;
-  std::vector<typename LT::Run> lt_runs;
-  lt_runs.reserve(runs.size());
-  for (const auto& r : runs) lt_runs.push_back({r.begin, r.end});
-
   const std::uint64_t refill_elems =
       std::max<std::uint64_t>(1, opt.refill_bytes / sizeof(T));
-  std::vector<const T*> watermark(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) watermark[i] = runs[i].begin;
-
-  LT tree(std::move(lt_runs), cmp);
   // Modeled comparisons per emitted element: log2(k), plus one.
   const double per_elem =
       std::log2(static_cast<double>(std::max<std::size_t>(2, runs.size()))) +
       1.0;
 
+  // Charges the refill covering `cursor` if it lies past `watermark`, the
+  // end of its run's charged prefix.
+  auto refill = [&](const T* cursor, const T*& watermark, const T* end) {
+    if (cursor < watermark) [[likely]]
+      return;
+    const std::uint64_t take = std::min(
+        refill_elems, static_cast<std::uint64_t>(end - watermark));
+    m.stream_read(thread, watermark, take * sizeof(T));
+    watermark += take;
+  };
   T* o = out;
   T* flush_from = out;
-  while (!tree.done()) {
-    const std::size_t r = tree.top_run();
-    // Charge the refill covering the element we are about to consume.
-    if (tree.cursor(r) >= watermark[r]) {
-      const std::uint64_t left =
-          static_cast<std::uint64_t>(runs[r].end - watermark[r]);
-      const std::uint64_t take = std::min(refill_elems, left);
-      m.stream_read(thread, watermark[r], take * sizeof(T));
-      watermark[r] += take;
-    }
-    *o++ = tree.pop();
-    if (static_cast<std::uint64_t>(o - flush_from) >= refill_elems) {
-      m.stream_write(thread, flush_from,
-                     static_cast<std::uint64_t>(o - flush_from) * sizeof(T));
-      m.compute(thread, static_cast<double>(o - flush_from) * per_elem);
-      flush_from = o;
-    }
-  }
-  if (o != flush_from) {
+  auto flush = [&] {
     m.stream_write(thread, flush_from,
                    static_cast<std::uint64_t>(o - flush_from) * sizeof(T));
     m.compute(thread, static_cast<double>(o - flush_from) * per_elem);
+    flush_from = o;
+  };
+  // Emits `x`, flushing once a full refill of output is pending.
+  auto emit = [&](const T& x) {
+    *o++ = x;
+    if (static_cast<std::uint64_t>(o - flush_from) >= refill_elems)
+      [[unlikely]] flush();
+  };
+
+  if (runs.size() == 2) {
+    const T* c0 = runs[0].begin;
+    const T* c1 = runs[1].begin;
+    const T* const e0 = runs[0].end;
+    const T* const e1 = runs[1].end;
+    const T* w0 = c0;
+    const T* w1 = c1;
+    while (c0 != e0 && c1 != e1) {
+      // Run 1 goes first only when strictly smaller: the tree's tie-break.
+      const bool one = cmp(*c1, *c0);
+      // Tested on both runs so that no branch depends on `one`; refill
+      // charges only the run whose head is taken.
+      if ((c0 >= w0) | (c1 >= w1)) [[unlikely]] {
+        if (one)
+          refill(c1, w1, e1);
+        else
+          refill(c0, w0, e0);
+      }
+      emit(one ? *c1 : *c0);
+      c1 += one;
+      c0 += !one;
+    }
+    for (; c0 != e0; ++c0) {
+      refill(c0, w0, e0);
+      emit(*c0);
+    }
+    for (; c1 != e1; ++c1) {
+      refill(c1, w1, e1);
+      emit(*c1);
+    }
+  } else {
+    using LT = LoserTree<T, Cmp>;
+    std::vector<typename LT::Run> lt_runs;
+    lt_runs.reserve(runs.size());
+    std::vector<const T*> watermark;
+    watermark.reserve(runs.size());
+    for (const auto& r : runs) {
+      lt_runs.push_back({r.begin, r.end});
+      watermark.push_back(r.begin);
+    }
+    LT tree(std::move(lt_runs), cmp);
+    while (!tree.done()) {
+      const std::size_t r = tree.top_run();
+      refill(tree.cursor(r), watermark[r], runs[r].end);
+      emit(tree.pop());
+    }
   }
+  if (o != flush_from) flush();
 }
 
 // First global rank of part j when `total` elements split into `parts`.

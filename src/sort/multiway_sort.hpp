@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -79,7 +80,7 @@ RunLayout plan_runs(const Machine& m, std::uint64_t n,
 }
 
 // Unsigned integer keys under plain `<` have one sorted order whatever
-// algorithm produces it, so host_sort may order them by their digits.
+// algorithm produces it, so host_sort_into may order them by their digits.
 template <typename T, typename Cmp>
 inline constexpr bool kRadixSortable =
     std::is_integral_v<T> && std::is_unsigned_v<T> &&
@@ -88,6 +89,16 @@ inline constexpr bool kRadixSortable =
 
 // Below this many keys a bucket is finished by insertion sort.
 inline constexpr std::size_t kRadixInsertionBelow = 32;
+
+template <typename T>
+void insertion_sort(T* a, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const T x = a[i];
+    std::size_t j = i;
+    for (; j > 0 && x < a[j - 1]; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+}
 
 // American flag sort (McIlroy, Bostic & McIlroy 1993): an in-place MSD radix
 // sort on 8-bit digits, starting at the digit whose lowest bit is `shift`.
@@ -98,12 +109,7 @@ template <typename T>
 void american_flag_sort(T* a, std::size_t n, unsigned shift) {
   for (;;) {
     if (n < kRadixInsertionBelow) {
-      for (std::size_t i = 1; i < n; ++i) {
-        const T x = a[i];
-        std::size_t j = i;
-        for (; j > 0 && x < a[j - 1]; --j) a[j] = a[j - 1];
-        a[j] = x;
-      }
+      insertion_sort(a, n);
       return;
     }
     const auto digit = [shift](T x) {
@@ -140,46 +146,128 @@ void american_flag_sort(T* a, std::size_t n, unsigned shift) {
   }
 }
 
-// The host algorithm that physically orders a run. The Machine charges for
-// sorting analytically (callers charge n·lg n compute and their own passes),
-// so how the keys get ordered here is free as long as the order is the one
-// `cmp` defines: radix keys go through american_flag_sort, everything else
-// through std::sort.
-template <typename T, typename Cmp>
-void host_sort(T* first, T* last, [[maybe_unused]] Cmp cmp) {
-  if constexpr (kRadixSortable<T, Cmp>)
-    american_flag_sort(first, static_cast<std::size_t>(last - first),
-                       8 * (sizeof(T) - 1));
-  else
-    std::sort(first, last, cmp);
+// At most 2^12 buckets in radix_scatter's one pass.
+inline constexpr unsigned kScatterMaxBits = 12;
+
+// Sorts the `n` keys of `src` into `dst` (disjoint) with one counting pass
+// and one scatter pass. The digit is the top `bits` bits of the range in
+// which the keys differ, bits = bit_width(n) − 1 (one or two keys per
+// bucket) capped at kScatterMaxBits and at the range's width. The counting
+// pass assumes the range reaches the key's top bit, as it does for random
+// keys, and folds x ^ src[0] to learn the range; only a narrower range
+// counts again. When every bucket holds fewer than kRadixInsertionBelow
+// keys, one insertion sort over `dst` finishes them all (no key moves past
+// its bucket); otherwise each bucket finishes on its own, the large ones by
+// american_flag_sort from the next byte-aligned digit.
+template <typename T>
+void radix_scatter(const T* src, T* dst, std::size_t n) {
+  constexpr unsigned kWidth = 8 * sizeof(T);
+  unsigned bits = std::clamp(static_cast<unsigned>(std::bit_width(n)) - 1,
+                             1u, std::min(kScatterMaxBits, kWidth));
+  unsigned shift = kWidth - bits;
+  std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::size_t pos[std::size_t{1} << kScatterMaxBits];
+  const auto digit = [&](T x) {
+    return static_cast<std::size_t>(x >> shift) & mask;
+  };
+  std::fill_n(pos, mask + 1, 0);
+  const T first = src[0];
+  T diff = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    diff |= static_cast<T>(src[i] ^ first);
+    ++pos[digit(src[i])];
+  }
+  const unsigned width = static_cast<unsigned>(std::bit_width(diff));
+  if (width == 0) {  // every key equal
+    std::memcpy(dst, src, n * sizeof(T));
+    return;
+  }
+  if (width < kWidth) {
+    bits = std::min(bits, width);
+    shift = width - bits;
+    mask = (std::size_t{1} << bits) - 1;
+    std::fill_n(pos, mask + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) ++pos[digit(src[i])];
+  }
+  std::size_t sum = 0, largest = 0;
+  for (std::size_t d = 0; d <= mask; ++d) {
+    largest = std::max(largest, pos[d]);
+    sum += std::exchange(pos[d], sum);
+  }
+  for (std::size_t i = 0; i < n; ++i) dst[pos[digit(src[i])]++] = src[i];
+  // Keys in one bucket agree on every bit from `shift` up; with shift == 0
+  // they are equal.
+  if (shift == 0) return;
+  if (largest < kRadixInsertionBelow) {
+    insertion_sort(dst, n);
+    return;
+  }
+  const unsigned next_shift = (shift - 1) / 8 * 8;
+  std::size_t b = 0;  // pos[d] is now the end of bucket d
+  for (std::size_t d = 0; d <= mask; b = pos[d++]) {
+    const std::size_t len = pos[d] - b;
+    if (len > 1) american_flag_sort(dst + b, len, next_shift);
+  }
 }
 
-// Sorts `n` elements located at `dst` (optionally moving them from `src`
-// first) and charges one read plus one write pass and n·lg(n) compute.
+// The host algorithm that physically orders a run: sorts the `n` elements
+// of `src` into `dst`, which is either `src` itself or disjoint from it.
+// `spare`, when given, is n elements of scratch the caller has allocated
+// through the Machine and does not need (its contents are lost); it is used
+// only when src == dst. The Machine charges for sorting analytically
+// (callers charge n·lg n compute and their own passes), so how the keys get
+// ordered here is free as long as the order is the one `cmp` defines: radix
+// keys go through radix_scatter when they can be scattered into another
+// buffer and through the in-place american_flag_sort otherwise, everything
+// else through std::sort.
+template <typename T, typename Cmp>
+void host_sort_into(const T* src, T* dst, std::size_t n,
+                    std::type_identity_t<T>* spare, [[maybe_unused]] Cmp cmp) {
+  if (n == 0) return;
+  if constexpr (kRadixSortable<T, Cmp>) {
+    if (src != dst) {
+      radix_scatter(src, dst, n);
+    } else if (spare != nullptr) {
+      std::memcpy(spare, src, n * sizeof(T));
+      radix_scatter(spare, dst, n);
+    } else {
+      american_flag_sort(dst, n, 8 * (sizeof(T) - 1));
+    }
+  } else {
+    if (src != dst) std::memcpy(dst, src, n * sizeof(T));
+    std::sort(dst, dst + n, cmp);
+  }
+}
+
+// Sorts `n` elements from `src` into `dst` (which may alias `src`) and
+// charges one read plus one write pass and n·lg(n) compute. `spare` is as
+// for host_sort_into.
 template <typename T, typename Cmp>
 void form_run(Machine& m, std::size_t thread, const T* src, T* dst,
-              std::uint64_t n, Cmp cmp) {
+              std::uint64_t n, Cmp cmp, T* spare = nullptr) {
   if (n == 0) return;
   m.stream_read(thread, src, n * sizeof(T));
-  if (dst != src) std::memcpy(dst, src, n * sizeof(T));
-  host_sort(dst, dst + n, cmp);
+  host_sort_into(src, dst, static_cast<std::size_t>(n), spare, cmp);
   m.stream_write(thread, dst, n * sizeof(T));
   m.compute(thread, static_cast<double>(n) *
                         std::log2(static_cast<double>(n) + 2));
 }
 
 // Forms all runs of `L` in parallel, reading from `src` and writing to
-// `dst` (which may alias `src` for in-place formation).
+// `dst` (which may alias `src` for in-place formation). `spare`, when given,
+// is n elements of Machine-allocated scratch; each run uses only its own
+// range of it.
 template <typename T, typename Cmp>
 void form_runs(Machine& m, const T* src, T* dst, std::uint64_t n,
-               const RunLayout& L, Cmp cmp) {
+               const RunLayout& L, Cmp cmp, T* spare = nullptr) {
   m.parallel_for(0, static_cast<std::size_t>(L.nruns),
                  [&](std::size_t w, std::size_t lo, std::size_t hi) {
                    for (std::size_t i = lo; i < hi; ++i) {
                      const std::uint64_t b =
                          static_cast<std::uint64_t>(i) * L.run_elems;
                      const std::uint64_t len = std::min(L.run_elems, n - b);
-                     form_run(m, w, src + b, dst + b, len, cmp);
+                     form_run(m, w, src + b, dst + b, len, cmp,
+                              spare ? spare + b : nullptr);
                    }
                  });
 }
@@ -284,11 +372,13 @@ struct RunSet {
 
 // The run-formation pipeline: forms the runs of `L` from `src` into `a`,
 // then merges passes between `a` and `b` until at most L.fan runs remain.
+// Formation in place (src == a) sorts each run through `b`, the ping-pong
+// buffer whose contents the pipeline does not keep.
 template <typename T, typename Cmp>
 RunSet<T> form_and_merge(Machine& m, const T* src, T* a, T* b,
                          std::uint64_t n, const RunLayout& L,
                          const MergeOptions& merge, Cmp cmp) {
-  form_runs(m, src, a, n, L, cmp);
+  form_runs(m, src, a, n, L, cmp, b);
   RunSet<T> rs{a, b, n, L.run_elems, L.nruns};
   while (rs.runs > L.fan) {
     rs.runs = merge_pass(m, rs.data, rs.spare, n, rs.run_len, rs.runs, L.fan,

@@ -47,7 +47,8 @@ namespace detail {
 
 // Charged model of quicksort inside the scratchpad: partitioning passes
 // stream the operand lg(x·sizeof(T)/Z) times before subproblems fit in
-// cache (the lg(M/Z) factor of Corollary 7). Physically a host_sort.
+// cache (the lg(M/Z) factor of Corollary 7). Physically an in-place
+// host_sort_into.
 template <typename T, typename Cmp>
 void charged_quicksort(Machine& m, std::span<T> buf, Cmp cmp) {
   const double bytes = static_cast<double>(buf.size_bytes());
@@ -58,7 +59,7 @@ void charged_quicksort(Machine& m, std::span<T> buf, Cmp cmp) {
     m.stream_read(0, buf.data(), buf.size_bytes());
     m.stream_write(0, buf.data(), buf.size_bytes());
   }
-  host_sort(buf.data(), buf.data() + buf.size(), cmp);
+  host_sort_into(buf.data(), buf.data(), buf.size(), nullptr, cmp);
   m.compute(0, static_cast<double>(buf.size()) *
                    (std::log2(static_cast<double>(buf.size()) + 2)));
 }

@@ -6,14 +6,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "common/loser_tree.hpp"
 #include "common/rng.hpp"
 #include "scratchpad/machine.hpp"
 #include "sort/merge.hpp"
 #include "sort/runs.hpp"
+#include "trace/capture.hpp"
 #include "trace/sink.hpp"
 
 namespace tlm::sort {
@@ -92,6 +96,146 @@ TEST(MergeRunsCharged, EmptyRunsContributeNothing) {
   std::vector<std::uint64_t> out(3);
   merge_runs_charged(m, 0, rs, out.data());
   EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 5, 9}));
+}
+
+// The k-way merge as it ran before two runs had a loop of their own: the
+// loser tree for every k, the refill check before and the flush check after
+// each element. The two-run loop must match it call for call.
+template <typename T, typename Cmp>
+void tree_merge_oracle(Machine& m, std::size_t thread,
+                       const std::vector<Run<T>>& runs, T* out, Cmp cmp,
+                       const MergeOptions& opt) {
+  if (total_size(runs) == 0) return;
+  using LT = LoserTree<T, Cmp>;
+  std::vector<typename LT::Run> lt_runs;
+  for (const auto& r : runs) lt_runs.push_back({r.begin, r.end});
+  const std::uint64_t refill_elems =
+      std::max<std::uint64_t>(1, opt.refill_bytes / sizeof(T));
+  std::vector<const T*> watermark(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) watermark[i] = runs[i].begin;
+  LT tree(std::move(lt_runs), cmp);
+  const double per_elem =
+      std::log2(static_cast<double>(std::max<std::size_t>(2, runs.size()))) +
+      1.0;
+  T* o = out;
+  T* flush_from = out;
+  while (!tree.done()) {
+    const std::size_t r = tree.top_run();
+    if (tree.cursor(r) >= watermark[r]) {
+      const std::uint64_t left =
+          static_cast<std::uint64_t>(runs[r].end - watermark[r]);
+      const std::uint64_t take = std::min(refill_elems, left);
+      m.stream_read(thread, watermark[r], take * sizeof(T));
+      watermark[r] += take;
+    }
+    *o++ = tree.pop();
+    if (static_cast<std::uint64_t>(o - flush_from) >= refill_elems) {
+      m.stream_write(thread, flush_from,
+                     static_cast<std::uint64_t>(o - flush_from) * sizeof(T));
+      m.compute(thread, static_cast<double>(o - flush_from) * per_elem);
+      flush_from = o;
+    }
+  }
+  if (o != flush_from) {
+    m.stream_write(thread, flush_from,
+                   static_cast<std::uint64_t>(o - flush_from) * sizeof(T));
+    m.compute(thread, static_cast<double>(o - flush_from) * per_elem);
+  }
+}
+
+// Merges runs `a` and `b` on thread 1 of a capturing Machine, once through
+// merge_runs_charged and once through the oracle: the outputs and every
+// thread's trace bytes must be identical.
+template <typename T, typename Cmp>
+void expect_two_run_merge_matches_tree(const std::vector<T>& a,
+                                       const std::vector<T>& b, Cmp cmp,
+                                       std::uint64_t refill_bytes) {
+  SCOPED_TRACE(testing::Message() << "|a|=" << a.size() << " |b|="
+                                  << b.size() << " refill=" << refill_bytes);
+  const std::vector<Run<T>> rs = {{a.data(), a.data() + a.size()},
+                                  {b.data(), b.data() + b.size()}};
+  MergeOptions opt;
+  opt.refill_bytes = refill_bytes;
+  auto run = [&](auto merge) {
+    trace::TraceBuffer tb(cfg2().threads);
+    Machine m(cfg2(), &tb);
+    std::vector<T> out(a.size() + b.size());
+    for (const std::span<const T> v : {std::span<const T>(a),
+                                       std::span<const T>(b),
+                                       std::span<const T>(out)})
+      if (!v.empty()) m.adopt_far(v.data(), v.size_bytes());
+    merge(m, out.data());
+    m.end_phase();
+    std::vector<std::vector<std::uint8_t>> logs;
+    for (std::size_t t = 0; t < tb.threads(); ++t)
+      logs.emplace_back(tb.log(t).begin(), tb.log(t).end());
+    return std::pair(out, logs);
+  };
+  const auto [out, logs] = run([&](Machine& m, T* o) {
+    merge_runs_charged(m, 1, rs, o, cmp, opt);
+  });
+  const auto [want, want_logs] = run([&](Machine& m, T* o) {
+    tree_merge_oracle(m, 1, rs, o, cmp, opt);
+  });
+  EXPECT_EQ(out, want);
+  EXPECT_TRUE(logs == want_logs) << "the trace bytes differ";
+  if (!out.empty()) {
+    EXPECT_FALSE(logs[1].empty()) << "nothing was captured";
+  }
+}
+
+TEST(MergeRunsCharged, TwoRunLoopMatchesTheLoserTree) {
+  Xoshiro256 rng(61);
+  auto sorted = [&](std::size_t n, std::uint64_t below) {
+    std::vector<std::uint64_t> v(n);
+    for (auto& x : v) x = rng.below(below);
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (const std::uint64_t refill : {std::uint64_t{64}, 4 * KiB}) {
+    // Random keys, then keys equal within and across the two runs.
+    expect_two_run_merge_matches_tree(sorted(3000, 1 << 30),
+                                      sorted(2500, 1 << 30), std::less<>{},
+                                      refill);
+    expect_two_run_merge_matches_tree(sorted(1200, 4), sorted(1700, 4),
+                                      std::less<>{}, refill);
+    const std::vector<std::uint64_t> sevens(900, 7);
+    expect_two_run_merge_matches_tree(sevens, sevens, std::less<>{}, refill);
+    // An empty run on either side.
+    expect_two_run_merge_matches_tree(sorted(777, 50), {}, std::less<>{},
+                                      refill);
+    expect_two_run_merge_matches_tree({}, sorted(777, 50), std::less<>{},
+                                      refill);
+    // Runs shorter than one refill.
+    expect_two_run_merge_matches_tree(sorted(3, 10), sorted(5, 10),
+                                      std::less<>{}, refill);
+    // One run drained before the other starts, at every alignment of the
+    // other's refills against the output's flushes.
+    for (std::size_t len = 0; len <= 9; ++len) {
+      std::vector<std::uint64_t> high = sorted(300, 1 << 20);
+      for (auto& x : high) x += 10;
+      expect_two_run_merge_matches_tree(sorted(len, 10), high, std::less<>{},
+                                        refill);
+      expect_two_run_merge_matches_tree(high, sorted(len, 10), std::less<>{},
+                                        refill);
+    }
+  }
+  // Records ordered by key alone: equal keys must keep run 0 first.
+  struct KV {
+    std::uint32_t key;
+    std::uint32_t run;
+    bool operator==(const KV&) const = default;
+  };
+  auto tagged = [&](std::size_t n, std::uint32_t run) {
+    std::vector<KV> v(n);
+    for (auto& x : v) x = KV{static_cast<std::uint32_t>(rng.below(8)), run};
+    std::sort(v.begin(), v.end(),
+              [](const KV& x, const KV& y) { return x.key < y.key; });
+    return v;
+  };
+  expect_two_run_merge_matches_tree(
+      tagged(1500, 0), tagged(1300, 1),
+      [](const KV& x, const KV& y) { return x.key < y.key; }, 64);
 }
 
 // Every part of the exact partition, each found by part_slice on thread 0.

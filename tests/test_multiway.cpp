@@ -104,25 +104,42 @@ TEST(FormRuns, EachRunSortedAndDataPreserved) {
   expect_runs_formed(100'000, 4, std::less<>{});
 }
 
-// host_sort on `n` keys of type T drawn from `draw` matches std::sort.
-template <typename T, typename Draw>
-void expect_host_sorted(std::size_t n, Draw draw) {
+// host_sort_into on `keys` matches std::sort in each of its three modes:
+// into another buffer, in place through a spare, and in place without one.
+template <typename T>
+void expect_host_sorted(const std::vector<T>& keys) {
+  const std::size_t n = keys.size();
   SCOPED_TRACE(testing::Message() << sizeof(T) << "-byte keys, n=" << n);
-  std::vector<T> keys(n);
-  for (auto& x : keys) x = static_cast<T>(draw());
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
-  detail::host_sort(keys.data(), keys.data() + n, std::less<T>{});
-  EXPECT_EQ(keys, expect);
+  std::vector<T> dst(n);
+  detail::host_sort_into(keys.data(), dst.data(), n, nullptr, std::less<T>{});
+  EXPECT_EQ(dst, expect) << "into another buffer";
+  std::vector<T> spare(n);
+  dst = keys;
+  detail::host_sort_into(dst.data(), dst.data(), n, spare.data(),
+                         std::less<>{});
+  EXPECT_EQ(dst, expect) << "in place through a spare";
+  dst = keys;
+  detail::host_sort_into(dst.data(), dst.data(), n, nullptr, std::less<T>{});
+  EXPECT_EQ(dst, expect) << "in place";
+}
+
+// `n` keys of type T drawn from `draw`.
+template <typename T, typename Draw>
+std::vector<T> draw_keys(std::size_t n, Draw draw) {
+  std::vector<T> keys(n);
+  for (auto& x : keys) x = static_cast<T>(draw());
+  return keys;
 }
 
 template <typename T>
 void expect_host_sorts_width() {
   Xoshiro256 rng(sizeof(T));
   for (const std::size_t n : {0, 1, 31, 32, 33, 1000, 5000}) {
-    expect_host_sorted<T>(n, [&] { return rng.next(); });
-    expect_host_sorted<T>(n, [&] { return rng.below(3); });
-    expect_host_sorted<T>(n, [&] { return ~rng.below(300); });
+    expect_host_sorted(draw_keys<T>(n, [&] { return rng.next(); }));
+    expect_host_sorted(draw_keys<T>(n, [&] { return rng.below(3); }));
+    expect_host_sorted(draw_keys<T>(n, [&] { return ~rng.below(300); }));
   }
 }
 
@@ -131,6 +148,77 @@ TEST(HostSort, MatchesStdSortAtEveryKeyWidth) {
   expect_host_sorts_width<std::uint16_t>();
   expect_host_sorts_width<std::uint32_t>();
   expect_host_sorts_width<std::uint64_t>();
+}
+
+// The scatter pass's shapes: a range reaching the top bit (one counting
+// pass), a narrow one (counted again), a single key (copied), large
+// buckets finished by the American flag sort, a few keys (large equal
+// buckets), and presorted input, across the bucket-count steps of n and
+// both sides of the insertion cut-off.
+template <typename T>
+void expect_host_sorts_shapes() {
+  Xoshiro256 rng(40 + sizeof(T));
+  const T top = static_cast<T>(rng.next()) & ~T{0xffffff};
+  const T values[] = {T{5}, static_cast<T>(T{1} << (4 * sizeof(T))),
+                      static_cast<T>(~T{0})};
+  for (const std::size_t n : {0, 1, 31, 32, 33, 2047, 2048, 4097}) {
+    expect_host_sorted(draw_keys<T>(n, [&] { return rng.next(); }));
+    expect_host_sorted(
+        draw_keys<T>(n, [&] { return top | rng.below(1 << 24); }));
+    expect_host_sorted(std::vector<T>(n, top));
+    // A few large buckets whose keys differ only far below the digit.
+    expect_host_sorted(draw_keys<T>(n, [&] {
+      return rng.below(4) << (8 * sizeof(T) - 8) | rng.below(1 << 12);
+    }));
+    expect_host_sorted(draw_keys<T>(n, [&] { return values[rng.below(3)]; }));
+    auto sorted = draw_keys<T>(n, [&] { return rng.next(); });
+    std::sort(sorted.begin(), sorted.end());
+    expect_host_sorted(sorted);
+    std::reverse(sorted.begin(), sorted.end());
+    expect_host_sorted(sorted);
+  }
+}
+
+TEST(HostSortInto, MatchesStdSortOnEveryShape) {
+  expect_host_sorts_shapes<std::uint64_t>();
+  expect_host_sorts_shapes<std::uint32_t>();
+}
+
+// Keys compared other than by plain `<` keep std::sort, in all three modes.
+TEST(HostSortInto, OtherComparatorsKeepStdSort) {
+  auto keys = random_keys(3000, 41);
+  auto expect = keys;
+  std::sort(expect.begin(), expect.end(), std::greater<>{});
+  std::vector<std::uint64_t> dst(keys.size()), spare(keys.size());
+  detail::host_sort_into(keys.data(), dst.data(), keys.size(), nullptr,
+                         std::greater<>{});
+  EXPECT_EQ(dst, expect);
+  dst = keys;
+  detail::host_sort_into(dst.data(), dst.data(), dst.size(), spare.data(),
+                         std::greater<>{});
+  EXPECT_EQ(dst, expect);
+}
+
+// In-place formation through a spare sorts each run and keeps the keys.
+TEST(FormRuns, InPlaceThroughSpare) {
+  Machine m(cfg3(4));
+  const std::size_t n = 100'000;
+  auto data = random_keys(n, 42);
+  const auto input = data;
+  std::vector<std::uint64_t> spare(n);
+  const auto L = detail::plan_runs<std::uint64_t>(m, n, {});
+  ASSERT_GT(L.nruns, 1u);
+  detail::form_runs(m, data.data(), data.data(), n, L, std::less<>{},
+                    spare.data());
+  for (std::uint64_t r = 0; r < L.nruns; ++r) {
+    const std::uint64_t b = r * L.run_elems;
+    const std::uint64_t e = std::min<std::uint64_t>(b + L.run_elems, n);
+    auto expect = std::vector<std::uint64_t>(input.begin() + b,
+                                             input.begin() + e);
+    std::sort(expect.begin(), expect.end());
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), data.begin() + b))
+        << "run " << r;
+  }
 }
 
 TEST(MergePass, HalvesRunCountByFan) {

@@ -13,12 +13,13 @@
 // hash over every field of every TraceOp.
 //
 // The geometries are chosen to reach each kernel path: GNU sort as a single
-// run and with one and two merge passes, NMsort with a single run, a single
-// chunk and several chunks (metadata and eager-scatter Phase 1), the §III
-// sorts at their base case and recursing at least two levels, and the
-// write-efficient sort's small path (a single run and several), its
-// distribution, and its oversized-singleton fill (an input half of whose keys
-// are one value).
+// run and with one and two merge passes (the second forms its runs in place
+// through the ping-pong spare and ends in a two-run merge), NMsort with a
+// single run, a single chunk and several chunks (metadata and eager-scatter
+// Phase 1), the §III sorts at their base case and recursing at least two
+// levels, and the write-efficient sort's small path (a single run and
+// several), its distribution, and its oversized-singleton fill (an input
+// half of whose keys are one value).
 //
 // On a mismatch the test writes the values it computed to
 // sort_golden.actual.json in its working directory. A change that moves the
@@ -38,6 +39,7 @@
 
 #include "analysis/experiment.hpp"
 #include "common/faults.hpp"
+#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/sorted_check.hpp"
 #include "obs/json.hpp"
@@ -380,6 +382,16 @@ TEST(SortGolden, GeometriesReachTheirPaths) {
   EXPECT_GT(detail::plan_runs<std::uint64_t>(Machine(few.cfg), few.n, {})
                 .nruns,
             1u);
+  // GNU sort's two-pass geometry forms its runs in place (an even pass
+  // count lands the last pass in the input), so formation sorts each run
+  // through the ping-pong spare, and its last pass merges two runs in the
+  // two-run loop.
+  const Case gnu2 = find("gnu_two_pass");
+  const detail::RunLayout gl =
+      detail::plan_runs<std::uint64_t>(Machine(gnu2.cfg), gnu2.n, {});
+  EXPECT_GT(gl.nruns, 1u);
+  EXPECT_EQ(gl.passes % 2, 0u);
+  EXPECT_EQ(ceil_div(gl.nruns, gl.fan), 2u);
   const Entries nm1 = phases_of(few, Variant::kDefault);
   EXPECT_TRUE(has_phase(nm1, "nmsort.phase1"));
   EXPECT_FALSE(has_phase(nm1, "nmsort.sample"));
