@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -111,6 +111,31 @@ bool same_keys(std::span<std::uint64_t> keys,
   return true;
 }
 
+// A scratch buffer that only grows and is never filled on growth.
+template <typename T>
+class GrowOnly {
+ public:
+  std::span<T> first(std::size_t n) {
+    if (n > capacity_) {
+      buf_ = std::make_unique_for_overwrite<T[]>(n);
+      capacity_ = n;
+    }
+    return {buf_.get(), n};
+  }
+
+ private:
+  std::unique_ptr<T[]> buf_;
+  std::size_t capacity_ = 0;
+};
+
+// Each thread keeps its scratch between checks: freed after every check,
+// it was returned to the OS by the allocator and faulted in again by the
+// next one.
+struct Scratch {
+  GrowOnly<std::uint64_t> keys, spare;
+  GrowOnly<std::uint32_t> counts;
+};
+
 }  // namespace
 
 bool is_sorted_permutation(std::span<const std::uint64_t> input,
@@ -123,10 +148,11 @@ bool is_sorted_permutation(std::span<const std::uint64_t> input,
   TLM_REQUIRE(input.size() <= UINT32_MAX, "counters are 32-bit");
   const std::size_t n = input.size();
   const std::size_t counters = (std::size_t{2} << bucket_bits(n)) + 1;
-  std::vector<std::uint64_t> keys(input.begin(), input.end());
-  const auto spare = std::make_unique_for_overwrite<std::uint64_t[]>(n);
-  const auto counts = std::make_unique_for_overwrite<std::uint32_t[]>(counters);
-  return same_keys(keys, output, {spare.get(), n}, {counts.get(), counters});
+  thread_local Scratch scratch;
+  const std::span<std::uint64_t> keys = scratch.keys.first(n);
+  std::copy(input.begin(), input.end(), keys.begin());
+  return same_keys(keys, output, scratch.spare.first(n),
+                   scratch.counts.first(counters));
 }
 
 }  // namespace tlm

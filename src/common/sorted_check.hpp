@@ -8,8 +8,9 @@
 // compared with the runs of `output` they must equal: by insertion when
 // they hold at most 16 keys, else by the same split on their own range.
 // Each level costs O(n) and narrows the range by at least 5 bits, so there
-// are at most 13 levels; uniform keys need one. It allocates two key
-// buffers and one counter array, and takes at most 2^32 - 1 keys.
+// are at most 13 levels; uniform keys need one. Its two key buffers and
+// counter array are per-thread scratch that grows to the largest check the
+// thread has made and is kept for the next. It takes at most 2^32 - 1 keys.
 //
 // The check shares no code with the kernels it checks (no host sort,
 // american-flag sort or loser tree), so a kernel bug cannot verify itself.

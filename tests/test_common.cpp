@@ -701,6 +701,21 @@ TEST(SortedCheck, BucketCountsDecideWhenScratchHoldsTheAnswer) {
   EXPECT_FALSE(is_sorted_permutation(keys, std_sorted(changed)));
 }
 
+TEST(SortedCheck, ReusedScratchStaysExact) {
+  // One thread's checks share its scratch: a smaller check after a larger
+  // one sees the larger one's leftovers past its own length, and must not
+  // read them.
+  const std::vector<std::uint64_t> large = random_keys(20000, 11);
+  expect_exact(large, "large check");
+  std::vector<std::uint64_t> small(large.begin(), large.begin() + 3000);
+  expect_exact(small, "smaller check after a larger one");
+  std::vector<std::uint64_t> sorted = std_sorted(small);
+  sorted.back() = std_sorted(large).back();  // a key only the large input had
+  EXPECT_FALSE(is_sorted_permutation(small, sorted))
+      << "mismatch after a larger check";
+  EXPECT_TRUE(is_sorted_permutation(small, std_sorted(small)));
+}
+
 TEST(SortedCheck, NestedClustersAtScale) {
   // Most keys in ever narrower clusters: every level of bucket splitting
   // runs before the ranges collapse to single values.
