@@ -53,6 +53,7 @@ def main():
         "trace-replay",
         "racecheck",
         "server-stress",
+        "perf-ledger-smoke",
     ):
         if required not in jobs:
             fail(f"missing job: {required}")
@@ -110,7 +111,7 @@ def main():
     # rebuild dominates CI wall-clock otherwise.
     for job_name in ("build-test", "sanitizers", "flake-detect",
                      "model-check", "chaos", "trace-replay",
-                     "racecheck", "server-stress"):
+                     "racecheck", "server-stress", "perf-ledger-smoke"):
         jtext = steps_text(jobs[job_name])
         for needle in ("ccache", "actions/cache"):
             if needle not in jtext:
@@ -226,6 +227,18 @@ def main():
     ):
         if needle not in ss:
             fail(f"server-stress steps must mention '{needle}'")
+
+    # perf-ledger-smoke: every benchmark workload runs once through its own
+    # driver, and the job fails unless the ledger's output and fingerprint
+    # checks pass ("correct": true, "failed": 0 on the JSON result line).
+    ledger = steps_text(jobs["perf-ledger-smoke"])
+    for w in ("sort", "kmeans", "server"):
+        if w not in ledger:
+            fail(f"perf-ledger-smoke steps must run the '{w}' workload")
+    for needle in ("python3 perfledger/run.py", "--seed 1", "--seconds 1",
+                   '"correct"', '"failed"'):
+        if needle not in ledger:
+            fail(f"perf-ledger-smoke steps must mention '{needle}'")
 
     print(f"OK: {path} parses and has the expected job structure")
     return 0
