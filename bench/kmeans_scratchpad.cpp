@@ -46,10 +46,8 @@ void record_counting(obs::RunReport& report, const std::string& name,
   obs::RunRecord& rec = report.add_run(name);
   rec.set_config(m.config());
   rec.set_counting(m.stats(), m.config().block_bytes);
-  obs::MetricsRegistry reg;
-  obs::export_stats(m.stager_stats(), reg);
-  obs::export_stats(m.fault_stats(), reg);
-  rec.add_metrics(reg);
+  obs::export_stats(m.stager_stats(), rec);
+  obs::export_stats(m.fault_stats(), rec);
 }
 
 // The resident-vs-far sweep of the original K1 table.

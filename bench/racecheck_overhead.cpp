@@ -80,15 +80,13 @@ int run(const bench::Flags& flags) {
   rec.set_config(cfg);
   rec.set_counting(cap.counting.counting, cfg.block_bytes);
   rec.wall_seconds = best_seconds;
-  obs::MetricsRegistry reg;
-  reg.counter("racecheck.ops").add(rep.stats.ops);
-  reg.counter("racecheck.accesses").add(rep.stats.accesses);
-  reg.counter("racecheck.dmas").add(rep.stats.dmas);
-  reg.counter("racecheck.fences").add(rep.stats.fences);
-  reg.counter("racecheck.epochs").add(rep.stats.epochs);
-  reg.counter("racecheck.pairs_checked").add(rep.stats.pairs_checked);
-  reg.counter("racecheck.findings").add(rep.findings.size());
-  rec.add_metrics(reg);
+  rec.counters["racecheck.ops"] = rep.stats.ops;
+  rec.counters["racecheck.accesses"] = rep.stats.accesses;
+  rec.counters["racecheck.dmas"] = rep.stats.dmas;
+  rec.counters["racecheck.fences"] = rep.stats.fences;
+  rec.counters["racecheck.epochs"] = rep.stats.epochs;
+  rec.counters["racecheck.pairs_checked"] = rep.stats.pairs_checked;
+  rec.counters["racecheck.findings"] = rep.findings.size();
   rec.gauges["verified"] = cap.counting.verified ? 1.0 : 0.0;
   rec.gauges["racecheck.seconds_per_mop"] = sec_per_mop;
   bench::write_report_if_requested(flags, report, wall);

@@ -56,7 +56,6 @@
 #include "bench_util.hpp"
 #include "common/faults.hpp"
 #include "common/table.hpp"
-#include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "scratchpad/machine.hpp"
 #include "server/job_server.hpp"
@@ -249,11 +248,7 @@ DeadlineOutcome run_deadline_wave(const MixParams& p,
   }
   for (server::TenantArena* a : arenas) out.leaked += a->used_bytes();
   out.ls = srv.lifecycle_stats();
-  if (rec) {
-    obs::MetricsRegistry reg;
-    srv.export_metrics(reg);
-    rec->add_metrics(reg);
-  }
+  if (rec) srv.export_metrics(*rec);
   return out;
 }
 
@@ -485,9 +480,7 @@ int run(const bench::Flags& flags) {
   report.params["deadline_ms"] = flags.u64("--deadline-ms", 1000);
   obs::RunRecord& rec = report.add_run("mixed");
   rec.set_config(cfg);
-  obs::MetricsRegistry reg;
-  srv.export_metrics(reg);
-  rec.add_metrics(reg);
+  srv.export_metrics(rec);
 
   // ---- deadline-chaos wave ----------------------------------------------
   const double deadline_s = flags.f64("--deadline-ms", 1000.0) / 1e3;

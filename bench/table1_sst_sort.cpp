@@ -99,21 +99,18 @@ int run(const bench::Flags& flags) {
       rec.set_counting(r.counting, cfg.block_bytes);
       rec.wall_seconds = r.host_seconds;
       rec.gauges["verified"] = r.verified ? 1.0 : 0.0;
-      obs::MetricsRegistry reg;
-      obs::export_stats(r.faults, reg);
-      rec.add_metrics(reg);
+      obs::export_stats(r.faults, rec);
     } else {
       analysis::SortRun counting;
       sim::SimReport sim;
-      obs::MetricsRegistry reg;
       if (mapped) {
         const analysis::MappedSimulatedSort s = analysis::simulate_sort_mapped(
             c.rho, cores, n, near_cap, c.algo, seed,
             trace_dir + "/run-" + std::to_string(report.runs.size()));
         counting = s.counting;
         sim = s.report;
-        obs::export_stats(s.log, reg);
-        obs::export_stats(s.replay, reg);
+        obs::export_stats(s.log, rec);
+        obs::export_stats(s.replay, rec);
         std::cout << "  [" << c.name << "] spilled "
                   << s.log.file_bytes / 1024 << " KiB ("
                   << Table::num(s.log.bytes_per_op(), 2)
@@ -135,8 +132,7 @@ int run(const bench::Flags& flags) {
       rec.set_sim(sim);
       rec.wall_seconds = counting.host_seconds;
       rec.gauges["verified"] = counting.verified ? 1.0 : 0.0;
-      obs::export_stats(counting.faults, reg);
-      rec.add_metrics(reg);
+      obs::export_stats(counting.faults, rec);
       std::cout << "  [" << c.name << "] simulated (" << sim.events
                 << " events), sorted output verified="
                 << (counting.verified ? "yes" : "NO") << "\n";

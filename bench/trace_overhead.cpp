@@ -113,9 +113,7 @@ int run(const bench::Flags& flags) {
   rec.set_config(cfg);
   rec.set_counting(mapped.counting.counting, cfg.block_bytes);
   rec.wall_seconds = mapped.counting.host_seconds;
-  obs::MetricsRegistry reg;
-  obs::export_stats(ml, reg);
-  rec.add_metrics(reg);
+  obs::export_stats(ml, rec);
   rec.gauges["verified"] = all_verified ? 1.0 : 0.0;
   rec.gauges["trace.capture_slowdown_ram"] = slowdown_ram;
   rec.gauges["trace.capture_slowdown_mapped"] = slowdown_mapped;

@@ -87,30 +87,6 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) os << ',';
-      // Quote cells containing separators.
-      if (cells[i].find_first_of(",\"\n") != std::string::npos) {
-        os << '"';
-        for (char c : cells[i]) {
-          if (c == '"') os << '"';
-          os << c;
-        }
-        os << '"';
-      } else {
-        os << cells[i];
-      }
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 std::ostream& operator<<(std::ostream& os, const Table& t) {
   t.print(os);
   return os;

@@ -24,7 +24,6 @@ class Table {
 
   void print(std::ostream& os) const;
   std::string to_string() const;
-  std::string to_csv() const;
 
  private:
   std::string title_;

@@ -26,6 +26,11 @@ std::string_view last_segment(std::string_view path) {
 LeafKind classify(std::string_view path) {
   const std::string_view leaf = last_segment(path);
   if (leaf == "wall_seconds" || leaf == "host_seconds") return LeafKind::Wall;
+  // Gauges derived from host timings: ratios and rates, not modeled costs.
+  for (const std::string_view k :
+       {"trace.capture_slowdown_ram", "trace.capture_slowdown_mapped",
+        "racecheck.seconds_per_mop"})
+    if (ends_with(path, k)) return LeafKind::Wall;
   if (path.find(".config.") != std::string_view::npos ||
       path.find("params.") != std::string_view::npos ||
       leaf == "schema_version" || leaf == "line_bytes")
@@ -43,7 +48,7 @@ LeafKind classify(std::string_view path) {
       ends_with(leaf, "_misses") || ends_with(leaf, "_seconds") ||
       ends_with(leaf, "_s"))
     return LeafKind::Cost;
-  // MetricsRegistry counters are costs by convention.
+  // Named metric counters are costs by convention.
   if (path.find("metrics.counters.") != std::string_view::npos)
     return LeafKind::Cost;
   return LeafKind::Context;
@@ -123,7 +128,11 @@ DiffReport diff_reports(const Json& baseline, const Json& current,
     const auto it = cur.find(path);
     if (it == cur.end() && is_split_leaf(path)) continue;
     if (it == cur.end() && !is_fault_leaf(path)) {
-      if (kind == LeafKind::Cost) out.missing_in_current.push_back(path);
+      if (kind == LeafKind::Cost)
+        out.missing_in_current.push_back(path);
+      else
+        out.context_mismatches.push_back(path + ": " + std::to_string(bval) +
+                                         " vs missing");
       continue;
     }
     const double cval = it == cur.end() ? 0.0 : it->second;

@@ -7,11 +7,12 @@
 // when present, so reordering records does not misalign runs), and only
 // cost-like leaves — seconds, bytes, blocks, bursts, accesses, events,
 // reads/writes, misses, fills, writebacks, messages — participate in the
-// regression verdict. Host wall-clock ("wall_seconds"/"host_seconds") is
-// noisy across machines and is never compared; host time is the perf
-// ledger's (perfledger/). Config/params leaves never regress; differing
-// values are reported as context mismatches, which usually mean the two
-// reports are not comparable runs.
+// regression verdict. Host wall-clock ("wall_seconds"/"host_seconds", and
+// the gauges derived from host timings) is noisy across machines and is
+// never compared; host time is the perf ledger's (perfledger/). Every other
+// leaf is context (config, params, gauges, uncosted counters): it never
+// regresses, and a differing or vanished value is reported as a context
+// mismatch, which usually means the two reports are not comparable runs.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@ struct DiffEntry {
 
 struct DiffReport {
   std::vector<DiffEntry> entries;  // every compared cost leaf that changed
-  std::vector<std::string> context_mismatches;  // config/params differences
+  std::vector<std::string> context_mismatches;  // changed/vanished context
   std::vector<std::string> missing_in_current;  // cost leaves that vanished
   std::vector<std::string> added_in_current;    // new cost leaves
   std::size_t leaves_compared = 0;
@@ -54,6 +55,13 @@ struct DiffReport {
     std::size_t n = 0;
     for (const auto& e : entries) n += e.regression;
     return n;
+  }
+  // The determinism count (report_diff --max-changed): cost leaves that
+  // changed or vanished plus context leaves that did. Leaves only the
+  // current report has are not counted.
+  std::size_t changed() const {
+    return entries.size() + missing_in_current.size() +
+           context_mismatches.size();
   }
 
   // Human-readable summary; `all` includes unchanged-but-compared context.

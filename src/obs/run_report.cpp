@@ -99,13 +99,6 @@ void RunRecord::set_sim(const sim::SimReport& r) {
   has_sim = true;
 }
 
-void RunRecord::add_metrics(const MetricsRegistry& reg) {
-  for (const auto& [k, v] : reg.counters()) counters.insert_or_assign(k, v);
-  for (const auto& [k, v] : reg.gauges()) gauges.insert_or_assign(k, v);
-  for (const auto& [k, v] : reg.timers_seconds())
-    gauges.insert_or_assign(k + ".seconds", v);
-}
-
 RunRecord& RunReport::add_run(std::string name) {
   runs.emplace_back();
   runs.back().name = std::move(name);
@@ -281,31 +274,31 @@ std::vector<std::string> validate_report(const Json& j) {
   return out;
 }
 
-void export_stats(const StagerStats& st, MetricsRegistry& reg) {
-#define TLM_X(kind, field, metric) export_leaf(reg, metric, st.field);
+void export_stats(const StagerStats& st, RunRecord& rec) {
+#define TLM_X(kind, field, metric) export_leaf(rec, metric, st.field);
   TLM_STAGER_STATS(TLM_X)
 #undef TLM_X
 }
 
-void export_stats(const FaultStats& st, MetricsRegistry& reg) {
-#define TLM_X(kind, field, metric) export_leaf(reg, metric, st.field);
+void export_stats(const FaultStats& st, RunRecord& rec) {
+#define TLM_X(kind, field, metric) export_leaf(rec, metric, st.field);
   TLM_FAULT_STATS(TLM_X)
 #undef TLM_X
 }
 
-void export_stats(const trace::MappedLogStats& st, MetricsRegistry& reg) {
-  reg.counter("trace.capture_ops").add(st.ops);
-  reg.counter("trace.capture_raw_ops").add(st.raw_ops);
-  reg.counter("trace.encoded_bytes").add(st.encoded_bytes);
-  reg.counter("trace.spill_bytes").add(st.file_bytes);
-  reg.counter("trace.spill_chunks").add(st.chunks);
-  reg.set_gauge("trace.capture_bytes_per_op", st.bytes_per_op());
+void export_stats(const trace::MappedLogStats& st, RunRecord& rec) {
+  export_leaf(rec, "trace.capture_ops", st.ops);
+  export_leaf(rec, "trace.capture_raw_ops", st.raw_ops);
+  export_leaf(rec, "trace.encoded_bytes", st.encoded_bytes);
+  export_leaf(rec, "trace.spill_bytes", st.file_bytes);
+  export_leaf(rec, "trace.spill_chunks", st.chunks);
+  export_leaf(rec, "trace.capture_bytes_per_op", st.bytes_per_op());
 }
 
-void export_stats(const trace::ReplayStats& st, MetricsRegistry& reg) {
-  reg.counter("trace.replay_ops").add(st.ops);
-  reg.counter("trace.replay_fences").add(st.fences);
-  reg.counter("trace.replay_recovered_threads").add(st.recovered_threads);
+void export_stats(const trace::ReplayStats& st, RunRecord& rec) {
+  export_leaf(rec, "trace.replay_ops", st.ops);
+  export_leaf(rec, "trace.replay_fences", st.fences);
+  export_leaf(rec, "trace.replay_recovered_threads", st.recovered_threads);
 }
 
 }  // namespace tlm::obs

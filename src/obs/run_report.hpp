@@ -4,8 +4,8 @@
 // bench ran (Table I emits four: GNU sort and NMsort at 2x/4x/8x). Each
 // record carries the machine configuration, the counting backend's
 // MachineStats (totals + per-phase), the cycle simulator's SimReport when
-// the run was simulated, wall-clock, and any custom MetricsRegistry
-// snapshot. Every counter leaf is expanded from the table that declares the
+// the run was simulated, wall-clock, and any named counters and gauges
+// (the export_stats overloads below). Every counter leaf is expanded from the table that declares the
 // counter: TLM_PHASE_STATS (scratchpad/counters.hpp) for the counting
 // sections, TLM_SIM_STATS (sim/system.hpp) for `sim`.
 //
@@ -20,10 +20,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "scratchpad/config.hpp"
 #include "scratchpad/counters.hpp"
 #include "sim/system.hpp"
@@ -47,14 +47,23 @@ struct RunRecord {
 
   double wall_seconds = 0;  // host wall-clock of this record's run
 
-  std::map<std::string, std::uint64_t> counters;  // MetricsRegistry snapshot
+  std::map<std::string, std::uint64_t> counters;  // report `metrics` section
   std::map<std::string, double> gauges;
 
   void set_config(const TwoLevelConfig& cfg);
   void set_counting(const MachineStats& st, std::uint64_t line);
   void set_sim(const sim::SimReport& r);
-  void add_metrics(const MetricsRegistry& reg);
 };
+
+// One counter-table row into `rec`: a count adds to a counter, a double
+// sets a gauge.
+inline void export_leaf(RunRecord& rec, std::string_view key,
+                        std::uint64_t v) {
+  rec.counters[std::string(key)] += v;
+}
+inline void export_leaf(RunRecord& rec, std::string_view key, double v) {
+  rec.gauges.insert_or_assign(std::string(key), v);
+}
 
 struct RunReport {
   static constexpr std::uint64_t kSchemaVersion = 1;
@@ -85,21 +94,21 @@ std::vector<std::string> validate_report(const Json& j);
 // throws on a report from before the read/write split.
 PhaseStats phase_from_json(const Json& j);
 
-// Export component statistics into a registry as flat named counters and
+// Export component statistics into a record as flat named counters and
 // gauges, so ad-hoc instrumentation and the built-in accounting land in one
 // namespace. Staged-streaming counters ("stager.batches", "stager.prefetch_bytes", ...)
 // from Machine::stager_stats() or an individual Stager::stats().
-void export_stats(const StagerStats& st, MetricsRegistry& reg);
+void export_stats(const StagerStats& st, RunRecord& rec);
 // Fault-injection counters ("faults.near_alloc_injected", "retries.dma",
 // ...) from Machine::fault_stats(). Always emits the full key set so fault
 // counters are first-class report citizens; report_diff treats their
 // absence in older baselines as zero.
-void export_stats(const FaultStats& st, MetricsRegistry& reg);
+void export_stats(const FaultStats& st, RunRecord& rec);
 // Out-of-core trace capture ("trace.spill_bytes", "trace.capture_bytes_per_op",
 // ...) from MappedLog::stats() and its replay ("trace.replay_ops",
 // "trace.replay_fences", "trace.replay_recovered_threads") from
 // ShardedReplay::stats().
-void export_stats(const trace::MappedLogStats& st, MetricsRegistry& reg);
-void export_stats(const trace::ReplayStats& st, MetricsRegistry& reg);
+void export_stats(const trace::MappedLogStats& st, RunRecord& rec);
+void export_stats(const trace::ReplayStats& st, RunRecord& rec);
 
 }  // namespace tlm::obs

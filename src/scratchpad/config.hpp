@@ -100,17 +100,4 @@ inline TwoLevelConfig test_config(double rho = 4.0) {
   return c;
 }
 
-// The Fig. 4 node: 256 cores at 1.7 GHz, ~60 GB/s STREAM to far memory,
-// scratchpad at 2x/4x/8x that bandwidth.
-inline TwoLevelConfig paper_config(double rho = 8.0) {
-  TwoLevelConfig c;
-  c.near_capacity = 512 * MiB;  // several copies of 10M u64
-  c.block_bytes = 64;
-  c.rho = rho;
-  c.far_bw = 60.0 * GB;
-  c.core_rate = 1.7e9;
-  c.threads = 256;
-  return c;
-}
-
 }  // namespace tlm

@@ -12,7 +12,7 @@ namespace tlm {
 // Every counter below is declared once, in a table; the struct members (for
 // PhaseStats, private storage plus a const accessor), operator+=, the *_delta
 // snapshots, Machine::fold_open_phase, the run-report JSON, the Stager/fault
-// MetricsRegistry export and the job server's attribution check are all
+// export_stats export and the job server's attribution check are all
 // expanded from these tables, so a field cannot be missing from any of them.
 // A row is X(kind, field, fold) or, for the Stager and fault tables,
 // X(kind, field, metric):
@@ -20,7 +20,7 @@ namespace tlm {
 //   fold    Sum: += adds and *_delta subtracts; Max: += keeps the larger
 //           and *_delta takes the later snapshot, since a maximum has no
 //           meaningful difference;
-//   metric  the MetricsRegistry key export_stats writes (every row sums).
+//   metric  the run-record key export_stats writes (every row sums).
 namespace counters {
 using u64 = std::uint64_t;
 using f64 = double;

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/assert.hpp"
+#include "obs/run_report.hpp"
 
 namespace tlm::server {
 
@@ -575,24 +576,16 @@ TenantStats JobServer::tenant_stats(const std::string& name) const {
   return {};
 }
 
-std::vector<std::string> JobServer::tenant_names() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(tenants_.size());
-  for (const auto& t : tenants_) out.push_back(t->name());
-  return out;
-}
-
-void JobServer::export_metrics(obs::MetricsRegistry& reg) const {
+void JobServer::export_metrics(obs::RunRecord& rec) const {
   MutexLock lock(mu_);
   for (const auto& t : tenants_) {
     const TenantStats s = t->snapshot();
     const std::string p = "tenant." + s.tenant + ".";
 #define TLM_X(field, metric, source) \
-  obs::export_leaf(reg, p + metric, s.field);
+  obs::export_leaf(rec, p + metric, s.field);
     TLM_TENANT_COUNTERS(TLM_X)
 #undef TLM_X
-#define TLM_X(metric, value) obs::export_leaf(reg, p + metric, value);
+#define TLM_X(metric, value) obs::export_leaf(rec, p + metric, value);
     TLM_TENANT_DERIVED(TLM_X)
 #undef TLM_X
   }
@@ -600,14 +593,14 @@ void JobServer::export_metrics(obs::MetricsRegistry& reg) const {
   // determinism gate diffs with --max-changed=0 (watchdog_fired is wall-
   // clock-driven and only deterministic when no watchdog is armed).
   const LifecycleStats l = lifecycle_locked();
-  reg.counter("cancel.requested").add(l.cancel_requested);
-  reg.counter("cancel.settled").add(l.cancelled);
-  reg.counter("cancel.shutdown").add(l.shutdown_cancelled);
-  reg.counter("deadline.expired").add(l.deadline_expired);
-  reg.counter("deadline.watchdog").add(l.watchdog_fired);
-  reg.counter("quarantine.settled").add(l.quarantined);
-  reg.counter("retry.attempts").add(l.retries);
-  reg.counter("lifecycle.reclaimed_bytes").add(l.reclaimed_bytes);
+  obs::export_leaf(rec, "cancel.requested", l.cancel_requested);
+  obs::export_leaf(rec, "cancel.settled", l.cancelled);
+  obs::export_leaf(rec, "cancel.shutdown", l.shutdown_cancelled);
+  obs::export_leaf(rec, "deadline.expired", l.deadline_expired);
+  obs::export_leaf(rec, "deadline.watchdog", l.watchdog_fired);
+  obs::export_leaf(rec, "quarantine.settled", l.quarantined);
+  obs::export_leaf(rec, "retry.attempts", l.retries);
+  obs::export_leaf(rec, "lifecycle.reclaimed_bytes", l.reclaimed_bytes);
 }
 
 }  // namespace tlm::server

@@ -46,9 +46,12 @@
 
 #include "common/cancel.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/metrics.hpp"
 #include "scratchpad/machine.hpp"
 #include "server/tenant_arena.hpp"
+
+namespace tlm::obs {
+struct RunRecord;
+}  // namespace tlm::obs
 
 namespace tlm::server {
 
@@ -261,11 +264,11 @@ class JobServer {
 
   // Snapshot of one tenant's counters and attribution.
   TenantStats tenant_stats(const std::string& name) const;
-  std::vector<std::string> tenant_names() const;
 
-  // Emits tenant.<name>.* counters/gauges into `reg`. Call once per
-  // registry, like the obs export_stats overloads.
-  void export_metrics(obs::MetricsRegistry& reg) const;
+  // Emits tenant.<name>.* counters/gauges and the server-wide lifecycle
+  // counters into `rec`. Call once per record, like the obs export_stats
+  // overloads.
+  void export_metrics(obs::RunRecord& rec) const;
 
  private:
   struct Tenant;

@@ -4,8 +4,9 @@
 # bench must exit 0 (its own shape gates, such as the sweep_omega crossover
 # and the server_mixed isolation verdicts, ride on that exit code), the new
 # report must pass report_diff --validate, and it must diff against the
-# checked-in file with zero changed or vanished cost leaves
-# (report_diff --max-changed=0). Leaves only the new report has, such as the
+# checked-in file with zero changed or vanished cost or context leaves
+# (report_diff --max-changed=0; host wall-clock and host-timed gauges are
+# never compared). Leaves only the new report has, such as the
 # read/write split counters against a baseline that predates them, are
 # listed but not counted.
 # Expects -DBENCH_DIR=<bench binaries> -DBASELINES=<dir> -DWORK_DIR=<dir>.

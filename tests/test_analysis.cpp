@@ -1,13 +1,12 @@
-// Tests for the analysis layer: algorithm naming, sweep grids, CSV output,
-// capture determinism, and the SST-style stats dump.
+// Tests for the analysis layer: algorithm naming, output verification, near
+// traffic by algorithm, capture determinism, and the SST-style stats dump.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "analysis/report.hpp"
+#include "analysis/experiment.hpp"
 #include "analysis/validate.hpp"
 #include "sim/system.hpp"
-#include "temp_path.hpp"
 
 namespace tlm::analysis {
 namespace {
@@ -39,50 +38,20 @@ TEST(Analysis, CorruptOutputIsNotVerified) {
   }
 }
 
-TEST(Analysis, SweepGridProducesCartesianRows) {
-  SweepGrid g;
-  g.algorithms = {Algorithm::GnuSort, Algorithm::NMsort};
-  g.rhos = {2.0, 8.0};
-  g.cores = {2};
-  g.ns = {1 << 14};
-  g.near_capacity = 256 * KiB;
-  const auto rows = run_sweep(g);
-  ASSERT_EQ(rows.size(), 4u);
-  for (const auto& r : rows) {
-    EXPECT_TRUE(r.verified);
-    EXPECT_GT(r.model_seconds, 0.0);
-    EXPECT_GT(r.far_bytes, 0u);
+// GNU sort never touches near memory; NMsort stages through it.
+TEST(Analysis, OnlyNMsortChargesNearTraffic) {
+  for (double rho : {2.0, 8.0}) {
+    const TwoLevelConfig cfg = scaled_counting_config(rho, 2, 256 * KiB);
+    const SortRun gnu =
+        run_sort_counting(cfg, Algorithm::GnuSort, 1 << 14, 101);
+    const SortRun nm =
+        run_sort_counting(cfg, Algorithm::NMsort, 1 << 14, 101);
+    EXPECT_TRUE(gnu.verified);
+    EXPECT_TRUE(nm.verified);
+    EXPECT_GT(gnu.counting.total.far_bytes(), 0u);
+    EXPECT_EQ(gnu.counting.total.near_bytes(), 0u) << "rho " << rho;
+    EXPECT_GT(nm.counting.total.near_bytes(), 0u) << "rho " << rho;
   }
-  // GNU rows never touch near memory; NMsort rows do.
-  EXPECT_EQ(rows[0].near_bytes, 0u);
-  EXPECT_GT(rows[2].near_bytes, 0u);
-}
-
-TEST(Analysis, CsvHasHeaderAndRows) {
-  SweepGrid g;
-  g.algorithms = {Algorithm::GnuSort};
-  g.rhos = {2.0};
-  g.cores = {2};
-  g.ns = {1 << 13};
-  g.near_capacity = 256 * KiB;
-  const std::string csv = to_csv(run_sweep(g));
-  EXPECT_NE(csv.find("algorithm,rho,cores,n,verified"), std::string::npos);
-  EXPECT_NE(csv.find("\"GNU sort\",2,2,8192,1,"), std::string::npos);
-  // header + 1 row = 2 newlines
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
-}
-
-TEST(Analysis, CsvFileRoundTrip) {
-  SweepGrid g;
-  g.algorithms = {Algorithm::GnuSort};
-  g.rhos = {2.0};
-  g.cores = {2};
-  g.ns = {1 << 13};
-  g.near_capacity = 256 * KiB;
-  const TempPath csv("sweep_test.csv");
-  EXPECT_EQ(write_sweep_csv(g, csv.path()), 1u);
-  EXPECT_THROW(write_sweep_csv(g, "/nonexistent/dir/x.csv"),
-               std::invalid_argument);
 }
 
 TEST(Analysis, CaptureIsDeterministicPerSeed) {

@@ -5,7 +5,7 @@
 // produce bit-identical output to its clean run: fault handling may only
 // change *where* data lives and *what the run costs*, never the result.
 // The suite also pins the failure-accounting plumbing (FaultStats through
-// MetricsRegistry through the tlm.run_report JSON schema and back), the
+// the tlm.run_report JSON schema and back), the
 // retry-budget abort, and the cycle simulator's stall/retry honoring.
 #include <gtest/gtest.h>
 
@@ -154,9 +154,7 @@ TEST(ChaosCounters, RoundTripThroughRunReportSchema) {
   obs::RunReport rep("chaos");
   obs::RunRecord& rec = rep.add_run("nmsort.chaos");
   rec.set_counting(r.counting, cfg.block_bytes);
-  obs::MetricsRegistry reg;
-  obs::export_stats(fs, reg);
-  rec.add_metrics(reg);
+  obs::export_stats(fs, rec);
 
   const obs::Json j = rep.to_json();
   EXPECT_TRUE(obs::validate_report(j).empty());

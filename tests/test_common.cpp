@@ -502,13 +502,6 @@ TEST(Table, RejectsMisshapenRow) {
   EXPECT_THROW(t.row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvEscapesSeparators) {
-  Table t("t");
-  t.header({"x"});
-  t.row({"a,b"});
-  EXPECT_EQ(t.to_csv(), "x\n\"a,b\"\n");
-}
-
 TEST(LogHistogram, QuantilesOnUniformGrid) {
   LogHistogram h(1e-9);
   for (int i = 1; i <= 1000; ++i) h.add(i * 1e-6);  // 1us .. 1ms uniform

@@ -1,5 +1,5 @@
-// Observability layer: JSON round-trips, metrics sharding, run-report
-// schema, regression diffing, and the counters-layer fixes it rides on.
+// Observability layer: JSON round-trips, run-report schema and metric
+// export, regression diffing, and the counters-layer fixes it rides on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "analysis/experiment.hpp"
 #include "obs/diff.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "scratchpad/counters.hpp"
 #include "scratchpad/machine.hpp"
@@ -82,46 +81,6 @@ TEST(Json, UnicodeEscapesDecodeToUtf8) {
   EXPECT_EQ(j.str(), "a\xc3\xa9\xe2\x82\xac" "b");
 }
 
-// ------------------------------------------------------------- metrics
-
-TEST(MetricsRegistry, ShardedCountersSumAcrossThreads) {
-  constexpr std::size_t kThreads = 4;
-  constexpr std::uint64_t kPerThread = 10000;
-  obs::MetricsRegistry reg(kThreads);
-  auto& c = reg.counter("test.ops");
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < kThreads; ++t)
-    workers.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c.add(1, t);
-    });
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
-  EXPECT_EQ(reg.counters().at("test.ops"), kThreads * kPerThread);
-}
-
-TEST(MetricsRegistry, GaugesAndTimers) {
-  obs::MetricsRegistry reg(2);
-  reg.set_gauge("cfg.rho", 4.0);
-  reg.set_gauge("cfg.rho", 8.0);  // last write wins
-  reg.timer("t.sort").add_seconds(0.25, 0);
-  reg.timer("t.sort").add_seconds(0.5, 1);
-  EXPECT_DOUBLE_EQ(reg.gauges().at("cfg.rho"), 8.0);
-  EXPECT_NEAR(reg.timers_seconds().at("t.sort"), 0.75, 1e-9);
-
-  const Json j = reg.to_json();
-  EXPECT_DOUBLE_EQ(j.at("gauges").at("cfg.rho").f64(), 8.0);
-  EXPECT_NEAR(j.at("timers_s").at("t.sort").f64(), 0.75, 1e-9);
-}
-
-TEST(MetricsRegistry, EmptySectionsOmittedFromJson) {
-  obs::MetricsRegistry reg;
-  reg.counter("only.counter").add(3);
-  const Json j = reg.to_json();
-  EXPECT_TRUE(j.contains("counters"));
-  EXPECT_FALSE(j.contains("gauges"));
-  EXPECT_FALSE(j.contains("timers_s"));
-}
-
 // ------------------------------------------------------- PhaseStats fix
 
 TEST(PhaseStats, PlusEqualsAggregatesEveryField) {
@@ -172,16 +131,15 @@ void expect_delta(const char* field, T got, T, T after, counters::Max) {
   EXPECT_EQ(got, after) << field;
 }
 
-double exported(const obs::MetricsRegistry& reg, const std::string& key) {
-  const auto counters = reg.counters();
-  if (const auto it = counters.find(key); it != counters.end())
+double exported(const obs::RunRecord& rec, const std::string& key) {
+  if (const auto it = rec.counters.find(key); it != rec.counters.end())
     return static_cast<double>(it->second);
-  return reg.gauges().at(key);
+  return rec.gauges.at(key);
 }
 
 // Every row of the three counter tables gets a distinct value and is checked
 // by name through each operation expanded from the tables: JSON out and
-// back, +=, the *_delta snapshots and the MetricsRegistry export.
+// back, +=, the *_delta snapshots and the export_stats export.
 TEST(CounterTable, EveryFieldRoundTrips) {
   double v = 1;
   Json ja = Json::object(), jb = Json::object();
@@ -253,19 +211,19 @@ TEST(CounterTable, EveryFieldRoundTrips) {
   fsum += fb;
   const StagerStats sd = stager_delta(ssum, sb);
   const FaultStats fd = fault_delta(fsum, fb);
-  obs::MetricsRegistry reg;
-  obs::export_stats(sa, reg);
-  obs::export_stats(fa, reg);
+  obs::RunRecord rec;
+  obs::export_stats(sa, rec);
+  obs::export_stats(fa, rec);
 #define TLM_X(kind, field, metric)                      \
   EXPECT_EQ(ssum.field, sa.field + sb.field) << #field; \
   EXPECT_EQ(sd.field, sa.field) << #field;              \
-  EXPECT_EQ(exported(reg, metric), static_cast<double>(sa.field)) << metric;
+  EXPECT_EQ(exported(rec, metric), static_cast<double>(sa.field)) << metric;
   TLM_STAGER_STATS(TLM_X)
 #undef TLM_X
 #define TLM_X(kind, field, metric)                      \
   EXPECT_EQ(fsum.field, fa.field + fb.field) << #field; \
   EXPECT_EQ(fd.field, fa.field) << #field;              \
-  EXPECT_EQ(exported(reg, metric), static_cast<double>(fa.field)) << metric;
+  EXPECT_EQ(exported(rec, metric), static_cast<double>(fa.field)) << metric;
   TLM_FAULT_STATS(TLM_X)
 #undef TLM_X
 }
@@ -485,9 +443,9 @@ TEST(RunReport, ExportStagerStatsLandsInRegistry) {
   st.prefetch_bytes = 24576;
   st.fallback_direct = 1;
   st.restarts = 1;
-  obs::MetricsRegistry reg;
-  obs::export_stats(st, reg);
-  const auto counters = reg.counters();
+  obs::RunRecord rec;
+  obs::export_stats(st, rec);
+  const auto& counters = rec.counters;
   EXPECT_EQ(counters.at("stager.batches"), 7u);
   EXPECT_EQ(counters.at("stager.sync_bytes"), 4096u);
   EXPECT_EQ(counters.at("stager.prefetch_batches"), 6u);
@@ -500,16 +458,16 @@ TEST(RunReport, ExportFaultStatsAlwaysEmitsFullKeySet) {
   // Zero-valued FaultStats still export every key: fault counters are
   // first-class report citizens, and report_diff's tolerance (not key
   // omission) is what keeps old baselines comparable.
-  obs::MetricsRegistry reg;
-  obs::export_stats(FaultStats{}, reg);
-  const auto counters = reg.counters();
+  obs::RunRecord rec;
+  obs::export_stats(FaultStats{}, rec);
+  const auto& counters = rec.counters;
   EXPECT_EQ(counters.at("faults.near_alloc_injected"), 0u);
   EXPECT_EQ(counters.at("faults.near_alloc_exhausted"), 0u);
   EXPECT_EQ(counters.at("faults.near_far_fallbacks"), 0u);
   EXPECT_EQ(counters.at("faults.dma_injected"), 0u);
   EXPECT_EQ(counters.at("faults.far_stalls"), 0u);
   EXPECT_EQ(counters.at("retries.dma"), 0u);
-  const auto gauges = reg.gauges();
+  const auto& gauges = rec.gauges;
   EXPECT_DOUBLE_EQ(gauges.at("retries.backoff_seconds"), 0.0);
   EXPECT_DOUBLE_EQ(gauges.at("faults.stall_seconds"), 0.0);
 
@@ -517,11 +475,56 @@ TEST(RunReport, ExportFaultStatsAlwaysEmitsFullKeySet) {
   fs.near_alloc_injected = 3;
   fs.dma_retries = 2;
   fs.backoff_s = 3e-6;
-  obs::MetricsRegistry reg2;
-  obs::export_stats(fs, reg2);
-  EXPECT_EQ(reg2.counters().at("faults.near_alloc_injected"), 3u);
-  EXPECT_EQ(reg2.counters().at("retries.dma"), 2u);
-  EXPECT_DOUBLE_EQ(reg2.gauges().at("retries.backoff_seconds"), 3e-6);
+  obs::RunRecord rec2;
+  obs::export_stats(fs, rec2);
+  EXPECT_EQ(rec2.counters.at("faults.near_alloc_injected"), 3u);
+  EXPECT_EQ(rec2.counters.at("retries.dma"), 2u);
+  EXPECT_DOUBLE_EQ(rec2.gauges.at("retries.backoff_seconds"), 3e-6);
+}
+
+// The nine trace.* leaves of a mapped capture and its replay, each under
+// its name, in its section, with its source value.
+TEST(RunReport, ExportTraceStatsLandsEveryLeaf) {
+  trace::MappedLogStats ml;
+  ml.ops = 40;
+  ml.raw_ops = 41;
+  ml.encoded_bytes = 130;
+  ml.file_bytes = 4096;
+  ml.chunks = 2;
+  trace::ReplayStats rs;
+  rs.ops = 42;
+  rs.fences = 5;
+  rs.recovered_threads = 1;
+  obs::RunReport report("trace");
+  obs::RunRecord& rec = report.add_run("mapped");
+  obs::export_stats(ml, rec);
+  obs::export_stats(rs, rec);
+  const Json j = report.to_json();
+  const Json& m = j.at("runs").arr()[0].at("metrics");
+  const Json& c = m.at("counters");
+  EXPECT_EQ(c.obj().size(), 8u);
+  EXPECT_EQ(c.at("trace.capture_ops").u64(), 40u);
+  EXPECT_EQ(c.at("trace.capture_raw_ops").u64(), 41u);
+  EXPECT_EQ(c.at("trace.encoded_bytes").u64(), 130u);
+  EXPECT_EQ(c.at("trace.spill_bytes").u64(), 4096u);
+  EXPECT_EQ(c.at("trace.spill_chunks").u64(), 2u);
+  EXPECT_EQ(c.at("trace.replay_ops").u64(), 42u);
+  EXPECT_EQ(c.at("trace.replay_fences").u64(), 5u);
+  EXPECT_EQ(c.at("trace.replay_recovered_threads").u64(), 1u);
+  const Json& g = m.at("gauges");
+  EXPECT_EQ(g.obj().size(), 1u);
+  EXPECT_DOUBLE_EQ(g.at("trace.capture_bytes_per_op").f64(), 130.0 / 40.0);
+}
+
+TEST(RunReport, EmptyMetricsSectionsOmittedFromJson) {
+  obs::RunReport report("sections");
+  report.add_run("none");
+  report.add_run("counter").counters["only.counter"] = 3;
+  const Json j = report.to_json();
+  EXPECT_FALSE(j.at("runs").arr()[0].contains("metrics"));
+  const Json& m = j.at("runs").arr()[1].at("metrics");
+  EXPECT_EQ(m.at("counters").at("only.counter").u64(), 3u);
+  EXPECT_FALSE(m.contains("gauges"));
 }
 
 // ---------------------------------------------------------------- diff
@@ -602,6 +605,53 @@ TEST(Diff, ConfigChangesAreContextMismatchesNotRegressions) {
   EXPECT_NE(d.context_mismatches[0].find("params.n"), std::string::npos);
 }
 
+// The determinism count behind report_diff --max-changed: a context leaf
+// that changed or vanished counts, a host-timed gauge never does.
+TEST(Diff, ChangedOrVanishedContextLeavesCountAsChanged) {
+  obs::RunReport a("bench");
+  obs::RunRecord& ra = a.add_run("r");
+  ra.gauges["verified"] = 1.0;
+  ra.gauges["tenant.t.degrade_level"] = 0.0;
+  const Json base = a.to_json();
+  EXPECT_EQ(obs::diff_reports(base, base).changed(), 0u);
+
+  Json changed = base;
+  changed["runs"].arr()[0]["metrics"]["gauges"]["verified"] = 0.0;
+  obs::DiffReport d = obs::diff_reports(base, changed);
+  EXPECT_FALSE(d.has_regression());
+  EXPECT_EQ(d.changed(), 1u);
+  ASSERT_EQ(d.context_mismatches.size(), 1u);
+  EXPECT_NE(d.context_mismatches[0].find("verified"), std::string::npos);
+
+  Json vanished = base;
+  vanished["runs"].arr()[0]["metrics"]["gauges"].obj().erase(
+      "tenant.t.degrade_level");
+  d = obs::diff_reports(base, vanished);
+  EXPECT_EQ(d.changed(), 1u);
+  EXPECT_TRUE(d.missing_in_current.empty());
+  ASSERT_EQ(d.context_mismatches.size(), 1u);
+  EXPECT_NE(d.context_mismatches[0].find("degrade_level"), std::string::npos);
+}
+
+TEST(Diff, HostTimedGaugesAreNeverCompared) {
+  const char* host_timed[] = {"trace.capture_slowdown_ram",
+                              "trace.capture_slowdown_mapped",
+                              "racecheck.seconds_per_mop"};
+  obs::RunReport a("bench"), b("bench"), c("bench");
+  obs::RunRecord& ra = a.add_run("r");
+  obs::RunRecord& rb = b.add_run("r");
+  ra.gauges["verified"] = rb.gauges["verified"] = 1.0;
+  c.add_run("r").gauges["verified"] = 1.0;
+  for (const char* k : host_timed) {
+    ra.gauges[k] = 1.5;
+    rb.gauges[k] = 3.0;
+  }
+  const obs::DiffReport changed = obs::diff_reports(a.to_json(), b.to_json());
+  EXPECT_EQ(changed.changed(), 0u);
+  EXPECT_EQ(changed.leaves_compared, 0u);
+  EXPECT_EQ(obs::diff_reports(a.to_json(), c.to_json()).changed(), 0u);
+}
+
 TEST(Diff, RecordsAlignByNameNotPosition) {
   obs::RunReport a("bench"), b("bench");
   a.add_run("first").counters["cost_bytes"] = 100;
@@ -645,9 +695,7 @@ TEST(Diff, FaultKeysAbsentFromOldBaselineReadAsZero) {
   a.add_run("r").counters["machine.far_read_bytes"] = 100;
   obs::RunRecord& rb = b.add_run("r");
   rb.counters["machine.far_read_bytes"] = 100;
-  obs::MetricsRegistry reg;
-  obs::export_stats(FaultStats{}, reg);
-  rb.add_metrics(reg);
+  obs::export_stats(FaultStats{}, rb);
   const obs::DiffReport d = obs::diff_reports(a.to_json(), b.to_json());
   EXPECT_FALSE(d.has_regression());
   EXPECT_TRUE(d.entries.empty());
@@ -665,9 +713,7 @@ TEST(Diff, NonzeroFaultCounterAgainstOldBaselineIsAChangedLeaf) {
   rb.counters["machine.far_read_bytes"] = 100;
   FaultStats fs;
   fs.near_alloc_injected = 4;
-  obs::MetricsRegistry reg;
-  obs::export_stats(fs, reg);
-  rb.add_metrics(reg);
+  obs::export_stats(fs, rb);
   const obs::DiffReport d = obs::diff_reports(a.to_json(), b.to_json());
   EXPECT_TRUE(d.added_in_current.empty());
   bool found = false;
@@ -690,9 +736,7 @@ TEST(Diff, FaultKeysMissingFromCurrentAreToleratedToo) {
   ra.counters["machine.far_read_bytes"] = 100;
   FaultStats fs;
   fs.dma_retries = 6;
-  obs::MetricsRegistry reg;
-  obs::export_stats(fs, reg);
-  ra.add_metrics(reg);
+  obs::export_stats(fs, ra);
   b.add_run("r").counters["machine.far_read_bytes"] = 100;
   const obs::DiffReport d = obs::diff_reports(a.to_json(), b.to_json());
   EXPECT_FALSE(d.has_regression());
@@ -708,7 +752,7 @@ TEST(Diff, FaultKeysMissingFromCurrentAreToleratedToo) {
 
 // One tiny job through a real JobServer, exported the way bench/server_mixed
 // does it: the naming contract the round-trip and diff tests below pin.
-void tenant_metrics(obs::MetricsRegistry& reg) {
+void tenant_metrics(obs::RunRecord& rec) {
   Machine m(test_config(4.0));
   server::JobServer srv(m);
   srv.add_tenant("alpha", 64 * 1024);
@@ -717,15 +761,13 @@ void tenant_metrics(obs::MetricsRegistry& reg) {
                                    server::SortBackend::kGnu, 2048, 11, res));
   srv.drain();
   EXPECT_TRUE(res->verified);
-  srv.export_metrics(reg);
+  srv.export_metrics(rec);
 }
 
 TEST(RunReport, TenantCountersRoundTripThroughSchema) {
-  obs::MetricsRegistry reg;
-  tenant_metrics(reg);
   obs::RunReport rep("server");
   obs::RunRecord& rec = rep.add_run("mixed");
-  rec.add_metrics(reg);
+  tenant_metrics(rec);
 
   const Json j = rep.to_json();
   EXPECT_TRUE(obs::validate_report(j).empty());
@@ -738,7 +780,7 @@ TEST(RunReport, TenantCountersRoundTripThroughSchema) {
   EXPECT_EQ(c.at("tenant.alpha.jobs_completed").u64(), 1u);
   EXPECT_EQ(c.at("tenant.alpha.phases").u64(), 3u);
   EXPECT_EQ(c.at("tenant.alpha.attributed_far_bytes").u64(),
-            reg.counters().at("tenant.alpha.attributed_far_bytes"));
+            rec.counters.at("tenant.alpha.attributed_far_bytes"));
   EXPECT_DOUBLE_EQ(m.at("gauges").at("tenant.alpha.degrade_level").f64(),
                    0.0);
 }
@@ -752,9 +794,7 @@ TEST(Diff, TenantLeavesAbsentFromOldBaselineAreAdditionsNotRegressions) {
   a.add_run("mixed").counters["machine.far_read_bytes"] = 100;
   obs::RunRecord& rb = b.add_run("mixed");
   rb.counters["machine.far_read_bytes"] = 100;
-  obs::MetricsRegistry reg;
-  tenant_metrics(reg);
-  rb.add_metrics(reg);
+  tenant_metrics(rb);
   const obs::DiffReport d = obs::diff_reports(a.to_json(), b.to_json());
   EXPECT_FALSE(d.has_regression());
   EXPECT_TRUE(d.missing_in_current.empty());

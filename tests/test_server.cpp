@@ -18,7 +18,7 @@
 #include "common/faults.hpp"
 #include "common/thread_pool.hpp"
 #include "kmeans/kmeans.hpp"
-#include "obs/metrics.hpp"
+#include "obs/run_report.hpp"
 #include "scratchpad/machine.hpp"
 #include "server/job_server.hpp"
 #include "server/jobs.hpp"
@@ -638,17 +638,16 @@ TEST(JobServerTest, ExportsTenantMetrics) {
   srv.submit(
       server::make_sort_job("exp", "one", SortBackend::kGnu, 4096, 5, res));
   srv.drain();
-  obs::MetricsRegistry reg;
-  srv.export_metrics(reg);
-  const auto counters = reg.counters();
+  obs::RunRecord rec;
+  srv.export_metrics(rec);
+  const auto& counters = rec.counters;
   EXPECT_EQ(counters.at("tenant.exp.quota_bytes"), 32u * 1024);
   EXPECT_EQ(counters.at("tenant.exp.admissions"), 1u);
   EXPECT_EQ(counters.at("tenant.exp.rejections"), 0u);
   EXPECT_EQ(counters.at("tenant.exp.jobs_completed"), 1u);
   EXPECT_EQ(counters.at("tenant.exp.phases"), 3u);
   EXPECT_GT(counters.at("tenant.exp.attributed_far_bytes"), 0u);
-  const auto gauges = reg.gauges();
-  EXPECT_EQ(gauges.at("tenant.exp.degrade_level"), 0.0);
+  EXPECT_EQ(rec.gauges.at("tenant.exp.degrade_level"), 0.0);
 }
 
 // Cross-thread combining: several client threads submit and wait against

@@ -21,7 +21,7 @@
 #include "common/cancel.hpp"
 #include "common/faults.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/metrics.hpp"
+#include "obs/run_report.hpp"
 #include "scratchpad/machine.hpp"
 #include "scratchpad/stager.hpp"
 #include "server/job_server.hpp"
@@ -453,9 +453,9 @@ TEST(JobLifecycle, ExportsLifecycleMetrics) {
   h.cancel();
   h.wait();
   srv.drain();
-  obs::MetricsRegistry reg;
-  srv.export_metrics(reg);
-  const auto c = reg.counters();
+  obs::RunRecord rec;
+  srv.export_metrics(rec);
+  const auto& c = rec.counters;
   ASSERT_TRUE(c.contains("cancel.requested"));
   EXPECT_EQ(c.at("cancel.requested"), 1u);
   EXPECT_EQ(c.at("cancel.settled"), 1u);
@@ -508,11 +508,11 @@ TEST(JobLifecycle, ExportContractOverTwoTenants) {
   EXPECT_TRUE(expired.deadline_exceeded());
   EXPECT_TRUE(quarantined.quarantined());
 
-  obs::MetricsRegistry reg;
-  srv.export_metrics(reg);
+  obs::RunRecord rec;
+  srv.export_metrics(rec);
   std::set<std::string> counters, gauges;
-  for (const auto& [k, v] : reg.counters()) counters.insert(k);
-  for (const auto& [k, v] : reg.gauges()) gauges.insert(k);
+  for (const auto& [k, v] : rec.counters) counters.insert(k);
+  for (const auto& [k, v] : rec.gauges) gauges.insert(k);
   std::set<std::string> want_counters = {
       "cancel.requested",  "cancel.settled",     "cancel.shutdown",
       "deadline.expired",  "deadline.watchdog",  "quarantine.settled",
@@ -549,7 +549,7 @@ TEST(JobLifecycle, ExportContractOverTwoTenants) {
   EXPECT_EQ(ls.reclaimed_bytes, a.reclaimed_bytes + b.reclaimed_bytes);
   EXPECT_EQ(ls.deadline_expired + ls.watchdog_fired,
             a.jobs_deadline_exceeded + b.jobs_deadline_exceeded);
-  const auto c = reg.counters();
+  const auto& c = rec.counters;
   EXPECT_EQ(c.at("cancel.requested"), ls.cancel_requested);
   EXPECT_EQ(c.at("cancel.settled"), ls.cancelled);
   EXPECT_EQ(c.at("cancel.shutdown"), ls.shutdown_cancelled);
