@@ -6,7 +6,8 @@
 // The traces cover the paths a run report does not pin: GNU sort and NMsort
 // 8X (caches, NoC, both memories), staged k-means with overlap_dma (the DMA
 // engine and its completions) and the same k-means trace under a seeded
-// fault schedule on the sim's stall and retry sites.
+// fault schedule on the sim's stall and retry sites. One more GNU sort runs
+// on 16 cores, so four L2s talk to the memories through four group endpoints.
 //
 // On a mismatch the test writes the values it computed to
 // sim_golden.actual.json in its working directory. A change that moves the
@@ -70,13 +71,14 @@ Entries replay(const SystemConfig& cfg, const trace::TraceSource& trace) {
   return out;
 }
 
-Entries sort_trace(analysis::Algorithm a, double rho) {
+Entries sort_trace(analysis::Algorithm a, double rho,
+                   std::size_t cores = kCores) {
   const TwoLevelConfig cfg =
-      analysis::scaled_counting_config(rho, kCores, kNearCap);
+      analysis::scaled_counting_config(rho, cores, kNearCap);
   const analysis::CaptureRun cap =
       analysis::capture_sort_trace(cfg, a, 1 << 14, 20150525);
   EXPECT_TRUE(cap.counting.verified);
-  return replay(SystemConfig::scaled(rho, kCores), cap.trace);
+  return replay(SystemConfig::scaled(rho, cores), cap.trace);
 }
 
 // Staged k-means with its points at 2x a 256 KiB scratchpad: the Stager posts
@@ -137,6 +139,8 @@ TEST(SimGolden, ReportsMatchCheckedInGolden) {
                     sort_trace(analysis::Algorithm::GnuSort, 2.0));
   runs.emplace_back("nmsort_8x",
                     sort_trace(analysis::Algorithm::NMsort, 8.0));
+  runs.emplace_back("gnu_sort_16_cores",
+                    sort_trace(analysis::Algorithm::GnuSort, 2.0, 16));
 
   const trace::TraceBuffer km = kmeans_trace();
   const SystemConfig km_node = SystemConfig::scaled(4.0, kCores);
@@ -158,9 +162,10 @@ TEST(SimGolden, ReportsMatchCheckedInGolden) {
         << name;
 
   // The golden only pins these paths if they were actually taken.
-  const Entries& clean = runs[2].second;
+  EXPECT_GT(lookup(runs[2].second, "core.15.finish_s"), 0.0);
+  const Entries& clean = runs[3].second;
   EXPECT_GT(lookup(clean, "dma.descriptors"), 0.0);
-  const Entries& chaos = runs[3].second;
+  const Entries& chaos = runs[4].second;
   EXPECT_GT(lookup(chaos, "far.stalls"), 0.0);
   EXPECT_GT(lookup(chaos, "dma.stalls"), 0.0);
   EXPECT_GT(lookup(chaos, "dma.retries"), 0.0);
