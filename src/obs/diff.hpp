@@ -43,7 +43,7 @@ struct DiffReport {
   std::vector<DiffEntry> entries;  // every compared cost leaf that changed
   std::vector<std::string> context_mismatches;  // changed/vanished context
   std::vector<std::string> missing_in_current;  // cost leaves that vanished
-  std::vector<std::string> added_in_current;    // new cost leaves
+  std::vector<std::string> added_in_current;    // new cost/context leaves
   std::size_t leaves_compared = 0;
 
   bool has_regression() const {
