@@ -236,7 +236,7 @@ def main():
         if w not in ledger:
             fail(f"perf-ledger-smoke steps must run the '{w}' workload")
     for needle in ("python3 perfledger/run.py", "--seed 1", "--seconds 1",
-                   '"correct"', '"failed"'):
+                   "--trace 1", '"des_ms"', '"correct"', '"failed"'):
         if needle not in ledger:
             fail(f"perf-ledger-smoke steps must mention '{needle}'")
 
