@@ -62,7 +62,7 @@ inline void banner(std::string_view title, std::string_view paper_ref) {
             << "################################################################\n";
 }
 
-// Wall-clock for RunReport::wall_seconds: construct at the top of run().
+// Wall-clock for the report's host.wall_seconds: construct at the top of run().
 class WallClock {
  public:
   double seconds() const {
@@ -84,7 +84,7 @@ inline bool write_report_if_requested(const Flags& flags,
                                       const WallClock& wall) {
   const std::string path = flags.str("--json", "");
   if (path.empty()) return false;
-  report.wall_seconds = wall.seconds();
+  report.host["wall_seconds"] = wall.seconds();
   try {
     report.write(path);
   } catch (const std::exception& e) {

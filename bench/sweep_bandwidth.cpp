@@ -50,7 +50,7 @@ int run(const bench::Flags& flags) {
     obs::RunRecord& rec = report.add_run("gnu.baseline");
     rec.set_config(base);
     rec.set_counting(gnu.counting, base.block_bytes);
-    rec.wall_seconds = gnu.host_seconds;
+    rec.host["wall_seconds"] = gnu.host_seconds;
     rec.gauges["modeled_seconds"] = gnu.modeled_seconds;
   }
 
@@ -76,7 +76,7 @@ int run(const bench::Flags& flags) {
         report.add_run("nmsort.rho" + Table::num(rho, 0));
     rec.set_config(cfg);
     rec.set_counting(nm.counting, cfg.block_bytes);
-    rec.wall_seconds = nm.host_seconds;
+    rec.host["wall_seconds"] = nm.host_seconds;
     rec.gauges["modeled_seconds"] = nm.modeled_seconds;
     rec.gauges["speedup_vs_gnu"] = speedup;
 

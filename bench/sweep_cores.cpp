@@ -91,7 +91,7 @@ int run(const bench::Flags& flags) {
           std::to_string(cores));
       rec.set_config(cfg);
       rec.set_counting(r->counting, cfg.block_bytes);
-      rec.wall_seconds = r->host_seconds;
+      rec.host["wall_seconds"] = r->host_seconds;
       rec.gauges["modeled_seconds"] = r->modeled_seconds;
       rec.gauges["memory_bound"] = bound ? 1.0 : 0.0;
     }

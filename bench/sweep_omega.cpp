@@ -116,7 +116,7 @@ int run(const bench::Flags& flags) {
           Table::num(omega, 0));
       rec.set_config(cfg);
       rec.set_counting(r->counting, cfg.block_bytes);
-      rec.wall_seconds = r->host_seconds;
+      rec.host["wall_seconds"] = r->host_seconds;
       rec.gauges["verified"] = r->verified ? 1.0 : 0.0;
       rec.gauges["far_seconds"] = r->counting.total.far_s();
     }

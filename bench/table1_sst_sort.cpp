@@ -97,7 +97,7 @@ int run(const bench::Flags& flags) {
       near_acc_model.push_back(near_acc.back());
       far_acc_model.push_back(far_acc.back());
       rec.set_counting(r.counting, cfg.block_bytes);
-      rec.wall_seconds = r.host_seconds;
+      rec.host["wall_seconds"] = r.host_seconds;
       rec.gauges["verified"] = r.verified ? 1.0 : 0.0;
       obs::export_stats(r.faults, rec);
     } else {
@@ -130,7 +130,7 @@ int run(const bench::Flags& flags) {
       far_acc_model.push_back(counting.counting.far_accesses(64));
       rec.set_counting(counting.counting, 64);
       rec.set_sim(sim);
-      rec.wall_seconds = counting.host_seconds;
+      rec.host["wall_seconds"] = counting.host_seconds;
       rec.gauges["verified"] = counting.verified ? 1.0 : 0.0;
       obs::export_stats(counting.faults, rec);
       std::cout << "  [" << c.name << "] simulated (" << sim.events

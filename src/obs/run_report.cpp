@@ -15,7 +15,7 @@ void read_leaf(const Json& j, const char* key, double& v) {
 }
 
 // Every stored field, plus the derived combined counters under their own
-// names so reports keep the leaves older baselines diff against.
+// names.
 Json phase_to_json(const PhaseStats& p, bool with_name) {
   Json j = Json::object();
   if (with_name) j["name"] = p.name;
@@ -25,10 +25,6 @@ Json phase_to_json(const PhaseStats& p, bool with_name) {
 #define TLM_X(combined, read, write) j[#combined] = p.combined();
   TLM_PHASE_COMBINED(TLM_X)
 #undef TLM_X
-  // Injected-fault stall time: only ever nonzero under fault injection, so
-  // it is emitted conditionally — clean reports stay byte-identical to
-  // baselines that predate the fault model.
-  if (p.stall_s() == 0) j.obj().erase("stall_s");
   return j;
 }
 
@@ -44,9 +40,14 @@ Json config_to_json(const TwoLevelConfig& c) {
   j["core_rate"] = c.core_rate;
   j["threads"] = static_cast<std::uint64_t>(c.threads);
   j["overlap_dma"] = c.overlap_dma;
-  // ω: emitted only when the asymmetric model is active, so symmetric-run
-  // reports stay byte-identical to pre-ω baselines (the stall_s pattern).
-  if (c.far_write_cost != 1.0) j["far_write_cost"] = c.far_write_cost;
+  j["far_write_cost"] = c.far_write_cost;
+  return j;
+}
+
+template <typename V>
+Json map_to_json(const std::map<std::string, V>& m) {
+  Json j = Json::object();
+  for (const auto& [k, v] : m) j[k] = v;
   return j;
 }
 
@@ -57,8 +58,6 @@ Json sim_to_json(const sim::SimReport& r) {
 #define TLM_X(section, key, source) j[#section][#key] = source;
   TLM_SIM_STATS(TLM_X)
 #undef TLM_X
-  // The DMA section appears only when the engine saw traffic.
-  if (!r.dma.descriptors && !r.dma.lines && !r.dma.bytes) j.obj().erase("dma");
   return j;
 }
 
@@ -92,6 +91,9 @@ void RunRecord::set_counting(const MachineStats& st, std::uint64_t line) {
   counting = st;
   line_bytes = line ? line : 64;
   has_counting = true;
+  for (std::size_t i = 0;
+       i < st.phases.size() && i < st.phase_host_seconds.size(); ++i)
+    host["phase_seconds." + st.phases[i].name] += st.phase_host_seconds[i];
 }
 
 void RunRecord::set_sim(const sim::SimReport& r) {
@@ -111,12 +113,12 @@ Json RunReport::to_json() const {
   j["schema_version"] = kSchemaVersion;
   j["benchmark"] = benchmark;
   j["params"] = params.is_null() ? Json::object() : params;
-  j["wall_seconds"] = wall_seconds;
+  if (!host.empty()) j["host"] = map_to_json(host);
   Json jruns = Json::array();
   for (const RunRecord& r : runs) {
     Json jr = Json::object();
     jr["name"] = r.name;
-    jr["wall_seconds"] = r.wall_seconds;
+    if (!r.host.empty()) jr["host"] = map_to_json(r.host);
     if (r.has_config) jr["config"] = config_to_json(r.config);
     if (r.has_counting) {
       Json& c = jr["counting"];
@@ -132,14 +134,8 @@ Json RunReport::to_json() const {
     if (r.has_sim) jr["sim"] = sim_to_json(r.sim);
     if (!r.counters.empty() || !r.gauges.empty()) {
       Json& m = jr["metrics"];
-      if (!r.counters.empty()) {
-        Json& mc = m["counters"];
-        for (const auto& [k, v] : r.counters) mc[k] = v;
-      }
-      if (!r.gauges.empty()) {
-        Json& mg = m["gauges"];
-        for (const auto& [k, v] : r.gauges) mg[k] = v;
-      }
+      if (!r.counters.empty()) m["counters"] = map_to_json(r.counters);
+      if (!r.gauges.empty()) m["gauges"] = map_to_json(r.gauges);
     }
     jruns.push_back(std::move(jr));
   }
@@ -189,6 +185,18 @@ std::vector<std::string> validate_report(const Json& j) {
     TLM_PHASE_COMBINED(TLM_X)
 #undef TLM_X
   };
+  // Every stored PhaseStats field, in the total and in each phase.
+  auto phase_fields = [&](const Json& p, const std::string& where) {
+#define TLM_X(kind, field, fold) \
+  need(p, #field, where.c_str(), is_num, "a number");
+    TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
+    conserved(p, where);
+  };
+  auto host_object = [&](const Json& o, const std::string& where) {
+    if (o.contains("host") && !o.at("host").is_object())
+      out.push_back(where + ": 'host' must be an object");
+  };
 
   if (!j.is_object()) {
     out.push_back("top level: not a JSON object");
@@ -204,9 +212,9 @@ std::vector<std::string> validate_report(const Json& j) {
       out.push_back("top level: unsupported schema_version " +
                     std::to_string(v->u64()));
   need(j, "benchmark", "top level", is_str, "a string");
-  need(j, "wall_seconds", "top level", is_num, "a number");
   if (j.contains("params") && !j.at("params").is_object())
     out.push_back("top level: 'params' must be an object");
+  host_object(j, "top level");
 
   const Json* runs = need(j, "runs", "top level", is_arr, "an array");
   if (!runs) return out;
@@ -218,6 +226,7 @@ std::vector<std::string> validate_report(const Json& j) {
       continue;
     }
     need(jr, "name", where.c_str(), is_str, "a string");
+    host_object(jr, where);
     if (jr.contains("config") && !jr.at("config").is_object())
       out.push_back(where + ": 'config' must be an object");
     if (jr.contains("counting")) {
@@ -230,13 +239,8 @@ std::vector<std::string> validate_report(const Json& j) {
         need(c, "far_accesses", cw.c_str(), is_num, "a number");
         need(c, "near_accesses", cw.c_str(), is_num, "a number");
         if (const Json* tot =
-                need(c, "total", cw.c_str(), is_obj, "an object")) {
-          for (const char* key :
-               {"far_read_bytes", "far_write_bytes", "near_read_bytes",
-                "near_write_bytes", "far_bursts", "near_bursts", "seconds"})
-            need(*tot, key, (cw + ".total").c_str(), is_num, "a number");
-          conserved(*tot, cw + ".total");
-        }
+                need(c, "total", cw.c_str(), is_obj, "an object"))
+          phase_fields(*tot, cw + ".total");
         if (c.contains("phases")) {
           if (!c.at("phases").is_array()) {
             out.push_back(cw + ": 'phases' must be an array");
@@ -250,8 +254,7 @@ std::vector<std::string> validate_report(const Json& j) {
                 continue;
               }
               need(p, "name", pw.c_str(), is_str, "a string");
-              need(p, "seconds", pw.c_str(), is_num, "a number");
-              conserved(p, pw);
+              phase_fields(p, pw);
             }
           }
         }

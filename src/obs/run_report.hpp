@@ -4,17 +4,23 @@
 // bench ran (Table I emits four: GNU sort and NMsort at 2x/4x/8x). Each
 // record carries the machine configuration, the counting backend's
 // MachineStats (totals + per-phase), the cycle simulator's SimReport when
-// the run was simulated, wall-clock, and any named counters and gauges
-// (the export_stats overloads below). Every counter leaf is expanded from the table that declares the
-// counter: TLM_PHASE_STATS (scratchpad/counters.hpp) for the counting
-// sections, TLM_SIM_STATS (sim/system.hpp) for `sim`.
+// the run was simulated, and any named counters and gauges (the
+// export_stats overloads below). Every counter leaf is expanded from the
+// table that declares the counter: TLM_PHASE_STATS
+// (scratchpad/counters.hpp) for the counting sections, TLM_SIM_STATS
+// (sim/system.hpp) for `sim`.
 //
-// The schema ("tlm.run_report", version 1, documented in README §Benchmark
+// A report runs on two clocks. Everything a run measures on the host —
+// wall-clock, each phase's host seconds, gauges derived from host timings —
+// goes in a `host` section (the report's and each record's); every other
+// leaf is deterministic at a fixed seed. report_diff skips `host` and
+// compares the rest exactly.
+//
+// The schema ("tlm.run_report", version 2, documented in README §Benchmark
 // reports) is the contract between the benches, the checked-in CI
-// baselines, and the report_diff regression gate: fields are only ever
-// added, and consumers ignore keys they do not know. Consumers work on the
-// JSON document (validate_report, obs::diff); the only reader back into a
-// C++ type is phase_from_json.
+// baselines, and the report_diff gate; the version moves when a field
+// moves. Consumers work on the JSON document (validate_report, obs::diff);
+// the only reader back into a C++ type is phase_from_json.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +51,14 @@ struct RunRecord {
   bool has_sim = false;
   sim::SimReport sim;
 
-  double wall_seconds = 0;  // host wall-clock of this record's run
-
   std::map<std::string, std::uint64_t> counters;  // report `metrics` section
   std::map<std::string, double> gauges;
+  // Host-measured values ("wall_seconds", "phase_seconds.<phase>", host-timed
+  // gauges): the record's `host` section, never compared by report_diff.
+  std::map<std::string, double> host;
 
   void set_config(const TwoLevelConfig& cfg);
+  // Also writes each phase's host seconds to `host`.
   void set_counting(const MachineStats& st, std::uint64_t line);
   void set_sim(const sim::SimReport& r);
 };
@@ -66,12 +74,12 @@ inline void export_leaf(RunRecord& rec, std::string_view key, double v) {
 }
 
 struct RunReport {
-  static constexpr std::uint64_t kSchemaVersion = 1;
+  static constexpr std::uint64_t kSchemaVersion = 2;
   static constexpr const char* kSchemaName = "tlm.run_report";
 
   std::string benchmark;          // bench binary name
   Json params = Json::object();   // CLI knobs the run was invoked with
-  double wall_seconds = 0;        // whole-invocation wall-clock
+  std::map<std::string, double> host;  // the invocation's "wall_seconds"
   std::vector<RunRecord> runs;
 
   RunReport() = default;
@@ -85,7 +93,7 @@ struct RunReport {
 };
 
 // Schema check without full deserialization: returns human-readable
-// problems, empty when `j` is a valid v1 run report. This is the
+// problems, empty when `j` is a valid v2 run report. This is the
 // `report_diff --validate` and CI-smoke entry point.
 std::vector<std::string> validate_report(const Json& j);
 
@@ -100,9 +108,8 @@ PhaseStats phase_from_json(const Json& j);
 // from Machine::stager_stats() or an individual Stager::stats().
 void export_stats(const StagerStats& st, RunRecord& rec);
 // Fault-injection counters ("faults.near_alloc_injected", "retries.dma",
-// ...) from Machine::fault_stats(). Always emits the full key set so fault
-// counters are first-class report citizens; report_diff treats their
-// absence in older baselines as zero.
+// ...) from Machine::fault_stats(). Always emits the full key set, so a
+// clean run pins every fault counter at zero.
 void export_stats(const FaultStats& st, RunRecord& rec);
 // Out-of-core trace capture ("trace.spill_bytes", "trace.capture_bytes_per_op",
 // ...) from MappedLog::stats() and its replay ("trace.replay_ops",

@@ -87,9 +87,9 @@ struct Max {
 //   stall_s            injected-fault stall and retry-backoff time, the
 //                      per-thread maximum: stalls serialize the thread that
 //                      hits them, so the phase pays the worst-stalled
-//                      thread's span. Zero in clean runs;
-//   host_seconds       real wall-clock between begin_phase and end_phase on
-//                      the host, orthogonal to the modeled `seconds`.
+//                      thread's span. Zero in clean runs.
+// Every row is deterministic at a fixed seed: host time is measured, not
+// modeled, and stays out of this table (MachineStats::phase_host_seconds).
 #define TLM_PHASE_STATS(X)             \
   TLM_PHASE_TRAFFIC(X)                 \
   X(u64, partition_splits, Sum)        \
@@ -101,8 +101,7 @@ struct Max {
   X(f64, compute_s, Sum)               \
   X(f64, dma_s, Sum)                   \
   X(f64, stall_s, Sum)                 \
-  X(f64, seconds, Sum)                 \
-  X(f64, host_seconds, Sum)
+  X(f64, seconds, Sum)
 
 // Combined counters, each the exact uint64 sum of its read and write twins:
 // X(combined, read, write). PhaseStats derives them as accessors; reports
@@ -262,6 +261,10 @@ inline FaultStats fault_delta(const FaultStats& after,
 struct MachineStats {
   PhaseStats total;                // sums over all closed phases
   std::vector<PhaseStats> phases;  // in begin_phase order
+  // Host wall-clock between each phase's begin_phase and end_phase, in
+  // `phases` order. It is measured, not modeled, so it sits beside the
+  // counters rather than in them; run reports write it under `host`.
+  std::vector<double> phase_host_seconds;
 
   // Line-granularity access counts (64-byte lines unless configured
   // otherwise) — the unit Table I reports. A trailing partial line still

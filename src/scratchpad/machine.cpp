@@ -476,15 +476,13 @@ void Machine::end_phase() {
   PhaseStats phase;
   phase.name = *open_phase_;
   fold_open_phase(phase);
-  phase.host_seconds_ = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - phase_start_)
-                            .count();
   // Skip phases in which nothing happened (e.g. the implicit "(run)" phase
   // of callers who structure everything explicitly).
   if (phase.far_bytes() || phase.near_bytes() ||
       phase.compute_ops_total() > 0) {
     stats_.total += phase;
     stats_.phases.push_back(std::move(phase));
+    stats_.phase_host_seconds.push_back(phase_host_seconds());
   }
   std::fill(acc_.begin(), acc_.end(), ThreadAcc{});
   // Fall back to the implicit phase so traffic charged after an explicit
@@ -690,13 +688,11 @@ MachineStats Machine::stats() const {
     PhaseStats phase;
     phase.name = *open_phase_ + " (open)";
     fold_open_phase(phase);
-    phase.host_seconds_ = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - phase_start_)
-                              .count();
     if (phase.far_bytes() || phase.near_bytes() ||
         phase.compute_ops_total() > 0) {
       out.total += phase;
       out.phases.push_back(std::move(phase));
+      out.phase_host_seconds.push_back(phase_host_seconds());
     }
   }
   return out;

@@ -342,6 +342,12 @@ class Machine {
                                const std::source_location& loc,
                                bool fallible) TLM_REQUIRES(alloc_mu_);
   void fold_open_phase(PhaseStats& out) const;
+  // Host wall-clock since the open phase began.
+  double phase_host_seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         phase_start_)
+        .count();
+  }
   // Drops the adopted regions that start inside live far memory
   // [base, base + bytes); left in place they would misattribute charges and
   // trace addresses in that memory.

@@ -1,13 +1,13 @@
 # The checked-in baseline gate, run as a ctest via `cmake -P` (see
 # bench/CMakeLists.txt for the registration). Every report under
-# bench/baselines/ is regenerated with the bench command line below; the
-# bench must exit 0 (its own shape gates, such as the sweep_omega crossover
-# and the server_mixed isolation verdicts, ride on that exit code), the new
-# report must pass report_diff --validate, and it must diff against the
-# checked-in file with zero changed or vanished cost or context leaves
-# (report_diff --max-changed=0; host wall-clock and host-timed gauges are
-# never compared). Leaves only the new report has, such as the
-# read/write split counters against a baseline that predates them, are
+# bench/baselines/ must itself pass report_diff --validate (a stale-schema
+# or hand-edited baseline fails on its own) and is regenerated with the
+# bench command line below; the bench must exit 0 (its own shape gates,
+# such as the sweep_omega crossover and the server_mixed isolation
+# verdicts, ride on that exit code), the new report must pass
+# report_diff --validate, and it must diff against the checked-in file
+# with zero changed or vanished leaves (report_diff --max-changed=0; the
+# `host` sections are never compared). Leaves only the new report has are
 # listed but not counted.
 # Expects -DBENCH_DIR=<bench binaries> -DBASELINES=<dir> -DWORK_DIR=<dir>.
 cmake_minimum_required(VERSION 3.16)
@@ -38,6 +38,8 @@ endfunction()
 # gate(<baseline name> <bench> <args...>)
 function(gate baseline bench)
   set(report "${WORK_DIR}/${baseline}.json")
+  must_pass("checked-in ${baseline}.json is not a valid run report"
+    "${BENCH_DIR}/report_diff" --validate "${BASELINES}/${baseline}.json")
   must_pass("${bench} failed"
     "${BENCH_DIR}/${bench}" ${ARGN} --json "${report}")
   must_pass("${bench} wrote an invalid ${baseline} report"

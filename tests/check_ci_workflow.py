@@ -153,8 +153,9 @@ def main():
     # and trace suites (byte and stream equality, crash recovery, chaos-seed
     # replay, the record writer's coalesced-tail rewrites) plus the
     # cross-process gate: Table I captured through the in-RAM path and the
-    # mmap'd MappedLog path must diff to zero changed cost leaves, and both
-    # must diff to zero against the checked-in cycle-sim baseline. Failures
+    # mmap'd MappedLog path must diff to zero changed leaves outside the
+    # `host` sections, and both must diff to zero against the checked-in
+    # cycle-sim baseline. Failures
     # must keep the divergent logs as artifacts.
     tr = steps_text(jobs["trace-replay"])
     for needle in (

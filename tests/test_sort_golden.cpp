@@ -7,10 +7,9 @@
 // with overlap_dma, and a seeded machine.near_alloc probability schedule
 // (consulted only on the orchestrating thread, so the denials fall on the
 // same allocations every run). A run pins every PhaseStats leaf of every
-// phase and of the total (modeled seconds included; host_seconds is wall
-// clock and left out), the FaultStats and StagerStats aggregates, and for
-// the capture the record count of each core's trace stream plus a 64-bit
-// hash over every field of every TraceOp.
+// phase and of the total (modeled seconds included), the FaultStats and
+// StagerStats aggregates, and for the capture the record count of each
+// core's trace stream plus a 64-bit hash over every field of every TraceOp.
 //
 // The geometries are chosen to reach each kernel path: GNU sort as a single
 // run and with one and two merge passes (the second forms its runs in place
@@ -143,9 +142,8 @@ std::string exact(double v) {
 std::string exact(std::uint64_t v) { return std::to_string(v); }
 
 void add_phase(const std::string& prefix, const PhaseStats& p, Entries& out) {
-#define TLM_X(kind, field, fold)                                \
-  if (std::string_view(#field) != "host_seconds")               \
-    out.emplace_back(prefix + "." #field, exact(p.field()));
+#define TLM_X(kind, field, fold) \
+  out.emplace_back(prefix + "." #field, exact(p.field()));
   TLM_PHASE_STATS(TLM_X)
 #undef TLM_X
 }
