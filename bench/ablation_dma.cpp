@@ -14,7 +14,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 // Cycle-level demonstration: a DMA engine stages a chunk into the
 // scratchpad while the cores compute — measured on the actual node model,

@@ -13,7 +13,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 int run(const bench::Flags& flags) {
   // Geometry with a meaningful M/Z gap: lg(M/Z) = lg(16 MiB / 128 KiB) = 7,

@@ -11,7 +11,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 int run(const bench::Flags& flags) {
   const std::uint64_t n = flags.u64("--n", 1ULL << 21);

@@ -29,7 +29,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 int run(const bench::Flags& flags) {
   const bench::WallClock wall;

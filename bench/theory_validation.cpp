@@ -13,7 +13,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 int run(const bench::Flags& flags) {
   const std::uint64_t near_cap = flags.u64("--near-mb", 1) * MiB;
@@ -131,7 +131,7 @@ int run(const bench::Flags& flags) {
     const TwoLevelConfig cfg = analysis::scaled_counting_config(
         4.0, p, near_cap);
     const analysis::SortRun r = analysis::run_sort_counting(
-        cfg, analysis::Algorithm::ScratchpadPar, 1ULL << 19, seed);
+        cfg, sort::Algorithm::ScratchpadPar, 1ULL << 19, seed);
     if (!r.verified) return 1;
     const double work = r.modeled_seconds * static_cast<double>(p);
     if (base_work == 0) base_work = work;

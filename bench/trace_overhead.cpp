@@ -25,7 +25,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 constexpr double kBytesPerOpBudget = 8.0;
 

@@ -23,7 +23,7 @@ int run(const bench::Flags& flags) {
   t.header({"algorithm", "rho", "cores", "far acc (model)", "far acc (sim)",
             "ratio", "near ratio", "time model (ms)", "time sim (ms)"});
   for (const auto& p : s.points) {
-    t.row({analysis::to_string(p.algorithm), Table::num(p.rho, 0),
+    t.row({sort::to_string(p.algorithm), Table::num(p.rho, 0),
            std::to_string(p.cores), Table::count(p.model_far_accesses),
            Table::count(p.sim_far_accesses), Table::num(p.far_ratio(), 3),
            Table::num(p.near_ratio(), 3),

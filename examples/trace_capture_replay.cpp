@@ -1,23 +1,23 @@
-// Capture-once / replay-many: record an algorithm's memory-op trace to a
-// file, then replay it on several architectural variants — the standard
-// SST co-design workflow (the hardware does not need the application to
-// re-run for every design point).
+// Capture-once / replay-many: record an algorithm's memory-op trace to
+// per-thread memory-mapped logs, then replay it on several architectural
+// variants — the standard SST co-design workflow (the hardware does not need
+// the application to re-run for every design point).
 //
-//   $ ./examples/trace_capture_replay [n] [trace-file]
-#include <cstdio>
+//   $ ./examples/trace_capture_replay [n] [trace-dir]
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 
 #include "analysis/experiment.hpp"
 #include "common/table.hpp"
 #include "sim/system.hpp"
-#include "trace/serialize.hpp"
+#include "trace/replay.hpp"
 
 int main(int argc, char** argv) {
   using namespace tlm;
   const std::uint64_t n =
       argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 200'000;
-  const std::string path =
+  const std::string dir =
       argc > 2 ? argv[2] : "/tmp/nmsort_rho4_8core.tlmtrace";
   constexpr std::size_t kCores = 8;
   constexpr double kCaptureRho = 4.0;
@@ -25,19 +25,17 @@ int main(int argc, char** argv) {
   // --- capture phase: run NMsort once, record its behaviour --------------
   const TwoLevelConfig cfg =
       analysis::scaled_counting_config(kCaptureRho, kCores, 1 * MiB);
-  analysis::CaptureRun cap = analysis::capture_sort_trace(
-      cfg, analysis::Algorithm::NMsort, n, /*seed=*/2015);
+  const analysis::MappedCaptureRun cap = analysis::capture_sort_trace_mapped(
+      cfg, sort::Algorithm::NMsort, n, /*seed=*/2015, dir);
   if (!cap.counting.verified) {
     std::cerr << "sort output failed verification\n";
     return 1;
   }
-  trace::save_trace_file(cap.trace, path);
-  std::cout << "captured " << cap.trace.summary().total_ops()
-            << " trace ops to " << path << " ("
-            << cap.trace.describe() << ")\n\n";
+  std::cout << "captured " << cap.log.ops << " trace ops to " << dir << " ("
+            << cap.log.file_bytes << " bytes on disk)\n\n";
 
   // --- replay phase: sweep hardware design points over the same trace ----
-  const trace::TraceBuffer loaded = trace::load_trace_file(path);
+  const trace::ShardedReplay loaded(dir);
   Table t("one trace, many machines (design-point sweep)");
   t.header({"design point", "sim time (ms)", "DRAM acc", "scratch acc",
             "p95 latency (ns)"});
@@ -63,6 +61,6 @@ int main(int argc, char** argv) {
             << Table::num(kCaptureRho, 0)
             << "; replaying it at other rho values varies the hardware "
                "while holding the software's transfer schedule fixed.\n";
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
   return 0;
 }

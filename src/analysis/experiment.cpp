@@ -12,87 +12,25 @@
 
 namespace tlm::analysis {
 
-const char* to_string(Algorithm a) {
-  switch (a) {
-    case Algorithm::GnuSort:
-      return "GNU sort";
-    case Algorithm::NMsort:
-      return "NMsort";
-    case Algorithm::NMsortNaive:
-      return "NMsort (eager scatter)";
-    case Algorithm::ScratchpadSeq:
-      return "scratchpad sort (seq)";
-    case Algorithm::ScratchpadSeqQuick:
-      return "scratchpad sort (seq, quicksort)";
-    case Algorithm::ScratchpadPar:
-      return "parallel scratchpad sort (§IV-C)";
-    case Algorithm::NMsortWriteEff:
-      return "NMsort (write-efficient)";
-  }
-  return "?";
-}
-
 namespace {
 
-SortRun run_with_sink(const TwoLevelConfig& cfg, Algorithm a, std::uint64_t n,
-                      std::uint64_t seed, trace::TraceSink* sink,
-                      FaultInjector* faults = nullptr) {
+SortRun run_with_sink(const TwoLevelConfig& cfg, sort::Algorithm a,
+                      std::uint64_t n, std::uint64_t seed,
+                      trace::TraceSink* sink, FaultInjector* faults = nullptr) {
   Machine m(cfg, sink);
   m.set_fault_injector(faults);
   const std::vector<std::uint64_t> input =
       random_keys(static_cast<std::size_t>(n), seed);
-  // In-place backends sort a copy of the input; the others sort into a
-  // zeroed buffer, so a slot they never write cannot pass for sorted.
-  const bool in_place = a == Algorithm::GnuSort ||
-                        a == Algorithm::ScratchpadSeq ||
-                        a == Algorithm::ScratchpadSeqQuick ||
-                        a == Algorithm::ScratchpadPar;
-  std::vector<std::uint64_t> output =
-      in_place ? input : std::vector<std::uint64_t>(input.size());
-  const std::span<std::uint64_t> out(output);
-
+  // Zeroed, so a slot the sort never writes cannot pass for sorted.
+  std::vector<std::uint64_t> output(input.size());
   const auto t0 = std::chrono::steady_clock::now();
-  switch (a) {
-    case Algorithm::GnuSort: {
-      sort::gnu_like_sort(m, out);
-      break;
-    }
-    case Algorithm::NMsort:
-    case Algorithm::NMsortNaive: {
-      sort::NMSortOptions opt;
-      opt.use_bucket_metadata = (a == Algorithm::NMsort);
-      opt.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-      sort::nm_sort_into(m, std::span<const std::uint64_t>(input), out, opt);
-      break;
-    }
-    case Algorithm::ScratchpadSeq:
-    case Algorithm::ScratchpadSeqQuick: {
-      sort::ScratchpadSortOptions opt;
-      opt.quicksort_inner = (a == Algorithm::ScratchpadSeqQuick);
-      opt.seed = seed ^ 0x517cc1b727220a95ULL;
-      sort::scratchpad_sort(m, out, opt);
-      break;
-    }
-    case Algorithm::ScratchpadPar: {
-      sort::ParallelScratchpadSortOptions opt;
-      opt.seed = seed ^ 0x2545f4914f6cdd1dULL;
-      sort::parallel_scratchpad_sort(m, out, opt);
-      break;
-    }
-    case Algorithm::NMsortWriteEff: {
-      sort::WESortOptions opt;
-      opt.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-      sort::we_sort_into(m, std::span<const std::uint64_t>(input), out, opt);
-      break;
-    }
-  }
+  sort::sort_into(m, a, input, output, seed);
   const auto t1 = std::chrono::steady_clock::now();
   if (faults && !output.empty() &&
       faults->should_fail(fault_site::kOutputFlip))
     output[output.size() / 2] ^= 1;
 
   SortRun r;
-  r.algorithm = a;
   r.n = n;
   r.rho = cfg.rho;
   r.verified = is_sorted_permutation(input, output);
@@ -107,13 +45,13 @@ SortRun run_with_sink(const TwoLevelConfig& cfg, Algorithm a, std::uint64_t n,
 
 }  // namespace
 
-SortRun run_sort_counting(const TwoLevelConfig& cfg, Algorithm a,
+SortRun run_sort_counting(const TwoLevelConfig& cfg, sort::Algorithm a,
                           std::uint64_t n, std::uint64_t seed,
                           FaultInjector* faults) {
   return run_with_sink(cfg, a, n, seed, nullptr, faults);
 }
 
-CaptureRun capture_sort_trace(const TwoLevelConfig& cfg, Algorithm a,
+CaptureRun capture_sort_trace(const TwoLevelConfig& cfg, sort::Algorithm a,
                               std::uint64_t n, std::uint64_t seed,
                               FaultInjector* faults) {
   CaptureRun out{SortRun{}, trace::TraceBuffer(cfg.threads)};
@@ -122,7 +60,7 @@ CaptureRun capture_sort_trace(const TwoLevelConfig& cfg, Algorithm a,
 }
 
 MappedCaptureRun capture_sort_trace_mapped(const TwoLevelConfig& cfg,
-                                           Algorithm a, std::uint64_t n,
+                                           sort::Algorithm a, std::uint64_t n,
                                            std::uint64_t seed,
                                            const std::string& trace_dir,
                                            FaultInjector* faults,
@@ -153,8 +91,9 @@ TwoLevelConfig scaled_counting_config(double rho, std::size_t cores,
 }
 
 SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
-                            std::uint64_t near_capacity_bytes, Algorithm a,
-                            std::uint64_t seed, std::uint64_t max_events) {
+                            std::uint64_t near_capacity_bytes,
+                            sort::Algorithm a, std::uint64_t seed,
+                            std::uint64_t max_events) {
   const TwoLevelConfig cfg =
       scaled_counting_config(rho, cores, near_capacity_bytes);
   CaptureRun cap = capture_sort_trace(cfg, a, n, seed);
@@ -167,7 +106,7 @@ SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
 MappedSimulatedSort simulate_sort_mapped(double rho, std::size_t cores,
                                          std::uint64_t n,
                                          std::uint64_t near_capacity_bytes,
-                                         Algorithm a, std::uint64_t seed,
+                                         sort::Algorithm a, std::uint64_t seed,
                                          const std::string& trace_dir,
                                          std::uint64_t max_events) {
   const TwoLevelConfig cfg =

@@ -16,6 +16,7 @@
 #include "scratchpad/config.hpp"
 #include "scratchpad/counters.hpp"
 #include "sim/system.hpp"
+#include "sort/catalogue.hpp"
 #include "sort/sort.hpp"
 #include "trace/capture.hpp"
 #include "trace/mapped_log.hpp"
@@ -23,20 +24,7 @@
 
 namespace tlm::analysis {
 
-enum class Algorithm {
-  GnuSort,             // single-level parallel multiway mergesort baseline
-  NMsort,              // §IV-D practical near-memory sort
-  NMsortNaive,         // NMsort with eager bucket scatter (ablation A2)
-  ScratchpadSeq,       // §III sequential recursive sort, mergesort inner
-  ScratchpadSeqQuick,  // §III with quicksort inner (Corollary 7 / A1)
-  ScratchpadPar,       // §IV-C theoretical parallel sort (Theorem 10)
-  NMsortWriteEff,      // write-efficient NMsort (asymmetric ω variant)
-};
-
-const char* to_string(Algorithm a);
-
 struct SortRun {
-  Algorithm algorithm = Algorithm::GnuSort;
   std::uint64_t n = 0;
   double rho = 1.0;
   bool verified = false;   // output == std::sort(input): is_sorted_permutation
@@ -51,7 +39,7 @@ struct SortRun {
 // optional fault injector (not owned) is attached to the machine for the
 // duration of the run — the chaos harness drives every algorithm through
 // this one entry point.
-SortRun run_sort_counting(const TwoLevelConfig& cfg, Algorithm a,
+SortRun run_sort_counting(const TwoLevelConfig& cfg, sort::Algorithm a,
                           std::uint64_t n, std::uint64_t seed,
                           FaultInjector* faults = nullptr);
 
@@ -63,7 +51,7 @@ struct CaptureRun {
 // Same run with trace capture attached (the Ariel role). An optional fault
 // injector makes the captured run a chaos run — capture under faults is how
 // a chaos schedule becomes deterministically re-playable from its log.
-CaptureRun capture_sort_trace(const TwoLevelConfig& cfg, Algorithm a,
+CaptureRun capture_sort_trace(const TwoLevelConfig& cfg, sort::Algorithm a,
                               std::uint64_t n, std::uint64_t seed,
                               FaultInjector* faults = nullptr);
 
@@ -76,7 +64,7 @@ struct MappedCaptureRun {
   std::string trace_dir;
 };
 MappedCaptureRun capture_sort_trace_mapped(
-    const TwoLevelConfig& cfg, Algorithm a, std::uint64_t n,
+    const TwoLevelConfig& cfg, sort::Algorithm a, std::uint64_t n,
     std::uint64_t seed, const std::string& trace_dir,
     FaultInjector* faults = nullptr,
     std::size_t chunk_bytes = trace::MappedLog::kDefaultChunkBytes);
@@ -103,8 +91,8 @@ struct SimulatedSort {
   sim::SimReport report;
 };
 SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
-                            std::uint64_t near_capacity_bytes, Algorithm a,
-                            std::uint64_t seed,
+                            std::uint64_t near_capacity_bytes,
+                            sort::Algorithm a, std::uint64_t seed,
                             std::uint64_t max_events = ~0ULL);
 
 // The out-of-core twin of simulate_sort: capture spills to mmap'd logs
@@ -121,7 +109,7 @@ struct MappedSimulatedSort {
 MappedSimulatedSort simulate_sort_mapped(double rho, std::size_t cores,
                                          std::uint64_t n,
                                          std::uint64_t near_capacity_bytes,
-                                         Algorithm a, std::uint64_t seed,
+                                         sort::Algorithm a, std::uint64_t seed,
                                          const std::string& trace_dir,
                                          std::uint64_t max_events = ~0ULL);
 

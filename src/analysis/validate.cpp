@@ -7,7 +7,8 @@ namespace tlm::analysis {
 
 std::vector<ValidationPoint> default_validation_matrix() {
   std::vector<ValidationPoint> pts;
-  for (Algorithm a : {Algorithm::GnuSort, Algorithm::NMsort}) {
+  for (sort::Algorithm a :
+       {sort::Algorithm::GnuSort, sort::Algorithm::NMsort}) {
     for (double rho : {2.0, 8.0}) {
       for (std::size_t cores : {4ULL, 8ULL}) {
         ValidationPoint p;

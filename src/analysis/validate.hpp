@@ -14,7 +14,7 @@
 namespace tlm::analysis {
 
 struct ValidationPoint {
-  Algorithm algorithm = Algorithm::GnuSort;
+  sort::Algorithm algorithm = sort::Algorithm::GnuSort;
   double rho = 2.0;
   std::size_t cores = 4;
   std::uint64_t n = 1 << 16;

@@ -37,13 +37,6 @@ struct TwoLevelConfig {
   // matching the paper's prototype which "simply waits for the transfer".
   bool overlap_dma = false;
 
-  // Base of the backoff before re-issuing a transiently failed DMA transfer
-  // (only exercised when a FaultInjector is attached): attempt i waits
-  // base * 2^(i-1) seconds, capped at 1 ms, for at most 8 re-issues
-  // (the constants in machine.cpp). The backoff is charged to the time model
-  // as stall time; exhausting the budget is fatal (fault.retry_budget).
-  double dma_retry_base_s = 1e-6;
-
   // Model-sanitizer strictness (only observed under TLM_CHECK_MODEL): when
   // true, every cross-space copy() must start on a rho*B near-line boundary
   // within its allocation and cover whole lines (a trailing partial line is
@@ -72,7 +65,6 @@ struct TwoLevelConfig {
                 "far_write_cost (omega) models writes at least as expensive "
                 "as reads");
     TLM_REQUIRE(threads >= 1, "need at least one core");
-    TLM_REQUIRE(dma_retry_base_s >= 0, "backoff times must be non-negative");
   }
 
   // Derives the algorithmic model (§II) for this runtime configuration,

@@ -13,10 +13,6 @@ namespace tlm {
 namespace {
 constexpr std::uint64_t kFarRegionAlign = 4096;  // trace vaddr granularity
 constexpr std::uint64_t kFarAllocAlign = 64;
-// Retry policy for transient DMA failures (dma_retry_gate): at most this
-// many re-issues of one transfer, each backoff capped at this many seconds.
-constexpr std::uint32_t kDmaRetryBudget = 8;
-constexpr double kDmaRetryMaxBackoffS = 1e-3;
 }  // namespace
 
 Machine::Machine(TwoLevelConfig cfg, trace::TraceSink* sink)
@@ -305,7 +301,7 @@ void Machine::dma_retry_gate(std::size_t thread, std::uint64_t bytes,
     fault_stats_.stall_s += stall;
   }
   std::uint32_t attempt = 0;
-  double backoff = cfg_.dma_retry_base_s;
+  double backoff = kDmaRetryBaseS;
   // A transfer draws all its attempts under the lock, so a burst schedule
   // fails one transfer's retries instead of splitting them across workers
   // that post DMA at the same moment.
@@ -473,15 +469,10 @@ void Machine::end_phase() {
 #if TLM_MODEL_CHECKS_ENABLED
   check_phase_end();
 #endif
-  PhaseStats phase;
-  phase.name = *open_phase_;
-  fold_open_phase(phase);
-  // Skip phases in which nothing happened (e.g. the implicit "(run)" phase
-  // of callers who structure everything explicitly).
-  if (phase.far_bytes() || phase.near_bytes() ||
-      phase.compute_ops_total() > 0) {
-    stats_.total += phase;
-    stats_.phases.push_back(std::move(phase));
+  if (std::optional<PhaseStats> phase = folded_open_phase()) {
+    phase->name = *open_phase_;
+    stats_.total += *phase;
+    stats_.phases.push_back(std::move(*phase));
     stats_.phase_host_seconds.push_back(phase_host_seconds());
   }
   std::fill(acc_.begin(), acc_.end(), ThreadAcc{});
@@ -682,33 +673,35 @@ void Machine::fold_open_phase(PhaseStats& out) const {
   }
 }
 
+std::optional<PhaseStats> Machine::folded_open_phase() const {
+  if (!open_phase_) return std::nullopt;
+  PhaseStats phase;
+  fold_open_phase(phase);
+  // Skip phases in which nothing happened (e.g. the implicit "(run)" phase
+  // of callers who structure everything explicitly).
+  if (phase.far_bytes() || phase.near_bytes() ||
+      phase.compute_ops_total() > 0)
+    return phase;
+  return std::nullopt;
+}
+
 MachineStats Machine::stats() const {
   MachineStats out = stats_;
-  if (open_phase_) {
-    PhaseStats phase;
-    phase.name = *open_phase_ + " (open)";
-    fold_open_phase(phase);
-    if (phase.far_bytes() || phase.near_bytes() ||
-        phase.compute_ops_total() > 0) {
-      out.total += phase;
-      out.phases.push_back(std::move(phase));
-      out.phase_host_seconds.push_back(phase_host_seconds());
-    }
+  if (std::optional<PhaseStats> phase = folded_open_phase()) {
+    phase->name = *open_phase_ + " (open)";
+    out.total += *phase;
+    out.phases.push_back(std::move(*phase));
+    out.phase_host_seconds.push_back(phase_host_seconds());
   }
   return out;
 }
 
 PhaseStats Machine::totals() const {
   PhaseStats out = stats_.total;
-  if (open_phase_) {
-    PhaseStats open;
-    fold_open_phase(open);
-    if (open.far_bytes() || open.near_bytes() || open.compute_ops_total() > 0)
-      out += open;
-  }
+  if (std::optional<PhaseStats> open = folded_open_phase()) out += *open;
   return out;
 }
 
-double Machine::elapsed_seconds() const { return stats().total.seconds(); }
+double Machine::elapsed_seconds() const { return totals().seconds(); }
 
 }  // namespace tlm

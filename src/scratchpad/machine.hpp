@@ -82,6 +82,15 @@ class NearQuotaGate {
 class Stager;
 struct DmaTestAccess;
 
+// Retry policy for transient DMA failures (only exercised when a
+// FaultInjector is attached): re-issue i waits kDmaRetryBaseS * 2^(i-1)
+// seconds, capped at kDmaRetryMaxBackoffS, charged to the issuing core as
+// stall time; a transfer failing more than kDmaRetryBudget re-issues in a
+// row is a fatal fault.retry_budget.
+inline constexpr double kDmaRetryBaseS = 1e-6;
+inline constexpr std::uint32_t kDmaRetryBudget = 8;
+inline constexpr double kDmaRetryMaxBackoffS = 1e-3;
+
 // Passkey for Machine::dma_copy. A posted transfer is only correct together
 // with its completion fence, and Stager is the one primitive that owns both,
 // so only Stager can construct a key. DmaTestAccess, which only the tests
@@ -293,7 +302,7 @@ class Machine {
     for (std::size_t i = 0; i < acc_.size(); ++i) out[i] = acc_[i].ops;
     return out;
   }
-  // Total modeled seconds across closed phases.
+  // Total modeled seconds, the open phase's included: totals().seconds().
   double elapsed_seconds() const;
 
   // Virtual address of a host pointer under the trace layout. Exposed for
@@ -342,6 +351,9 @@ class Machine {
                                const std::source_location& loc,
                                bool fallible) TLM_REQUIRES(alloc_mu_);
   void fold_open_phase(PhaseStats& out) const;
+  // The open phase folded, unnamed; nullopt when no phase is open or
+  // nothing was charged in it.
+  std::optional<PhaseStats> folded_open_phase() const;
   // Host wall-clock since the open phase began.
   double phase_host_seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -

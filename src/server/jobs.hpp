@@ -1,5 +1,5 @@
 // Canned JobSpec factories for the workloads this repository ships: the
-// five sort backends of the differential harness and the staged k-means.
+// catalogue's sorts (sort/catalogue.hpp) and the staged k-means.
 // Tests and benches submit these against a JobServer; each factory splits
 // its work into generate / run / check phases so the fair scheduler has
 // real interleaving points, and each records its output so callers can
@@ -13,24 +13,15 @@
 
 #include "kmeans/kmeans.hpp"
 #include "server/job_server.hpp"
+#include "sort/catalogue.hpp"
 
 namespace tlm::server {
 
-// The five sort backends (mirrors the analysis::Algorithm dispatch without
-// dragging the analysis/sim/trace stack into the server library).
-enum class SortBackend {
-  kGnu,            // single-level parallel multiway mergesort baseline
-  kNMsort,         // §IV-D practical near-memory sort
-  kScratchpadSeq,  // §III sequential recursive sort
-  kScratchpadPar,  // §IV-C theoretical parallel sort
-  kWriteEff,       // write-efficient NMsort (asymmetric ω variant)
-};
-
-inline constexpr SortBackend kSortBackends[] = {
-    SortBackend::kGnu, SortBackend::kNMsort, SortBackend::kScratchpadSeq,
-    SortBackend::kScratchpadPar, SortBackend::kWriteEff};
-
-const char* to_string(SortBackend b);
+// The five sort backends a job-server wave rotates through.
+inline constexpr sort::Algorithm kSortBackends[] = {
+    sort::Algorithm::GnuSort, sort::Algorithm::NMsort,
+    sort::Algorithm::ScratchpadSeq, sort::Algorithm::ScratchpadPar,
+    sort::Algorithm::NMsortWriteEff};
 
 struct SortJobResult {
   std::vector<std::uint64_t> input;   // the generated keys
@@ -44,7 +35,9 @@ struct SortJobResult {
 // outlive the job; the same (backend, n, seed) always produces the same
 // input and — because every backend is a correct sort — the same output,
 // which is what makes solo-vs-multi-tenant differential comparison exact.
-JobSpec make_sort_job(std::string tenant, std::string name, SortBackend b,
+// The sort phase is the catalogue's sort_into, the call
+// analysis::run_sort_counting makes on the same keys and seed.
+JobSpec make_sort_job(std::string tenant, std::string name, sort::Algorithm b,
                       std::size_t n, std::uint64_t seed,
                       std::shared_ptr<SortJobResult> result);
 

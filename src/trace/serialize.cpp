@@ -1,7 +1,6 @@
 #include "trace/serialize.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <span>
@@ -79,18 +78,6 @@ TraceBuffer load_trace(std::istream& is) {
     tb.adopt(t, std::move(payload), count);
   }
   return tb;
-}
-
-void save_trace_file(const TraceBuffer& tb, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  TLM_REQUIRE(os.is_open(), "cannot open trace file for writing: " + path);
-  save_trace(tb, os);
-}
-
-TraceBuffer load_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  TLM_REQUIRE(is.is_open(), "cannot open trace file: " + path);
-  return load_trace(is);
 }
 
 }  // namespace tlm::trace

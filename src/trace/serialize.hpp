@@ -1,11 +1,12 @@
-// Binary trace files: capture once, replay many — the workflow SST users
-// have with Ariel tracing. A file holds each thread's v3 records
-// (trace/capture.hpp) exactly as the TraceBuffer keeps them, so saving copies
-// bytes and loading checks them with one scan; neither re-encodes.
+// Binary trace streams: a TraceBuffer written to and read back from an
+// iostream. A stream holds each thread's v3 records (trace/capture.hpp)
+// exactly as the TraceBuffer keeps them, so saving copies bytes and loading
+// checks them with one scan; neither re-encodes. Captures meant to outlive
+// the process go to a MappedLog directory instead (trace/mapped_log.hpp),
+// read back by ShardedReplay (trace/replay.hpp).
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "trace/capture.hpp"
 
@@ -15,9 +16,5 @@ namespace tlm::trace {
 // on malformed input (bad magic, version, or truncated stream).
 void save_trace(const TraceBuffer& tb, std::ostream& os);
 TraceBuffer load_trace(std::istream& is);
-
-// File convenience wrappers; throw on I/O failure.
-void save_trace_file(const TraceBuffer& tb, const std::string& path);
-TraceBuffer load_trace_file(const std::string& path);
 
 }  // namespace tlm::trace

@@ -1,5 +1,5 @@
-// Tests for the analysis layer: algorithm naming, output verification, near
-// traffic by algorithm, capture determinism, and the SST-style stats dump.
+// Tests for the analysis layer: output verification, near traffic by
+// algorithm, capture determinism, and the SST-style stats dump.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,15 +11,7 @@
 namespace tlm::analysis {
 namespace {
 
-TEST(Analysis, AlgorithmNamesAreDistinct) {
-  const Algorithm all[] = {Algorithm::GnuSort, Algorithm::NMsort,
-                           Algorithm::NMsortNaive, Algorithm::ScratchpadSeq,
-                           Algorithm::ScratchpadSeqQuick,
-                           Algorithm::ScratchpadPar, Algorithm::NMsortWriteEff};
-  for (std::size_t i = 0; i < std::size(all); ++i)
-    for (std::size_t j = i + 1; j < std::size(all); ++j)
-      EXPECT_STRNE(to_string(all[i]), to_string(all[j]));
-}
+using sort::Algorithm;
 
 // The harness's `verified` is computed from the run's real output: a bit
 // flipped in it after the kernel returns (the analysis.output_flip fault

@@ -32,7 +32,7 @@
 namespace tlm {
 namespace {
 
-using analysis::Algorithm;
+using sort::Algorithm;
 
 // Small enough that 100K keys stage through the scratchpad in many batches,
 // with the DMA pipeline (and therefore the retry gate) live.
@@ -69,11 +69,11 @@ TEST_P(ChaosSweep, SortsStayBitIdenticalUnderMixedFaults) {
         analysis::run_sort_counting(chaos_config(), a, 100'000, 2026, &fi);
     // run_sort_counting checks the output against std::sort — the clean
     // run's exact result — so `verified` IS the differential.
-    EXPECT_TRUE(r.verified) << analysis::to_string(a) << " seed " << seed;
+    EXPECT_TRUE(r.verified) << sort::to_string(a) << " seed " << seed;
     // The schedule must actually have bitten, or the sweep proves nothing.
     const FaultStats& f = r.faults;
     EXPECT_GT(f.near_alloc_injected + f.dma_injected + f.far_stalls, 0u)
-        << analysis::to_string(a) << " seed " << seed;
+        << sort::to_string(a) << " seed " << seed;
   }
 }
 
@@ -88,9 +88,9 @@ TEST(ChaosDifferential, SortsSurviveTotalNearBlackout) {
     fi.arm(fault_site::kNearAlloc, FaultSchedule::every());
     const analysis::SortRun r =
         analysis::run_sort_counting(chaos_config(), a, 100'000, 7, &fi);
-    EXPECT_TRUE(r.verified) << analysis::to_string(a);
-    EXPECT_GT(r.faults.near_alloc_injected, 0u) << analysis::to_string(a);
-    EXPECT_GT(r.faults.near_far_fallbacks, 0u) << analysis::to_string(a);
+    EXPECT_TRUE(r.verified) << sort::to_string(a);
+    EXPECT_GT(r.faults.near_alloc_injected, 0u) << sort::to_string(a);
+    EXPECT_GT(r.faults.near_far_fallbacks, 0u) << sort::to_string(a);
   }
 }
 
@@ -147,7 +147,7 @@ TEST(ChaosCounters, RoundTripThroughRunReportSchema) {
   EXPECT_EQ(fs.dma_injected, 2u);
   EXPECT_EQ(fs.dma_retries, 2u);
   // Both failures hit the first gate: backoff base + doubled base.
-  EXPECT_NEAR(fs.backoff_s, 3 * cfg.dma_retry_base_s, 1e-15);
+  EXPECT_NEAR(fs.backoff_s, 3 * kDmaRetryBaseS, 1e-15);
   EXPECT_GT(fs.far_stalls, 0u);
   EXPECT_GT(r.counting.total.stall_s(), 0.0);
 
@@ -231,7 +231,7 @@ TEST(ChaosMultiTenant, ConcurrentTenantsBitIdenticalToSoloUnderMixedFaults) {
                                        res));
       srv.drain();
       ASSERT_TRUE(res->verified)
-          << server::to_string(server::kSortBackends[i]) << " seed " << seed;
+          << sort::to_string(server::kSortBackends[i]) << " seed " << seed;
       solo[i] = std::move(res->output);
     }
 
@@ -254,9 +254,9 @@ TEST(ChaosMultiTenant, ConcurrentTenantsBitIdenticalToSoloUnderMixedFaults) {
     srv.drain();
     for (std::size_t i = 0; i < 5; ++i) {
       EXPECT_TRUE(results[i]->verified)
-          << server::to_string(server::kSortBackends[i]) << " seed " << seed;
+          << sort::to_string(server::kSortBackends[i]) << " seed " << seed;
       EXPECT_EQ(results[i]->output, solo[i])
-          << server::to_string(server::kSortBackends[i]) << " seed " << seed;
+          << sort::to_string(server::kSortBackends[i]) << " seed " << seed;
     }
     // The run must actually have been chaotic, and the zero-quota tenant
     // must actually have been denied, or the differential proves nothing.

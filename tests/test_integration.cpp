@@ -9,6 +9,8 @@
 namespace tlm::analysis {
 namespace {
 
+using sort::Algorithm;
+
 constexpr std::uint64_t kN = 1 << 16;       // 512 KiB of keys
 constexpr std::uint64_t kNear = 256 * KiB;  // forces ~4 chunks
 constexpr std::size_t kCores = 4;

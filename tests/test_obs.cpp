@@ -331,7 +331,7 @@ TEST(Machine, ChargesAfterEndPhaseLandInImplicitPhase) {
 obs::RunReport tiny_report() {
   const TwoLevelConfig cfg = analysis::scaled_counting_config(4.0, 2, MiB);
   const analysis::SortRun r = analysis::run_sort_counting(
-      cfg, analysis::Algorithm::NMsort, 20000, 7);
+      cfg, sort::Algorithm::NMsort, 20000, 7);
   obs::RunReport report("unit_test");
   report.params["n"] = std::uint64_t{20000};
   report.host["wall_seconds"] = 0.125;
@@ -450,7 +450,7 @@ TEST(RunReport, PreSplitCountersRefuseToLoad) {
 
 TEST(RunReport, SimCountersFlattenFromSimReport) {
   const auto s = analysis::simulate_sort(2.0, 4, 20000, MiB,
-                                         analysis::Algorithm::NMsort, 7);
+                                         sort::Algorithm::NMsort, 7);
   obs::RunReport report("sim_unit");
   obs::RunRecord& rec = report.add_run("sim");
   rec.set_sim(s.report);
@@ -900,7 +900,7 @@ void tenant_metrics(obs::RunRecord& rec) {
   srv.add_tenant("alpha", 64 * 1024);
   auto res = std::make_shared<server::SortJobResult>();
   srv.submit(server::make_sort_job("alpha", "tiny",
-                                   server::SortBackend::kGnu, 2048, 11, res));
+                                   sort::Algorithm::GnuSort, 2048, 11, res));
   srv.drain();
   EXPECT_TRUE(res->verified);
   srv.export_metrics(rec);

@@ -334,7 +334,7 @@ TEST(Racecheck, MappedCaptureOfRealSortAnalyzesClean) {
   cfg.threads = 4;
   cfg.overlap_dma = true;
   const analysis::MappedCaptureRun run = analysis::capture_sort_trace_mapped(
-      cfg, analysis::Algorithm::NMsort, 50'000, 2026, dir.path());
+      cfg, sort::Algorithm::NMsort, 50'000, 2026, dir.path());
   ThreadPool pool(4);
   const trace::ShardedReplay replay(run.trace_dir, pool);
   const RacecheckReport rep = racecheck(replay);
@@ -345,7 +345,7 @@ TEST(Racecheck, MappedCaptureOfRealSortAnalyzesClean) {
 
 // ---- the CI contract: real captures analyze clean -------------------------
 
-void expect_capture_clean(analysis::Algorithm a, bool overlap_dma,
+void expect_capture_clean(sort::Algorithm a, bool overlap_dma,
                           FaultInjector* faults = nullptr) {
   TwoLevelConfig cfg = test_config(4.0);
   cfg.near_capacity = 256 * KiB;
@@ -356,16 +356,16 @@ void expect_capture_clean(analysis::Algorithm a, bool overlap_dma,
       analysis::capture_sort_trace(cfg, a, 50'000, 2026, faults);
   const RacecheckReport rep = racecheck(run.trace);
   EXPECT_TRUE(rep.clean())
-      << analysis::to_string(a) << ": " << rep.findings.size()
+      << sort::to_string(a) << ": " << rep.findings.size()
       << " finding(s), first: "
       << (rep.findings.empty() ? "" : rep.findings[0].detail);
 }
 
 TEST(RacecheckIntegration, SortCapturesAnalyzeClean) {
-  expect_capture_clean(analysis::Algorithm::GnuSort, false);
-  expect_capture_clean(analysis::Algorithm::NMsort, true);
-  expect_capture_clean(analysis::Algorithm::ScratchpadSeq, true);
-  expect_capture_clean(analysis::Algorithm::ScratchpadPar, false);
+  expect_capture_clean(sort::Algorithm::GnuSort, false);
+  expect_capture_clean(sort::Algorithm::NMsort, true);
+  expect_capture_clean(sort::Algorithm::ScratchpadSeq, true);
+  expect_capture_clean(sort::Algorithm::ScratchpadPar, false);
 }
 
 TEST(RacecheckIntegration, ChaosCaptureAnalyzesClean) {
@@ -376,7 +376,7 @@ TEST(RacecheckIntegration, ChaosCaptureAnalyzesClean) {
   fi.arm(fault_site::kDmaFail, FaultSchedule::prob(0.05));
   fi.arm(fault_site::kDmaStall, FaultSchedule::prob(0.1, 1e-6));
   fi.arm(fault_site::kFarStall, FaultSchedule::prob(0.002, 5e-7));
-  expect_capture_clean(analysis::Algorithm::NMsort, true, &fi);
+  expect_capture_clean(sort::Algorithm::NMsort, true, &fi);
 }
 
 }  // namespace

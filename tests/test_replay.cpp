@@ -146,9 +146,9 @@ TEST(ShardedReplay, NMsortSimulatesBitIdenticallyToInRamPath) {
   const TempPath dir("replay_test_nmsort");
   const TwoLevelConfig cfg = analysis::scaled_counting_config(4.0, 4, 256 * KiB);
   analysis::CaptureRun ram = analysis::capture_sort_trace(
-      cfg, analysis::Algorithm::NMsort, 1 << 15, 21);
+      cfg, sort::Algorithm::NMsort, 1 << 15, 21);
   const analysis::MappedCaptureRun mapped = analysis::capture_sort_trace_mapped(
-      cfg, analysis::Algorithm::NMsort, 1 << 15, 21, dir.path());
+      cfg, sort::Algorithm::NMsort, 1 << 15, 21, dir.path());
   ASSERT_TRUE(ram.counting.verified);
   ASSERT_TRUE(mapped.counting.verified);
 
@@ -454,15 +454,15 @@ TEST(ShardedReplay, WideMappedSortDecodesOnTheHostsCpusAndMatchesRam) {
   // in-RAM capture does.
   const TempPath dir("replay_test_wide_mapped");
   const analysis::MappedSimulatedSort mapped = analysis::simulate_sort_mapped(
-      4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29, dir.path());
+      4.0, 16, 1 << 14, 256 * KiB, sort::Algorithm::NMsort, 29, dir.path());
   const analysis::SimulatedSort ram = analysis::simulate_sort(
-      4.0, 16, 1 << 14, 256 * KiB, analysis::Algorithm::NMsort, 29);
+      4.0, 16, 1 << 14, 256 * KiB, sort::Algorithm::NMsort, 29);
   ASSERT_TRUE(mapped.counting.verified);
   EXPECT_EQ(mapped.report.counters(), ram.report.counters());
 
   const analysis::CaptureRun cap = analysis::capture_sort_trace(
       analysis::scaled_counting_config(4.0, 16, 256 * KiB),
-      analysis::Algorithm::NMsort, 1 << 14, 29);
+      sort::Algorithm::NMsort, 1 << 14, 29);
   for (const std::size_t width : {1u, 2u, 4u}) {
     ThreadPool pool(width);
     const ShardedReplay replay(dir.path(), pool);

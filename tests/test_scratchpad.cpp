@@ -474,7 +474,7 @@ TEST(Faults, DmaRetryChargesBoundedBackoff) {
   EXPECT_EQ(fs.dma_injected, 2u);
   EXPECT_EQ(fs.dma_retries, 2u);
   // Exponential backoff: base + 2*base, both under the cap.
-  const double base = m.config().dma_retry_base_s;
+  const double base = kDmaRetryBaseS;
   EXPECT_NEAR(fs.backoff_s, base + 2 * base, 1e-15);
   // The pauses are charged to the phase as stall time.
   EXPECT_NEAR(m.stats().phases.at(0).stall_s(), fs.backoff_s, 1e-15);

@@ -8,7 +8,6 @@
 
 #include "analysis/experiment.hpp"
 #include "sim/system.hpp"
-#include "temp_path.hpp"
 #include "trace/serialize.hpp"
 
 namespace tlm::trace {
@@ -96,26 +95,13 @@ TEST(TraceSerialize, TruncationRejected) {
   EXPECT_THROW(load_trace(cut), std::invalid_argument);
 }
 
-TEST(TraceSerialize, FileRoundTrip) {
-  const TraceBuffer tb = sample_trace();
-  const TempPath bin("trace_test.bin");
-  save_trace_file(tb, bin.path());
-  const TraceBuffer back = load_trace_file(bin.path());
-  EXPECT_TRUE(equal(tb, back));
-}
-
-TEST(TraceSerialize, MissingFileThrows) {
-  EXPECT_THROW(load_trace_file("/nonexistent/dir/trace.bin"),
-               std::invalid_argument);
-}
-
 TEST(TraceSerialize, V2AndV3LoadIdenticalStreams) {
   // A real captured trace must decode to the same ops it was saved from:
   // v3 is a wire change, not a semantic one.
   const TwoLevelConfig cfg =
       analysis::scaled_counting_config(4.0, 4, 256 * KiB);
   const analysis::CaptureRun cap = analysis::capture_sort_trace(
-      cfg, analysis::Algorithm::NMsort, 1 << 14, 33);
+      cfg, sort::Algorithm::NMsort, 1 << 14, 33);
   std::stringstream varint;
   save_trace(cap.trace, varint);
   EXPECT_TRUE(equal(cap.trace, load_trace(varint)));
@@ -199,7 +185,7 @@ TEST(TraceSerialize, LoadedTraceReplaysIdentically) {
   const TwoLevelConfig cfg =
       analysis::scaled_counting_config(4.0, 4, 256 * KiB);
   analysis::CaptureRun cap =
-      analysis::capture_sort_trace(cfg, analysis::Algorithm::NMsort,
+      analysis::capture_sort_trace(cfg, sort::Algorithm::NMsort,
                                    1 << 15, 21);
   std::stringstream ss;
   save_trace(cap.trace, ss);

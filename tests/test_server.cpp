@@ -12,9 +12,11 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "analysis/experiment.hpp"
 #include "common/faults.hpp"
 #include "common/thread_pool.hpp"
 #include "kmeans/kmeans.hpp"
@@ -30,8 +32,8 @@ namespace {
 using server::JobServer;
 using server::JobSpec;
 using server::JobStatus;
-using server::SortBackend;
 using server::TenantArena;
+using sort::Algorithm;
 
 TwoLevelConfig server_config(std::size_t threads = 4) {
   TwoLevelConfig cfg = test_config(4.0);
@@ -296,19 +298,48 @@ server::TenantStats run_sole_tenant(Machine& m, std::uint64_t quota,
 }
 
 TEST(SoleTenantHighWater, EverySortBackendMatchesTheArena) {
-  for (SortBackend b : server::kSortBackends) {
+  for (Algorithm b : server::kSortBackends) {
     Machine m(server_config());
     auto res = std::make_shared<server::SortJobResult>();
     const server::TenantStats ts = run_sole_tenant(
         m, m.near_arena().capacity(),
         server::make_sort_job("solo", "sort", b, 60000, 4242, res));
-    ASSERT_TRUE(res->verified) << server::to_string(b);
-    if (b != SortBackend::kGnu) {  // the single-level baseline stays far
-      EXPECT_GT(m.near_arena().high_water(), 0u) << server::to_string(b);
+    ASSERT_TRUE(res->verified) << sort::to_string(b);
+    if (b != Algorithm::GnuSort) {  // the single-level baseline stays far
+      EXPECT_GT(m.near_arena().high_water(), 0u) << sort::to_string(b);
     }
     EXPECT_EQ(ts.high_water_bytes, m.near_arena().high_water())
-        << server::to_string(b) << ": tenant books miss arena bytes";
-    EXPECT_EQ(ts.foreign_frees, 0u) << server::to_string(b);
+        << sort::to_string(b) << ": tenant books miss arena bytes";
+    EXPECT_EQ(ts.foreign_frees, 0u) << sort::to_string(b);
+  }
+}
+
+// A solo sort job counts what the experiment harness counts for the same
+// configuration, sort, n and seed: its sort phase is the catalogue call
+// analysis::run_sort_counting makes, and its gen and check phases charge
+// nothing.
+TEST(SoleTenantAttribution, SortJobCountsMatchTheExperimentHarness) {
+  constexpr std::size_t kN = 60000;
+  constexpr std::uint64_t kSeed = 4242;
+  for (Algorithm b : server::kSortBackends) {
+    Machine m(server_config());
+    auto res = std::make_shared<server::SortJobResult>();
+    const server::TenantStats ts = run_sole_tenant(
+        m, m.near_arena().capacity(),
+        server::make_sort_job("solo", "sort", b, kN, kSeed, res));
+    ASSERT_TRUE(res->verified) << sort::to_string(b);
+    const PhaseStats want =
+        analysis::run_sort_counting(server_config(), b, kN, kSeed)
+            .counting.total;
+    const auto expect_equal = [&](const char* field, auto got, auto expected) {
+      if constexpr (std::is_integral_v<decltype(expected)>) {
+        EXPECT_EQ(got, expected) << sort::to_string(b) << ": " << field;
+      }
+    };
+#define TLM_X(kind, field, fold) \
+  expect_equal(#field, ts.attributed.field(), want.field());
+    TLM_PHASE_STATS(TLM_X)
+#undef TLM_X
   }
 }
 
@@ -331,7 +362,7 @@ TEST(SoleTenantHighWater, ScratchpadSortDegradesUnderTightQuota) {
     auto res = std::make_shared<server::SortJobResult>();
     run_sole_tenant(m, m.near_arena().capacity(),
                     server::make_sort_job("solo", "sort",
-                                          SortBackend::kScratchpadSeq, kN, 7,
+                                          Algorithm::ScratchpadSeq, kN, 7,
                                           res));
     ASSERT_TRUE(res->verified);
     solo = res->output;
@@ -347,7 +378,7 @@ TEST(SoleTenantHighWater, ScratchpadSortDegradesUnderTightQuota) {
   auto res = std::make_shared<server::SortJobResult>();
   const server::TenantStats ts = run_sole_tenant(
       m, quota,
-      server::make_sort_job("solo", "sort", SortBackend::kScratchpadSeq, kN,
+      server::make_sort_job("solo", "sort", Algorithm::ScratchpadSeq, kN,
                             7, res));
   ASSERT_TRUE(res->verified);
   EXPECT_EQ(res->output, solo) << "degraded output diverged from solo";
@@ -384,18 +415,18 @@ TEST(JobServerTest, RunsEverySortBackendVerified) {
   std::vector<std::shared_ptr<server::SortJobResult>> results;
   std::vector<server::JobHandle> handles;
   int i = 0;
-  for (SortBackend b : server::kSortBackends) {
+  for (Algorithm b : server::kSortBackends) {
     auto res = std::make_shared<server::SortJobResult>();
     results.push_back(res);
     handles.push_back(srv.submit(server::make_sort_job(
-        "t", std::string("sort-") + server::to_string(b), b, 20000,
+        "t", std::string("sort-") + sort::to_string(b), b, 20000,
         1234 + i++, res)));
   }
   srv.drain();
   for (std::size_t j = 0; j < handles.size(); ++j) {
     EXPECT_TRUE(handles[j].done());
     EXPECT_TRUE(results[j]->verified)
-        << "backend " << server::to_string(server::kSortBackends[j]);
+        << "backend " << sort::to_string(server::kSortBackends[j]);
   }
   const auto st = srv.tenant_stats("t");
   EXPECT_EQ(st.jobs_completed, 5u);
@@ -433,7 +464,7 @@ TEST(JobServerTest, CheckPhaseRefusesCorruptOutput) {
       };
   std::size_t k = 0;
   for (const auto& [how, corrupt] : corruptions) {
-    const SortBackend b = server::kSortBackends[k++ % 5];
+    const Algorithm b = server::kSortBackends[k++ % 5];
     Machine m(server_config());
     JobServer srv(m);
     srv.add_tenant("t", m.near_arena().capacity());
@@ -450,7 +481,7 @@ TEST(JobServerTest, CheckPhaseRefusesCorruptOutput) {
     srv.drain();
     ASSERT_TRUE(h.done()) << how;
     EXPECT_EQ(res->verified, std::string(how) == "none")
-        << how << " on " << server::to_string(b);
+        << how << " on " << sort::to_string(b);
   }
 }
 
@@ -492,9 +523,9 @@ TEST(JobServerTest, ZeroRetryBudgetRejectsAtCapacity) {
   auto r1 = std::make_shared<server::SortJobResult>();
   auto r2 = std::make_shared<server::SortJobResult>();
   auto h1 = srv.submit(
-      server::make_sort_job("t", "first", SortBackend::kGnu, 4096, 1, r1));
+      server::make_sort_job("t", "first", Algorithm::GnuSort, 4096, 1, r1));
   auto h2 = srv.submit(
-      server::make_sort_job("t", "second", SortBackend::kGnu, 4096, 2, r2));
+      server::make_sort_job("t", "second", Algorithm::GnuSort, 4096, 2, r2));
   EXPECT_TRUE(h2.rejected());
   srv.drain();
   EXPECT_TRUE(h1.done());
@@ -519,7 +550,7 @@ TEST(JobServerTest, BackoffHelpsDrainInsteadOfRejecting) {
     auto res = std::make_shared<server::SortJobResult>();
     results.push_back(res);
     handles.push_back(srv.submit(server::make_sort_job(
-        "t", "job" + std::to_string(j), SortBackend::kNMsort, 8000,
+        "t", "job" + std::to_string(j), Algorithm::NMsort, 8000,
         10 + static_cast<std::uint64_t>(j), res)));
   }
   srv.drain();
@@ -543,7 +574,7 @@ TEST(JobServerTest, FailedPhaseSettlesJobAndServerContinues) {
   auto hb = srv.submit(std::move(bad));
   auto res = std::make_shared<server::SortJobResult>();
   auto hg = srv.submit(
-      server::make_sort_job("t", "after", SortBackend::kGnu, 4096, 3, res));
+      server::make_sort_job("t", "after", Algorithm::GnuSort, 4096, 3, res));
   srv.drain();
   EXPECT_EQ(hb.status(), JobStatus::kFailed);
   EXPECT_NE(hb.error().find("boom"), std::string::npos);
@@ -574,7 +605,7 @@ TEST(JobServerTest, AttributionConservesMachineTotals) {
       auto res = std::make_shared<server::SortJobResult>();
       results.push_back(res);
       srv.submit(server::make_sort_job(
-          t, "job" + std::to_string(j), SortBackend::kScratchpadPar, 10000,
+          t, "job" + std::to_string(j), Algorithm::ScratchpadPar, 10000,
           100 + static_cast<std::uint64_t>(j), res));
     }
   }
@@ -612,7 +643,7 @@ TEST(JobServerTest, ThrashingTenantDegradesItselfNotNeighbors) {
       auto res = std::make_shared<server::SortJobResult>();
       results.push_back(res);
       handles.push_back(srv.submit(server::make_sort_job(
-          t, "job" + std::to_string(j), SortBackend::kNMsort, 16000,
+          t, "job" + std::to_string(j), Algorithm::NMsort, 16000,
           7 + static_cast<std::uint64_t>(j), res)));
     }
   }
@@ -636,7 +667,7 @@ TEST(JobServerTest, ExportsTenantMetrics) {
   srv.add_tenant("exp", 32 * 1024);
   auto res = std::make_shared<server::SortJobResult>();
   srv.submit(
-      server::make_sort_job("exp", "one", SortBackend::kGnu, 4096, 5, res));
+      server::make_sort_job("exp", "one", Algorithm::GnuSort, 4096, 5, res));
   srv.drain();
   obs::RunRecord rec;
   srv.export_metrics(rec);

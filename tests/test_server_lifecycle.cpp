@@ -34,7 +34,6 @@ namespace {
 using server::JobServer;
 using server::JobSpec;
 using server::JobStatus;
-using server::SortBackend;
 
 TwoLevelConfig lifecycle_config(std::size_t threads = 4) {
   TwoLevelConfig cfg = test_config(4.0);
@@ -360,13 +359,13 @@ TEST(JobLifecycle, DeadlineSweepSettlesWithAnEmptyArena) {
       {"nmsort",
        [] {
          return server::make_sort_job(
-             "t", "nmsort", SortBackend::kNMsort, 40000, 11,
+             "t", "nmsort", sort::Algorithm::NMsort, 40000, 11,
              std::make_shared<server::SortJobResult>());
        }},
       {"write_eff",
        [] {
          return server::make_sort_job(
-             "t", "write_eff", SortBackend::kWriteEff, 40000, 12,
+             "t", "write_eff", sort::Algorithm::NMsortWriteEff, 40000, 12,
              std::make_shared<server::SortJobResult>());
        }},
       {"kmeans",

@@ -138,7 +138,7 @@ TEST(SimEdge, ValidationMatrixAgreesAcrossBackends) {
   // One medium point rather than the whole default matrix (kept for the
   // bench): access counts within 10%, time within 2x.
   analysis::ValidationPoint p;
-  p.algorithm = analysis::Algorithm::NMsort;
+  p.algorithm = sort::Algorithm::NMsort;
   p.rho = 4.0;
   p.cores = 4;
   p.n = 1 << 17;

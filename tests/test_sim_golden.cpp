@@ -71,7 +71,7 @@ Entries replay(const SystemConfig& cfg, const trace::TraceSource& trace) {
   return out;
 }
 
-Entries sort_trace(analysis::Algorithm a, double rho,
+Entries sort_trace(sort::Algorithm a, double rho,
                    std::size_t cores = kCores) {
   const TwoLevelConfig cfg =
       analysis::scaled_counting_config(rho, cores, kNearCap);
@@ -136,11 +136,11 @@ obs::Json to_json(const std::vector<std::pair<std::string, Entries>>& runs) {
 TEST(SimGolden, ReportsMatchCheckedInGolden) {
   std::vector<std::pair<std::string, Entries>> runs;
   runs.emplace_back("gnu_sort",
-                    sort_trace(analysis::Algorithm::GnuSort, 2.0));
+                    sort_trace(sort::Algorithm::GnuSort, 2.0));
   runs.emplace_back("nmsort_8x",
-                    sort_trace(analysis::Algorithm::NMsort, 8.0));
+                    sort_trace(sort::Algorithm::NMsort, 8.0));
   runs.emplace_back("gnu_sort_16_cores",
-                    sort_trace(analysis::Algorithm::GnuSort, 2.0, 16));
+                    sort_trace(sort::Algorithm::GnuSort, 2.0, 16));
 
   const trace::TraceBuffer km = kmeans_trace();
   const SystemConfig km_node = SystemConfig::scaled(4.0, kCores);

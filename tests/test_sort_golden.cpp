@@ -1,4 +1,4 @@
-// Golden counting test for every sort: runs each analysis::Algorithm
+// Golden counting test for every sort: runs each sort::Algorithm
 // through run_sort_counting and capture_sort_trace and compares what the
 // Machine counted against tests/data/sort_golden.json, doubles by bit
 // pattern (printed as hex floats).
@@ -38,19 +38,18 @@
 
 #include "analysis/experiment.hpp"
 #include "common/faults.hpp"
-#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "common/sorted_check.hpp"
 #include "obs/json.hpp"
 #include "scratchpad/counters.hpp"
 #include "scratchpad/machine.hpp"
+#include "sort/catalogue.hpp"
 #include "sort/sort.hpp"
 #include "trace/capture.hpp"
 
 namespace tlm::sort {
 namespace {
 
-using analysis::Algorithm;
 using Entries = std::vector<std::pair<std::string, std::string>>;
 
 constexpr std::size_t kCores = 4;
@@ -64,8 +63,7 @@ struct Case {
   Algorithm algorithm;
   TwoLevelConfig cfg;
   std::uint64_t n;
-  // Keys in place of the harness's random ones; only the write-efficient
-  // sort takes them (run_we_sort).
+  // Keys in place of the harness's random ones (run_on_keys).
   std::vector<std::uint64_t> (*keys)(std::uint64_t n) = nullptr;
 };
 
@@ -198,18 +196,15 @@ void add_trace(const trace::TraceBuffer& tb, Entries& out) {
   out.emplace_back("trace.hash", buf);
 }
 
-// The write-efficient sort on `input`, counted the way
-// analysis::run_sort_counting counts its random keys.
-analysis::SortRun run_we_sort(const TwoLevelConfig& cfg,
+// Sort `a` on `input`, counted the way analysis::run_sort_counting counts
+// its random keys.
+analysis::SortRun run_on_keys(const TwoLevelConfig& cfg, Algorithm a,
                               const std::vector<std::uint64_t>& input,
                               trace::TraceSink* sink, FaultInjector* faults) {
   Machine m(cfg, sink);
   m.set_fault_injector(faults);
   std::vector<std::uint64_t> output(input.size());
-  WESortOptions opt;
-  opt.seed = kSeed ^ 0x9e3779b97f4a7c15ULL;
-  we_sort_into(m, std::span<const std::uint64_t>(input),
-               std::span<std::uint64_t>(output), opt);
+  sort_into(m, a, input, output, kSeed);
   analysis::SortRun r;
   r.verified = is_sorted_permutation(input, output);
   m.end_phase();
@@ -222,7 +217,8 @@ analysis::SortRun run_we_sort(const TwoLevelConfig& cfg,
 
 analysis::SortRun count_case(const TwoLevelConfig& cfg, const Case& c,
                              FaultInjector* faults) {
-  if (c.keys) return run_we_sort(cfg, c.keys(c.n), nullptr, faults);
+  if (c.keys)
+    return run_on_keys(cfg, c.algorithm, c.keys(c.n), nullptr, faults);
   return analysis::run_sort_counting(cfg, c.algorithm, c.n, kSeed, faults);
 }
 
@@ -232,7 +228,8 @@ analysis::CaptureRun capture_case(const TwoLevelConfig& cfg, const Case& c,
     return analysis::capture_sort_trace(cfg, c.algorithm, c.n, kSeed, faults);
   analysis::CaptureRun cap{analysis::SortRun{},
                            trace::TraceBuffer(cfg.threads)};
-  cap.counting = run_we_sort(cfg, c.keys(c.n), &cap.trace, faults);
+  cap.counting =
+      run_on_keys(cfg, c.algorithm, c.keys(c.n), &cap.trace, faults);
   return cap;
 }
 
@@ -278,37 +275,85 @@ const std::string* lookup(const Entries& e, const std::string& key) {
   return nullptr;
 }
 
+using Section = std::vector<trace::TraceOp>;
+
+// Each core's ops between barriers: [t][e] holds what core t did after
+// barrier e − 1 and before barrier e. Every core records every fork and
+// join, so one e names the same SPMD section on every core.
+std::vector<std::vector<Section>> sections(const trace::TraceBuffer& tb) {
+  std::vector<std::vector<Section>> cores(tb.threads());
+  for (std::size_t t = 0; t < tb.threads(); ++t) {
+    std::vector<Section>& core = cores[t];
+    core.emplace_back();
+    for (const trace::TraceOp& op : tb.stream(t)) {
+      if (op.kind == trace::OpKind::Barrier)
+        core.emplace_back();
+      else
+        core.back().push_back(op);
+    }
+    core.pop_back();  // ops after the last barrier close no section
+  }
+  return cores;
+}
+
+bool busy(const Section& s) { return !s.empty(); }
+
 // True when some SPMD section of `tb` is the write-efficient sort's
 // oversized-singleton fill: every core's share is one write burst and one
 // compute unit per 8-byte key it wrote.
 bool has_fill_section(const trace::TraceBuffer& tb) {
-  std::vector<std::size_t> shared;  // fill-shaped epochs on every core
-  for (std::size_t t = 0; t < tb.threads(); ++t) {
-    std::vector<std::size_t> epochs;
-    std::vector<trace::TraceOp> cur;
-    std::size_t epoch = 0;
-    for (const trace::TraceOp& op : tb.stream(t)) {
-      if (op.kind != trace::OpKind::Barrier) {
-        cur.push_back(op);
-        continue;
-      }
-      if (cur.size() == 2 && cur[0].kind == trace::OpKind::Write &&
-          cur[1].kind == trace::OpKind::Compute &&
-          cur[1].ops * sizeof(std::uint64_t) ==
-              static_cast<double>(cur[0].bytes))
-        epochs.push_back(epoch);
-      cur.clear();
-      ++epoch;
-    }
-    if (t == 0) {
-      shared = epochs;
-    } else {
-      std::erase_if(shared, [&](std::size_t e) {
-        return std::find(epochs.begin(), epochs.end(), e) == epochs.end();
-      });
+  const std::vector<std::vector<Section>> cores = sections(tb);
+  for (std::size_t e = 0; e < cores[0].size(); ++e) {
+    const auto is_fill = [e](const std::vector<Section>& core) {
+      const Section& s = core[e];
+      return s.size() == 2 && s[0].kind == trace::OpKind::Write &&
+             s[1].kind == trace::OpKind::Compute &&
+             s[1].ops * sizeof(std::uint64_t) ==
+                 static_cast<double>(s[0].bytes);
+    };
+    if (std::all_of(cores.begin(), cores.end(), is_fill)) return true;
+  }
+  return false;
+}
+
+// True when every core's first busy section forms its runs in place: each
+// run is read, written back over the same range, and charged its sort.
+bool forms_runs_in_place(const trace::TraceBuffer& tb) {
+  for (const std::vector<Section>& core : sections(tb)) {
+    const auto s = std::find_if(core.begin(), core.end(), busy);
+    if (s == core.end() || s->size() % 3 != 0) return false;
+    for (std::size_t i = 0; i < s->size(); i += 3) {
+      const trace::TraceOp& r = (*s)[i];
+      const trace::TraceOp& w = (*s)[i + 1];
+      if (r.kind != trace::OpKind::Read || w.kind != trace::OpKind::Write ||
+          (*s)[i + 2].kind != trace::OpKind::Compute || r.addr != w.addr ||
+          r.bytes != w.bytes)
+        return false;
     }
   }
-  return !shared.empty();
+  return true;
+}
+
+// True when every core's last busy section merges two runs: each output
+// flush (a write, then its compute) charges lg 2 + 1 = 2 comparisons a key,
+// where a merge of k > 2 runs charges lg k + 1.
+bool ends_in_two_run_merge(const trace::TraceBuffer& tb) {
+  for (const std::vector<Section>& core : sections(tb)) {
+    const auto s = std::find_if(core.rbegin(), core.rend(), busy);
+    if (s == core.rend()) return false;
+    std::size_t flushes = 0;
+    for (std::size_t i = 1; i < s->size(); ++i) {
+      const trace::TraceOp& w = (*s)[i - 1];
+      const trace::TraceOp& c = (*s)[i];
+      if (w.kind != trace::OpKind::Write || c.kind != trace::OpKind::Compute)
+        continue;
+      if (c.ops != 2.0 * static_cast<double>(w.bytes / sizeof(std::uint64_t)))
+        return false;
+      ++flushes;
+    }
+    if (flushes == 0) return false;
+  }
+  return true;
 }
 
 bool has_phase(const Entries& e, const std::string& name) {
@@ -380,16 +425,14 @@ TEST(SortGolden, GeometriesReachTheirPaths) {
   EXPECT_GT(detail::plan_runs<std::uint64_t>(Machine(few.cfg), few.n, {})
                 .nruns,
             1u);
-  // GNU sort's two-pass geometry forms its runs in place (an even pass
-  // count lands the last pass in the input), so formation sorts each run
-  // through the ping-pong spare, and its last pass merges two runs in the
-  // two-run loop.
+  // GNU sort's two-pass geometry forms its runs in place, so formation
+  // sorts each run through the ping-pong spare, and its last pass merges
+  // two runs in the two-run loop.
   const Case gnu2 = find("gnu_two_pass");
-  const detail::RunLayout gl =
-      detail::plan_runs<std::uint64_t>(Machine(gnu2.cfg), gnu2.n, {});
-  EXPECT_GT(gl.nruns, 1u);
-  EXPECT_EQ(gl.passes % 2, 0u);
-  EXPECT_EQ(ceil_div(gl.nruns, gl.fan), 2u);
+  const trace::TraceBuffer gnu2_trace =
+      capture_case(gnu2.cfg, gnu2, nullptr).trace;
+  EXPECT_TRUE(forms_runs_in_place(gnu2_trace));
+  EXPECT_TRUE(ends_in_two_run_merge(gnu2_trace));
   const Entries nm1 = phases_of(few, Variant::kDefault);
   EXPECT_TRUE(has_phase(nm1, "nmsort.phase1"));
   EXPECT_FALSE(has_phase(nm1, "nmsort.sample"));

@@ -3,11 +3,11 @@
 // Modes (exactly one source):
 //   --trace-dir=DIR     analyze a MappedLog capture via ShardedReplay
 //                       (--jobs=N reads the logs on N workers)
-//   --trace-file=FILE   analyze a save_trace_file() snapshot
 //   --capture=ALG       capture a sort run in-process and analyze it
 //                       (--n, --seed, --threads, --near-kb, --rho,
 //                        --overlap-dma, --chaos-seed reproduce the CI
-//                        chaos schedules)
+//                        chaos schedules); ALG is a sort catalogue name
+//                       (sort/catalogue.hpp), which the usage text lists
 //
 // The injected-bug fixtures for every detector live in
 // tests/test_racecheck.cpp.
@@ -27,16 +27,16 @@
 #include "common/faults.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/json.hpp"
+#include "sort/catalogue.hpp"
 #include "trace/capture.hpp"
 #include "trace/replay.hpp"
-#include "trace/serialize.hpp"
 
 namespace {
 
 using namespace tlm;
 
 struct Cli {
-  std::string trace_dir, trace_file, capture, json_path;
+  std::string trace_dir, capture, json_path;
   bool json = false, warn_only = false;
   std::size_t jobs = 1;  // log readers; 0 or 1 reads inline
   std::uint64_t n = 100'000, seed = 2026;
@@ -65,13 +65,19 @@ bool parse_flag(const char* arg, const char* name, std::string* out) {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s (--trace-dir=DIR [--jobs=N] | --trace-file=FILE |\n"
+      "usage: %s (--trace-dir=DIR [--jobs=N] |\n"
       "           --capture=ALG [--n=N] [--seed=S] [--threads=T]\n"
       "             [--near-kb=KB] [--rho=R] [--overlap-dma]\n"
       "             [--chaos-seed=S])\n"
       "          [--json[=PATH]] [--warn-only] [--max-findings=N]\n"
-      "  ALG: nmsort | gnusort | scratchpad-seq | scratchpad-par\n",
+      "  ALG:",
       argv0);
+  const char* sep = " ";
+  for (const sort::Algorithm a : sort::kAlgorithms) {
+    std::fprintf(stderr, "%s%s", sep, sort::to_string(a));
+    sep = " | ";
+  }
+  std::fprintf(stderr, "\n");
   return 2;
 }
 
@@ -82,14 +88,6 @@ void arm_mixed_chaos(FaultInjector& fi) {
   fi.arm(fault_site::kDmaFail, FaultSchedule::prob(0.05));
   fi.arm(fault_site::kDmaStall, FaultSchedule::prob(0.1, 1e-6));
   fi.arm(fault_site::kFarStall, FaultSchedule::prob(0.002, 5e-7));
-}
-
-std::optional<analysis::Algorithm> parse_alg(const std::string& s) {
-  if (s == "nmsort") return analysis::Algorithm::NMsort;
-  if (s == "gnusort") return analysis::Algorithm::GnuSort;
-  if (s == "scratchpad-seq") return analysis::Algorithm::ScratchpadSeq;
-  if (s == "scratchpad-par") return analysis::Algorithm::ScratchpadPar;
-  return std::nullopt;
 }
 
 int report_and_exit(const analyze::RacecheckReport& rep, const Cli& cli) {
@@ -117,8 +115,6 @@ int main(int argc, char** argv) {
     std::string v;
     if (parse_flag(a, "--trace-dir", &v)) {
       cli.trace_dir = v;
-    } else if (parse_flag(a, "--trace-file", &v)) {
-      cli.trace_file = v;
     } else if (parse_flag(a, "--capture", &v)) {
       cli.capture = v;
     } else if (parse_flag(a, "--jobs", &v)) {
@@ -150,9 +146,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int sources = (!cli.trace_dir.empty()) + (!cli.trace_file.empty()) +
-                      (!cli.capture.empty());
-  if (sources != 1) return usage(argv[0]);
+  if (cli.trace_dir.empty() == cli.capture.empty()) return usage(argv[0]);
 
   analyze::RacecheckOptions opt;
   opt.max_findings = cli.max_findings;
@@ -165,13 +159,11 @@ int main(int argc, char** argv) {
                   (unsigned long long)replay.stats().ops);
       return report_and_exit(analyze::racecheck(replay, opt), cli);
     }
-    if (!cli.trace_file.empty()) {
-      const trace::TraceBuffer tb = trace::load_trace_file(cli.trace_file);
-      std::printf("racecheck: %s\n", cli.trace_file.c_str());
-      return report_and_exit(analyze::racecheck(tb, opt), cli);
+    const auto alg = sort::parse_algorithm(cli.capture);
+    if (!alg) {
+      std::fprintf(stderr, "unknown sort: %s\n", cli.capture.c_str());
+      return usage(argv[0]);
     }
-    const auto alg = parse_alg(cli.capture);
-    if (!alg) return usage(argv[0]);
     TwoLevelConfig cfg = test_config(cli.rho);
     cfg.near_capacity = cli.near_kb * 1024;
     cfg.threads = cli.threads;
