@@ -35,7 +35,6 @@ std::byte* Stager::buffer(std::size_t i) {
     const auto buf = m_.try_alloc_near(opt_.buffer_bytes, loc_);
     if (!buf) return nullptr;  // caller steps the ladder
     bufs_[i] = *buf;
-    if (opt_.retain) m_.retain_across_phases(bufs_[i].data());
   }
   return bufs_[i].data();
 }

@@ -24,8 +24,7 @@
 //
 // Contract notes:
 //   * Buffers are phase-scoped: destroy (or release()) the stager before
-//     end_phase(), or construct with Options::retain for a stager that
-//     legitimately spans phases — the model sanitizer enforces this.
+//     end_phase() — the model sanitizer enforces this.
 //   * In worker-hook mode (Options::worker_hook), run() passes a non-empty
 //     hook to the process callback whenever a prefetch is pending; the
 //     callback MUST invoke hook(w) exactly once on every worker inside its
@@ -107,9 +106,6 @@ class Stager {
     // True: prefetches ride a per-worker hook through the process
     // callback's SPMD section. False: the orchestrator posts them.
     bool worker_hook = true;
-    // Mark the staging buffers with retain_across_phases (for a stager
-    // that intentionally lives across explicit phase boundaries).
-    bool retain = false;
   };
 
   // The batch plan as ranges over the caller's item-size array: [first,

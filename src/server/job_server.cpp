@@ -71,10 +71,9 @@ struct JobServer::Work {
   bool cancelled = false;  // a checkpoint threw CancelledError
   CancelReason reason = CancelReason::kNone;
   std::string error;
-  // Token budgets for this phase, computed under mu_ at pick time so
+  // The phase's modeled budget, computed under mu_ at pick time so
   // execute() reads no scheduler-owned job state outside the lock.
   double model_budget_s = 0;
-  double wall_budget_s = 0;
   PhaseStats before, after;
   StagerStats stager_before, stager_after;
   FaultStats faults_before, faults_after;
@@ -237,15 +236,12 @@ bool JobServer::pick_next_locked(Work& w) {
     w.tenant = &t;
     w.job = t.queue.front();
     w.phase = &w.job->spec.phases[w.job->next_phase];
-    // Arm-time budgets, computed here so execute() reads no scheduler-owned
-    // job state outside mu_: what remains of the modeled deadline, and the
-    // per-phase wall watchdog.
+    // What remains of the modeled deadline, computed here so execute()
+    // reads no scheduler-owned job state outside mu_.
     const JobSpec& spec = w.job->spec;
     w.model_budget_s = spec.deadline_model_s > 0
                            ? spec.deadline_model_s - w.job->model_consumed_s
                            : 0;
-    w.wall_budget_s =
-        spec.wall_timeout_s > 0 ? spec.wall_timeout_s : opt_.watchdog_wall_s;
     rr_ = ((rr_ + i) % n) + 1;  // fairness: next round starts after us
     return true;
   }
@@ -260,7 +256,7 @@ void JobServer::execute(Work& w) {
   w.job->status.store(static_cast<int>(JobStatus::kRunning),
                       std::memory_order_release);
 
-  w.job->token.arm_phase(w.model_budget_s, w.wall_budget_s);
+  w.job->token.arm_phase(w.model_budget_s, opt_.watchdog_wall_s);
   t.arena.install();
   machine_.set_cancel_token(&w.job->token);
   machine_.begin_phase("tenant/" + t.name() + "/" + w.job->spec.name + "/" +

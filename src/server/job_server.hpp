@@ -78,10 +78,6 @@ struct JobSpec {
   // time is deterministic (counters + the seeded fault schedule), so the
   // same jobs expire at the same checkpoints in every run. 0 = no deadline.
   double deadline_model_s = 0;
-  // Per-phase wall-clock watchdog for genuinely hung phases; overrides
-  // Options::watchdog_wall_s when nonzero. Host time — inherently
-  // nondeterministic, a last resort, not a scheduling deadline.
-  double wall_timeout_s = 0;
   // Failed phases send the job back to phase 0 up to this many times
   // before it settles kFailed (the arena charge is reclaimed between
   // attempts). Fault-typed failures also count toward quarantine.
@@ -200,8 +196,9 @@ class JobServer {
     // accumulate before it settles kQuarantined instead of retrying — the
     // containment bound for a job that trips fault sites forever.
     std::uint32_t quarantine_fault_trips = 3;
-    // Default per-phase wall-clock watchdog (0 = off). JobSpec's
-    // wall_timeout_s overrides per job.
+    // Per-phase wall-clock watchdog for genuinely hung phases (0 = off).
+    // Host time — inherently nondeterministic, a last resort, not a
+    // scheduling deadline.
     double watchdog_wall_s = 0;
   };
 

@@ -11,14 +11,13 @@
 namespace tlm::sort {
 
 template <typename T, typename Cmp = std::less<T>>
-void gnu_like_sort(Machine& m, std::span<T> data,
-                   MultiwaySortOptions opt = {}, Cmp cmp = {}) {
+void gnu_like_sort(Machine& m, std::span<T> data, Cmp cmp = {}) {
   if (data.size() <= 1) return;
   TLM_REQUIRE(m.space_of(data.data()) == Space::Far,
               "the baseline sorts far-resident data");
   m.adopt_far(data.data(), data.size_bytes());
   m.begin_phase("gnu.multiway_sort");
-  multiway_merge_sort(m, data, opt, cmp);
+  multiway_merge_sort(m, data, cmp);
   m.end_phase();
 }
 

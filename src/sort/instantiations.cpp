@@ -10,17 +10,16 @@ namespace tlm::sort {
 
 template void merge_runs_charged<std::uint64_t, std::less<std::uint64_t>>(
     Machine&, std::size_t, const std::vector<Run<std::uint64_t>>&,
-    std::uint64_t*, std::less<std::uint64_t>, const MergeOptions&);
+    std::uint64_t*, std::less<std::uint64_t>);
 
 template void parallel_multiway_merge<std::uint64_t,
                                       std::less<std::uint64_t>>(
     Machine&, const std::vector<Run<std::uint64_t>>&,
-    std::span<std::uint64_t>, std::less<std::uint64_t>, const MergeOptions&,
+    std::span<std::uint64_t>, std::less<std::uint64_t>,
     const std::function<void(std::size_t)>&);
 
 template void multiway_merge_sort<std::uint64_t, std::less<std::uint64_t>>(
-    Machine&, std::span<std::uint64_t>, MultiwaySortOptions,
-    std::less<std::uint64_t>);
+    Machine&, std::span<std::uint64_t>, std::less<std::uint64_t>);
 
 template void nm_sort_into<std::uint64_t, std::less<std::uint64_t>>(
     Machine&, std::span<const std::uint64_t>, std::span<std::uint64_t>,
@@ -41,7 +40,6 @@ template void parallel_scratchpad_sort<std::uint64_t,
     std::less<std::uint64_t>);
 
 template void gnu_like_sort<std::uint64_t, std::less<std::uint64_t>>(
-    Machine&, std::span<std::uint64_t>, MultiwaySortOptions,
-    std::less<std::uint64_t>);
+    Machine&, std::span<std::uint64_t>, std::less<std::uint64_t>);
 
 }  // namespace tlm::sort

@@ -30,34 +30,32 @@
 
 namespace tlm::sort {
 
-struct MergeOptions {
-  // Refill/flush granularity of the buffered cursors. 4 KiB amortizes the
-  // per-burst access latency while letting 2·fan buffers fit in the cache
-  // (fan-in derives from cache_bytes / (2·refill_bytes)).
-  std::uint64_t refill_bytes = 4 * KiB;
-  // Minimum elements per parallel merge slice: splitting a merge across
-  // more threads than total/min_part_elems just burns splitter probes and
-  // produces sub-refill slices.
-  std::uint64_t min_part_elems = 1024;
-};
+// Refill/flush granularity of the buffered cursors. 4 KiB amortizes the
+// per-burst access latency while letting 2·fan buffers fit in the cache
+// (plan_runs derives the fan-in from cache_bytes / (2·kRefillBytes)).
+inline constexpr std::uint64_t kRefillBytes = 4 * KiB;
+// Minimum elements per parallel merge slice: splitting a merge across more
+// threads than total/kMinPartElems just burns splitter probes and produces
+// sub-refill slices.
+inline constexpr std::uint64_t kMinPartElems = 1024;
 
 // Sequential k-way merge of `runs` into `out` (which must have room for the
 // total size), charging `thread` for all traffic and compute. Before each
 // element is consumed, its run's next refill is charged if the element lies
 // past the run's charged prefix; after each element is emitted, a full
-// refill_bytes of output is flushed (written and charged lg k + 1 compute
+// kRefillBytes of output is flushed (written and charged lg k + 1 compute
 // per element). Two runs merge in a two-cursor loop, more through a
 // LoserTree; both take run 0's head on equal keys, so the element order and
 // with it every Machine call are the same either way.
 template <typename T, typename Cmp = std::less<T>>
 void merge_runs_charged(Machine& m, std::size_t thread,
-                        const std::vector<Run<T>>& runs, T* out, Cmp cmp = {},
-                        const MergeOptions& opt = {}) {
+                        const std::vector<Run<T>>& runs, T* out,
+                        Cmp cmp = {}) {
   const std::uint64_t total = total_size(runs);
   if (total == 0) return;
 
   const std::uint64_t refill_elems =
-      std::max<std::uint64_t>(1, opt.refill_bytes / sizeof(T));
+      std::max<std::uint64_t>(1, kRefillBytes / sizeof(T));
   // Modeled comparisons per emitted element: log2(k), plus one.
   const double per_elem =
       std::log2(static_cast<double>(std::max<std::size_t>(2, runs.size()))) +
@@ -308,7 +306,6 @@ std::vector<Run<T>> part_slice(Machine& m, std::size_t thread,
 template <typename T, typename Cmp = std::less<T>>
 void parallel_multiway_merge(
     Machine& m, const std::vector<Run<T>>& runs, std::span<T> out, Cmp cmp = {},
-    const MergeOptions& opt = {},
     const std::function<void(std::size_t)>& per_worker = {}) {
   const std::uint64_t total = total_size(runs);
   TLM_REQUIRE(out.size() == total, "output size must equal total run size");
@@ -318,10 +315,9 @@ void parallel_multiway_merge(
   }
 
   const std::size_t parts = static_cast<std::size_t>(std::clamp<std::uint64_t>(
-      total / std::max<std::uint64_t>(1, opt.min_part_elems), 1,
-      m.threads()));
+      total / kMinPartElems, 1, m.threads()));
   if (parts == 1 && !per_worker) {
-    merge_runs_charged(m, 0, runs, out.data(), cmp, opt);
+    merge_runs_charged(m, 0, runs, out.data(), cmp);
     return;
   }
   // Merge Path: every worker finds the cuts bounding its own part, so the
@@ -338,7 +334,7 @@ void parallel_multiway_merge(
     slice_elems[w] = total_size(slice);
     if (!slice.empty())
       merge_runs_charged(m, w, slice, out.data() + part_rank(total, parts, w),
-                         cmp, opt);
+                         cmp);
   });
   m.note_partition(0, parts,
                    *std::max_element(slice_elems.begin(), slice_elems.end()),

@@ -30,18 +30,6 @@
 
 namespace tlm::sort {
 
-struct MultiwaySortOptions {
-  // Initial sorted-run size; 0 derives an eighth of the configured cache —
-  // the per-core share of a quad-core group's L2 leaves room for the output.
-  std::uint64_t run_bytes = 0;
-  // Merge fan-in k; 0 derives the number of refill buffers that fit in half
-  // the cache — the practical form of the model's Θ(Z/L) branching factor.
-  // This is what makes the single-level baseline pay multiple merge passes
-  // once N/Z outgrows the fan-in, exactly as the paper's GNU sort does.
-  std::size_t fan_in = 0;
-  MergeOptions merge;
-};
-
 namespace detail {
 
 struct RunLayout {
@@ -51,14 +39,18 @@ struct RunLayout {
   std::size_t passes = 0;  // merge passes until a single run remains
 };
 
+// The run geometry of sorting `n` elements on `m`, from its cache size and
+// thread count alone. Runs are an eighth of the configured cache, at least
+// 4 KiB: the per-core share of a quad-core group's L2 leaves room for the
+// output. The fan-in is the number of refill buffers that fit in half the
+// cache — the practical form of the model's Θ(Z/L) branching factor, which
+// makes the single-level baseline pay multiple merge passes once N/Z
+// outgrows it, exactly as the paper's GNU sort does.
 template <typename T>
-RunLayout plan_runs(const Machine& m, std::uint64_t n,
-                    const MultiwaySortOptions& opt) {
+RunLayout plan_runs(const Machine& m, std::uint64_t n) {
   RunLayout L;
   const std::uint64_t run_bytes =
-      opt.run_bytes ? opt.run_bytes
-                    : std::max<std::uint64_t>(m.config().cache_bytes / 8,
-                                              4 * KiB);
+      std::max<std::uint64_t>(m.config().cache_bytes / 8, 4 * KiB);
   // Never fewer runs than threads: formation must parallelize even when the
   // operand is small (NMsort chunks on many-core nodes) — but runs below a
   // few hundred elements are pure overhead.
@@ -68,13 +60,8 @@ RunLayout plan_runs(const Machine& m, std::uint64_t n,
       16, std::min(run_bytes / sizeof(T), balanced));
   L.nruns = std::max<std::uint64_t>(1, ceil_div(n, L.run_elems));
 
-  L.fan = opt.fan_in
-              ? opt.fan_in
-              : static_cast<std::size_t>(std::clamp<std::uint64_t>(
-                    m.config().cache_bytes /
-                        (2 * std::max<std::uint64_t>(opt.merge.refill_bytes,
-                                                     1)),
-                    4, 64));
+  L.fan = static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      m.config().cache_bytes / (2 * kRefillBytes), 4, 64));
   for (std::uint64_t r = L.nruns; r > 1; r = ceil_div(r, L.fan)) ++L.passes;
   return L;
 }
@@ -299,7 +286,7 @@ std::vector<Run<T>> group_runs(const T* src, std::uint64_t n,
 template <typename T, typename Cmp>
 std::uint64_t merge_pass(Machine& m, const T* src, T* dst, std::uint64_t n,
                          std::uint64_t run_len, std::uint64_t cur_runs,
-                         std::size_t fan, const MergeOptions& opt, Cmp cmp) {
+                         std::size_t fan, Cmp cmp) {
   const std::uint64_t groups = ceil_div(cur_runs, fan);
   struct Group {
     std::vector<Run<T>> runs;
@@ -323,8 +310,7 @@ std::uint64_t merge_pass(Machine& m, const T* src, T* dst, std::uint64_t n,
     const std::uint64_t total = total_size(rs);
     const std::size_t parts =
         static_cast<std::size_t>(std::clamp<std::uint64_t>(
-            total / std::max<std::uint64_t>(1, opt.min_part_elems), 1,
-            per_group_cap));
+            total / kMinPartElems, 1, per_group_cap));
     for (std::size_t p = 0; p < parts; ++p)
       tasks.push_back(Task{gs.size(), p, 0});
     gs.push_back(Group{std::move(rs), total, parts});
@@ -338,8 +324,7 @@ std::uint64_t merge_pass(Machine& m, const T* src, T* dst, std::uint64_t n,
       task.elems = total_size(slice);
       T* out = dst + static_cast<std::uint64_t>(task.group) * run_len * fan;
       merge_runs_charged(m, w, slice,
-                         out + part_rank(g.total, g.parts, task.part), cmp,
-                         opt);
+                         out + part_rank(g.total, g.parts, task.part), cmp);
     }
   });
   // Tasks are listed group by group, so each split group's parts are
@@ -376,13 +361,12 @@ struct RunSet {
 // buffer whose contents the pipeline does not keep.
 template <typename T, typename Cmp>
 RunSet<T> form_and_merge(Machine& m, const T* src, T* a, T* b,
-                         std::uint64_t n, const RunLayout& L,
-                         const MergeOptions& merge, Cmp cmp) {
+                         std::uint64_t n, const RunLayout& L, Cmp cmp) {
   form_runs(m, src, a, n, L, cmp, b);
   RunSet<T> rs{a, b, n, L.run_elems, L.nruns};
   while (rs.runs > L.fan) {
     rs.runs = merge_pass(m, rs.data, rs.spare, n, rs.run_len, rs.runs, L.fan,
-                         merge, cmp);
+                         cmp);
     std::swap(rs.data, rs.spare);
     rs.run_len *= L.fan;
   }
@@ -392,23 +376,20 @@ RunSet<T> form_and_merge(Machine& m, const T* src, T* a, T* b,
 // Finishes the runs into `out` (far): a parallel copy when one run is
 // left, one parallel multiway merge of all of them otherwise.
 template <typename T, typename Cmp>
-void finish_runs(Machine& m, const RunSet<T>& rs, std::span<T> out,
-                 const MergeOptions& merge, Cmp cmp) {
+void finish_runs(Machine& m, const RunSet<T>& rs, std::span<T> out, Cmp cmp) {
   if (rs.runs == 1)
     m.parallel_copy(out.data(), rs.data, rs.n);
   else
-    parallel_multiway_merge(m, rs.all(), out, cmp, merge);
+    parallel_multiway_merge(m, rs.all(), out, cmp);
 }
 
 }  // namespace detail
 
 template <typename T, typename Cmp = std::less<T>>
-void multiway_merge_sort(Machine& m, std::span<T> data,
-                         MultiwaySortOptions opt = {}, Cmp cmp = {}) {
+void multiway_merge_sort(Machine& m, std::span<T> data, Cmp cmp = {}) {
   const std::uint64_t n = data.size();
   if (n <= 1) return;
-  const detail::RunLayout L = detail::plan_runs<T>(m, n, opt);
-  TLM_REQUIRE(L.fan >= 2, "merge fan-in must be at least 2");
+  const detail::RunLayout L = detail::plan_runs<T>(m, n);
 
   if (L.nruns == 1) {
     detail::form_run(m, 0, data.data(), data.data(), n, cmp);
@@ -424,10 +405,10 @@ void multiway_merge_sort(Machine& m, std::span<T> data,
 
   detail::RunSet<T> rs = detail::form_and_merge(
       m, data.data(), form_into_temp ? temp.data() : data.data(),
-      form_into_temp ? data.data() : temp.data(), n, L, opt.merge, cmp);
+      form_into_temp ? data.data() : temp.data(), n, L, cmp);
   // The last pass merges the (at most fan, at least two) runs left.
   rs.runs = detail::merge_pass(m, rs.data, rs.spare, n, rs.run_len, rs.runs,
-                               L.fan, opt.merge, cmp);
+                               L.fan, cmp);
   TLM_CHECK(rs.runs == 1 && rs.spare == data.data(),
             "ping-pong parity failed to land in data");
 

@@ -41,11 +41,6 @@
 namespace tlm::sort {
 
 struct NMSortOptions {
-  std::uint64_t chunk_elems = 0;  // 0 → (M − metadata) / 2 elements
-  std::size_t num_buckets = 0;    // 0 → scaled with chunk count and threads
-  std::uint64_t batch_elems = 0;  // 0 → M − metadata
-  MultiwaySortOptions inner;      // the in-scratchpad sort
-  MergeOptions merge;             // Phase 2 merge tuning
   bool use_bucket_metadata = true;
   std::uint64_t seed = 0x5eedULL;
 };
@@ -71,19 +66,21 @@ struct NMGeometry {
   std::uint64_t meta_bytes = 0;
 };
 
+// NMsort's geometry for `n` elements on `m`, from the scratchpad size and
+// thread count alone. Chunks are half the usable scratchpad (the chunk and
+// its ping-pong buffer), and a Phase-2 batch is all of it — half under
+// `overlap_dma`, whose staging area is double-buffered (two live batches:
+// one merging, one being gathered by the DMA engine).
 template <typename T>
-NMGeometry nm_geometry(const Machine& m, std::uint64_t n,
-                       const NMSortOptions& opt) {
+NMGeometry nm_geometry(const Machine& m, std::uint64_t n) {
   const TwoLevelConfig& cfg = m.config();
   NMGeometry g;
   // The pivots, BucketTot and a BucketPos row live in the metadata slice.
   g.meta_bytes = meta_slice_bytes(cfg);
   const std::uint64_t usable = cfg.near_capacity - g.meta_bytes;
 
-  g.chunk_elems = opt.chunk_elems
-                      ? opt.chunk_elems
-                      : std::max<std::uint64_t>(1024, usable / (2 * sizeof(T)));
-  g.chunk_elems = std::min(g.chunk_elems, n);
+  g.chunk_elems = std::min(
+      std::max<std::uint64_t>(1024, usable / (2 * sizeof(T))), n);
   g.nchunks = ceil_div(n, g.chunk_elems);
 
   // Metadata arrays (pivots + BucketTot + one BucketPos row) must fit in the
@@ -91,31 +88,16 @@ NMGeometry nm_geometry(const Machine& m, std::uint64_t n,
   const std::uint64_t nb_cap =
       std::max<std::uint64_t>(1, g.meta_bytes / (4 * sizeof(std::uint64_t)) /
                                      3);
-  if (opt.num_buckets) {
-    g.num_buckets = opt.num_buckets;
-    TLM_REQUIRE(g.num_buckets <= nb_cap,
-                "num_buckets exceeds the scratchpad metadata budget");
-  } else {
-    // Enough buckets that Phase 2 batches stay fine-grained (the paper
-    // batched "thousands of buckets into one transfer"), capped so the
-    // metadata and the sampling cost stay negligible.
-    const std::uint64_t want =
-        std::max<std::uint64_t>(64, g.nchunks * m.threads() * 8);
-    g.num_buckets = static_cast<std::size_t>(std::min<std::uint64_t>(
-        {want, nb_cap, 4096, std::max<std::uint64_t>(1, n / 4)}));
-  }
+  // Enough buckets that Phase 2 batches stay fine-grained (the paper
+  // batched "thousands of buckets into one transfer"), capped so the
+  // metadata and the sampling cost stay negligible.
+  const std::uint64_t want =
+      std::max<std::uint64_t>(64, g.nchunks * m.threads() * 8);
+  g.num_buckets = static_cast<std::size_t>(std::min<std::uint64_t>(
+      {want, nb_cap, 4096, std::max<std::uint64_t>(1, n / 4)}));
 
-  // Under `overlap_dma` Phase 2 double-buffers the staging area (two live
-  // batches: one merging, one being gathered by the DMA engine), so the
-  // default batch shrinks to half the usable scratchpad. An explicit
-  // opt.batch_elems is taken as-is; Phase 2 falls back to synchronous
-  // gathers if two such buffers cannot fit.
-  const std::uint64_t batch_budget =
-      cfg.overlap_dma ? usable / 2 : usable;
-  g.batch_elems =
-      opt.batch_elems
-          ? opt.batch_elems
-          : std::max<std::uint64_t>(1024, batch_budget / sizeof(T));
+  const std::uint64_t batch_budget = cfg.overlap_dma ? usable / 2 : usable;
+  g.batch_elems = std::max<std::uint64_t>(1024, batch_budget / sizeof(T));
   return g;
 }
 
@@ -135,7 +117,7 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
   m.adopt_far(input.data(), input.size_bytes());
   m.adopt_far(output.data(), output.size_bytes());
 
-  const detail::NMGeometry g = detail::nm_geometry<T>(m, n, opt);
+  const detail::NMGeometry g = detail::nm_geometry<T>(m, n);
 
   // ---- single-chunk fast path: the whole input fits in the scratchpad ----
   // (the paper's own Table I regime: the near memory "can store several
@@ -148,12 +130,11 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
     // just without the bandwidth advantage.
     std::span<T> buf = m.alloc_array_near_or_far<T>(n);
     std::span<T> tmp = m.alloc_array_near_or_far<T>(n);
-    const detail::RunLayout L = detail::plan_runs<T>(m, n, opt.inner);
+    const detail::RunLayout L = detail::plan_runs<T>(m, n);
     detail::finish_runs(m,
                         detail::form_and_merge(m, input.data(), buf.data(),
-                                               tmp.data(), n, L,
-                                               opt.inner.merge, cmp),
-                        output, opt.merge, cmp);
+                                               tmp.data(), n, L, cmp),
+                        output, cmp);
     m.free_array(tmp);
     m.free_array(buf);
     m.end_phase();
@@ -202,11 +183,10 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
       const std::uint64_t b = c * g.chunk_elems;
       const std::uint64_t len = std::min(g.chunk_elems, n - b);
 
-      const detail::RunLayout L = detail::plan_runs<T>(m, len, opt.inner);
+      const detail::RunLayout L = detail::plan_runs<T>(m, len);
       const std::vector<Run<T>> rs =
           detail::form_and_merge(m, input.data() + b, chunk_buf.data(),
-                                 temp_buf.data(), len, L, opt.inner.merge,
-                                 cmp)
+                                 temp_buf.data(), len, L, cmp)
               .all();
 
       // Bucket boundaries, in parallel across pivots: the position inside
@@ -271,8 +251,7 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
       // through the final merge pass (Fig. 2(b)).
       m.copy(0, bucket_pos.data() + c * (nb + 1), pos_row.data(),
              (nb + 1) * sizeof(std::uint64_t));
-      parallel_multiway_merge(m, rs, runs_area.subspan(b, len), cmp,
-                              opt.merge);
+      parallel_multiway_merge(m, rs, runs_area.subspan(b, len), cmp);
     }
     m.free_array(temp_buf);
     m.free_array(chunk_buf);
@@ -360,7 +339,7 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
           if (lo < hi) far_runs.push_back(Run<T>{base + lo, base + hi});
         }
         parallel_multiway_merge(m, far_runs, output.subspan(out_off, elems),
-                                cmp, opt.merge);
+                                cmp);
         out_off += elems;
         return;
       }
@@ -372,7 +351,7 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
         near_runs.push_back(Run<T>{p, p + s.bytes / sizeof(T)});
       }
       parallel_multiway_merge(m, near_runs, output.subspan(out_off, elems),
-                              cmp, opt.merge, prefetch);
+                              cmp, prefetch);
       out_off += elems;
     });
     TLM_CHECK(out_off == n, "phase 2 did not emit every element");
@@ -396,7 +375,7 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
       const std::uint64_t len = std::min(g.chunk_elems, n - b);
       std::span<T> chunk = chunk_buf.subspan(0, len);
       m.parallel_copy(chunk.data(), input.data() + b, len);
-      multiway_merge_sort(m, chunk, opt.inner, cmp);
+      multiway_merge_sort(m, chunk, cmp);
       detail::bucket_bounds(m, chunk.data(), len,
                             std::span<const T>(pivots), pos_row.data(), cmp);
       // The inefficient part: one small append per non-empty bucket.
@@ -432,7 +411,7 @@ void nm_sort_into(Machine& m, std::span<const T> input, std::span<T> output,
       }
       if (bucket_total == 0) continue;
       parallel_multiway_merge(m, rs, output.subspan(out_off, bucket_total),
-                              cmp, opt.merge);
+                              cmp);
       out_off += bucket_total;
       for (const auto& p : pieces[i]) m.free_array(Space::Far, p);
     }

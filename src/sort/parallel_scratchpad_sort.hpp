@@ -46,17 +46,17 @@ void psp_rec(Machine& m, std::span<T> seg,
     // sorted in place in far memory instead.
     const auto buf = m.try_alloc_near<T>(n);
     if (!buf) {
-      multiway_merge_sort(m, seg, {}, cmp);
+      multiway_merge_sort(m, seg, cmp);
       return;
     }
     m.parallel_copy(buf->data(), seg.data(), n);
-    multiway_merge_sort(m, *buf, {}, cmp);
+    multiway_merge_sort(m, *buf, cmp);
     m.parallel_copy(seg.data(), buf->data(), n);
     m.free_array(Space::Near, *buf);
     return;
   }
   if (depth >= kPspMaxDepth) {
-    multiway_merge_sort(m, seg, {}, cmp);
+    multiway_merge_sort(m, seg, cmp);
     return;
   }
 
@@ -81,7 +81,7 @@ void psp_rec(Machine& m, std::span<T> seg,
     const std::uint64_t len = std::min(chunk, n - b);
     m.parallel_copy(buf.data(), seg.data() + b, len);
     std::span<T> group = buf.subspan(0, len);
-    multiway_merge_sort(m, group, {}, cmp);
+    multiway_merge_sort(m, group, cmp);
     auto& row = pos[static_cast<std::size_t>(c)];
     row.resize(nb + 1);
     bucket_bounds(m, group.data(), len,
@@ -119,7 +119,7 @@ void psp_rec(Machine& m, std::span<T> seg,
     if (tot[i] < n)
       psp_rec(m, buckets[i], o, fit_elems, depth + 1, cmp);
     else
-      multiway_merge_sort(m, buckets[i], {}, cmp);
+      multiway_merge_sort(m, buckets[i], cmp);
     m.parallel_copy(seg.data() + out_off, buckets[i].data(),
                     buckets[i].size());
     out_off += tot[i];

@@ -70,7 +70,7 @@ void inner_sort(Machine& m, std::span<T> buf, const ScratchpadSortOptions& o,
   if (o.quicksort_inner)
     charged_quicksort(m, buf, cmp);
   else
-    multiway_merge_sort(m, buf, {}, cmp);
+    multiway_merge_sort(m, buf, cmp);
 }
 
 template <typename T, typename Cmp>
@@ -100,7 +100,7 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
     // Adversarial/duplicate-heavy input defeated the sampling: fall back to
     // a plain external multiway mergesort on this segment.
     ++report.fallbacks;
-    multiway_merge_sort(m, seg, {}, cmp);
+    multiway_merge_sort(m, seg, cmp);
     return;
   }
 
@@ -207,7 +207,7 @@ void sp_sort_rec(Machine& m, std::span<T> seg, const ScratchpadSortOptions& o,
     if (tot[i] < n)
       sp_sort_rec(m, buckets[i], o, fit_elems, depth + 1, cmp, report);
     else
-      multiway_merge_sort(m, buckets[i], {}, cmp);
+      multiway_merge_sort(m, buckets[i], cmp);
     m.copy(0, seg.data() + out_off, buckets[i].data(),
            buckets[i].size_bytes());
     out_off += tot[i];

@@ -113,9 +113,8 @@ WEGeometry we_geometry(const Machine& m, std::uint64_t n) {
 template <typename T, typename Cmp>
 void we_sort_group_into(Machine& m, T* buf, T* tmp, std::uint64_t len,
                         std::span<T> out, Cmp cmp) {
-  const RunLayout L = plan_runs<T>(m, len, {});
-  finish_runs(m, form_and_merge(m, buf, tmp, buf, len, L, {}, cmp), out, {},
-              cmp);
+  const RunLayout L = plan_runs<T>(m, len);
+  finish_runs(m, form_and_merge(m, buf, tmp, buf, len, L, cmp), out, cmp);
 }
 
 template <typename T, typename Cmp>

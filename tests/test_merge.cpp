@@ -103,14 +103,13 @@ TEST(MergeRunsCharged, EmptyRunsContributeNothing) {
 // each element. The two-run loop must match it call for call.
 template <typename T, typename Cmp>
 void tree_merge_oracle(Machine& m, std::size_t thread,
-                       const std::vector<Run<T>>& runs, T* out, Cmp cmp,
-                       const MergeOptions& opt) {
+                       const std::vector<Run<T>>& runs, T* out, Cmp cmp) {
   if (total_size(runs) == 0) return;
   using LT = LoserTree<T, Cmp>;
   std::vector<typename LT::Run> lt_runs;
   for (const auto& r : runs) lt_runs.push_back({r.begin, r.end});
   const std::uint64_t refill_elems =
-      std::max<std::uint64_t>(1, opt.refill_bytes / sizeof(T));
+      std::max<std::uint64_t>(1, kRefillBytes / sizeof(T));
   std::vector<const T*> watermark(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) watermark[i] = runs[i].begin;
   LT tree(std::move(lt_runs), cmp);
@@ -148,14 +147,11 @@ void tree_merge_oracle(Machine& m, std::size_t thread,
 // thread's trace bytes must be identical.
 template <typename T, typename Cmp>
 void expect_two_run_merge_matches_tree(const std::vector<T>& a,
-                                       const std::vector<T>& b, Cmp cmp,
-                                       std::uint64_t refill_bytes) {
+                                       const std::vector<T>& b, Cmp cmp) {
   SCOPED_TRACE(testing::Message() << "|a|=" << a.size() << " |b|="
-                                  << b.size() << " refill=" << refill_bytes);
+                                  << b.size());
   const std::vector<Run<T>> rs = {{a.data(), a.data() + a.size()},
                                   {b.data(), b.data() + b.size()}};
-  MergeOptions opt;
-  opt.refill_bytes = refill_bytes;
   auto run = [&](auto merge) {
     trace::TraceBuffer tb(cfg2().threads);
     Machine m(cfg2(), &tb);
@@ -172,10 +168,10 @@ void expect_two_run_merge_matches_tree(const std::vector<T>& a,
     return std::pair(out, logs);
   };
   const auto [out, logs] = run([&](Machine& m, T* o) {
-    merge_runs_charged(m, 1, rs, o, cmp, opt);
+    merge_runs_charged(m, 1, rs, o, cmp);
   });
   const auto [want, want_logs] = run([&](Machine& m, T* o) {
-    tree_merge_oracle(m, 1, rs, o, cmp, opt);
+    tree_merge_oracle(m, 1, rs, o, cmp);
   });
   EXPECT_EQ(out, want);
   EXPECT_TRUE(logs == want_logs) << "the trace bytes differ";
@@ -192,33 +188,32 @@ TEST(MergeRunsCharged, TwoRunLoopMatchesTheLoserTree) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  for (const std::uint64_t refill : {std::uint64_t{64}, 4 * KiB}) {
-    // Random keys, then keys equal within and across the two runs.
-    expect_two_run_merge_matches_tree(sorted(3000, 1 << 30),
-                                      sorted(2500, 1 << 30), std::less<>{},
-                                      refill);
-    expect_two_run_merge_matches_tree(sorted(1200, 4), sorted(1700, 4),
-                                      std::less<>{}, refill);
-    const std::vector<std::uint64_t> sevens(900, 7);
-    expect_two_run_merge_matches_tree(sevens, sevens, std::less<>{}, refill);
-    // An empty run on either side.
-    expect_two_run_merge_matches_tree(sorted(777, 50), {}, std::less<>{},
-                                      refill);
-    expect_two_run_merge_matches_tree({}, sorted(777, 50), std::less<>{},
-                                      refill);
-    // Runs shorter than one refill.
-    expect_two_run_merge_matches_tree(sorted(3, 10), sorted(5, 10),
-                                      std::less<>{}, refill);
-    // One run drained before the other starts, at every alignment of the
-    // other's refills against the output's flushes.
-    for (std::size_t len = 0; len <= 9; ++len) {
-      std::vector<std::uint64_t> high = sorted(300, 1 << 20);
-      for (auto& x : high) x += 10;
-      expect_two_run_merge_matches_tree(sorted(len, 10), high, std::less<>{},
-                                        refill);
-      expect_two_run_merge_matches_tree(high, sorted(len, 10), std::less<>{},
-                                        refill);
-    }
+  // Refills and flushes move kRefillBytes, 512 keys.
+  constexpr std::size_t kRefill = kRefillBytes / sizeof(std::uint64_t);
+  // Random keys, then keys equal within and across the two runs.
+  expect_two_run_merge_matches_tree(sorted(3000, 1 << 30),
+                                    sorted(2500, 1 << 30), std::less<>{});
+  expect_two_run_merge_matches_tree(sorted(1200, 4), sorted(1700, 4),
+                                    std::less<>{});
+  const std::vector<std::uint64_t> sevens(900, 7);
+  expect_two_run_merge_matches_tree(sevens, sevens, std::less<>{});
+  // An empty run on either side.
+  expect_two_run_merge_matches_tree(sorted(777, 50), {}, std::less<>{});
+  expect_two_run_merge_matches_tree({}, sorted(777, 50), std::less<>{});
+  // Runs shorter than one refill.
+  expect_two_run_merge_matches_tree(sorted(3, 10), sorted(5, 10),
+                                    std::less<>{});
+  // One run drained before the other starts, its length short or around
+  // one and two refills, so the other's refills fall at different
+  // alignments against the output's flushes.
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{9},
+        kRefill - 2, kRefill - 1, kRefill, kRefill + 1, kRefill + 2,
+        2 * kRefill - 1, 2 * kRefill, 2 * kRefill + 1}) {
+    std::vector<std::uint64_t> high = sorted(3 * kRefill + 100, 1 << 20);
+    for (auto& x : high) x += 10;
+    expect_two_run_merge_matches_tree(sorted(len, 10), high, std::less<>{});
+    expect_two_run_merge_matches_tree(high, sorted(len, 10), std::less<>{});
   }
   // Records ordered by key alone: equal keys must keep run 0 first.
   struct KV {
@@ -235,7 +230,7 @@ TEST(MergeRunsCharged, TwoRunLoopMatchesTheLoserTree) {
   };
   expect_two_run_merge_matches_tree(
       tagged(1500, 0), tagged(1300, 1),
-      [](const KV& x, const KV& y) { return x.key < y.key; }, 64);
+      [](const KV& x, const KV& y) { return x.key < y.key; });
 }
 
 // Every part of the exact partition, each found by part_slice on thread 0.
@@ -291,15 +286,18 @@ TEST(ParallelMultiwayMerge, MatchesSequentialAcrossThreadCounts) {
     TwoLevelConfig c = cfg2();
     c.threads = threads;
     Machine m(c);
-    const auto runs = make_runs(6, 3000, 77);
+    // Enough keys (tens of thousands) that every thread gets a part of at
+    // least kMinPartElems.
+    const auto runs = make_runs(6, 12000, 77);
     const auto expect = flat_sorted(runs);
+    ASSERT_GE(expect.size(), 8 * kMinPartElems);
     std::vector<std::uint64_t> out(expect.size());
-    MergeOptions opt;
-    opt.min_part_elems = 256;  // force real splitting at this size
-    parallel_multiway_merge(m, as_runs(runs),
-                            std::span<std::uint64_t>(out), std::less<>{},
-                            opt);
+    m.begin_phase("merge");
+    parallel_multiway_merge(m, as_runs(runs), std::span<std::uint64_t>(out));
+    m.end_phase();
     EXPECT_EQ(out, expect) << "threads " << threads;
+    EXPECT_EQ(m.stats().phases.at(0).partition_splits() > 0, threads > 1)
+        << "threads " << threads;
   }
 }
 
@@ -452,7 +450,7 @@ TEST(MergePathPartition, AllEqualKeysSplitAcrossEveryPart) {
 
 TEST(MergePathPartition, ImbalanceCounterRecordsExactSplit) {
   // The gauge holds the largest slice a worker merged: 8 threads split the
-  // 8192 elements into 8 parts at the default min_part_elems.
+  // 8192 elements into 8 parts (8192 / kMinPartElems).
   TwoLevelConfig c = cfg2();
   c.threads = 8;
   Machine m(c);
@@ -516,9 +514,7 @@ TEST(MergePathPartition, PreservesStabilityThroughParallelMerge) {
   for (const auto& r : runs)
     rs.push_back(tlm::sort::Run<KV>{r.data(), r.data() + r.size()});
   std::vector<KV> out(expect.size());
-  MergeOptions opt;
-  opt.min_part_elems = 512;
-  parallel_multiway_merge(m, rs, std::span<KV>(out), kv_less, opt);
+  parallel_multiway_merge(m, rs, std::span<KV>(out), kv_less);
   EXPECT_EQ(out, expect);
 }
 
@@ -706,8 +702,6 @@ TEST(MultisequenceCut, ThreadZeroProbesOnlyItsOwnCuts) {
   const auto rs = as_runs(runs);
   const std::uint64_t total = total_size(rs);
   std::vector<std::uint64_t> out(total);
-  MergeOptions opt;
-  opt.min_part_elems = 256;
   TwoLevelConfig c = cfg2();
   c.threads = threads;
 
@@ -715,8 +709,7 @@ TEST(MultisequenceCut, ThreadZeroProbesOnlyItsOwnCuts) {
   Machine m(c, &sink);
   adopt_runs(m, runs);
   m.adopt_far(out.data(), out.size() * sizeof(std::uint64_t));
-  parallel_multiway_merge(m, rs, std::span<std::uint64_t>(out), std::less<>{},
-                          opt);
+  parallel_multiway_merge(m, rs, std::span<std::uint64_t>(out));
   ASSERT_EQ(out, flat_sorted(runs));
 
   // Thread 0's own share, replayed alone: its two cuts, then its merge.
@@ -727,7 +720,7 @@ TEST(MultisequenceCut, ThreadZeroProbesOnlyItsOwnCuts) {
   const auto slice = part_slice(s, 0, rs, total, threads, 0, std::less<>{});
   const std::uint64_t cut_reads = solo.reads(0);
   EXPECT_GT(cut_reads, 0u);
-  merge_runs_charged(s, 0, slice, out.data(), std::less<>{}, opt);
+  merge_runs_charged(s, 0, slice, out.data());
   EXPECT_LE(sink.reads(0), solo.reads(0));
   // Every worker past the first pays for cuts too: the probes are spread.
   for (std::size_t w = 1; w < threads; ++w) EXPECT_GT(sink.reads(w), 0u);

@@ -1,6 +1,6 @@
 // Tests for the multiway mergesort building blocks: run planning, balanced
-// formation, merge passes, ping-pong parity, and the full sort across an
-// option grid.
+// formation, merge passes, ping-pong parity, and the full sort across a
+// grid of cache sizes (the cache fixes run size and fan-in).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,18 +15,18 @@
 namespace tlm::sort {
 namespace {
 
-TwoLevelConfig cfg3(std::size_t threads = 4) {
+TwoLevelConfig cfg3(std::size_t threads = 4,
+                    std::uint64_t cache_bytes = 64 * KiB) {
   TwoLevelConfig c = test_config(4.0);
   c.near_capacity = 8 * MiB;
-  c.cache_bytes = 64 * KiB;
+  c.cache_bytes = cache_bytes;
   c.threads = threads;
   return c;
 }
 
 TEST(PlanRuns, DerivesFanFromCache) {
   Machine m(cfg3());
-  MultiwaySortOptions opt;  // defaults: run 0, fan 0, refill 4 KiB
-  const auto L = detail::plan_runs<std::uint64_t>(m, 1 << 20, opt);
+  const auto L = detail::plan_runs<std::uint64_t>(m, 1 << 20);
   // fan = cache / (2 * refill) = 64K / 8K = 8.
   EXPECT_EQ(L.fan, 8u);
   // run = cache/8 = 8 KiB = 1024 elements (n/threads is larger here).
@@ -38,30 +38,19 @@ TEST(PlanRuns, DerivesFanFromCache) {
 
 TEST(PlanRuns, BalancesRunsAcrossThreads) {
   Machine m(cfg3(64));
-  MultiwaySortOptions opt;
   // Small operand: runs shrink so every thread forms at least one.
-  const auto L = detail::plan_runs<std::uint64_t>(m, 32'000, opt);
+  const auto L = detail::plan_runs<std::uint64_t>(m, 32'000);
   EXPECT_GE(L.nruns, 64u);
   EXPECT_GE(L.run_elems, 256u);  // but never below the granularity floor
 }
 
-TEST(PlanRuns, ExplicitOverridesWin) {
-  Machine m(cfg3());
-  MultiwaySortOptions opt;
-  opt.run_bytes = 64 * KiB;
-  opt.fan_in = 3;
-  const auto L = detail::plan_runs<std::uint64_t>(m, 1 << 20, opt);
-  EXPECT_EQ(L.fan, 3u);
-  EXPECT_EQ(L.run_elems, 64u * KiB / 8);
-}
-
 TEST(PlanRuns, SinglePassWhenFanCoversRuns) {
-  Machine m(cfg3());
-  MultiwaySortOptions opt;
-  opt.fan_in = 64;
-  opt.run_bytes = 64 * KiB;
-  const auto L = detail::plan_runs<std::uint64_t>(m, 1 << 19, opt);
-  EXPECT_LE(L.nruns, 64u);
+  // A 512 KiB cache: 64 KiB runs and the top fan-in of 64.
+  Machine m(cfg3(4, 512 * KiB));
+  const auto L = detail::plan_runs<std::uint64_t>(m, 1 << 19);
+  EXPECT_EQ(L.fan, 64u);
+  EXPECT_EQ(L.run_elems, 64u * KiB / 8);
+  EXPECT_EQ(L.nruns, 64u);
   EXPECT_EQ(L.passes, 1u);
 }
 
@@ -73,8 +62,7 @@ void expect_runs_formed(std::size_t n, std::size_t threads, Cmp cmp) {
   Machine m(cfg3(threads));
   auto src = random_keys(n, 31 + n);
   std::vector<std::uint64_t> dst(n);
-  MultiwaySortOptions opt;
-  const auto L = detail::plan_runs<std::uint64_t>(m, n, opt);
+  const auto L = detail::plan_runs<std::uint64_t>(m, n);
   detail::form_runs(m, src.data(), dst.data(), n, L, cmp);
   for (std::uint64_t r = 0; r < L.nruns; ++r) {
     const std::uint64_t b = r * L.run_elems;
@@ -92,8 +80,7 @@ TEST(FormRuns, EachRunSortedAndDataPreserved) {
   // On one worker each small operand is a single run: sizes straddle the
   // radix sort's insertion cut-off (32 keys) and reach a full run.
   const std::uint64_t run_elems =
-      detail::plan_runs<std::uint64_t>(Machine(cfg3(1)), 100'000, {})
-          .run_elems;
+      detail::plan_runs<std::uint64_t>(Machine(cfg3(1)), 100'000).run_elems;
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{32},
         std::size_t{33}, static_cast<std::size_t>(run_elems)}) {
@@ -206,7 +193,7 @@ TEST(FormRuns, InPlaceThroughSpare) {
   auto data = random_keys(n, 42);
   const auto input = data;
   std::vector<std::uint64_t> spare(n);
-  const auto L = detail::plan_runs<std::uint64_t>(m, n, {});
+  const auto L = detail::plan_runs<std::uint64_t>(m, n);
   ASSERT_GT(L.nruns, 1u);
   detail::form_runs(m, data.data(), data.data(), n, L, std::less<>{},
                     spare.data());
@@ -222,17 +209,17 @@ TEST(FormRuns, InPlaceThroughSpare) {
 }
 
 TEST(MergePass, HalvesRunCountByFan) {
-  Machine m(cfg3());
+  // A 32 KiB cache: fan-in 4 over 512-element runs.
+  Machine m(cfg3(4, 32 * KiB));
   const std::size_t n = 64'000;
   auto data = random_keys(n, 32);
   std::vector<std::uint64_t> tmp(n);
-  MultiwaySortOptions opt;
-  opt.fan_in = 4;
-  opt.run_bytes = 8 * KiB;  // 1024-element runs
-  const auto L = detail::plan_runs<std::uint64_t>(m, n, opt);
+  const auto L = detail::plan_runs<std::uint64_t>(m, n);
+  ASSERT_EQ(L.fan, 4u);
+  ASSERT_EQ(L.run_elems, 512u);
   detail::form_runs(m, data.data(), data.data(), n, L, std::less<>{});
   const std::uint64_t next = detail::merge_pass(
-      m, data.data(), tmp.data(), n, L.run_elems, L.nruns, L.fan, opt.merge,
+      m, data.data(), tmp.data(), n, L.run_elems, L.nruns, L.fan,
       std::less<std::uint64_t>{});
   EXPECT_EQ(next, (L.nruns + 3) / 4);
   // Every merged group is sorted.
@@ -250,19 +237,26 @@ TEST(MultiwaySort, OptionGridAllSortCorrectly) {
   const auto base = random_keys(n, 33);
   auto expect = base;
   std::sort(expect.begin(), expect.end());
-  for (std::uint64_t run : {2 * KiB, 32 * KiB}) {
-    for (std::size_t fan : {2u, 5u, 32u}) {
-      for (std::size_t threads : {1u, 4u}) {
-        Machine m(cfg3(threads));
-        auto v = base;
-        m.adopt_far(v.data(), v.size() * 8);
-        MultiwaySortOptions opt;
-        opt.run_bytes = run;
-        opt.fan_in = fan;
-        multiway_merge_sort(m, std::span<std::uint64_t>(v), opt);
-        EXPECT_EQ(v, expect)
-            << "run=" << run << " fan=" << fan << " threads=" << threads;
-      }
+  // The cache fixes both run size and fan-in: the 4 KiB run floor with the
+  // bottom fan-in, a fan-in of 5 (not a power of two), 32, and the top
+  // fan-in of 64 (which a 1 MiB cache would double).
+  struct Point {
+    std::uint64_t cache;
+    std::size_t fan;
+    std::uint64_t run_elems;
+  };
+  for (const Point& p : {Point{8 * KiB, 4, 512}, Point{40 * KiB, 5, 640},
+                         Point{256 * KiB, 32, 4096},
+                         Point{1 * MiB, 64, 16384}}) {
+    for (std::size_t threads : {1u, 4u}) {
+      Machine m(cfg3(threads, p.cache));
+      const auto L = detail::plan_runs<std::uint64_t>(m, n);
+      EXPECT_EQ(L.fan, p.fan) << "cache=" << p.cache;
+      EXPECT_EQ(L.run_elems, p.run_elems) << "cache=" << p.cache;
+      auto v = base;
+      m.adopt_far(v.data(), v.size() * 8);
+      multiway_merge_sort(m, std::span<std::uint64_t>(v));
+      EXPECT_EQ(v, expect) << "cache=" << p.cache << " threads=" << threads;
     }
   }
 }
@@ -284,21 +278,24 @@ TEST(MultiwaySort, WorksInNearSpaceToo) {
 }
 
 TEST(MultiwaySort, PingPongAlwaysLandsInPlace) {
-  // Sweep sizes that produce 1..5 merge passes; the result must always end
-  // up in the caller's buffer (the parity logic).
+  // Sweep sizes that produce 1 to 6 merge passes at the smallest fan-in (a
+  // 32 KiB cache: fan-in 4); the result must always end up in the caller's
+  // buffer, whichever parity the pass count has.
+  bool saw_odd = false, saw_even = false;
   for (std::uint64_t n : {300ULL, 5'000ULL, 40'000ULL, 300'000ULL,
                           900'000ULL}) {
-    Machine m(cfg3());
-    MultiwaySortOptions opt;
-    opt.fan_in = 2;  // maximize pass count
-    opt.run_bytes = 2 * KiB;
+    Machine m(cfg3(4, 32 * KiB));
+    const std::size_t passes = detail::plan_runs<std::uint64_t>(m, n).passes;
+    (passes % 2 == 1 ? saw_odd : saw_even) = true;
     auto v = random_keys(static_cast<std::size_t>(n), n);
     auto expect = v;
     std::sort(expect.begin(), expect.end());
     m.adopt_far(v.data(), v.size() * 8);
-    multiway_merge_sort(m, std::span<std::uint64_t>(v), opt);
-    EXPECT_EQ(v, expect) << "n=" << n;
+    multiway_merge_sort(m, std::span<std::uint64_t>(v));
+    EXPECT_EQ(v, expect) << "n=" << n << " passes=" << passes;
   }
+  EXPECT_TRUE(saw_odd);
+  EXPECT_TRUE(saw_even);
 }
 
 TEST(MultiwaySort, ComputeChargeScalesNLogN) {

@@ -418,12 +418,10 @@ TEST(SortGolden, GeometriesReachTheirPaths) {
     return cs.front();
   };
   const Case one = find("nmsort_one_run");
-  EXPECT_EQ(detail::plan_runs<std::uint64_t>(Machine(one.cfg), one.n, {})
-                .nruns,
+  EXPECT_EQ(detail::plan_runs<std::uint64_t>(Machine(one.cfg), one.n).nruns,
             1u);
   const Case few = find("nmsort_single_chunk");
-  EXPECT_GT(detail::plan_runs<std::uint64_t>(Machine(few.cfg), few.n, {})
-                .nruns,
+  EXPECT_GT(detail::plan_runs<std::uint64_t>(Machine(few.cfg), few.n).nruns,
             1u);
   // GNU sort's two-pass geometry forms its runs in place, so formation
   // sorts each run through the ping-pong spare, and its last pass merges

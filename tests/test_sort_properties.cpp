@@ -1,6 +1,7 @@
 // Property-based tests for every sorting entry point: correctness across a
 // parameter grid (size × threads × rho), adversarial input patterns, custom
-// comparators, explicit option overrides, and accounting invariants.
+// comparators, options and the geometry each Machine derives, and
+// accounting invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -217,52 +218,73 @@ TEST(SortComparators, SortByLowBitsOnly) {
   EXPECT_EQ(a, b);
 }
 
-// ---- option overrides --------------------------------------------------------
+// ---- options and derived geometry ------------------------------------------
 
-TEST(SortOptions, ExplicitChunkAndBuckets) {
-  Machine m(grid_config(4.0, 4));
+TEST(SortOptions, ChunkAndBucketsFollowTheMachine) {
+  // The scratchpad fixes the chunk (half of it net of the metadata slice),
+  // and chunks × threads the bucket count: at its floor of 64, scaled, and
+  // at the metadata slice's cap.
   auto keys = random_keys(300'000, 10);
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
-  for (std::uint64_t chunk : {8'000ULL, 40'000ULL}) {
-    for (std::size_t nb : {2u, 17u, 512u}) {
-      NMSortOptions opt;
-      opt.chunk_elems = chunk;
-      opt.num_buckets = nb;
-      std::vector<std::uint64_t> out(keys.size());
-      nm_sort_into(m, std::span<const std::uint64_t>(keys),
-                   std::span<std::uint64_t>(out), opt);
-      EXPECT_EQ(out, expect) << "chunk=" << chunk << " nb=" << nb;
-    }
+  struct Point {
+    std::uint64_t near_capacity;
+    std::size_t threads;
+    std::uint64_t chunk_elems;
+    std::size_t num_buckets;
+  };
+  for (const Point& p :
+       {Point{1 * MiB, 1, 61'440, 64}, Point{1 * MiB, 4, 61'440, 160},
+        Point{256 * KiB, 1, 12'288, 200}, Point{256 * KiB, 4, 12'288, 682}}) {
+    SCOPED_TRACE(testing::Message() << "M=" << p.near_capacity
+                                    << " threads=" << p.threads);
+    TwoLevelConfig cfg = grid_config(4.0, p.threads);
+    cfg.near_capacity = p.near_capacity;
+    Machine m(cfg);
+    const detail::NMGeometry g =
+        detail::nm_geometry<std::uint64_t>(m, keys.size());
+    EXPECT_EQ(g.chunk_elems, p.chunk_elems);
+    EXPECT_EQ(g.num_buckets, p.num_buckets);
+    std::vector<std::uint64_t> out(keys.size());
+    nm_sort_into(m, std::span<const std::uint64_t>(keys),
+                 std::span<std::uint64_t>(out));
+    EXPECT_EQ(out, expect);
   }
 }
 
-TEST(SortOptions, TinyBatchTriggersOversizedBucketFallback) {
+TEST(SortOptions, SkewedKeysTriggerOversizedBucketFallback) {
+  // Half the keys are equal: their bucket outgrows a Phase-2 batch (the
+  // usable scratchpad, 122'880 keys), so it merges straight from far
+  // memory.
   Machine m(grid_config(4.0, 4));
-  auto keys = random_keys(200'000, 11);
+  auto keys = random_keys(400'000, 11);
+  for (std::size_t i = 0; i < keys.size(); i += 2) keys[i] = 42;
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
-  NMSortOptions opt;
-  opt.num_buckets = 8;       // huge buckets (25K elements each)...
-  opt.batch_elems = 10'000;  // ...that cannot fit a batch: far-merge path
+  ASSERT_LT(detail::nm_geometry<std::uint64_t>(m, keys.size()).batch_elems,
+            keys.size() / 2);
   std::vector<std::uint64_t> out(keys.size());
   nm_sort_into(m, std::span<const std::uint64_t>(keys),
-               std::span<std::uint64_t>(out), opt);
+               std::span<std::uint64_t>(out));
   EXPECT_EQ(out, expect);
+  EXPECT_GT(m.stager_stats().fallback_direct, 0u);
 }
 
-TEST(SortOptions, InnerSortOverrides) {
+TEST(SortOptions, InnerSortMergesInPasses) {
+  // A 32 KiB cache gives the in-scratchpad sort its smallest fan-in, 4,
+  // over 512-key runs, so each chunk takes several merge passes.
   Machine m(grid_config(4.0, 4));
   auto keys = random_keys(200'000, 12);
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
-  NMSortOptions opt;
-  opt.inner.run_bytes = 8 * KiB;
-  opt.inner.fan_in = 4;
-  opt.merge.refill_bytes = 1 * KiB;
+  const detail::RunLayout L = detail::plan_runs<std::uint64_t>(
+      m, detail::nm_geometry<std::uint64_t>(m, keys.size()).chunk_elems);
+  EXPECT_EQ(L.fan, 4u);
+  EXPECT_EQ(L.run_elems, 512u);
+  EXPECT_GT(L.passes, 2u);
   std::vector<std::uint64_t> out(keys.size());
   nm_sort_into(m, std::span<const std::uint64_t>(keys),
-               std::span<std::uint64_t>(out), opt);
+               std::span<std::uint64_t>(out));
   EXPECT_EQ(out, expect);
 }
 

@@ -11,7 +11,6 @@
 namespace tlm {
 namespace {
 
-using sort::MultiwaySortOptions;
 using sort::NMSortOptions;
 using sort::ScratchpadSortOptions;
 
