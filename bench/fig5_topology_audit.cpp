@@ -1,9 +1,12 @@
 // F4/F5/F7 — Figs. 4, 5 & 7: the simulated node. Prints the Fig. 4
-// parameter sheet as configured, audits the component inventory of the
-// built system against the architectural diagram (cores : L1s : L2 groups :
-// NoC endpoints : memory channels), and smoke-replays a one-op-per-core
-// trace to prove the topology is fully connected.
+// parameter sheet of sim::SystemConfig::paper (the node table1_sst_sort
+// --full runs) and checks it against Fig. 4's own numbers, audits the
+// component inventory of the built system against the architectural diagram
+// (cores : L1s : L2 groups : NoC endpoints : memory channels), and
+// smoke-replays a one-op-per-core trace to prove the topology is fully
+// connected. Each audit prints two `shape:` verdicts; any NO exits 1.
 #include <iostream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -40,6 +43,19 @@ int audit(double rho, std::size_t cores, bool replay) {
              Table::num(to_seconds(cfg.near.access_latency) * 1e9, 0) +
              " ns constant"});
   std::cout << p;
+  const std::string at = "rho=" + Table::num(rho, 0) +
+                         " cores=" + std::to_string(cores) + ": ";
+  // Fig. 4's literals: 16 KB L1, 512 KB L2 per group, 72 GB/s group port,
+  // 4 x 15 GB/s DDR channels, and a 50 ns scratchpad at rho x 60 GB/s.
+  const bool sheet_ok =
+      cfg.l1.size_bytes == 16 * 1024 && cfg.l2.size_bytes == 512 * 1024 &&
+      cfg.group_port_bw == 72e9 && cfg.far.channels == 4 &&
+      cfg.far.channel_bw == 15e9 && cfg.near.total_bw == rho * 60e9 &&
+      cfg.near.access_latency == 50 * kNanosecond;
+  std::cout << "shape: " << at
+            << "parameter sheet is Fig. 4's (16 KB L1, 512 KB L2, 72 GB/s "
+               "port, 4 x 15 GB/s far, rho x 60 GB/s near at 50 ns): "
+            << (sheet_ok ? "yes" : "NO") << "\n";
 
   trace::TraceBuffer tr(cores);
   for (std::size_t t = 0; t < cores; ++t) {
@@ -67,6 +83,8 @@ int audit(double rho, std::size_t cores, bool replay) {
   ok &= check("near scratchpad channels", inv.near_channels,
               static_cast<std::size_t>(4 * rho));
   std::cout << a;
+  std::cout << "shape: " << at << "component inventory matches Figs. 5/7: "
+            << (ok ? "yes" : "NO") << "\n";
 
   if (replay) {
     const sim::SimReport r = sys.run();
@@ -75,7 +93,7 @@ int audit(double rho, std::size_t cores, bool replay) {
               << r.far.accesses() << " accesses, near " << r.near.accesses()
               << " accesses, all cores finished\n";
   }
-  return ok ? 0 : 1;
+  return ok && sheet_ok ? 0 : 1;
 }
 
 int run(const bench::Flags& flags) {

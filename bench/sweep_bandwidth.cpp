@@ -89,10 +89,11 @@ int run(const bench::Flags& flags) {
     if (!quick && (rho == 2.0 || rho == 8.0)) {
       // Corroborate the endpoints on the cycle simulator at a smaller size.
       const std::uint64_t sim_n = std::min<std::uint64_t>(n, 640'000);
+      const sim::SystemConfig node = sim::SystemConfig::scaled(rho, cores);
       const auto nm_sim = analysis::simulate_sort(
-          rho, cores, sim_n, near_cap, Algorithm::NMsort, seed);
+          node, rho, sim_n, near_cap, Algorithm::NMsort, seed);
       const auto gnu_sim = analysis::simulate_sort(
-          rho, cores, sim_n, near_cap, Algorithm::GnuSort, seed);
+          node, rho, sim_n, near_cap, Algorithm::GnuSort, seed);
       const double sim_x = gnu_sim.report.seconds / nm_sim.report.seconds;
       (rho == 2.0 ? sim_speedup_2x : sim_speedup_8x) = sim_x;
       sim_cell = Table::num(nm_sim.report.seconds, 6);

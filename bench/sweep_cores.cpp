@@ -32,10 +32,12 @@ int run(const bench::Flags& flags) {
                 "§V-B observation: 256 cores memory-bound, 128 not; §V-A "
                 "min-core estimate");
 
-  // The paper's node: fixed ~60 GB/s STREAM, 1.7 GHz cores retiring ~8
-  // machine ops per comparison, Z ≈ 1e6 blocks.
-  const double per_core = 1.7e9 / analysis::kOpsPerComparison;
-  const double y_elems = 60e9 / 8.0;  // 64-bit elements per second
+  // The paper's node, Fig. 4: fixed ~60 GB/s STREAM, 1.7 GHz cores retiring
+  // ~8 machine ops per comparison, Z ≈ 1e6 blocks.
+  const TwoLevelConfig fig4 = analysis::counting_config(
+      sim::SystemConfig::paper(rho), rho, near_cap);
+  const double per_core = fig4.core_rate;
+  const double y_elems = fig4.far_bw / 8.0;  // 64-bit elements per second
   const double z_blocks = 1e6;
   std::cout << "predicted min cores for memory-boundedness (§V-A, using the "
                "*optimal* transfer volume): "
@@ -59,13 +61,12 @@ int run(const bench::Flags& flags) {
   double prev_adv = 0;
   bool first_bound = false, last_bound = false;
   for (std::size_t cores : {32ULL, 64ULL, 128ULL, 256ULL, 512ULL}) {
-    TwoLevelConfig cfg;
-    cfg.near_capacity = near_cap;
+    // Fig. 4's node at `cores`: far bandwidth stays fixed, since the sweep
+    // varies compute only.
+    TwoLevelConfig cfg = analysis::counting_config(
+        sim::SystemConfig::paper(rho, cores), rho, near_cap);
+    // 4M keys on 128 KiB keep N : Z near the paper's 10M keys on 512 KiB.
     cfg.cache_bytes = 128 * KiB;
-    cfg.rho = rho;
-    cfg.far_bw = 60.0 * GB;  // fixed! the sweep varies compute only
-    cfg.core_rate = per_core;
-    cfg.threads = cores;
 
     const analysis::SortRun gnu =
         analysis::run_sort_counting(cfg, Algorithm::GnuSort, n, seed);

@@ -3,11 +3,13 @@
 // the GNU-sort baseline and NMsort at 2x/4x/8x bandwidth expansion.
 //
 // The run captures each algorithm's memory-op trace through the Machine
-// (the Ariel role) and replays it on the cycle-level system of Figs. 5/7,
-// scaled from the paper's 256-core node to a simulable core count with the
-// compute-to-bandwidth ratio x:y preserved (§V-A's boundedness predicate is
-// scale-free). Pass --full for the verbatim Fig. 4 node (very slow),
-// --quick for the analytic counting backend only.
+// (the Ariel role) and replays it on the cycle-level system of Figs. 5/7.
+// By default that node is sim::SystemConfig::scaled: the paper's 256-core
+// node shrunk to a simulable core count with the compute-to-bandwidth ratio
+// x:y preserved (§V-A's boundedness predicate is scale-free). --full runs
+// SystemConfig::paper, Fig. 4's node, at 256 cores and 10M keys (slow).
+// --quick runs the analytic counting backend only. Both clocks read the
+// same node (analysis::counting_config).
 //
 // --trace=mapped routes the capture through the out-of-core MappedLog sink
 // (per-thread mmap'd logs under --trace-dir) and replays it with the
@@ -83,8 +85,11 @@ int run(const bench::Flags& flags) {
 
   for (const Col& c : cols) {
     obs::RunRecord& rec = report.add_run(c.name);
+    const sim::SystemConfig node =
+        full ? sim::SystemConfig::paper(c.rho, cores)
+             : sim::SystemConfig::scaled(c.rho, cores);
     const TwoLevelConfig cfg =
-        analysis::scaled_counting_config(c.rho, cores, near_cap);
+        analysis::counting_config(node, c.rho, near_cap);
     rec.set_config(cfg);
     if (quick) {
       const analysis::SortRun r =
@@ -105,7 +110,7 @@ int run(const bench::Flags& flags) {
       sim::SimReport sim;
       if (mapped) {
         const analysis::MappedSimulatedSort s = analysis::simulate_sort_mapped(
-            c.rho, cores, n, near_cap, c.algo, seed,
+            node, c.rho, n, near_cap, c.algo, seed,
             trace_dir + "/run-" + std::to_string(report.runs.size()));
         counting = s.counting;
         sim = s.report;
@@ -117,7 +122,7 @@ int run(const bench::Flags& flags) {
                   << " B/op), replayed " << s.replay.ops << " records\n";
       } else {
         analysis::SimulatedSort s =
-            analysis::simulate_sort(c.rho, cores, n, near_cap, c.algo, seed);
+            analysis::simulate_sort(node, c.rho, n, near_cap, c.algo, seed);
         counting = std::move(s.counting);
         sim = s.report;
       }

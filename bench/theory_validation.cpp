@@ -4,11 +4,14 @@
 // (abstract). We check the measured/predicted ratio stays within a constant
 // band, i.e. the implementation achieves the bound's shape.
 #include <iostream>
+#include <span>
 
 #include "analysis/experiment.hpp"
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "memmodel/bounds.hpp"
+#include "sort/scratchpad_sort.hpp"
 
 namespace tlm {
 namespace {
@@ -120,9 +123,10 @@ int run(const bench::Flags& flags) {
   }
 
   // --- Theorem 10: parallel block-transfer steps scale as 1/p' -----------
-  // scaled_counting_config grows memory bandwidth with the core count, so
-  // modeled memory time at p cores is exactly (total steps)/p in the PEM
-  // sense; compute scales with p as well. time(p)·p should stay ~constant.
+  // The scaled node (SystemConfig::scaled, read by scaled_counting_config)
+  // grows far and near bandwidth with the core count, so modeled memory time
+  // at p cores is (total steps)/p in the PEM sense; compute scales with p as
+  // well. time(p)·p should stay ~constant.
   Table t3("Theorem 10: §IV-C parallel sort, time x cores across p'");
   t3.header({"p'", "model time (s)", "time x p'", "normalized"});
   double base_work = 0;

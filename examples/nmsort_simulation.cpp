@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   // builds the scaled node (x:y ratio of the paper's 256-core machine), and
   // replays the trace cycle-level.
   const analysis::SimulatedSort s = analysis::simulate_sort(
-      rho, cores, n, /*near_capacity=*/1 * MiB, sort::Algorithm::NMsort,
-      /*seed=*/7);
+      sim::SystemConfig::scaled(rho, cores), rho, n,
+      /*near_capacity=*/1 * MiB, sort::Algorithm::NMsort, /*seed=*/7);
 
   std::cout << "sorted output verified: "
             << (s.counting.verified ? "yes" : "NO") << "\n";

@@ -74,52 +74,52 @@ MappedCaptureRun capture_sort_trace_mapped(const TwoLevelConfig& cfg,
   return out;
 }
 
-TwoLevelConfig scaled_counting_config(double rho, std::size_t cores,
-                                      std::uint64_t near_capacity_bytes) {
+TwoLevelConfig counting_config(const sim::SystemConfig& node, double rho,
+                               std::uint64_t near_capacity_bytes) {
+  TLM_REQUIRE(node.near.total_bw == rho * node.far.total_bw(),
+              "rho must be the node's near : far bandwidth ratio");
   TwoLevelConfig cfg;
   cfg.near_capacity = near_capacity_bytes;
-  cfg.block_bytes = 64;
-  // The scaled node's shared L2 (the sim shrinks the cache with the node so
-  // the N : Z ratio — and therefore the baseline's merge-pass count — stays
-  // in the paper's regime at simulable sizes).
-  cfg.cache_bytes = 128 * KiB;
+  cfg.block_bytes = node.l1.line_bytes;
+  cfg.cache_bytes = node.l2.size_bytes;
   cfg.rho = rho;
-  cfg.far_bw = 60.0 * GB * static_cast<double>(cores) / 256.0;
-  cfg.core_rate = 1.7e9 / kOpsPerComparison;
-  cfg.threads = cores;
+  cfg.far_bw = node.far.total_bw();
+  cfg.near_latency = to_seconds(node.near.access_latency);
+  cfg.core_rate = node.core.freq_hz / node.core.cycles_per_op;
+  cfg.threads = node.cores;
   return cfg;
 }
 
-SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
-                            std::uint64_t near_capacity_bytes,
-                            sort::Algorithm a, std::uint64_t seed,
-                            std::uint64_t max_events) {
-  const TwoLevelConfig cfg =
-      scaled_counting_config(rho, cores, near_capacity_bytes);
-  CaptureRun cap = capture_sort_trace(cfg, a, n, seed);
-  sim::SystemConfig sys = sim::SystemConfig::scaled(rho, cores);
-  sim::System system(sys, cap.trace);
-  SimulatedSort out{std::move(cap.counting), system.run(max_events)};
-  return out;
+TwoLevelConfig scaled_counting_config(double rho, std::size_t cores,
+                                      std::uint64_t near_capacity_bytes) {
+  return counting_config(sim::SystemConfig::scaled(rho, cores), rho,
+                         near_capacity_bytes);
 }
 
-MappedSimulatedSort simulate_sort_mapped(double rho, std::size_t cores,
-                                         std::uint64_t n,
+SimulatedSort simulate_sort(const sim::SystemConfig& node, double rho,
+                            std::uint64_t n, std::uint64_t near_capacity_bytes,
+                            sort::Algorithm a, std::uint64_t seed,
+                            std::uint64_t max_events) {
+  CaptureRun cap = capture_sort_trace(
+      counting_config(node, rho, near_capacity_bytes), a, n, seed);
+  sim::System system(node, cap.trace);
+  return {std::move(cap.counting), system.run(max_events)};
+}
+
+MappedSimulatedSort simulate_sort_mapped(const sim::SystemConfig& node,
+                                         double rho, std::uint64_t n,
                                          std::uint64_t near_capacity_bytes,
                                          sort::Algorithm a, std::uint64_t seed,
                                          const std::string& trace_dir,
                                          std::uint64_t max_events) {
-  const TwoLevelConfig cfg =
-      scaled_counting_config(rho, cores, near_capacity_bytes);
-  MappedCaptureRun cap =
-      capture_sort_trace_mapped(cfg, a, n, seed, trace_dir);
+  MappedCaptureRun cap = capture_sort_trace_mapped(
+      counting_config(node, rho, near_capacity_bytes), a, n, seed, trace_dir);
   // Validate the logs on at most one host thread per usable CPU, as Machine
   // runs its cores; the records (not the pool width) determine the
   // simulation, so any width replays identically.
-  ThreadPool pool(std::min(cores, ThreadPool::host_cpus()));
+  ThreadPool pool(std::min(node.cores, ThreadPool::host_cpus()));
   trace::ShardedReplay replay(trace_dir, pool);
-  sim::SystemConfig sys = sim::SystemConfig::scaled(rho, cores);
-  sim::System system(sys, replay);
+  sim::System system(node, replay);
   MappedSimulatedSort out;
   out.report = system.run(max_events);
   out.counting = std::move(cap.counting);

@@ -17,7 +17,6 @@
 #include "scratchpad/counters.hpp"
 #include "sim/system.hpp"
 #include "sort/catalogue.hpp"
-#include "sort/sort.hpp"
 #include "trace/capture.hpp"
 #include "trace/mapped_log.hpp"
 #include "trace/replay.hpp"
@@ -69,45 +68,42 @@ MappedCaptureRun capture_sort_trace_mapped(
     FaultInjector* faults = nullptr,
     std::size_t chunk_bytes = trace::MappedLog::kDefaultChunkBytes);
 
-// Effective machine operations retired per modeled comparison: compare,
-// data movement, and branch misprediction cost in a sort inner loop. Mirrors
-// the paper's effective processing rate (their §V-A example uses x ≈ 1e10
-// for 256 cores at 1.7 GHz, i.e. far below 1 comparison/cycle) and places
-// the simulated node near the memory-boundedness boundary, as theirs was.
-inline constexpr double kOpsPerComparison = 8.0;
+// The counting-backend view of a simulator node, read field by field from
+// it: B is the L1 line, Z the L2, far_bw the far channels' total, the near
+// latency the scratchpad's, core_rate freq_hz / cycles_per_op and p the
+// core count. Both clocks of a run therefore describe the same node. `rho`
+// must be the node's own (near.total_bw == rho * far.total_bw()).
+TwoLevelConfig counting_config(const sim::SystemConfig& node, double rho,
+                               std::uint64_t near_capacity_bytes);
 
-// The counting-backend configuration matching sim::SystemConfig::scaled:
-// per-core 1.7 GHz effective comparison rate, far bandwidth shrunk with the
-// core count so the x : y compute-to-bandwidth ratio equals the paper's
-// 256-core node, and the algorithm-structure cache (run sizing, merge
-// fan-in) matching the scaled node's L2.
+// counting_config of the scaled node, sim::SystemConfig::scaled(rho, cores).
 TwoLevelConfig scaled_counting_config(double rho, std::size_t cores,
                                       std::uint64_t near_capacity_bytes);
 
-// Convenience: capture a trace and replay it on the matching scaled
-// simulator node. Returns the cycle-level report plus the counting view.
+// Convenience: capture a trace on counting_config(node, rho, ...) and replay
+// it on `node`. Returns the cycle-level report plus the counting view.
 struct SimulatedSort {
   SortRun counting;
   sim::SimReport report;
 };
-SimulatedSort simulate_sort(double rho, std::size_t cores, std::uint64_t n,
-                            std::uint64_t near_capacity_bytes,
+SimulatedSort simulate_sort(const sim::SystemConfig& node, double rho,
+                            std::uint64_t n, std::uint64_t near_capacity_bytes,
                             sort::Algorithm a, std::uint64_t seed,
                             std::uint64_t max_events = ~0ULL);
 
 // The out-of-core twin of simulate_sort: capture spills to mmap'd logs
 // under `trace_dir`, a ShardedReplay reads and validates them on at most
-// one host thread per usable CPU, and the same scaled simulator node
-// replays their records. Reports are bit-identical to simulate_sort on the
-// same inputs (the trace-replay CI lane's contract).
+// one host thread per usable CPU, and `node` replays their records. Reports
+// are bit-identical to simulate_sort on the same inputs (the trace-replay CI
+// lane's contract).
 struct MappedSimulatedSort {
   SortRun counting;
   sim::SimReport report;
   trace::MappedLogStats log;
   trace::ReplayStats replay;
 };
-MappedSimulatedSort simulate_sort_mapped(double rho, std::size_t cores,
-                                         std::uint64_t n,
+MappedSimulatedSort simulate_sort_mapped(const sim::SystemConfig& node,
+                                         double rho, std::uint64_t n,
                                          std::uint64_t near_capacity_bytes,
                                          sort::Algorithm a, std::uint64_t seed,
                                          const std::string& trace_dir,

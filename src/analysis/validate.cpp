@@ -32,8 +32,9 @@ ValidationSummary validate_backends(std::vector<ValidationPoint> points,
   if (points.empty()) points = default_validation_matrix();
   ValidationSummary out;
   for (ValidationPoint p : points) {
-    const SimulatedSort s = simulate_sort(p.rho, p.cores, p.n,
-                                          p.near_capacity, p.algorithm, seed);
+    const SimulatedSort s =
+        simulate_sort(sim::SystemConfig::scaled(p.rho, p.cores), p.rho, p.n,
+                      p.near_capacity, p.algorithm, seed);
     p.verified = s.counting.verified;
     p.model_seconds = s.counting.modeled_seconds;
     p.model_far_accesses = s.counting.counting.far_accesses(64);

@@ -36,13 +36,14 @@ struct SystemConfig {
   void validate() const;
 
   // The Fig. 4 node verbatim: 256 cores at 1.7 GHz, 16 KiB L1, 512 KiB L2
-  // per quad-core group, 4-channel DDR-1066 (~60 GB/s STREAM), scratchpad at
-  // ρ× that bandwidth with 50 ns constant latency.
+  // per quad-core group, 72 GB/s group ports, 4-channel DDR-1066 (~60 GB/s
+  // STREAM), scratchpad at ρ× that bandwidth with 50 ns constant latency.
   static SystemConfig paper(double rho, std::size_t cores = 256);
 
   // Same node shrunk to `cores`, preserving the compute-to-bandwidth ratio
   // x : y (the §V-A boundedness predicate is scale-free), so who wins and by
-  // what factor is preserved at laptop-simulable sizes.
+  // what factor is preserved at laptop-simulable sizes. It also shrinks the
+  // L2 to 128 KiB and scales the group ports (DESIGN.md "Calibration").
   static SystemConfig scaled(double rho, std::size_t cores = 8);
 };
 

@@ -52,6 +52,7 @@ endfunction()
 
 gate(table1_quick table1_sst_sort --quick --cores=2 --n=20000 --near-mb=1)
 gate(table1_sim_quick table1_sst_sort --cores=4 --n=60000 --near-mb=1)
+gate(table1_full_quick table1_sst_sort --full --quick)
 gate(kmeans_quick kmeans_scratchpad --points=20000 --iters=4)
 gate(sweep_omega_quick sweep_omega --quick --cores=2)
 gate(server_quick server_mixed --quick --cores=2)

@@ -8,6 +8,7 @@
 #   sweep_cores        S2: compute- to memory-bound flip and NMsort crossover
 #   sweep_bandwidth    S1: speedup rising with rho, near time ~1/rho
 #   table1_sst_sort    T1: NMsort beats GNU sort, speedup rising with rho
+#   fig5_topology_audit F4/F5/F7: Fig. 4's parameter sheet and the inventory
 # Expects -DBENCH_DIR=<bench binaries> -DWORK_DIR=<dir>.
 cmake_minimum_required(VERSION 3.16)
 
@@ -22,7 +23,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(failed "")
 foreach(bench theory_validation validate_backends sweep_skew sweep_cores
-              sweep_bandwidth table1_sst_sort)
+              sweep_bandwidth table1_sst_sort fig5_topology_audit)
   execute_process(
     COMMAND "${BENCH_DIR}/${bench}"
     WORKING_DIRECTORY "${WORK_DIR}"

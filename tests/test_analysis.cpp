@@ -1,8 +1,10 @@
 // Tests for the analysis layer: output verification, near traffic by
-// algorithm, capture determinism, and the SST-style stats dump.
+// algorithm, capture determinism, the SST-style stats dump, and the
+// counting view of a simulator node.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "analysis/experiment.hpp"
 #include "analysis/validate.hpp"
@@ -80,6 +82,53 @@ TEST(Analysis, HostSecondsArePopulated) {
   EXPECT_GT(r.host_seconds, 0.0);
   EXPECT_EQ(r.n, 1u << 14);
   EXPECT_DOUBLE_EQ(r.rho, 2.0);
+}
+
+// The counting view of the scaled node reads every field from
+// SystemConfig::scaled and equals, double for double, the expressions the
+// harness wrote out by hand before it derived them.
+TEST(CountingConfig, ScaledNodeMatchesTheHandWrittenConfig) {
+  const TwoLevelConfig defaults;
+  for (const double rho : {1.0, 2.0, 4.0, 8.0, 16.0}) {
+    for (const std::size_t cores : {1u, 2u, 4u, 8u, 16u, 256u}) {
+      SCOPED_TRACE("rho " + std::to_string(rho) + " cores " +
+                   std::to_string(cores));
+      const TwoLevelConfig cfg = counting_config(
+          sim::SystemConfig::scaled(rho, cores), rho, 256 * KiB);
+      EXPECT_EQ(cfg.near_capacity, 256 * KiB);
+      EXPECT_EQ(cfg.block_bytes, 64u);
+      EXPECT_EQ(cfg.cache_bytes, 128 * KiB);
+      EXPECT_EQ(cfg.rho, rho);
+      EXPECT_EQ(cfg.far_bw, 60.0 * GB * static_cast<double>(cores) / 256.0);
+      EXPECT_EQ(cfg.near_latency, 50e-9);
+      EXPECT_EQ(cfg.far_latency, defaults.far_latency);
+      EXPECT_EQ(cfg.core_rate, 1.7e9 / 8.0);
+      EXPECT_EQ(cfg.threads, cores);
+      EXPECT_EQ(cfg.far_write_cost, defaults.far_write_cost);
+      EXPECT_EQ(cfg.overlap_dma, defaults.overlap_dma);
+      EXPECT_EQ(cfg.strict_dma_lines, defaults.strict_dma_lines);
+    }
+  }
+}
+
+// Fig. 4's node, as table1_sst_sort --full runs it, hands the counting
+// side its 512 KiB L2 and its 60 GB/s of far memory.
+TEST(CountingConfig, PaperNodeIsFig4) {
+  for (const double rho : {2.0, 4.0, 8.0}) {
+    const TwoLevelConfig cfg =
+        counting_config(sim::SystemConfig::paper(rho, 256), rho, 512 * MiB);
+    EXPECT_EQ(cfg.cache_bytes, 512 * KiB);
+    EXPECT_EQ(cfg.far_bw, 60e9);
+    EXPECT_EQ(cfg.near_bw(), rho * 60e9);
+    EXPECT_EQ(cfg.threads, 256u);
+  }
+}
+
+TEST(CountingConfig, RhoThatDisagreesWithTheNodeIsRejected) {
+  EXPECT_THROW(counting_config(sim::SystemConfig::scaled(4.0, 8), 2.0, MiB),
+               std::invalid_argument);
+  EXPECT_THROW(counting_config(sim::SystemConfig::paper(2.0), 8.0, MiB),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -15,6 +15,11 @@ constexpr std::uint64_t kN = 1 << 16;       // 512 KiB of keys
 constexpr std::uint64_t kNear = 256 * KiB;  // forces ~4 chunks
 constexpr std::size_t kCores = 4;
 
+SimulatedSort simulate_scaled(double rho, Algorithm a, std::uint64_t seed) {
+  return simulate_sort(sim::SystemConfig::scaled(rho, kCores), rho, kN, kNear,
+                       a, seed);
+}
+
 TEST(Integration, CountingRunVerifiesAllAlgorithms) {
   const TwoLevelConfig cfg = scaled_counting_config(4.0, kCores, kNear);
   for (Algorithm a : {Algorithm::GnuSort, Algorithm::NMsort,
@@ -56,8 +61,7 @@ TEST(Integration, TraceReplayMatchesCountingTraffic) {
 }
 
 TEST(Integration, SimulatedNmsortCompletesAndTouchesBothMemories) {
-  const SimulatedSort s =
-      simulate_sort(4.0, kCores, kN, kNear, Algorithm::NMsort, 11);
+  const SimulatedSort s = simulate_scaled(4.0, Algorithm::NMsort, 11);
   ASSERT_TRUE(s.counting.verified);
   EXPECT_GT(s.report.seconds, 0.0);
   EXPECT_GT(s.report.far.accesses(), 0u);
@@ -70,18 +74,15 @@ TEST(Integration, SimulatedNmsortCompletesAndTouchesBothMemories) {
 }
 
 TEST(Integration, SimulatedGnuSortNeverTouchesScratchpad) {
-  const SimulatedSort s =
-      simulate_sort(4.0, kCores, kN, kNear, Algorithm::GnuSort, 13);
+  const SimulatedSort s = simulate_scaled(4.0, Algorithm::GnuSort, 13);
   ASSERT_TRUE(s.counting.verified);
   EXPECT_EQ(s.report.near.accesses(), 0u);
   EXPECT_GT(s.report.far.accesses(), 0u);
 }
 
 TEST(Integration, HigherRhoDoesNotSlowNmsortDown) {
-  const SimulatedSort s2 =
-      simulate_sort(2.0, kCores, kN, kNear, Algorithm::NMsort, 17);
-  const SimulatedSort s8 =
-      simulate_sort(8.0, kCores, kN, kNear, Algorithm::NMsort, 17);
+  const SimulatedSort s2 = simulate_scaled(2.0, Algorithm::NMsort, 17);
+  const SimulatedSort s8 = simulate_scaled(8.0, Algorithm::NMsort, 17);
   ASSERT_TRUE(s2.counting.verified);
   ASSERT_TRUE(s8.counting.verified);
   EXPECT_LT(s8.report.seconds, s2.report.seconds * 1.02);
@@ -112,8 +113,7 @@ TEST(Integration, KMeansTraceReplaysOnSimulator) {
 }
 
 TEST(Integration, SimLatencyStatsArePlausible) {
-  const SimulatedSort s =
-      simulate_sort(4.0, kCores, kN, kNear, Algorithm::NMsort, 23);
+  const SimulatedSort s = simulate_scaled(4.0, Algorithm::NMsort, 23);
   ASSERT_TRUE(s.counting.verified);
   const RunningStats& lat = s.report.access_latency;
   EXPECT_GT(lat.count(), 1000u);

@@ -449,7 +449,8 @@ TEST(RunReport, PreSplitCountersRefuseToLoad) {
 }
 
 TEST(RunReport, SimCountersFlattenFromSimReport) {
-  const auto s = analysis::simulate_sort(2.0, 4, 20000, MiB,
+  const auto s = analysis::simulate_sort(sim::SystemConfig::scaled(2.0, 4),
+                                         2.0, 20000, MiB,
                                          sort::Algorithm::NMsort, 7);
   obs::RunReport report("sim_unit");
   obs::RunRecord& rec = report.add_run("sim");

@@ -454,9 +454,11 @@ TEST(ShardedReplay, WideMappedSortDecodesOnTheHostsCpusAndMatchesRam) {
   // in-RAM capture does.
   const TempPath dir("replay_test_wide_mapped");
   const analysis::MappedSimulatedSort mapped = analysis::simulate_sort_mapped(
-      4.0, 16, 1 << 14, 256 * KiB, sort::Algorithm::NMsort, 29, dir.path());
+      sim::SystemConfig::scaled(4.0, 16), 4.0, 1 << 14, 256 * KiB,
+      sort::Algorithm::NMsort, 29, dir.path());
   const analysis::SimulatedSort ram = analysis::simulate_sort(
-      4.0, 16, 1 << 14, 256 * KiB, sort::Algorithm::NMsort, 29);
+      sim::SystemConfig::scaled(4.0, 16), 4.0, 1 << 14, 256 * KiB,
+      sort::Algorithm::NMsort, 29);
   ASSERT_TRUE(mapped.counting.verified);
   EXPECT_EQ(mapped.report.counters(), ram.report.counters());
 
