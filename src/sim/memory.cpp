@@ -30,7 +30,8 @@ FarMemory::FarMemory(Simulator& sim, FarMemConfig cfg)
       line_(cfg_.line_bytes),
       channel_(cfg_.channels),
       row_(cfg_.row_bytes),
-      bank_(cfg_.banks) {
+      bank_(cfg_.banks),
+      burst_(cfg_.channel_bw) {
   TLM_REQUIRE(cfg_.channels >= 1 && cfg_.banks >= 1 && cfg_.channel_bw > 0,
               "bad far-memory geometry");
   channels_.resize(cfg_.channels);
@@ -40,7 +41,7 @@ FarMemory::FarMemory(Simulator& sim, FarMemConfig cfg)
   }
 }
 
-void FarMemory::request(const MemReq& req) {
+void FarMemory::arrive(const MemReq& req, SimTime when) {
   (req.is_write ? stats_.writes : stats_.reads) += 1;
   stats_.bytes += req.bytes;
 
@@ -49,7 +50,7 @@ void FarMemory::request(const MemReq& req) {
   const std::uint64_t row_id = row_.div(req.addr);
   Bank& bank = ch.banks[bank_.mod(row_id)];
 
-  SimTime arrive = sim_.now() + cfg_.dc_latency;
+  SimTime arrive = when + cfg_.dc_latency;
   if (cfg_.faults) {
     const double stall = cfg_.faults->consult_stall(fault_site::kSimFarStall);
     if (stall > 0) {
@@ -69,8 +70,7 @@ void FarMemory::request(const MemReq& req) {
   } else {
     ready = std::max(arrive, bank.busy_until) + cfg_.row_miss;
   }
-  const auto burst = static_cast<SimTime>(
-      static_cast<double>(req.bytes) / cfg_.channel_bw * 1e12);
+  const SimTime burst = burst_(req.bytes);
   const SimTime bus_start = std::max(ready, ch.bus_until);
   ch.bus_until = bus_start + burst;
   stats_.busy += burst;
@@ -88,22 +88,22 @@ NearMemory::NearMemory(Simulator& sim, NearMemConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
       line_(cfg_.line_bytes),
-      channel_(cfg_.channels) {
+      channel_(cfg_.channels),
+      burst_(cfg_.channel_bw()) {
   TLM_REQUIRE(cfg_.channels >= 1 && cfg_.total_bw > 0,
               "bad near-memory geometry");
   channels_.resize(cfg_.channels);
   for (auto& ch : channels_) ch.lane = sim_.add_lane();
 }
 
-void NearMemory::request(const MemReq& req) {
+void NearMemory::arrive(const MemReq& req, SimTime when) {
   (req.is_write ? stats_.writes : stats_.reads) += 1;
   stats_.bytes += req.bytes;
 
   Channel& ch = channels_[channel_of(line_.div(req.addr), channel_)];
 
-  const SimTime arrive = sim_.now() + cfg_.dc_latency + cfg_.access_latency;
-  const auto burst = static_cast<SimTime>(
-      static_cast<double>(req.bytes) / cfg_.channel_bw() * 1e12);
+  const SimTime arrive = when + cfg_.dc_latency + cfg_.access_latency;
+  const SimTime burst = burst_(req.bytes);
   const SimTime start = std::max(arrive, ch.until);
   ch.until = start + burst;
   stats_.busy += burst;

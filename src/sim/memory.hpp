@@ -1,7 +1,9 @@
 // Memory controllers: DDR-timed far memory (the DRAMSim2 role) and the
 // constant-latency multi-channel scratchpad of Fig. 4. Each controller
 // fronts its memory with a directory-controller stage (fixed latency), the
-// "DC" boxes of Fig. 7.
+// "DC" boxes of Fig. 7. Both are crossbar route targets (MemController):
+// they book a request's channel, bank and bus state when the crossbar hands
+// it over, from its arrival time, and respond from the channel's lane.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include "common/faults.hpp"
 #include "common/math.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wire_time.hpp"
 
 namespace tlm::sim {
 
@@ -47,11 +50,12 @@ struct FarMemConfig {
   double total_bw() const { return channel_bw * channels; }
 };
 
-class FarMemory final : public MemPort {
+class FarMemory final : public MemController {
  public:
   FarMemory(Simulator& sim, FarMemConfig cfg);
 
-  void request(const MemReq& req) override;
+  void request(const MemReq& req) override { arrive(req, sim_.now()); }
+  void arrive(const MemReq& req, SimTime when) override;
 
   const MemStats& stats() const { return stats_; }
   const FarMemConfig& config() const { return cfg_; }
@@ -72,6 +76,7 @@ class FarMemory final : public MemPort {
   Simulator& sim_;
   FarMemConfig cfg_;
   Divisor line_, channel_, row_, bank_;
+  WireTime burst_;  // at one channel's bandwidth
   std::vector<Channel> channels_;
   MemStats stats_;
 };
@@ -91,11 +96,12 @@ struct NearMemConfig {
   double channel_bw() const { return total_bw / channels; }
 };
 
-class NearMemory final : public MemPort {
+class NearMemory final : public MemController {
  public:
   NearMemory(Simulator& sim, NearMemConfig cfg);
 
-  void request(const MemReq& req) override;
+  void request(const MemReq& req) override { arrive(req, sim_.now()); }
+  void arrive(const MemReq& req, SimTime when) override;
 
   const MemStats& stats() const { return stats_; }
   const NearMemConfig& config() const { return cfg_; }
@@ -109,6 +115,7 @@ class NearMemory final : public MemPort {
   Simulator& sim_;
   NearMemConfig cfg_;
   Divisor line_, channel_;
+  WireTime burst_;  // at one channel's bandwidth
   std::vector<Channel> channels_;
   MemStats stats_;
 };

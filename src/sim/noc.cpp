@@ -6,9 +6,7 @@ namespace tlm::sim {
 
 std::size_t Crossbar::add_endpoint(std::string name, double port_bw) {
   TLM_REQUIRE(port_bw > 0, "endpoint bandwidth must be positive");
-  Endpoint ep;
-  ep.name = std::move(name);
-  ep.bw = port_bw;
+  Endpoint ep(std::move(name), port_bw);
   ep.lane = sim_.add_lane();
   ep.inject = std::make_unique<InjectPort>(this, endpoints_.size());
   endpoints_.push_back(std::move(ep));
@@ -16,7 +14,7 @@ std::size_t Crossbar::add_endpoint(std::string name, double port_bw) {
 }
 
 void Crossbar::add_route(std::uint64_t base, std::uint64_t limit,
-                         std::size_t ep, MemPort* target) {
+                         std::size_t ep, MemController* target) {
   TLM_REQUIRE(base < limit && target != nullptr && ep < endpoints_.size(),
               "bad route");
   routes_.push_back(Route{base, limit, ep, target});
@@ -30,8 +28,7 @@ MemPort* Crossbar::port(std::size_t ep) {
 SimTime Crossbar::transfer(std::size_t src, std::size_t dst,
                            std::uint64_t bytes) {
   auto serialize = [&](Endpoint& ep, SimTime& horizon, SimTime earliest) {
-    const auto wire =
-        static_cast<SimTime>(static_cast<double>(bytes) / ep.bw * 1e12);
+    const SimTime wire = ep.wire(bytes);
     const SimTime start = std::max(earliest, horizon);
     horizon = start + wire;
     ep.busy_accum += wire;
@@ -67,7 +64,6 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
   const std::uint64_t wire_bytes =
       cfg_.header_bytes + (req.is_write ? req.bytes : 0);
   const SimTime deliver = transfer(src_ep, route->ep, wire_bytes);
-  const Lane lane = endpoints_[route->ep].lane;
 
   MemReq fwd = req;
   if (!req.posted && !req.is_write) {
@@ -78,14 +74,14 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
     // Demand store: acknowledge without waiting for the memory side (the
     // data is on the wire; stores retire from the store buffer).
     const MemReq ack = req;
-    sim_.schedule_at(lane, deliver, [ack] {
+    sim_.schedule_at(endpoints_[route->ep].lane, deliver, [ack] {
       if (ack.origin) ack.origin->on_response(ack);
     });
     fwd.posted = true;
     fwd.origin = nullptr;
   }
-  MemPort* target = route->target;
-  sim_.schedule_at(lane, deliver, [target, fwd] { target->request(fwd); });
+  sim_.arrival(deliver);
+  route->target->arrive(fwd, deliver);
 }
 
 void Crossbar::on_response(const MemReq& req) {

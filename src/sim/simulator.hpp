@@ -7,21 +7,28 @@
 // service latencies.
 //
 // Events never allocate. A handler lives inline in a fixed buffer sized for
-// the largest one the components schedule (a MemReq plus a target pointer);
-// a larger closure is a compile error, not a heap fallback. The queue is a
-// 4-ary min-heap of (when, seq, slot) keys over a recycled pool of handler
-// slots, so once the pool has grown to the peak number of pending events a
-// run performs no allocation per event.
+// the largest one the components schedule (a MemReq plus a component
+// pointer); a larger closure is a compile error, not a heap fallback. The
+// queue is a 4-ary min-heap of (when, seq) keys, so once the queue has grown
+// to the peak number of pending events a run performs no allocation per
+// event.
 //
 // Event lanes. A resource whose events never go back in time (a cache's
 // lookups, a port's deliveries, a memory channel's responses) schedules
-// them into its own lane: a FIFO whose times never decrease. Only a lane's
-// head sits in the heap, and every event keeps its global (when, seq) key,
-// so lanes change no execution order. After a lane event runs, the lane's
-// next event runs at once, with no heap push or pop, when it precedes the
-// heap's top.
+// them into its own lane: a FIFO whose times never decrease, holding each
+// event's trivially copyable closure inline. Only a lane's head sits in the
+// heap, and every event keeps its global (when, seq) key, so lanes change
+// no execution order. After a lane event runs, the lane's next event runs
+// at once, with no heap push or pop, when it precedes the heap's top. Plain
+// events keep their Handler in a recycled pool of slots.
+//
+// Arrivals. A message whose receiver books it at injection (a crossbar
+// hands each request to its memory controller with its arrival time) has
+// no event of its own. The simulator counts it as an executed event, and
+// the run ends no earlier than its arrival (end_time()).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,12 +67,24 @@ class MemPort {
   virtual void request(const MemReq& req) = 0;
 };
 
+// A memory controller at the end of a crossbar route. The crossbar hands it
+// each request at injection, with the time the request arrives (>= now()),
+// in the order the requests arrive. The controller books its state from
+// that time and lets no request act before it: whatever a request causes
+// (a response, or a decision a later model makes) is scheduled at or after
+// its arrival. request(req) is an arrival at now().
+class MemController : public MemPort {
+ public:
+  virtual void arrive(const MemReq& req, SimTime when) = 0;
+};
+
 // Move-only nullary callable stored inline: the one event representation.
 // Components also keep completions in it (DMA descriptors, barrier
 // arrivals) and hand them to the simulator unchanged.
 class Handler {
  public:
-  // The largest handler the components schedule: a MemReq plus a target.
+  // The largest handler the components schedule: a MemReq plus a component
+  // pointer (a cache lookup).
   static constexpr std::size_t kCapacity = sizeof(MemReq) + sizeof(void*);
   static_assert(kCapacity <= 48, "MemReq grew: handlers no longer fit 48 B");
 
@@ -166,6 +185,9 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
+  // When the run so far ends: the later of the last executed event and the
+  // last arrival.
+  SimTime end_time() const { return std::max(now_, last_arrival_); }
 
   // A new, empty lane. Scheduling into it at a time before its newest
   // event is an invariant failure.
@@ -184,7 +206,8 @@ class Simulator {
     TLM_REQUIRE(when >= now_, "cannot schedule into the past");
     push(when, std::forward<F>(fn));
   }
-  // The same, into `lane`.
+  // The same, into `lane`. The closure is stored in the lane by value, so
+  // it must be trivially copyable and fit a Handler's buffer.
   template <class F>
   void schedule(Lane lane, SimTime delay, F&& fn) {
     push(lane, now_ + delay, std::forward<F>(fn));
@@ -195,8 +218,18 @@ class Simulator {
     push(lane, when, std::forward<F>(fn));
   }
 
-  // Runs until the event queue drains (or `max_events` fire — a runaway
-  // guard for tests). Returns the number of events executed. Handlers that
+  // Counts a message that reaches its receiver at `when` without an event:
+  // the receiver booked it at injection. The next run() counts it as an
+  // executed event, and end_time() is at least `when`.
+  void arrival(SimTime when) {
+    TLM_CHECK(when >= now_, "an arrival before now()");
+    ++arrivals_;
+    last_arrival_ = std::max(last_arrival_, when);
+  }
+
+  // Runs until the event queue drains (or `max_events` queued events fire
+  // — a runaway guard for tests). Returns the number of events executed,
+  // plus the arrivals counted since the last run() returned. Handlers that
   // never run are destroyed with the simulator.
   std::uint64_t run(std::uint64_t max_events = ~0ULL) {
     release_held();  // left held by a handler that threw
@@ -205,19 +238,25 @@ class Simulator {
       Key k = heap_.front();
       pop_front();
       for (;;) {
-        // Whether the lane has more is decided before the handler runs: if
-        // it empties here, the handler's own push into it goes to the heap.
-        // Otherwise the lane's new head is held, neither in the heap nor
-        // behind a head that is, until the handler returns.
-        if (k.lane != kNoLane) {
+        if (k.lane == kNoLane) {
+          execute(k);
+        } else {
+          // The closure is copied out before the head is popped: the
+          // handler may grow its own lane's ring. Whether the lane has more
+          // is decided before the handler runs: if it empties here, the
+          // handler's own push into it goes to the heap. Otherwise the
+          // lane's new head is held, neither in the heap nor behind a head
+          // that is, until the handler returns.
           LaneQueue& q = lanes_[k.lane];
+          LaneEvent e = q.front();
           q.pop_front();
           if (q.size != 0) held_ = k.lane;
+          advance_to(k.when());
+          e.invoke(e.buf);
         }
-        execute(k);
         ++executed;
         if (held_ == kNoLane) break;
-        const Key next = lanes_[held_].front();
+        const Key next = lanes_[held_].front_key(held_);
         if (executed == max_events ||
             (!heap_.empty() && !before(next, heap_.front()))) {
           release_held();
@@ -227,6 +266,8 @@ class Simulator {
         k = next;  // the fast path: next in (when, seq) order anyway
       }
     }
+    executed += arrivals_;
+    arrivals_ = 0;
     return executed;
   }
 
@@ -246,34 +287,44 @@ class Simulator {
   static constexpr std::uint32_t kNoLane = ~0u;
   struct Key {
     Order order;
-    std::uint32_t slot;
+    std::uint32_t slot;  // a plain event's handler slot
     std::uint32_t lane;  // kNoLane for a plain event
     SimTime when() const { return static_cast<SimTime>(order >> 64); }
   };
   static bool before(const Key& a, const Key& b) { return a.order < b.order; }
 
-  // A ring of keys in (when, seq) order; its head is in the heap unless the
-  // run loop holds it (held_).
+  // A lane event: its order and its closure, stored by value.
+  struct LaneEvent {
+    Order order;
+    void (*invoke)(void*);
+    alignas(std::uint64_t) unsigned char buf[Handler::kCapacity];
+  };
+
+  // A ring of events in (when, seq) order; its head is in the heap unless
+  // the run loop holds it (held_).
   struct LaneQueue {
-    std::vector<Key> ring;  // power-of-two capacity
+    std::vector<LaneEvent> ring;  // power-of-two capacity
     std::uint32_t head = 0, size = 0;
     SimTime last = 0;  // the newest event's time
 
-    const Key& front() const { return ring[head]; }
+    const LaneEvent& front() const { return ring[head]; }
+    Key front_key(std::uint32_t lane) const {
+      return Key{ring[head].order, 0, lane};
+    }
     void pop_front() {
       head = (head + 1) & static_cast<std::uint32_t>(ring.size() - 1);
       --size;
     }
-    void push_back(const Key& k) {
+    // A new slot at the back, for the caller to fill.
+    LaneEvent& push_back() {
       if (size == ring.size()) {
-        std::vector<Key> grown(ring.empty() ? 8 : 2 * ring.size());
+        std::vector<LaneEvent> grown(ring.empty() ? 8 : 2 * ring.size());
         for (std::uint32_t i = 0; i < size; ++i)
           grown[i] = ring[(head + i) & (ring.size() - 1)];
         ring = std::move(grown);
         head = 0;
       }
-      ring[(head + size) & (ring.size() - 1)] = k;
-      ++size;
+      return ring[(head + size++) & (ring.size() - 1)];
     }
   };
 
@@ -285,9 +336,11 @@ class Simulator {
     return chunks_[s >> kChunkBits][s & (kChunk - 1)];
   }
 
-  // Stores `fn` in a pool slot and returns its key.
+  Order next_order(SimTime when) { return (Order{when} << 64) | seq_++; }
+
+  // Stores `fn` in a pool slot and queues its key.
   template <class F>
-  Key make_key(SimTime when, std::uint32_t lane, F&& fn) {
+  void push(SimTime when, F&& fn) {
     if (free_.empty()) {
       const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunk);
       chunks_.push_back(std::make_unique<Handler[]>(kChunk));
@@ -296,29 +349,37 @@ class Simulator {
     const std::uint32_t s = free_.back();
     free_.pop_back();
     slot(s).emplace(std::forward<F>(fn));
-    return Key{(Order{when} << 64) | seq_++, s, lane};
-  }
-
-  template <class F>
-  void push(SimTime when, F&& fn) {
-    heap_push(make_key(when, kNoLane, std::forward<F>(fn)));
+    heap_push(Key{next_order(when), s, kNoLane});
   }
 
   template <class F>
   void push(Lane lane, SimTime when, F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_trivially_copyable_v<D>,
+                  "a lane event's closure must be trivially copyable");
+    static_assert(sizeof(D) <= Handler::kCapacity,
+                  "event handler exceeds the inline capacity");
+    static_assert(alignof(D) <= alignof(std::uint64_t),
+                  "event handler is over-aligned");
     LaneQueue& q = lanes_[lane.id];
     TLM_CHECK(when >= q.last, "event lane went backwards");
     q.last = when;
-    const Key k = make_key(when, lane.id, std::forward<F>(fn));
-    if (q.size == 0) heap_push(k);
-    q.push_back(k);
+    LaneEvent& e = q.push_back();
+    e.order = next_order(when);
+    e.invoke = [](void* p) { (*std::launder(static_cast<D*>(p)))(); };
+    ::new (static_cast<void*>(e.buf)) D(std::forward<F>(fn));
+    if (q.size == 1) heap_push(q.front_key(lane.id));
   }
 
-  // Runs the event in place: pool slots never move, so the handler may
+  void advance_to(SimTime when) {
+    TLM_CHECK(when >= now_, "event queue went backwards");
+    now_ = when;
+  }
+
+  // Runs a plain event in place: pool slots never move, so the handler may
   // schedule more events; its slot is recycled only after it returns.
   void execute(const Key& k) {
-    TLM_CHECK(k.when() >= now_, "event queue went backwards");
-    now_ = k.when();
+    advance_to(k.when());
     Handler& h = slot(k.slot);
     h();
     h.reset();
@@ -328,7 +389,7 @@ class Simulator {
   // Puts the held lane head, if any, into the heap.
   void release_held() {
     if (held_ == kNoLane) return;
-    heap_push(lanes_[held_].front());
+    heap_push(lanes_[held_].front_key(held_));
     held_ = kNoLane;
   }
 
@@ -384,6 +445,8 @@ class Simulator {
   std::vector<std::uint32_t> free_;                 // recycled slot ids
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
+  std::uint64_t arrivals_ = 0;  // counted, not yet returned by run()
+  SimTime last_arrival_ = 0;
 };
 
 }  // namespace tlm::sim

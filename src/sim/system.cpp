@@ -128,7 +128,7 @@ SimReport System::run(std::uint64_t max_events) {
               "budget exhausted)");
 
   SimReport r;
-  r.seconds = to_seconds(sim_.now());
+  r.seconds = to_seconds(sim_.end_time());
   r.events = events;
   r.far = far_->stats();
   r.near = near_->stats();
@@ -177,7 +177,7 @@ std::vector<std::pair<std::string, double>> SimReport::counters() const {
 
 void System::print_stats(std::ostream& os) const {
   os << "# component statistics (SST-style dump)\n";
-  os << "sim.time_s " << to_seconds(sim_.now()) << "\n";
+  os << "sim.time_s " << to_seconds(sim_.end_time()) << "\n";
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     const CoreStats& s = cores_[i]->stats();
     os << "core." << i << " loads=" << s.loads << " stores=" << s.stores

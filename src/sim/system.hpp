@@ -88,8 +88,12 @@ struct SystemConfig {
   X(latency, mean_s, r.access_latency.mean())
 
 struct SimReport {
-  double seconds = 0;        // simulated wall-clock (Table I "Sim Time")
-  std::uint64_t events = 0;  // DES events executed
+  // Simulated wall-clock (Table I "Sim Time"): the later of the last event
+  // and the last request's arrival at a memory controller.
+  double seconds = 0;
+  // DES events executed, counting each arrival at a memory controller as
+  // one (Simulator::arrival).
+  std::uint64_t events = 0;
   MemStats far;              // Table I "DRAM Accesses" = far.accesses()
   MemStats near;             // Table I "Scratchpad Accesses"
   CacheStats l1, l2;         // aggregated over all instances

@@ -278,18 +278,23 @@ TEST(FlatMap, MatchesUnorderedMapUnderRandomInsertErase) {
 
 // --- helpers ---------------------------------------------------------------
 
-// Downstream sink that records requests and answers reads after a delay.
-class RecordingMemory final : public MemPort {
+// Downstream sink that records requests and their arrival times and answers
+// reads a delay after they arrive.
+class RecordingMemory final : public MemController {
  public:
   RecordingMemory(Simulator& sim, SimTime delay) : sim_(sim), delay_(delay) {}
-  void request(const MemReq& req) override {
+  void request(const MemReq& req) override { arrive(req, sim_.now()); }
+  void arrive(const MemReq& req, SimTime when) override {
     log.push_back(req);
+    last_arrival = when;
     if (!req.posted && req.origin) {
       const MemReq resp = req;
-      sim_.schedule(delay_, [resp] { resp.origin->on_response(resp); });
+      sim_.schedule_at(when + delay_,
+                       [resp] { resp.origin->on_response(resp); });
     }
   }
   std::vector<MemReq> log;
+  SimTime last_arrival = 0;
 
  private:
   Simulator& sim_;
@@ -532,7 +537,7 @@ TEST(Crossbar, PortBandwidthSerializesTraffic) {
       xbar.port(src)->request(w);
     }
     sim.run();
-    return to_seconds(sim.now());
+    return to_seconds(mem.last_arrival);
   };
   const double fast = stream_time(100e9);
   const double slow = stream_time(10e9);

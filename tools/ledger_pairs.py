@@ -6,7 +6,10 @@
         [--seed 1] [--trace 0] [--cxxflags=<flags>] [--json out.json]
 
 Runs each checkout's own, unchanged `perfledger/run.py` in turn, N times
-each. Pair i runs both sides on seed `--seed` + i, the parent first when i
+each. Clone both sides to paths of equal length (say `<dir>/p` and
+`<dir>/c`, both made with `git clone`): the checkout path reaches the
+build and the set-up, and a difference in its length alone has moved
+`setup_s` by tens of percent. The script warns when the lengths differ. Pair i runs both sides on seed `--seed` + i, the parent first when i
 is even and the change first when i is odd, so a slow drift of the host
 does not favour one side. Every (checkout, flags) pair gets its own build
 directory (the `CARGO_TARGET_DIR` that run.py builds under) below
@@ -127,6 +130,12 @@ def main():
 
     parent = Side("parent", args.parent, args)
     change = Side("change", args.change, args)
+    if len(parent.checkout) != len(change.checkout):
+        print(f"ledger_pairs: warning: the checkout paths differ in length "
+              f"({len(parent.checkout)} vs {len(change.checkout)} "
+              f"characters), which alone can move set-up and build-"
+              f"dependent metrics; clone both sides to paths of equal "
+              f"length", file=sys.stderr)
     for side in (parent, change):
         side.run(args.seed, 1)  # builds perf_ledger; not counted
 
