@@ -36,6 +36,10 @@ set(phase_stats_ASSIGN_ACCESSOR "lvalue required|not assignable")
 set(phase_stats_ASSIGN_STORAGE "far_write_blocks_[^\n]*private")
 set(phase_stats_ASSIGN_NAME
   "invalid use of (non-static )?member function|must be called")
+# Simulator lanes: a lane event's closure is stored by value and copied out.
+set(lane_closure_CASES NOT_TRIVIAL TOO_LARGE)
+set(lane_closure_NOT_TRIVIAL "closure must be trivially copyable")
+set(lane_closure_TOO_LARGE "exceeds the inline capacity")
 
 # compile(<case>): compiles `source` with TLM_CASE_<case> defined; sets rc
 # and out (stdout and stderr merged) in the caller.
