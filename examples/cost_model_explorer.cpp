@@ -14,6 +14,7 @@
 #include "memmodel/bounds.hpp"
 #include "memmodel/membound.hpp"
 #include "memmodel/params.hpp"
+#include "sim/system.hpp"
 
 namespace {
 
@@ -69,9 +70,11 @@ int main(int argc, char** argv) {
   std::cout << "Corollary 7: quicksort-inside-scratchpad optimal once rho >= "
             << Table::num(model::corollary7_min_rho(m), 1) << "\n";
 
-  // §V-A: is this node memory-bandwidth bound for sorting?
-  const model::NodeThroughput node{cores * 1.7e9 / 8.0, bw / 8.0,
-                                   z_kib * 1024 / b};
+  // §V-A: is this node memory-bandwidth bound for sorting? Each core
+  // compares at Fig. 4's clock over its cycles per comparison.
+  const sim::CoreConfig core = sim::SystemConfig::paper(1.0).core;
+  const model::NodeThroughput node{cores * core.freq_hz / core.cycles_per_op,
+                                   bw / 8.0, z_kib * 1024 / b};
   const auto est = model::sort_time_estimate(node, n);
   std::cout << "§V-A predictor: x=" << node.compare_rate
             << " cmp/s, y=" << node.memory_rate << " elem/s, ratio="

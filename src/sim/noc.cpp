@@ -59,6 +59,10 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
       break;
     }
   TLM_REQUIRE(route != nullptr, "address has no NoC route");
+  // Caches absorb demand stores; their writebacks and the DMA engine's
+  // writes are posted, so every write that reaches the crossbar is posted.
+  TLM_REQUIRE(req.posted || !req.is_write,
+              "a write reaching the crossbar must be posted");
 
   // Writes carry their data across the wire; read requests are commands.
   const std::uint64_t wire_bytes =
@@ -66,19 +70,10 @@ void Crossbar::inject(std::size_t src_ep, const MemReq& req) {
   const SimTime deliver = transfer(src_ep, route->ep, wire_bytes);
 
   MemReq fwd = req;
-  if (!req.posted && !req.is_write) {
+  if (!req.posted) {
     // Read: responses return through the crossbar, so interpose.
     fwd.tag = txns_.acquire(Txn{req, src_ep, route->ep, true});
     fwd.origin = this;
-  } else if (!req.posted && req.is_write) {
-    // Demand store: acknowledge without waiting for the memory side (the
-    // data is on the wire; stores retire from the store buffer).
-    const MemReq ack = req;
-    sim_.schedule_at(endpoints_[route->ep].lane, deliver, [ack] {
-      if (ack.origin) ack.origin->on_response(ack);
-    });
-    fwd.posted = true;
-    fwd.origin = nullptr;
   }
   sim_.arrival(deliver);
   route->target->arrive(fwd, deliver);

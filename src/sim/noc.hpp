@@ -67,8 +67,8 @@ class Crossbar final : public Requester {
   // Modeling them with one horizon couples request and response streams and
   // fabricates ~µs queueing that no real router exhibits.
   // Every delivery into an endpoint lands at its rx horizon, which never
-  // decreases, so the delivery events (responses and store acks) form the
-  // endpoint's lane.
+  // decreases, so the delivery events (read responses) form the endpoint's
+  // lane.
   struct Endpoint {
     Endpoint(std::string n, double bw) : name(std::move(n)), wire(bw) {}
     std::string name;

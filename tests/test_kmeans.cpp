@@ -345,9 +345,10 @@ std::vector<std::uint64_t> bits(const std::vector<double>& v) {
 
 enum class Input { kBlobs, kDuplicates, kNonFinite };
 
-// 2500 points: two full tiles and a partial third.
+// 2501 points: two full tiles and a partial third of odd length, so the
+// kernel's last point pair has a spare lane in the sweeps too.
 std::vector<double> oracle_points(Input kind, std::size_t d) {
-  constexpr std::size_t n = 2500;
+  constexpr std::size_t n = 2501;
   if (kind == Input::kDuplicates) {
     // Five distinct points, each repeated: with k > 5 Forgy must seed
     // coincident centroids, and every tie between them goes to the lower
@@ -374,7 +375,7 @@ TEST(KMeansOracle, EveryVariantMatchesReferenceLloydBitForBit) {
   for (const Input kind :
        {Input::kBlobs, Input::kDuplicates, Input::kNonFinite})
     for (const std::size_t d : {1u, 3u, 4u, 5u, 8u})
-      for (const std::size_t k : {1u, 2u, 7u, 16u}) {
+      for (const std::size_t k : {1u, 2u, 4u, 7u, 8u, 16u}) {
         const auto pts = oracle_points(kind, d);
         KMeansOptions o = opts(k, d);
         o.max_iters = 8;

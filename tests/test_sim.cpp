@@ -553,6 +553,27 @@ TEST(Crossbar, UnroutableAddressThrows) {
                std::invalid_argument);
 }
 
+TEST(Crossbar, NonPostedWriteThrows) {
+  // Caches absorb demand stores, so every write reaching the crossbar is a
+  // posted writeback or DMA write; a demand store there is miswired.
+  Simulator sim;
+  Crossbar xbar(sim, NocConfig{});
+  RecordingMemory mem(sim, 0);
+  const std::size_t src = xbar.add_endpoint("l2", 72e9);
+  const std::size_t dst = xbar.add_endpoint("mem", 72e9);
+  xbar.add_route(0, ~0ULL, dst, &mem);
+  CountingRequester who;
+  EXPECT_THROW(xbar.port(src)->request(write_req(0x40, &who)),
+               std::invalid_argument);
+  MemReq posted = write_req(0x80, &who);
+  posted.posted = true;
+  posted.origin = nullptr;
+  xbar.port(src)->request(posted);
+  sim.run();
+  EXPECT_EQ(mem.log.size(), 1u);
+  EXPECT_EQ(who.responses, 0);
+}
+
 // --- cores & barriers ----------------------------------------------------------
 
 TEST(BarrierController, ReleasesWhenAllArrive) {
